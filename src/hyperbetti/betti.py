@@ -27,7 +27,6 @@ from __future__ import annotations
 
 import json
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
@@ -38,7 +37,6 @@ from .complexes import (
     SimplicialComplex,
     clique_complex,
     independence_complex,
-    link,
     minimal_nonfaces,
 )
 from .errors import ParameterError, PreconditionError, SizeBudgetError
@@ -48,7 +46,6 @@ from .homology import (
     boundary_rows,
     dims_from_faces,
     rank_over_field,
-    reduced_homology_dims,
 )
 from .hypergraph import Hypergraph, canonical_json
 
@@ -332,21 +329,6 @@ class _RestrictionOracle:
         return sorted(closure)
 
 
-def _tally_restrictions(
-    oracle: "_RestrictionOracle", masks: Iterable[int]
-) -> dict[tuple[int, int], int]:
-    entries: dict[tuple[int, int], int] = {}
-    for v in masks:
-        dims = oracle.dims_for(v)
-        if not dims:
-            continue
-        j = v.bit_count()
-        for degree, dim in dims.items():
-            key = (j - 1 - degree, j)
-            entries[key] = entries.get(key, 0) + dim
-    return entries
-
-
 def hochster_betti(
     c: SimplicialComplex,
     fld: FieldSpec = QQ,
@@ -355,7 +337,6 @@ def hochster_betti(
     vertex_budget: int = 20,
     face_budget: int = 1 << 22,
     closure_max_nonfaces: int = 26,
-    threads: int | None = None,
 ) -> BettiTable:
     """Graded Betti numbers of R/I for the face ideal of the complex.
 
@@ -364,9 +345,8 @@ def hochster_betti(
     being an antichain of honest nonfaces); passing it skips a
     potentially expensive dualization.
 
-    ``threads`` splits the restriction sweep across that many worker
-    threads.  Each cell of the table is a sum of per-subset
-    contributions, so the result is identical for every thread count.
+    The sum runs over the unions of minimal nonfaces when there are few
+    enough of them, and over every vertex subset otherwise.
     """
     n = c.vertices.bit_count()
     if n > vertex_budget:
@@ -386,21 +366,16 @@ def hochster_betti(
                 "many large faces for the skeleton strategy; no feasible plan"
             )
         subsets = submasks(c.vertices)
-    if threads is not None and threads > 1:
-        pool = list(subsets)
-        piece_len = max(1024, -(-len(pool) // threads))
-        pieces = [pool[k : k + piece_len] for k in range(0, len(pool), piece_len)]
-        if len(pieces) > 1:
-            entries: dict[tuple[int, int], int] = {}
-            with ThreadPoolExecutor(max_workers=len(pieces)) as executor:
-                for part in executor.map(
-                    lambda piece: _tally_restrictions(oracle, piece), pieces
-                ):
-                    for key, value in part.items():
-                        entries[key] = entries.get(key, 0) + value
-            return BettiTable("quotient", n, entries)
-        subsets = pool
-    return BettiTable("quotient", n, _tally_restrictions(oracle, subsets))
+    entries: dict[tuple[int, int], int] = {}
+    for v in subsets:
+        dims = oracle.dims_for(v)
+        if not dims:
+            continue
+        j = v.bit_count()
+        for degree, dim in dims.items():
+            key = (j - 1 - degree, j)
+            entries[key] = entries.get(key, 0) + dim
+    return BettiTable("quotient", n, entries)
 
 
 def edge_ideal_betti(h: Hypergraph, fld: FieldSpec = QQ, **kwargs) -> BettiTable:
@@ -446,12 +421,6 @@ def taylor_betti_free_vertex(h: Hypergraph) -> BettiTable:
         key = (S.bit_count(), unions[S].bit_count())
         entries[key] = entries.get(key, 0) + 1
     return BettiTable("quotient", h.num_vertices, entries)
-
-
-def total_betti_free_vertex(t: int) -> dict[int, int]:
-    """Total Betti numbers {i: C(t, i)} for t edges each with a private
-    vertex: the full subset count, one binomial per homological step."""
-    return {i: comb(t, i) for i in range(t + 1)}
 
 
 def _check_overlap_family(n: int, d: int, alpha: int, min_n: int) -> None:
@@ -768,20 +737,6 @@ def connectivity(
     return None
 
 
-def homological_component_count(
-    h: Hypergraph, fld: FieldSpec = QQ, d: int | None = None
-) -> int:
-    """One more than the top restriction Betti number: the number of
-    homology-level components the clique-style complex decomposes into."""
-    if d is None:
-        d = h.uniform_degree
-        if d is None:
-            raise PreconditionError("needs a uniform hypergraph")
-    cx = clique_complex(h, d)
-    dims = reduced_homology_dims(cx, fld)
-    return dims.get(d - 2, 0) + 1
-
-
 @dataclass(frozen=True)
 class ConnectivityReport:
     """Both routes to connectivity plus the depth-based equivalences."""
@@ -883,22 +838,3 @@ def froberg_cm_witness(
 def froberg_cm_check(c: SimplicialComplex, fld: FieldSpec = QQ, **kwargs) -> bool:
     """Cohen-Macaulayness via the single-band restriction criterion."""
     return froberg_cm_witness(c, fld, **kwargs) is None
-
-
-def reisner_cm_check(
-    c: SimplicialComplex, fld: FieldSpec = QQ, budget: int = 1 << 18
-) -> bool:
-    """Definitional route: every face link is homology-free below its
-    dimension.  Exponential in the face count; small inputs only."""
-    from .complexes import enumerate_faces
-
-    for _, faces in sorted(enumerate_faces(c, budget).items()):
-        for f in faces:
-            lk = link(c, f)
-            if lk.is_void:
-                continue
-            ldim = lk.dim
-            dims = reduced_homology_dims(lk, fld, budget)
-            if any(deg < ldim for deg in dims):
-                return False
-    return True

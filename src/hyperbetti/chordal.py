@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .bitsets import bits_of, contains, k_submasks, mask_of, submasks
-from .complexes import SimplicialComplex, clique_complex, strip_small_facets
+from .complexes import clique_complex
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import QQ, FieldSpec
 from .hypergraph import Hypergraph, make_cycle
@@ -30,8 +30,6 @@ __all__ = [
     "sequence_for_line",
     "sequence_for_complete",
     "enumerate_sequences",
-    "pairs_graph",
-    "graph_sequence_steps",
     "hypergraph_sequence_from_graph",
     "ChordalityReport",
     "chordal_graph_recognize",
@@ -228,28 +226,6 @@ def enumerate_sequences(
 
 
 # -- graph shadows -----------------------------------------------------
-
-
-def pairs_graph(n: int, chunks: tuple[int, ...], d: int) -> Hypergraph:
-    """The graph whose edges are the vertex pairs lying inside a piece of
-    at least d vertices: the 1-skeleton of the stripped clique complex."""
-    edges: set[int] = set()
-    for c in chunks:
-        if c.bit_count() >= d:
-            edges.update(k_submasks(c, 2))
-    return Hypergraph(n, frozenset(edges))
-
-
-def graph_sequence_steps(seq: AttachmentSequence) -> AttachmentSequence:
-    """The same steps reinterpreted at uniformity 2; valid because glue
-    containment does not depend on the uniformity."""
-    steps = []
-    for s in seq.steps:
-        if s.size == 1:
-            steps.append(AttachmentStep(1))
-        else:
-            steps.append(s)
-    return AttachmentSequence(2, tuple(steps))
 
 
 def hypergraph_sequence_from_graph(g: Hypergraph, d: int) -> AttachmentSequence:

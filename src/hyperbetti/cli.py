@@ -18,7 +18,6 @@ from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
 import time
 
@@ -187,12 +186,10 @@ def _betti_table(args: argparse.Namespace, h: Hypergraph, fam: FamilySpec | None
                 m for m in k_submasks(h.vertices, d) if m not in h.edges
             )
             return taylor_betti_free_vertex(Hypergraph(h.n_vertices, non_edges, h.vertices))
-        return clique_ideal_betti(
-            h, d, fld, vertex_budget=args.max_vertices, threads=args.threads
-        )
+        return clique_ideal_betti(h, d, fld, vertex_budget=args.max_vertices)
     if args.method == "taylor":
         return taylor_betti_free_vertex(h)
-    return edge_ideal_betti(h, fld, vertex_budget=args.max_vertices, threads=args.threads)
+    return edge_ideal_betti(h, fld, vertex_budget=args.max_vertices)
 
 
 def cmd_betti(args: argparse.Namespace) -> int:
@@ -394,10 +391,6 @@ def _build_parser() -> argparse.ArgumentParser:
     betti.add_argument(
         "--max-vertices", type=int, default=20,
         help="vertex budget for the restriction sum (default 20)",
-    )
-    betti.add_argument(
-        "--threads", type=int, default=os.cpu_count() or 1,
-        help="worker threads for the restriction sweep (default: machine parallelism)",
     )
     betti.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     betti.set_defaults(handler=cmd_betti)

@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from functools import lru_cache
 
 from .bitsets import bits_of, contains, k_submasks, max_antichain, min_antichain, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
@@ -235,27 +234,6 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(c.n_vertices, facets, c.vertices)
 
 
-def components(c: SimplicialComplex) -> list[frozenset[int]]:
-    """Facet classes of the connectivity relation (shared vertices)."""
-    remaining = set(c.facets)
-    out: list[frozenset[int]] = []
-    while remaining:
-        seed = remaining.pop()
-        comp = {seed}
-        span = seed
-        changed = True
-        while changed:
-            changed = False
-            for f in list(remaining):
-                if f & span or f == 0 == span:
-                    remaining.discard(f)
-                    comp.add(f)
-                    span |= f
-                    changed = True
-        out.append(frozenset(comp))
-    return out
-
-
 def enumerate_faces(c: SimplicialComplex, budget: int = 1 << 22) -> dict[int, list[int]]:
     """All faces grouped by size.  Raises when the submask count Σ 2^|F|
     over facets exceeds the budget (the enumeration cost bound)."""
@@ -305,49 +283,3 @@ def pad_facets(c: SimplicialComplex, d: int) -> SimplicialComplex:
     return SimplicialComplex(
         c.n_vertices, max_antichain(list(c.facets) + fill), c.vertices
     )
-
-
-# -- quasi-forest leaf orders -----------------------------------------
-
-
-def _is_leaf(facet: int, others: tuple[int, ...]) -> bool:
-    if not others:
-        return True
-    best = max(others, key=lambda g: (facet & g).bit_count())
-    joint = facet & best
-    return all(contains(joint, facet & g) for g in others)
-
-
-def quasi_forest_leaf_order(
-    c: SimplicialComplex, max_facets: int = 14
-) -> tuple[int, ...] | None:
-    """An ordering whose every prefix ends in a leaf, or None.
-
-    A facet is a leaf when one single other facet (a branch) swallows
-    all its intersections.  The search peels leaves from the back with
-    memoized dead ends, handling facet components independently.
-    """
-    if len(c.facets) > max_facets:
-        raise SizeBudgetError(
-            f"leaf-order search limited to {max_facets} facets, got {len(c.facets)}"
-        )
-    order: list[int] = []
-    for comp in components(c):
-        part = _leaf_order_component(tuple(sorted(comp)))
-        if part is None:
-            return None
-        order.extend(part)
-    return tuple(order)
-
-
-@lru_cache(maxsize=None)
-def _leaf_order_component(facets: tuple[int, ...]) -> tuple[int, ...] | None:
-    if len(facets) <= 1:
-        return facets
-    for k, f in enumerate(facets):
-        rest = facets[:k] + facets[k + 1 :]
-        if _is_leaf(f, rest):
-            head = _leaf_order_component(rest)
-            if head is not None:
-                return head + (f,)
-    return None

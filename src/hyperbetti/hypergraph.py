@@ -15,11 +15,10 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from itertools import combinations, permutations
-from math import factorial
+from itertools import combinations
 
-from .bitsets import bits_of, contains, k_submasks, mask_of
-from .errors import ParameterError, PreconditionError
+from .bitsets import bits_of, contains, mask_of
+from .errors import ParameterError
 
 MAX_VERTICES = 63
 
@@ -253,25 +252,6 @@ def _check_overlap_params(n: int, d: int, alpha: int, min_edges: int) -> None:
 # -- operations -------------------------------------------------------
 
 
-def complement(h: Hypergraph, d: int) -> Hypergraph:
-    """d-subsets of the present vertices that are not edges of h."""
-    if not h.is_uniform(d):
-        raise PreconditionError(f"complement needs a {d}-uniform hypergraph")
-    edges = frozenset(
-        m for m in k_submasks(h.vertices, d) if m not in h.edges
-    )
-    return Hypergraph(h.n_vertices, edges, h.vertices)
-
-
-def induced(h: Hypergraph, vertices) -> Hypergraph:
-    """Induced subhypergraph on a vertex subset, keeping original labels."""
-    vmask = vertices if isinstance(vertices, int) else mask_of(vertices)
-    if vmask & ~h.vertices:
-        raise ParameterError("induced subset must consist of present vertices")
-    edges = frozenset(e for e in h.edges if contains(vmask, e))
-    return Hypergraph(h.n_vertices, edges, vmask)
-
-
 def free_vertices(h: Hypergraph) -> dict[int, int]:
     """Map each edge to the mask of its vertices lying in no other edge."""
     out = {}
@@ -286,99 +266,3 @@ def free_vertices(h: Hypergraph) -> dict[int, int]:
 
 def every_edge_has_free_vertex(h: Hypergraph) -> bool:
     return all(m != 0 for m in free_vertices(h).values())
-
-
-# -- isomorphism (small instances only) -------------------------------
-
-
-def are_isomorphic(a: Hypergraph, b: Hypergraph, max_n: int = 10) -> bool:
-    """Brute-force isomorphism test on the present vertices.
-
-    Only intended for small instances; guards at max_n present vertices.
-    """
-    if a.num_vertices != b.num_vertices or a.edge_count != b.edge_count:
-        return False
-    if sorted(e.bit_count() for e in a.edges) != sorted(e.bit_count() for e in b.edges):
-        return False
-    n = a.num_vertices
-    if n > max_n:
-        raise PreconditionError(f"isomorphism test limited to {max_n} vertices")
-    va, vb = a.vertex_list(), b.vertex_list()
-    target = frozenset(b.edges)
-    # quick invariant: multiset of vertex degrees
-    if _degree_profile(a, va) != _degree_profile(b, vb):
-        return False
-    for perm in permutations(vb):
-        relabel = dict(zip(va, perm))
-        mapped = frozenset(
-            mask_of(relabel[v] for v in bits_of(e)) for e in a.edges
-        )
-        if mapped == target:
-            return True
-    return False
-
-
-def _degree_profile(h: Hypergraph, vs: list[int]) -> list[int]:
-    return sorted(sum(1 for e in h.edges if e >> v & 1) for v in vs)
-
-
-def canonical_form(h: Hypergraph) -> tuple[int, tuple[int, ...]]:
-    """A relabeling-invariant key: (vertex count, minimal edge multiset).
-
-    Uses degree-refinement to cut the permutation search; falls back to
-    the full symmetric group within refinement classes, so it is meant
-    for small instances (the isomorphism-search tools that call it stay
-    below ten vertices).
-    """
-    vs = h.vertex_list()
-    n = len(vs)
-    if n == 0:
-        return (0, ())
-    # iterative refinement by (degree, multiset of neighbor classes)
-    cls = {v: 0 for v in vs}
-    for _ in range(n):
-        sig = {}
-        for v in vs:
-            neigh = sorted(
-                tuple(sorted(cls[u] for u in bits_of(e) if u != v))
-                for e in h.edges
-                if e >> v & 1
-            )
-            sig[v] = (cls[v], tuple(neigh))
-        order = sorted(set(sig.values()))
-        new_cls = {v: order.index(sig[v]) for v in vs}
-        if new_cls == cls:
-            break
-        cls = new_cls
-    groups: dict[int, list[int]] = {}
-    for v in vs:
-        groups.setdefault(cls[v], []).append(v)
-    blocks = [groups[c] for c in sorted(groups)]
-    if _perm_budget(blocks) > 50000:
-        raise PreconditionError("canonical form search too large for this instance")
-    best: tuple[int, ...] | None = None
-    for perm in _block_permutations(blocks):
-        relabel = {v: i for i, v in enumerate(perm)}
-        key = tuple(sorted(mask_of(relabel[v] for v in bits_of(e)) for e in h.edges))
-        if best is None or key < best:
-            best = key
-    return (n, best if best is not None else ())
-
-
-def _perm_budget(blocks: list[list[int]]) -> int:
-    total = 1
-    for b in blocks:
-        total *= factorial(len(b))
-    return total
-
-
-def _block_permutations(blocks: list[list[int]]):
-    """Permutations respecting the refinement classes, concatenated."""
-    def rec(i: int, prefix: list[int]):
-        if i == len(blocks):
-            yield tuple(prefix)
-            return
-        for perm in permutations(blocks[i]):
-            yield from rec(i + 1, prefix + list(perm))
-
-    yield from rec(0, [])

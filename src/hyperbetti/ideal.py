@@ -572,35 +572,3 @@ def rsequence_betti_closed_form(
     from .betti import rsequence_betti_table
 
     return rsequence_betti_table(colon_sizes, d, d_prime, n_vars)
-
-
-# --------------------------------------------------------------------------
-# Links of d-shellable complexes
-
-
-@dataclass(frozen=True)
-class LinkSpotcheckReport:
-    faces_checked: int
-    all_pass: bool
-    failures: tuple[tuple[int, int], ...]
-
-
-def link_shellability_spotcheck(
-    c: SimplicialComplex, ordering: Sequence[int], d: int, face_budget: int = 1 << 16
-) -> LinkSpotcheckReport:
-    """Verify that every link inherits the d-shelling through the induced order."""
-    from .complexes import enumerate_faces
-
-    base = verify_d_shelling(c, ordering, d)
-    if isinstance(base, ShellingRefusal):
-        raise PreconditionError(f"ordering is not a {d}-shelling: {base.reason}")
-    faces = [f for fs in enumerate_faces(c, budget=face_budget).values() for f in fs]
-    failures = []
-    for face in faces:
-        star = [g for g in ordering if contains(g, face)]
-        link_facets = frozenset(g & ~face for g in star)
-        link_c = SimplicialComplex(c.n_vertices, link_facets, vertices=c.vertices & ~face)
-        verdict = verify_d_shelling(link_c, tuple(g & ~face for g in star), d)
-        if isinstance(verdict, ShellingRefusal):
-            failures.append((face, verdict.step))
-    return LinkSpotcheckReport(len(faces), not failures, tuple(failures))

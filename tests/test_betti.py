@@ -103,13 +103,6 @@ def test_characteristic_can_change_the_table():
     assert over_2.beta(3, 6) == over_q.beta(3, 6) + 1
 
 
-def test_threaded_sweep_equals_serial():
-    h = make_cycle(4, 3, 1)
-    serial = edge_ideal_betti(h, QQ)
-    fanned = edge_ideal_betti(h, QQ, threads=4)
-    assert serial.entries == fanned.entries
-
-
 def test_vertex_budget_is_enforced():
     with pytest.raises(SizeBudgetError):
         edge_ideal_betti(make_line(3, 3, 1), QQ, vertex_budget=5)

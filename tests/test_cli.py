@@ -114,15 +114,6 @@ def test_betti_cache_keys_include_flags(capsys, tmp_path):
     assert csv_out.startswith("i,j,beta")
 
 
-def test_betti_thread_count_does_not_split_the_cache(capsys, tmp_path):
-    path = _gen_to_file(
-        capsys, tmp_path, "gen", "--family", "line", "--n", "2", "--d", "3", "--alpha", "1"
-    )
-    run(capsys, "betti", path, "--threads", "1")
-    _, _, err = run(capsys, "betti", path, "--threads", "3")
-    assert "[cache] hit" in err
-
-
 def test_betti_rejects_composite_field(capsys, tmp_path):
     path = _gen_to_file(
         capsys, tmp_path, "gen", "--family", "line", "--n", "2", "--d", "3", "--alpha", "1"
@@ -187,6 +178,14 @@ def test_verify_round_trip(capsys):
     report = json.loads(out)
     assert report["summary"]["mismatch"] == 0
     assert "theorem=P" in err
+
+
+def test_verify_unknown_grid_key_is_usage_error(capsys):
+    code, out, err = run(capsys, "verify", "--theorem", "P", "--grid", "nn=3")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0].startswith("error: check 'P' reads no grid key 'nn'")
+    assert "Traceback" not in err
 
 
 def test_verify_unknown_id(capsys):

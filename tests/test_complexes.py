@@ -19,7 +19,7 @@ from hyperbetti import (
     restrict,
 )
 from hyperbetti.bitsets import mask_of
-from hyperbetti.complexes import components, minimal_transversals, pad_facets
+from hyperbetti.complexes import minimal_transversals, pad_facets
 
 
 def test_facets_must_form_antichain():
@@ -96,11 +96,6 @@ def test_link_of_a_vertex():
     c = SimplicialComplex.from_faces(4, [[0, 1, 2], [2, 3]])
     lk = link(c, mask_of([2]))
     assert lk.facets == frozenset({0b0011, 0b1000})
-
-
-def test_components_counts_pieces():
-    c = SimplicialComplex.from_faces(5, [[0, 1], [1, 2], [3, 4]])
-    assert len(components(c)) == 2
 
 
 def test_pad_facets_restores_dimension():

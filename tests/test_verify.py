@@ -32,6 +32,14 @@ def test_unknown_theorem_id():
         run_check("nope")
 
 
+def test_unknown_grid_keys_are_refused():
+    """A key the check does not read stops the run before any instance."""
+    with pytest.raises(ParameterError, match="'nn', 'alhpa'; its keys are d, alpha, n"):
+        run_check("P", "nn=3,alhpa=9")
+    with pytest.raises(ParameterError, match="'preset'"):
+        run_check("P", "smoke")
+
+
 def test_closed_form_check_small_grid():
     rep = run_check("P", "n=3..4,d=3..3,alpha=1..1")
     assert rep.ok
@@ -55,7 +63,7 @@ def test_report_json_is_canonical():
 
 
 def test_timings_are_opt_in():
-    rep = run_check("b", "i=2..3,n=4..5")
+    rep = run_check("b", "n=4..5")
     assert "timings_ms" not in rep.to_json_obj()
     assert "timings_ms" in rep.to_json_obj(include_timings=True)
 
