@@ -7,20 +7,25 @@ degree j - i - 1.  Everything else in this module is either a fast
 evaluation strategy for those restriction homologies or a closed-form
 table for a structured family, checked against that oracle in tests.
 
-Three restriction strategies are used, picked per subset:
+Subsets that induce a cone contribute nothing, so when the minimal
+nonfaces are few the sum runs only over their unions.  Every other
+subset is answered by one of three strategies:
 
-* direct - enumerate the faces of the induced subcomplex and compute
-  boundary ranks (small subsets);
-* dual nerve - replace the subcomplex by the nerve of its minimal
-  nonfaces, which has complementary homology (few nonfaces inside V);
 * sparse skeleton - when every set smaller than s (the minimal nonface
   size) is a face, only the faces of size >= s carry information, and
   their boundary ranks depend on that face list alone, so they memoize
   across subsets (complexes with few large faces, e.g. clique-style
-  complexes of sparse hypergraphs).
+  complexes of sparse hypergraphs).  It answers every subset whenever
+  those faces are few enough to list;
+* dual nerve - replace the subcomplex by the nerve of the k minimal
+  nonfaces inside V, which has complementary homology and at most 2^k
+  faces;
+* direct - enumerate the faces of the induced subcomplex, at most the
+  sum of 2^|F & V| over the facets F, and compute boundary ranks.
 
-Subsets that induce a cone contribute nothing, so when the minimal
-nonfaces are few the sum runs only over their unions.
+Between the last two one cost rule decides: the nerve runs when its 2^k
+is below the direct route's face sum, the direct route otherwise.  One
+face budget bounds both; a route over it refuses with SizeBudgetError.
 """
 
 from __future__ import annotations
@@ -151,6 +156,13 @@ class BettiTable:
 
 # -- the restriction oracle -------------------------------------------
 
+# Most faces one restriction may enumerate, by either route.
+FACE_BUDGET = 1 << 22
+# Most faces of size >= s the skeleton strategy lists.
+BIG_FACE_CAP = 600
+# Most minimal nonfaces for which the sum runs over their union closure.
+CLOSURE_MAX_NONFACES = 26
+
 
 class _RestrictionOracle:
     """Per-complex engine answering 'reduced homology of the induced
@@ -161,10 +173,6 @@ class _RestrictionOracle:
         c: SimplicialComplex,
         fld: FieldSpec,
         nonface_hint: Iterable[int] | None = None,
-        face_budget: int = 1 << 22,
-        direct_cap: int = 11,
-        nerve_cap: int = 13,
-        big_face_cap: int = 600,
     ) -> None:
         if c.is_void:
             raise PreconditionError("restriction homology needs a nonvoid complex")
@@ -173,15 +181,12 @@ class _RestrictionOracle:
         self.ground = c.vertices
         self.n = self.ground.bit_count()
         self.facets = sorted(c.facets)
-        self.face_budget = face_budget
-        self.direct_cap = direct_cap
-        self.nerve_cap = nerve_cap
         if nonface_hint is not None:
             self.mnf = self._validated_hint(nonface_hint)
         else:
             self.mnf = sorted(minimal_nonfaces(c))
         self.min_nonface_size = min((m.bit_count() for m in self.mnf), default=0)
-        self.big_faces = self._collect_big_faces(big_face_cap)
+        self.big_faces = self._collect_big_faces()
         self._rank_memo: dict[tuple[int, ...], tuple[dict, dict]] = {}
 
     def _validated_hint(self, hint: Iterable[int]) -> list[int]:
@@ -195,12 +200,12 @@ class _RestrictionOracle:
                 raise ParameterError(f"hint mask {m:#x} is actually a face")
         return masks
 
-    def _collect_big_faces(self, cap: int) -> list[int] | None:
+    def _collect_big_faces(self) -> list[int] | None:
         """Faces of size >= minimal-nonface-size, if there are few."""
         s = self.min_nonface_size
         if s == 0:
             return None  # full simplex; handled before strategies run
-        if sum(1 << f.bit_count() for f in self.facets) > self.face_budget:
+        if sum(1 << f.bit_count() for f in self.facets) > FACE_BUDGET:
             return None
         out: set[int] = set()
         for f in self.facets:
@@ -209,14 +214,21 @@ class _RestrictionOracle:
             for sub in submasks(f):
                 if sub.bit_count() >= s:
                     out.add(sub)
-                    if len(out) > cap:
+                    if len(out) > BIG_FACE_CAP:
                         return None
         return sorted(out)
 
     # -- public -------------------------------------------------------
 
     def dims_for(self, vmask: int) -> dict[int, int]:
-        """Nonzero reduced homology dims of the induced subcomplex."""
+        """Nonzero reduced homology dims of the induced subcomplex.
+
+        Cones are answered at once, and the skeleton strategy takes every
+        subset when it exists.  Otherwise the k minimal nonfaces inside V
+        give a nerve of 2^k faces, and the direct route enumerates at most
+        the sum of 2^|F & V| over the facets F: the nerve runs when it is
+        the cheaper of the two and within the face budget.
+        """
         m = vmask.bit_count()
         if m == 0:
             return {-1: 1}
@@ -232,10 +244,13 @@ class _RestrictionOracle:
             covered |= M
         if covered != vmask:
             return {}  # any uncovered vertex is a cone apex
-        if m <= self.direct_cap:
-            return self._dims_direct(vmask)
-        if len(relevant) <= self.nerve_cap:
-            return self._dims_nerve(vmask, m, relevant)
+        nerve_cost = 1 << len(relevant)
+        if nerve_cost <= FACE_BUDGET:
+            direct_cost = 0
+            for f in self.facets:
+                direct_cost += 1 << (f & vmask).bit_count()
+                if direct_cost > nerve_cost:
+                    return self._dims_nerve(vmask, m, relevant)
         return self._dims_direct(vmask)
 
     # -- strategies ---------------------------------------------------
@@ -243,7 +258,7 @@ class _RestrictionOracle:
     def _dims_direct(self, vmask: int) -> dict[int, int]:
         rf = max_antichain(f & vmask for f in self.facets)
         cost = sum(1 << f.bit_count() for f in rf)
-        if cost > self.face_budget:
+        if cost > FACE_BUDGET:
             raise SizeBudgetError(
                 f"restriction face enumeration cost {cost} exceeds the face budget"
             )
@@ -265,8 +280,11 @@ class _RestrictionOracle:
         part of V; its degree-t homology equals the subcomplex homology
         in degree m - t - 3.
         """
-        k = len(relevant)
-        size = 1 << k
+        size = 1 << len(relevant)
+        if size > FACE_BUDGET:
+            raise SizeBudgetError(
+                f"restriction nerve size {size} exceeds the face budget"
+            )
         unions = [0] * size
         for S in range(1, size):
             low = S & -S
@@ -335,8 +353,6 @@ def hochster_betti(
     *,
     nonface_hint: Iterable[int] | None = None,
     vertex_budget: int = 20,
-    face_budget: int = 1 << 22,
-    closure_max_nonfaces: int = 26,
 ) -> BettiTable:
     """Graded Betti numbers of R/I for the face ideal of the complex.
 
@@ -353,9 +369,9 @@ def hochster_betti(
         raise SizeBudgetError(
             f"restriction sum over {n} vertices exceeds the vertex budget {vertex_budget}"
         )
-    oracle = _RestrictionOracle(c, fld, nonface_hint, face_budget=face_budget)
+    oracle = _RestrictionOracle(c, fld, nonface_hint)
     subsets: Iterable[int] | None = None
-    if len(oracle.mnf) <= closure_max_nonfaces:
+    if len(oracle.mnf) <= CLOSURE_MAX_NONFACES:
         subsets = oracle.union_closure()
     if subsets is None:
         # full sweep over 2^n subsets: needs the cheap per-subset strategy
@@ -378,16 +394,18 @@ def hochster_betti(
     return BettiTable("quotient", n, entries)
 
 
-def edge_ideal_betti(h: Hypergraph, fld: FieldSpec = QQ, **kwargs) -> BettiTable:
+def edge_ideal_betti(
+    h: Hypergraph, fld: FieldSpec = QQ, *, vertex_budget: int = 20
+) -> BettiTable:
     """Betti table of R/I(H); the minimal nonfaces of the independence
     complex are exactly the edges, so they are passed straight through."""
     return hochster_betti(
-        independence_complex(h), fld, nonface_hint=h.edges, **kwargs
+        independence_complex(h), fld, nonface_hint=h.edges, vertex_budget=vertex_budget
     )
 
 
 def clique_ideal_betti(
-    h: Hypergraph, d: int, fld: FieldSpec = QQ, **kwargs
+    h: Hypergraph, d: int, fld: FieldSpec = QQ, *, vertex_budget: int = 20
 ) -> BettiTable:
     """Betti table of R/I for the face ideal of the clique-style complex
     of a d-uniform hypergraph; minimal nonfaces are the non-edge d-sets."""
@@ -395,9 +413,9 @@ def clique_ideal_betti(
         m for m in k_submasks(h.vertices, d) if m not in h.edges
     ]
     cx = clique_complex(h, d)
-    if not non_edges:
-        return hochster_betti(cx, fld, **kwargs)
-    return hochster_betti(cx, fld, nonface_hint=non_edges, **kwargs)
+    return hochster_betti(
+        cx, fld, nonface_hint=non_edges or None, vertex_budget=vertex_budget
+    )
 
 
 # -- closed-form families ---------------------------------------------
@@ -710,7 +728,6 @@ def connectivity(
     h: Hypergraph,
     fld: FieldSpec = QQ,
     d: int | None = None,
-    **oracle_kwargs,
 ) -> int | None:
     """Fewest vertices whose removal leaves top-dimension-below-d homology
     in the clique-style complex; None when no removal ever does (the
@@ -725,9 +742,7 @@ def connectivity(
     non_edges = [m for m in k_submasks(h.vertices, d) if m not in h.edges]
     if not non_edges:
         return None
-    oracle = _RestrictionOracle(
-        clique_complex(h, d), fld, nonface_hint=non_edges, **oracle_kwargs
-    )
+    oracle = _RestrictionOracle(clique_complex(h, d), fld, nonface_hint=non_edges)
     verts = h.vertices
     n = verts.bit_count()
     for w in range(0, n - d + 1):
@@ -755,7 +770,7 @@ class ConnectivityReport:
 
 
 def check_conn_depth_theorem(
-    h: Hypergraph, fld: FieldSpec = QQ, d: int | None = None, **kwargs
+    h: Hypergraph, fld: FieldSpec = QQ, d: int | None = None
 ) -> ConnectivityReport:
     """Check connectivity == n - d + 1 - (linear strand length), and the
     zero-connectivity characterization through depth, on one instance."""
@@ -768,7 +783,7 @@ def check_conn_depth_theorem(
             "complete hypergraph: connectivity is infinite, theorem does not apply"
         )
     n = h.num_vertices
-    table = clique_ideal_betti(h, d, fld, **kwargs)
+    table = clique_ideal_betti(h, d, fld)
     stats = resolution_stats(table, d)
     strand = stats.linear_strand_length
     con = connectivity(h, fld, d)
@@ -797,17 +812,17 @@ def check_conn_depth_theorem(
 # -- Cohen-Macaulay checks --------------------------------------------
 
 
-def is_cohen_macaulay(c: SimplicialComplex, fld: FieldSpec = QQ, **kwargs) -> bool:
+def is_cohen_macaulay(c: SimplicialComplex, fld: FieldSpec = QQ) -> bool:
     """Depth of the face ring equals dimension (via the restriction sum)."""
     if c.is_void:
         raise PreconditionError("void complex has no face ring")
-    table = hochster_betti(c, fld, **kwargs)
+    table = hochster_betti(c, fld)
     depth = c.vertices.bit_count() - table.projective_dimension
     return depth == (c.dim if c.dim is not None else -1) + 1
 
 
 def froberg_cm_witness(
-    c: SimplicialComplex, fld: FieldSpec = QQ, **kwargs
+    c: SimplicialComplex, fld: FieldSpec = QQ
 ) -> tuple[int, int] | None:
     """First violation of the vanishing band that characterizes
     Cohen-Macaulayness, or None when the face ring is Cohen-Macaulay.
@@ -824,7 +839,7 @@ def froberg_cm_witness(
         raise PreconditionError("void complex has no face ring")
     n = c.vertices.bit_count()
     e = (c.dim if c.dim is not None else -1) + 1
-    oracle = _RestrictionOracle(c, fld, **kwargs)
+    oracle = _RestrictionOracle(c, fld)
     for i in range(-1, e - 1):
         size = n - e + i + 2
         if not 0 < size <= n:
@@ -835,6 +850,6 @@ def froberg_cm_witness(
     return None
 
 
-def froberg_cm_check(c: SimplicialComplex, fld: FieldSpec = QQ, **kwargs) -> bool:
+def froberg_cm_check(c: SimplicialComplex, fld: FieldSpec = QQ) -> bool:
     """Cohen-Macaulayness via the single-band restriction criterion."""
-    return froberg_cm_witness(c, fld, **kwargs) is None
+    return froberg_cm_witness(c, fld) is None

@@ -1,8 +1,10 @@
 """Content-addressed result cache for the command-line front end.
 
 A cached entry stores the exact output text of one command run, keyed by
-the digest of the input object together with the operation name and the
-complete flag assignment.  Hits therefore replay byte-identical payloads.
+the digest of the input object together with the operation name, the
+complete flag assignment and a digest of the package's own source files.
+Hits therefore replay byte-identical payloads, and only ever payloads
+that the running code itself would produce.
 Files live under a single directory: the ``HYPERBETTI_CACHE_DIR``
 environment variable overrides the default per-user location.  Every
 cache failure is silent — the cache only ever saves time, never changes
@@ -11,6 +13,7 @@ an answer.
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import os
@@ -27,13 +30,29 @@ def cache_dir() -> Path:
     return Path.home() / ".cache" / "hyperbetti"
 
 
+@functools.cache
+def code_digest() -> str:
+    """Digest of the package's ``.py`` sources, read once per process."""
+    h = hashlib.sha256()
+    for path in sorted(Path(__file__).parent.glob("*.py")):
+        h.update(path.name.encode("utf-8") + b"\0")
+        h.update(path.read_bytes() + b"\0")
+    return h.hexdigest()
+
+
 def cache_key(content_digest: str, operation: str, flags: dict) -> str:
-    """Digest of (input digest, operation, flags); the file name of the entry.
+    """Digest of (code digest, input digest, operation, flags); the file
+    name of the entry.
 
     Flag values must be strings or ints so the serialization is canonical.
     """
     blob = json.dumps(
-        {"content": content_digest, "flags": flags, "operation": operation},
+        {
+            "code": code_digest(),
+            "content": content_digest,
+            "flags": flags,
+            "operation": operation,
+        },
         sort_keys=True,
         separators=(",", ":"),
     )

@@ -19,15 +19,48 @@ from .errors import ParameterError
 from .complexes import SimplicialComplex, enumerate_faces
 
 
+# The first twelve primes: as Miller-Rabin bases they decide primality
+# of every integer below 3.3 * 10^24, so of every 64-bit one.
+_WITNESSES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+
+
+def _is_prime(p: int) -> bool:
+    """Deterministic Miller-Rabin for 0 <= p < 2^64."""
+    if p < 2:
+        return False
+    for q in _WITNESSES:
+        if p % q == 0:
+            return p == q
+    d, r = p - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        r += 1
+    for a in _WITNESSES:
+        x = pow(a, d, p)
+        if x in (1, p - 1):
+            continue
+        for _ in range(r - 1):
+            x = x * x % p
+            if x == p - 1:
+                break
+        else:
+            return False
+    return True
+
+
 @dataclass(frozen=True)
 class FieldSpec:
-    """Coefficient field: GF(p) for prime p, or Q when p is None."""
+    """Coefficient field: GF(p) for prime p below 2^64, or Q when p is None."""
 
     p: int | None = None
 
     def __post_init__(self) -> None:
         if self.p is not None:
-            if self.p < 2 or any(self.p % q == 0 for q in range(2, int(self.p**0.5) + 1)):
+            if self.p >= 1 << 64:
+                raise ParameterError(
+                    f"field characteristic must be below 2^64, got {self.p}"
+                )
+            if not _is_prime(self.p):
                 raise ParameterError(f"field characteristic must be prime, got {self.p}")
 
     @property

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbetti import (
     GF2,
@@ -10,6 +12,7 @@ from hyperbetti import (
     QQ,
     BettiTable,
     Hypergraph,
+    SimplicialComplex,
     SizeBudgetError,
     check_conn_depth_theorem,
     clique_ideal_betti,
@@ -29,8 +32,8 @@ from hyperbetti import (
     star_betti_closed_form,
     taylor_betti_free_vertex,
 )
-from hyperbetti.betti import resolution_stats
-from hyperbetti.bitsets import mask_of
+from hyperbetti.betti import _RestrictionOracle, resolution_stats
+from hyperbetti.bitsets import contains, mask_of, submasks
 
 
 # Reference tables frozen from the restriction-homology sum over the
@@ -161,3 +164,28 @@ def test_resolution_stats_depth():
     stats = resolution_stats(t, 3)
     assert stats.projective_dimension == 3
     assert stats.depth == 7 - 3
+
+
+@settings(max_examples=120, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_restriction_routes_agree_subset_by_subset(n, data):
+    """Direct faces, the nonface nerve and the sparse skeleton give the
+    same restriction homology wherever the cone filters let a subset
+    through, whichever route the cost rule would pick."""
+    faces = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    c = SimplicialComplex.from_faces(n, faces)
+    for fld in (GF2, GF3, QQ):
+        oracle = _RestrictionOracle(c, fld)
+        for vmask in submasks(c.vertices):
+            relevant = [M for M in oracle.mnf if contains(vmask, M)]
+            covered = 0
+            for M in relevant:
+                covered |= M
+            if not relevant or covered != vmask:
+                continue
+            m = vmask.bit_count()
+            direct = oracle._dims_direct(vmask)
+            assert oracle._dims_nerve(vmask, m, relevant) == direct
+            if oracle.big_faces is not None:
+                assert oracle._dims_skeleton(vmask, m) == direct
+            assert oracle.dims_for(vmask) == direct

@@ -123,6 +123,36 @@ def test_betti_rejects_composite_field(capsys, tmp_path):
     assert "prime" in err
 
 
+def test_betti_field_characteristic_below_two_to_the_64(capsys, tmp_path):
+    path = _gen_to_file(
+        capsys, tmp_path, "gen", "--family", "line", "--n", "2", "--d", "3", "--alpha", "1"
+    )
+    code, out, _ = run(capsys, "betti", path, "--field", f"gfp:{2**61 - 1}", "--no-cache")
+    assert code == 0
+    assert json.loads(out)["n"] == 5
+    code, _, err = run(capsys, "betti", path, "--field", f"gfp:{2**64 + 13}", "--no-cache")
+    assert code == 2
+    assert "below 2^64" in err and "Traceback" not in err
+
+
+def test_betti_cache_misses_entries_of_other_code(capsys, tmp_path, monkeypatch):
+    """An entry stored by different package sources is never replayed."""
+    from hyperbetti import cache
+
+    path = _gen_to_file(
+        capsys, tmp_path, "gen", "--family", "line", "--n", "2", "--d", "3", "--alpha", "1"
+    )
+    with monkeypatch.context() as m:
+        m.setattr(cache, "code_digest", lambda: "0" * 64)
+        run(capsys, "betti", path)
+        _, _, err = run(capsys, "betti", path)
+        assert "[cache] hit" in err
+    _, _, err = run(capsys, "betti", path)
+    assert "[cache] hit" not in err
+    _, _, err = run(capsys, "betti", path)
+    assert "[cache] hit" in err
+
+
 def test_betti_closed_form_needs_family_tag(capsys, tmp_path):
     path = tmp_path / "raw.json"
     path.write_text('{"n":5,"edges":[[0,1,2],[2,3,4]]}')

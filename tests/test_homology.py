@@ -37,6 +37,15 @@ def test_parse_field_rejects_junk():
             parse_field(bad)
 
 
+def test_large_prime_characteristics():
+    """Primality is decided exactly up to 2^64; nothing larger is taken."""
+    assert FieldSpec(2**61 - 1).label == "gf2305843009213693951"
+    with pytest.raises(ParameterError, match="prime"):
+        FieldSpec((2**31 - 1) ** 2)
+    with pytest.raises(ParameterError, match="below 2\\^64"):
+        FieldSpec(2**64 + 13)
+
+
 def test_rank_depends_on_characteristic():
     """A matrix of determinant 2 drops rank exactly over GF(2)."""
     rows = [{0: 1, 1: 1}, {0: 1, 1: -1}]

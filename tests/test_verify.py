@@ -40,6 +40,21 @@ def test_unknown_grid_keys_are_refused():
         run_check("P", "smoke")
 
 
+@pytest.mark.parametrize(
+    ("theorem", "grid", "message"),
+    [
+        ("to", "n=2..3", "need n >= 3 and alpha >= 1"),
+        ("P", "alpha=0..1,n=1..2", "need d >= 2 and 1 <= alpha <= d/2"),
+    ],
+)
+def test_grid_points_outside_a_family_are_skipped(theorem, grid, message):
+    """A point outside the closed form's domain skips only its instances."""
+    rep = run_check(theorem, grid)
+    skipped = [r for r in rep.results if r.status == "skipped"]
+    assert skipped and all(r.details == message for r in skipped)
+    assert rep.ok and rep.matched
+
+
 def test_closed_form_check_small_grid():
     rep = run_check("P", "n=3..4,d=3..3,alpha=1..1")
     assert rep.ok
