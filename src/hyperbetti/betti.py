@@ -41,6 +41,7 @@ from .bitsets import contains, k_submasks, max_antichain, min_antichain, submask
 from .complexes import (
     SimplicialComplex,
     clique_complex,
+    face_test,
     independence_complex,
     minimal_nonfaces,
 )
@@ -190,13 +191,23 @@ class _RestrictionOracle:
         self._rank_memo: dict[tuple[int, ...], tuple[dict, dict]] = {}
 
     def _validated_hint(self, hint: Iterable[int]) -> list[int]:
+        """The hint, sorted, once it is known to be an antichain of
+        nonfaces inside the ground set.
+
+        Both checks cost little more than reading the hint: the
+        antichain test compares masks of different sizes only (the
+        size-class rule of ``min_antichain``), and each mask is tested
+        for being a face by ANDing the facet-incidence bitsets of its
+        vertices (``face_test``), not against every facet.
+        """
         masks = sorted(set(hint))
-        if min_antichain(masks) != frozenset(masks):
+        if len(min_antichain(masks)) != len(masks):
             raise ParameterError("nonface hint must be an antichain")
+        is_face = face_test(self.c)
         for m in masks:
             if m & ~self.ground:
                 raise ParameterError("nonface hint leaves the ground set")
-            if self.c.has_face(m):
+            if is_face(m):
                 raise ParameterError(f"hint mask {m:#x} is actually a face")
         return masks
 

@@ -53,20 +53,44 @@ def k_submasks(mask: int, k: int) -> Iterator[int]:
 
 
 def max_antichain(masks: Iterable[int]) -> frozenset[int]:
-    """Inclusion-maximal elements of a family of masks."""
-    by_size = sorted(set(masks), key=lambda m: -m.bit_count())
+    """Inclusion-maximal elements of a family of masks.
+
+    Size-class rule: two distinct masks of equal size never contain
+    each other, so a mask is compared only against the kept masks of
+    strictly larger size.
+    """
     kept: list[int] = []
-    for m in by_size:
-        if not any(m & ~big == 0 for big in kept):
+    larger: tuple[int, ...] = ()
+    size = -1
+    for m in sorted(set(masks), key=int.bit_count, reverse=True):
+        if m.bit_count() != size:
+            size = m.bit_count()
+            larger = tuple(kept)
+        for big in larger:
+            if m & ~big == 0:
+                break
+        else:
             kept.append(m)
     return frozenset(kept)
 
 
 def min_antichain(masks: Iterable[int]) -> frozenset[int]:
-    """Inclusion-minimal elements of a family of masks."""
-    by_size = sorted(set(masks), key=lambda m: m.bit_count())
+    """Inclusion-minimal elements of a family of masks.
+
+    Size-class rule: two distinct masks of equal size never contain
+    each other, so a mask is compared only against the kept masks of
+    strictly smaller size.
+    """
     kept: list[int] = []
-    for m in by_size:
-        if not any(small & ~m == 0 for small in kept):
+    smaller: tuple[int, ...] = ()
+    size = -1
+    for m in sorted(set(masks), key=int.bit_count):
+        if m.bit_count() != size:
+            size = m.bit_count()
+            smaller = tuple(kept)
+        for small in smaller:
+            if small & ~m == 0:
+                break
+        else:
             kept.append(m)
     return frozenset(kept)

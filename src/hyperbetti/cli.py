@@ -79,7 +79,7 @@ def _read_text(path: str) -> str:
 def _load_obj(path: str) -> dict:
     try:
         obj = json.loads(_read_text(path))
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:  # bad syntax, over-long integers, deep nesting
         raise ParameterError(f"input is not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise ParameterError("input must be a JSON object")

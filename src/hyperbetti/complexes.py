@@ -15,10 +15,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from typing import Callable
 
 from .bitsets import bits_of, contains, k_submasks, max_antichain, min_antichain, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
-from .hypergraph import Hypergraph, canonical_json
+from .hypergraph import Hypergraph, canonical_json, json_int, json_vertex_set, json_vertex_sets
 
 
 @dataclass(frozen=True)
@@ -37,13 +38,10 @@ class SimplicialComplex:
             raise ParameterError("ground-set mask outside ambient range")
         if not isinstance(self.facets, frozenset):
             object.__setattr__(self, "facets", frozenset(self.facets))
-        fl = sorted(self.facets)
-        for i, a in enumerate(fl):
-            if a & ~self.vertices:
-                raise ParameterError("facet uses a vertex outside the ground set")
-            for b in fl[i + 1 :]:
-                if contains(a, b) or contains(b, a):
-                    raise ParameterError("facets must be mutually incomparable")
+        if any(f & ~self.vertices for f in self.facets):
+            raise ParameterError("facet uses a vertex outside the ground set")
+        if len(min_antichain(self.facets)) != len(self.facets):
+            raise ParameterError("facets must be mutually incomparable")
 
     # -- structure ----------------------------------------------------
 
@@ -90,13 +88,13 @@ class SimplicialComplex:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "SimplicialComplex":
-        from .bitsets import mask_of
-
-        n = int(obj["n"])
-        facets = frozenset(mask_of(f) for f in obj["facets"])
+        n = json_int(obj, "n", "complex")
+        facets = frozenset(json_vertex_sets(obj, "facets", "complex", "facet"))
         if not facets and obj.get("void") is False:
             facets = frozenset({0})
-        vertices = mask_of(obj["vertices"]) if "vertices" in obj else -1
+        vertices = -1
+        if "vertices" in obj:
+            vertices = json_vertex_set(obj["vertices"], "complex vertex list")
         return cls(n, facets, vertices)
 
     @classmethod
@@ -118,26 +116,68 @@ class SimplicialComplex:
 def minimal_transversals(masks) -> frozenset[int]:
     """All minimal sets meeting every mask in the family.
 
-    Incremental dualization: fold one mask in at a time, keeping the
-    family of minimal partial transversals reduced.  An empty family has
-    the empty set as its unique transversal; a family containing the
-    empty mask has none.
+    Incremental dualization: fold one mask m in at a time.  The minimal
+    transversals that already meet m stay as they are; each one t that
+    misses m is replaced by the candidates t | v, v in m, and a candidate
+    is kept unless a transversal that meets m lies inside it.  No other
+    test is needed.  If t | v lies inside t' | v', then t lies inside t'
+    (t misses m), so t = t' and v = v': candidates never contain one
+    another.  Nor can a candidate lie inside (or equal) a transversal h
+    that meets m, since t would then lie strictly inside h.  And h can
+    lie inside t | v only when h meets m in v alone, so only those h are
+    tried.  An empty family has the empty set as its unique transversal;
+    a family containing the empty mask has none.
     """
-    trans: frozenset[int] = frozenset({0})
+    trans: list[int] = [0]
     for m in sorted(set(masks)):
         if m == 0:
             return frozenset()
-        hit = [t for t in trans if t & m]
-        missed = [t for t in trans if not t & m]
-        grown = set(hit)
-        for t in missed:
+        grown = [t for t in trans if t & m]
+        meets_only: dict[int, list[int]] = {}
+        for h in grown:
+            if (h & m).bit_count() == 1:
+                meets_only.setdefault(h & m, []).append(h)
+        for t in trans:
+            if t & m:
+                continue
             mm = m
             while mm:
                 low = mm & -mm
-                grown.add(t | low)
                 mm ^= low
-        trans = min_antichain(grown)
-    return trans
+                cand = t | low
+                for h in meets_only.get(low, ()):
+                    if h & ~cand == 0:
+                        break
+                else:
+                    grown.append(cand)
+        trans = grown
+    return frozenset(trans)
+
+
+def face_test(c: SimplicialComplex) -> Callable[[int], bool]:
+    """Face membership by vertex incidence.
+
+    One bitset per vertex lists the facets through it (bit i for the
+    i-th facet).  A mask is a face exactly when some facet holds all of
+    its vertices, that is when the AND of its vertices' bitsets is
+    nonzero: |mask| ANDs instead of one containment test per facet.  The
+    empty mask is a face of every nonvoid complex.
+    """
+    through = [0] * c.n_vertices
+    for i, f in enumerate(c.facets):
+        for v in bits_of(f):
+            through[v] |= 1 << i
+    every = (1 << len(c.facets)) - 1
+
+    def is_face(mask: int) -> bool:
+        common = every
+        while mask and common:
+            low = mask & -mask
+            mask ^= low
+            common &= through[low.bit_length() - 1]
+        return common != 0
+
+    return is_face
 
 
 def minimal_nonfaces(c: SimplicialComplex) -> frozenset[int]:

@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 
-from .bitsets import bits_of, contains, mask_of
+from .bitsets import bits_of, contains, mask_of, min_antichain
 from .errors import ParameterError
 
 MAX_VERTICES = 63
@@ -48,11 +48,8 @@ class Hypergraph:
                 raise ParameterError("edge uses a vertex not present in the hypergraph")
             if e.bit_count() < 2:
                 raise ParameterError("edges need at least two vertices")
-        edge_list = sorted(self.edges)
-        for a_i, a in enumerate(edge_list):
-            for b in edge_list[a_i + 1 :]:
-                if a & ~b == 0 or b & ~a == 0:
-                    raise ParameterError("edges must form an antichain (simple hypergraph)")
+        if len(min_antichain(self.edges)) != len(self.edges):
+            raise ParameterError("edges must form an antichain (simple hypergraph)")
 
     # -- basic views --------------------------------------------------
 
@@ -97,12 +94,11 @@ class Hypergraph:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "Hypergraph":
-        try:
-            n = int(obj["n"])
-            edges = frozenset(mask_of(e) for e in obj["edges"])
-        except (KeyError, TypeError) as exc:
-            raise ParameterError(f"malformed hypergraph object: {exc}") from exc
-        vertices = mask_of(obj["vertices"]) if "vertices" in obj else -1
+        n = json_int(obj, "n", "hypergraph")
+        edges = frozenset(json_vertex_sets(obj, "edges", "hypergraph", "edge"))
+        vertices = -1
+        if "vertices" in obj:
+            vertices = json_vertex_set(obj["vertices"], "hypergraph vertex list")
         return cls(n, edges, vertices)
 
     @classmethod
@@ -113,6 +109,50 @@ class Hypergraph:
     def from_edges(cls, n: int, edges) -> "Hypergraph":
         """Build from an iterable of vertex iterables."""
         return cls(n, frozenset(mask_of(e) for e in edges))
+
+
+# -- JSON readers -----------------------------------------------------
+#
+# Every JSON object the package reads turns its vertex-label lists into
+# bitmasks here, and malformed input of any shape ends in ParameterError
+# (exit 2 in the CLI) instead of a negative shift, a huge mask or a
+# TypeError.
+
+
+def json_field(obj, key: str, kind: str):
+    """``obj[key]`` of a JSON object that should describe a ``kind``."""
+    if not isinstance(obj, dict):
+        raise ParameterError(f"malformed {kind}: not a JSON object")
+    if key not in obj:
+        raise ParameterError(f"malformed {kind}: missing {key!r}")
+    return obj[key]
+
+
+def json_int(obj, key: str, kind: str) -> int:
+    value = json_field(obj, key, kind)
+    if type(value) is not int:  # a JSON boolean is not a count
+        raise ParameterError(f"malformed {kind}: {key!r} must be an integer")
+    return value
+
+
+def json_vertex_set(value, what: str) -> int:
+    """Bitmask of a list of vertex labels, integers from 0 to MAX_VERTICES - 1."""
+    if isinstance(value, (list, tuple)) and all(
+        type(v) is int and 0 <= v < MAX_VERTICES for v in value
+    ):
+        return mask_of(value)
+    raise ParameterError(
+        f"malformed {what}: expected a list of integer vertex labels "
+        f"from 0 to {MAX_VERTICES - 1}"
+    )
+
+
+def json_vertex_sets(obj, key: str, kind: str, item: str) -> list[int]:
+    """Bitmasks of the list of vertex-label lists under ``obj[key]``."""
+    value = json_field(obj, key, kind)
+    if not isinstance(value, (list, tuple)):
+        raise ParameterError(f"malformed {kind}: {key!r} must be a list")
+    return [json_vertex_set(v, f"{kind} {item}") for v in value]
 
 
 def canonical_json(obj) -> str:
@@ -146,13 +186,23 @@ class FamilySpec:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "FamilySpec":
-        return cls(
-            kind=obj["kind"],
-            n=obj.get("n"),
-            d=obj.get("d"),
-            alpha=obj.get("alpha"),
-            parts=tuple(obj["parts"]) if "parts" in obj else None,
-        )
+        """Read a family tag; its parameters are integers from 0 to
+        MAX_VERTICES, as no larger one describes a member."""
+        kind = json_field(obj, "kind", "family tag")
+        if not isinstance(kind, str):
+            raise ParameterError("malformed family tag: 'kind' must be a string")
+        params = {key: obj.get(key) for key in ("n", "d", "alpha")}
+        parts = obj.get("parts")
+        if parts is not None:
+            if not isinstance(parts, list):
+                raise ParameterError("malformed family tag: 'parts' must be a list")
+            parts = tuple(parts)
+        for value in [*params.values(), *(parts or ())]:
+            if value is not None and not (type(value) is int and 0 <= value <= MAX_VERTICES):
+                raise ParameterError(
+                    f"malformed family tag: parameters must be integers from 0 to {MAX_VERTICES}"
+                )
+        return cls(kind=kind, parts=parts, **params)
 
 
 # -- families ---------------------------------------------------------

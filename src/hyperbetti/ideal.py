@@ -14,7 +14,7 @@ from .bitsets import bits_of, contains, mask_of, max_antichain, min_antichain
 from .complexes import SimplicialComplex, minimal_nonfaces, minimal_transversals
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import QQ, FieldSpec
-from .hypergraph import MAX_VERTICES, Hypergraph
+from .hypergraph import MAX_VERTICES, Hypergraph, json_field, json_int, json_vertex_set
 
 
 @dataclass(frozen=True)
@@ -87,7 +87,12 @@ class MonomialIdeal:
 
     @staticmethod
     def from_json_obj(obj: dict) -> "MonomialIdeal":
-        return MonomialIdeal.from_supports(obj["n"], obj["generators"])
+        """Generators are vertex-label lists, or support masks as integers."""
+        raw = json_field(obj, "generators", "ideal")
+        if not isinstance(raw, list):
+            raise ParameterError("malformed ideal: 'generators' must be a list")
+        gens = [g if type(g) is int else json_vertex_set(g, "ideal generator") for g in raw]
+        return MonomialIdeal(json_int(obj, "n", "ideal"), tuple(gens))
 
     @staticmethod
     def from_json(text: str) -> "MonomialIdeal":

@@ -303,19 +303,21 @@ def _free_vertex_pool(grid: Mapping) -> list[tuple[str, Hypergraph]]:
     """Hypergraphs in which every edge keeps a vertex of its own: the
     overlap families in their spread regimes plus seeded random ones
     padded with a dedicated fresh vertex per edge."""
-    nmax = _val(grid, "n", 4)
+    ns = _span(grid, "n", 1, 4)
+    edge_ns = [n for n in ns if n >= 1]  # lines and stars need an edge
+    cycle_ns = [n for n in ns if n >= 3]  # cycles need three
     pool: list[tuple[str, Hypergraph]] = []
     for d in _span(grid, "d", 2, 4):
         for alpha in _span(grid, "alpha", 1, 2):
             if d <= 2 * alpha:
                 continue
-            for n in range(1, nmax + 1):
+            for n in edge_ns:
                 pool.append((f"line n={n} d={d} alpha={alpha}", make_line(n, d, alpha)))
-            for n in range(3, nmax + 1):
+            for n in cycle_ns:
                 pool.append((f"cycle n={n} d={d} alpha={alpha}", make_cycle(n, d, alpha)))
         for alpha in _span(grid, "alpha", 1, 2):
             if alpha < d:
-                for n in range(1, nmax + 1):
+                for n in edge_ns:
                     pool.append(
                         (f"star n={n} d={d} alpha={alpha}", make_star_overlap(n, d, alpha))
                     )

@@ -12,6 +12,7 @@ from hyperbetti import (
     QQ,
     BettiTable,
     Hypergraph,
+    ParameterError,
     SimplicialComplex,
     SizeBudgetError,
     check_conn_depth_theorem,
@@ -189,3 +190,38 @@ def test_restriction_routes_agree_subset_by_subset(n, data):
             if oracle.big_faces is not None:
                 assert oracle._dims_skeleton(vmask, m) == direct
             assert oracle.dims_for(vmask) == direct
+
+
+# The 4-cycle's independence complex: facets {0,2} and {1,3}, minimal
+# nonfaces the four edges of the cycle.
+SQUARE = SimplicialComplex(4, frozenset({0b0101, 0b1010}))
+
+
+@pytest.mark.parametrize(
+    "hint, message",
+    [
+        ([0b0011, 0b0111], "nonface hint must be an antichain"),
+        ([0b0011, 0b10000], "nonface hint leaves the ground set"),
+        ([0b0011, 0b0101], "hint mask 0x5 is actually a face"),
+        ([0b0011, 0], "nonface hint must be an antichain"),
+        ([0], "hint mask 0x0 is actually a face"),
+    ],
+)
+def test_nonface_hint_refusals(hint, message):
+    """Every defect of a nonface hint is refused, with its own message,
+    before any restriction is computed."""
+    with pytest.raises(ParameterError) as exc:
+        hochster_betti(SQUARE, GF2, nonface_hint=hint)
+    assert str(exc.value) == message
+
+
+def test_nonface_hint_on_a_smaller_ground_set():
+    """A hint mask that uses a vertex outside a restricted ground set is
+    refused, even though the vertex lies in the ambient range."""
+    c = SimplicialComplex(5, frozenset({0b00101, 0b01010}), 0b01111)
+    with pytest.raises(ParameterError) as exc:
+        hochster_betti(c, GF2, nonface_hint=[0b0011, 0b10001])
+    assert str(exc.value) == "nonface hint leaves the ground set"
+    assert hochster_betti(c, GF2, nonface_hint=[0b0011, 0b0110, 0b1100, 0b1001]) == (
+        hochster_betti(SQUARE, GF2)
+    )

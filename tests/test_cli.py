@@ -2,12 +2,22 @@
 
 from __future__ import annotations
 
+import contextlib
 import io
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+from unittest import mock
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from hyperbetti.cli import main
+
+SRC = str(Path(__file__).resolve().parents[1] / "src")
 
 
 @pytest.fixture(autouse=True)
@@ -353,3 +363,146 @@ def test_timings_go_to_stderr_only(capsys, tmp_path):
     _, out, err = run(capsys, "betti", path, "--no-cache")
     assert "[time]" in err
     assert "[time]" not in out
+
+
+@pytest.mark.parametrize(
+    "obj, message",
+    [
+        ({"n": 3, "facets": [[0, 1], [0, 1, 2]]}, "error: facets must be mutually incomparable"),
+        (
+            {"n": 3, "facets": [[0, 2]], "vertices": [0, 1]},
+            "error: facet uses a vertex outside the ground set",
+        ),
+    ],
+)
+def test_dual_facet_refusals_are_usage_errors(capsys, tmp_path, obj, message):
+    path = tmp_path / "complex.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, "dual", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == message
+
+
+@pytest.mark.parametrize(
+    "argv, obj, message",
+    [
+        (
+            ["betti", "--no-cache"],
+            {"n": 3, "edges": [[0, -1]]},
+            "error: malformed hypergraph edge: expected a list of integer vertex labels from 0 to 62",
+        ),
+        (
+            ["betti", "--no-cache"],
+            {"n": 3, "edges": [[0, 1]], "vertices": [0, -2]},
+            "error: malformed hypergraph vertex list: expected a list of integer vertex labels "
+            "from 0 to 62",
+        ),
+        (
+            ["betti", "--no-cache"],
+            {"n": "3", "edges": [[0, 1]]},
+            "error: malformed hypergraph: 'n' must be an integer",
+        ),
+        (
+            ["betti", "--no-cache"],
+            {"n": 3, "edges": [[0, 1]], "family": [1]},
+            "error: malformed family tag: not a JSON object",
+        ),
+        (["dual"], {"n": 3, "facets": "abc"}, "error: malformed complex: 'facets' must be a list"),
+        (
+            ["dual"],
+            {"n": 3, "facets": [[0, True]]},
+            "error: malformed complex facet: expected a list of integer vertex labels from 0 to 62",
+        ),
+        (
+            ["export"],
+            {"n": 3, "generators": [[0, 70]]},
+            "error: malformed ideal generator: expected a list of integer vertex labels from 0 to 62",
+        ),
+        (["export"], {"n": 3}, "error: malformed hypergraph: missing 'edges'"),
+    ],
+)
+def test_malformed_objects_are_usage_errors(capsys, tmp_path, argv, obj, message):
+    """Malformed JSON objects end in exit 2 with a one-line message, not
+    in a negative shift count or a TypeError."""
+    path = tmp_path / "input.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == message
+
+
+def test_malformed_input_never_shows_a_traceback(tmp_path):
+    """Run as a program, the entry point reports malformed objects,
+    nesting too deep to parse and over-long integers as usage errors."""
+    env = dict(os.environ, PYTHONPATH=SRC, HYPERBETTI_CACHE_DIR=str(tmp_path / "cache"))
+    for command, text in (
+        ("betti", '{"n":3,"edges":[[0,-1]]}'),
+        ("dual", '{"n":3,"facets":"abc"}'),
+        ("betti", "[" * 100_000),
+        ("betti", '{"n":' + "9" * 5000 + ',"edges":[]}'),
+    ):
+        done = subprocess.run(
+            [sys.executable, "-m", "hyperbetti", command],
+            input=text, capture_output=True, text=True, env=env, timeout=60,
+        )
+        assert done.returncode == 2, done.stderr
+        assert "Traceback" not in done.stderr
+        assert done.stderr.startswith("error: ")
+
+
+_LABEL = st.one_of(
+    st.integers(-3, 9), st.integers(), st.booleans(), st.none(), st.text(max_size=2),
+    st.floats(allow_nan=False, allow_infinity=False),
+)
+_LEAF = st.one_of(
+    _LABEL, st.lists(_LABEL, max_size=3), st.dictionaries(st.text(max_size=2), _LABEL, max_size=2)
+)
+_SETS = st.one_of(st.lists(st.one_of(st.lists(_LABEL, max_size=4), _LABEL), max_size=5), _LEAF)
+_FAMILY = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "kind": st.one_of(st.sampled_from(["line", "cycle", "star", "complete"]), _LABEL),
+            "n": _LABEL, "d": _LABEL, "alpha": _LABEL, "parts": _LEAF,
+        },
+    ),
+    _LEAF,
+)
+_OBJECT = st.one_of(
+    st.fixed_dictionaries(
+        {},
+        optional={
+            "n": st.one_of(st.integers(-1, 10), _LABEL, _LEAF),
+            "edges": _SETS, "facets": _SETS, "generators": _SETS,
+            "vertices": st.one_of(st.lists(_LABEL, max_size=10), _LEAF),
+            "void": _LABEL, "family": _FAMILY,
+        },
+    ),
+    _LEAF,
+)
+_COMMANDS = [
+    ["betti", "--no-cache"],
+    ["betti", "--no-cache", "--method", "taylor"],
+    ["betti", "--no-cache", "--method", "closed-form"],
+    ["dual"],
+    ["export"],
+    ["shell", "--d", "2"],
+]
+
+
+@settings(
+    max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
+)
+@given(st.sampled_from(_COMMANDS), _OBJECT)
+def test_fuzzed_objects_end_in_a_documented_exit_code(argv, obj):
+    """Whatever JSON value arrives, the command ends in exit 0, 1, 2 or
+    3; an exception escaping ``main`` would be a traceback."""
+    out, err = io.StringIO(), io.StringIO()
+    with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(obj))):
+        with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+            code = main(argv)
+    assert code in (0, 1, 2, 3)
+    if code == 2:
+        assert err.getvalue().startswith("error: ")

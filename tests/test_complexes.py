@@ -18,8 +18,8 @@ from hyperbetti import (
     minimal_nonfaces,
     restrict,
 )
-from hyperbetti.bitsets import mask_of
-from hyperbetti.complexes import minimal_transversals, pad_facets
+from hyperbetti.bitsets import bits_of, mask_of
+from hyperbetti.complexes import face_test, minimal_transversals, pad_facets
 
 
 def test_facets_must_form_antichain():
@@ -109,3 +109,57 @@ def test_clique_complex_of_complete_is_a_simplex():
     h = make_complete(4, 3)
     c = clique_complex(h, 3)
     assert c.facets == frozenset({0b1111})
+
+
+@pytest.mark.parametrize(
+    "n, facets, vertices, message",
+    [
+        (3, {0b011, 0b111}, -1, "facets must be mutually incomparable"),
+        (4, {0b0011, 0b0110, 0b0010}, -1, "facets must be mutually incomparable"),
+        (3, {0b001, 0}, -1, "facets must be mutually incomparable"),
+        (3, {0b101}, 0b011, "facet uses a vertex outside the ground set"),
+        (4, {0b0011, 0b1100}, 0b0111, "facet uses a vertex outside the ground set"),
+    ],
+)
+def test_facet_refusals(n, facets, vertices, message):
+    with pytest.raises(ParameterError) as exc:
+        SimplicialComplex(n, frozenset(facets), vertices)
+    assert str(exc.value) == message
+
+
+def _brute_minimal_transversals(n: int, family: list[int]) -> set[int]:
+    """Minimal elements among all 2^n subsets meeting every mask.  The
+    subsets meeting every mask are closed upward, so a set is minimal
+    among them exactly when dropping any one of its vertices loses it."""
+    meets = {t for t in range(1 << n) if all(t & m for m in family)}
+    return {t for t in meets if not any(t & ~(1 << v) in meets for v in bits_of(t))}
+
+
+def test_minimal_transversals_edge_cases():
+    assert minimal_transversals([]) == {0}
+    assert minimal_transversals([0b011, 0]) == frozenset()
+    assert minimal_transversals([0b011, 0b011]) == {0b001, 0b010}
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_minimal_transversals_match_brute_force(n, data):
+    family = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
+    assert minimal_transversals(family) == _brute_minimal_transversals(n, family)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_incidence_face_test_matches_has_face(n, data):
+    """Facet-incidence bitsets give the same answer as testing every
+    facet, for every mask of the ambient range (void complexes, the
+    empty mask and vertices outside a smaller ground set included)."""
+    full = (1 << n) - 1
+    faces = data.draw(st.lists(st.integers(0, full), max_size=8))
+    ground = data.draw(st.integers(0, full))
+    for f in faces:
+        ground |= f
+    c = SimplicialComplex.from_faces(n, faces, ground)
+    is_face = face_test(c)
+    for m in range(1 << n):
+        assert is_face(m) == c.has_face(m)

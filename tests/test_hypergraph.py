@@ -118,3 +118,9 @@ def test_family_tag_survives_hypergraph_parse():
     obj = h.to_json_obj()
     obj["family"] = FamilySpec("star", n=2, d=3, alpha=1).to_json_obj()
     assert Hypergraph.from_json_obj(obj) == h
+
+
+def test_nested_edges_are_refused():
+    with pytest.raises(ParameterError) as exc:
+        Hypergraph(3, frozenset({0b011, 0b111}))
+    assert str(exc.value) == "edges must form an antichain (simple hypergraph)"

@@ -88,3 +88,20 @@ def test_mismatch_flips_ok():
     rep = run_check("u", "n=3..3,d=3..3,alpha=1..1")
     assert rep.ok == (rep.to_json_obj()["summary"]["mismatch"] == 0)
     assert rep.ok
+
+
+@pytest.mark.parametrize("theorem", ["betti", "u"])
+def test_free_vertex_checks_take_a_range_of_n(theorem):
+    """``n`` is a range for the free-vertex pool as for every family
+    check; a single value ``n=k`` means n = k alone, and members outside
+    a family's domain (cycles below three edges) are left out."""
+    ranged = run_check(theorem, "n=2..3,count=0")
+    labels = [r.instance for r in ranged.results]
+    assert ranged.ok and ranged.matched
+    assert any(label.startswith("line n=2 d=3 ") for label in labels)
+    assert any(label.startswith("cycle n=3 ") for label in labels)
+    assert not any(label.startswith(("line n=1 ", "cycle n=2 ", "star n=4 ")) for label in labels)
+    single = run_check(theorem, "n=3,count=0")
+    # the tight line n=2 d=2alpha is in every pool, whatever the grid
+    assert {r.instance.split()[1] for r in single.results} == {"n=2", "n=3"}
+    assert not any(r.instance.startswith("line n=2 d=3 ") for r in single.results)
