@@ -674,7 +674,6 @@ def rsequence_betti_table(
     d: int,
     gen_degree: int,
     n_vars: int,
-    n_generators: int | None = None,
 ) -> BettiTable:
     """Betti table implied by a colon-ideal size profile.
 
@@ -686,12 +685,7 @@ def rsequence_betti_table(
     sizes = list(colon_sizes)
     if any(r < 1 for r in sizes):
         raise ParameterError("colon sizes must be positive")
-    t = n_generators if n_generators is not None else len(sizes) + 1
-    if t != len(sizes) + 1:
-        raise ParameterError("expected one colon size per generator past the first")
-    entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    if t >= 1:
-        entries[(1, gen_degree)] = t
+    entries: dict[tuple[int, int], int] = {(0, 0): 1, (1, gen_degree): len(sizes) + 1}
     top = max(sizes, default=0) + 1
     for i in range(2, top + 1):
         b = sum(comb(r, i - 1) for r in sizes)

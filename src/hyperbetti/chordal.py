@@ -14,12 +14,13 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
 from .bitsets import bits_of, contains, k_submasks, mask_of, submasks
-from .complexes import clique_complex
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import QQ, FieldSpec
-from .hypergraph import Hypergraph, make_cycle
+from .hypergraph import MAX_VERTICES, Hypergraph, json_field, json_int, json_vertex_set
+from .ideal import edge_ideal, extend_ring, search_d_quotients, search_order, sr_complex
 
 __all__ = [
     "AttachmentStep",
@@ -28,22 +29,22 @@ __all__ = [
     "build_chordal_with_chunks",
     "auto_glue",
     "sequence_for_line",
-    "sequence_for_complete",
     "enumerate_sequences",
     "hypergraph_sequence_from_graph",
     "ChordalityReport",
     "chordal_graph_recognize",
-    "GraphCorollaryReport",
-    "corollary_graph_check",
     "two_gluing_hypergraph",
     "two_gluing_classification",
     "two_gluing_empirical",
     "complement_diameter",
-    "HypercycleReport",
-    "hypercycle_not_chordal_check",
     "RealizationReport",
     "realization_search",
 ]
+
+# Recipes listing more d-subsets than this (repeats counted) are refused
+# before any is built: more edges than any hypergraph on 20 vertices has
+# (C(20, 10) = 184,756), the default vertex budget of the Betti routes.
+MAX_RECIPE_EDGES = 1 << 18
 
 
 # -- attachment sequences ---------------------------------------------
@@ -98,19 +99,23 @@ class AttachmentSequence:
 
     @classmethod
     def from_json_obj(cls, obj: dict) -> "AttachmentSequence":
-        try:
-            d = int(obj["d"])
-            steps = []
-            for raw in obj["steps"]:
-                glue = tuple(int(v) for v in raw.get("glue", ()))
-                if "j" in raw and int(raw["j"]) != len(glue):
-                    raise ParameterError(
-                        f"declared glue size {raw['j']} does not match {len(glue)} labels"
-                    )
-                steps.append(AttachmentStep(int(raw["i"]), glue))
-        except (KeyError, TypeError, ValueError) as exc:
-            raise ParameterError(f"malformed attachment sequence: {exc}") from exc
-        return cls(d, tuple(steps))
+        """Read a recipe: an integer ``d`` and a list of steps, each with an
+        integer piece size ``i``, an optional list of ``glue`` labels and
+        an optional glue size ``j`` that must match it."""
+        raw_steps = json_field(obj, "steps", "attachment sequence")
+        if not isinstance(raw_steps, list):
+            raise ParameterError("malformed attachment sequence: 'steps' must be a list")
+        steps = []
+        for raw in raw_steps:
+            size = json_int(raw, "i", "attachment step")
+            glue = raw.get("glue", [])
+            json_vertex_set(glue, "attachment step glue")
+            if "j" in raw and json_int(raw, "j", "attachment step") != len(glue):
+                raise ParameterError(
+                    f"declared glue size {raw['j']} does not match {len(glue)} labels"
+                )
+            steps.append(AttachmentStep(size, tuple(glue)))
+        return cls(json_int(obj, "d", "attachment sequence"), tuple(steps))
 
     @classmethod
     def from_json(cls, text: str) -> "AttachmentSequence":
@@ -126,7 +131,7 @@ def build_chordal_with_chunks(
     sequence is byte-stable.  Pieces smaller than d contribute no edges and
     just deposit isolated vertices (which later steps may glue onto).
     """
-    n = 0
+    n = listed = 0
     chunks: list[int] = []
     edges: set[int] = set()
     for pos, step in enumerate(seq.steps):
@@ -142,10 +147,19 @@ def build_chordal_with_chunks(
                 f"step {pos}: glue does not lie inside any complete piece"
             )
         fresh = step.size - len(step.glue)
+        if n + fresh > MAX_VERTICES:
+            raise ParameterError(
+                f"step {pos}: the recipe needs more than {MAX_VERTICES} vertices"
+            )
         chunk = gmask | (((1 << fresh) - 1) << n)
         n += fresh
         chunks.append(chunk)
         if step.size >= seq.d:
+            listed += comb(step.size, seq.d)
+            if listed > MAX_RECIPE_EDGES:
+                raise SizeBudgetError(
+                    f"step {pos}: the recipe lists more than {MAX_RECIPE_EDGES} edges"
+                )
             edges.update(k_submasks(chunk, seq.d))
     return Hypergraph(n, frozenset(edges)), tuple(chunks)
 
@@ -178,11 +192,6 @@ def sequence_for_line(n: int, d: int, alpha: int) -> AttachmentSequence:
         steps.append(AttachmentStep(d, tuple(range(top - alpha, top))))
         top += d - alpha
     return AttachmentSequence(d, tuple(steps))
-
-
-def sequence_for_complete(n: int, d: int) -> AttachmentSequence:
-    """A single piece on n vertices."""
-    return AttachmentSequence(d, (AttachmentStep(n),))
 
 
 def enumerate_sequences(
@@ -392,50 +401,6 @@ def _is_chordless(adj: dict[int, int], cycle: tuple[int, ...]) -> bool:
     return True
 
 
-# -- the graph-level equivalence ---------------------------------------
-
-
-@dataclass(frozen=True)
-class GraphCorollaryReport:
-    """Chordality versus linear quotients of the clique-complex ideal."""
-
-    is_chordal: bool
-    elimination_order: tuple[int, ...] | None
-    chordless_cycle: tuple[int, ...] | None
-    has_linear_quotients: bool
-    quotient_ordering: tuple[int, ...] | None
-    agree: bool
-
-
-def corollary_graph_check(g: Hypergraph, **search_kwargs) -> GraphCorollaryReport:
-    """Compare the combinatorial recognizer with an exhaustive search for
-    linear quotients of the ideal generated by the non-adjacent pairs.
-
-    The search runs in a ring with one spare variable so that the outcome
-    depends on the generators alone: without it, two non-edges covering
-    every vertex would trip the empty-dual-intersection refusal on graphs
-    with three or four vertices.
-    """
-    from .ideal import extend_ring, search_d_quotients, stanley_reisner_ideal
-
-    ideal = stanley_reisner_ideal(clique_complex(g, 2))
-    if ideal.is_zero:
-        raise PreconditionError(
-            "complete graph: the clique-complex ideal has no generators"
-        )
-    rep = chordal_graph_recognize(g)
-    search_kwargs.setdefault("max_generators", len(ideal.generators))
-    ordering = search_d_quotients(extend_ring(ideal), 1, **search_kwargs)
-    return GraphCorollaryReport(
-        is_chordal=rep.is_chordal,
-        elimination_order=rep.elimination_order,
-        chordless_cycle=rep.chordless_cycle,
-        has_linear_quotients=ordering is not None,
-        quotient_ordering=ordering,
-        agree=rep.is_chordal == (ordering is not None),
-    )
-
-
 # -- gluing two complete pieces ----------------------------------------
 
 
@@ -499,7 +464,6 @@ def two_gluing_empirical(
     edges, not on how tightly they fill the vertex set.
     """
     from .betti import hochster_betti
-    from .ideal import edge_ideal, extend_ring, search_d_quotients, sr_complex
 
     h = two_gluing_hypergraph(m, i, j, d)
     ideal = edge_ideal(h)
@@ -508,9 +472,7 @@ def two_gluing_empirical(
     )
     if any(jj != ii + d - 1 for (ii, jj) in table.entries if ii >= 1):
         return False
-    ordering = search_d_quotients(
-        extend_ring(ideal), 1, max_generators=len(ideal.generators), node_budget=node_budget
-    )
+    ordering = search_d_quotients(extend_ring(ideal), 1, node_budget=node_budget)
     return ordering is not None
 
 
@@ -542,101 +504,6 @@ def complement_diameter(g: Hypergraph) -> int | None:
             return None
         best = max(best, max(dist.values()))
     return best
-
-
-# -- hypercycles are outside the class ---------------------------------
-
-
-@dataclass(frozen=True)
-class HypercycleReport:
-    """Outcome of the bounded realization search for a cycle arrangement."""
-
-    n: int
-    d: int
-    alpha: int
-    outcome: str  # "not_chordal" | "chordal" | "inconclusive"
-    witness: AttachmentSequence | None
-    states_explored: int
-
-
-def hypercycle_not_chordal_check(
-    n: int, d: int, alpha: int, *, node_budget: int = 500_000
-) -> HypercycleReport:
-    """Search exhaustively for a build recipe realizing the cycle of n
-    overlapping d-edges; report its certified absence.
-
-    The pool of candidate pieces is rigorously finite.  A piece on more
-    than d vertices would force two edges sharing d-1 vertices, while the
-    cycle's edges pairwise share at most alpha < d-1 (alpha is at most
-    d/2 and d is at least 3 on this route; uniformity 2 goes through the
-    elimination-order recognizer instead).  Sub-edge-size pieces can be
-    assumed to be unions of at-least-2-vertex intersections with edges:
-    a piece's returning vertices must themselves sit inside one earlier
-    piece, so any other piece shrinks to the glues it later hosts, or
-    disappears.  Exhausting the pool without a realization is a proof;
-    running out of budget is reported as inconclusive, never as success.
-    """
-    target = make_cycle(n, d, alpha)
-    if all(m in target.edges for m in k_submasks(target.vertices, d)):
-        return HypercycleReport(
-            n, d, alpha, "chordal",
-            sequence_for_complete(target.num_vertices, d), 0,
-        )
-    if d == 2:
-        rep = chordal_graph_recognize(target)
-        outcome = "chordal" if rep.is_chordal else "not_chordal"
-        return HypercycleReport(n, d, alpha, outcome, None, 0)
-
-    verts = target.vertices
-    edge_pool = sorted(target.edges)
-    aux_pool = []
-    for size in range(2, d):
-        for m in k_submasks(verts, size):
-            covered = 0
-            for e in edge_pool:
-                part = m & e
-                if part.bit_count() >= 2:
-                    covered |= part
-            if covered == m:
-                aux_pool.append(m)
-    pool = edge_pool + aux_pool
-    edge_set = frozenset(edge_pool)
-    dead: set[frozenset[int]] = set()
-    counter = [0]
-
-    def dfs(chunks: tuple[int, ...], used: int, remaining: frozenset[int]):
-        if not remaining:
-            return chunks
-        key = frozenset(chunks)
-        if key in dead:
-            return None
-        counter[0] += 1
-        if counter[0] > node_budget:
-            raise SizeBudgetError("state budget exhausted")
-        for cand in pool:
-            if cand in chunks:
-                continue
-            fresh = cand & ~used
-            if not fresh:
-                continue
-            glue = cand & used
-            if glue and not any(contains(c, glue) for c in chunks):
-                continue
-            nxt_remaining = remaining - {cand} if cand in edge_set else remaining
-            found = dfs(chunks + (cand,), used | cand, nxt_remaining)
-            if found is not None:
-                return found
-        dead.add(key)
-        return None
-
-    try:
-        found = dfs((), 0, frozenset(edge_set))
-    except SizeBudgetError:
-        return HypercycleReport(n, d, alpha, "inconclusive", None, counter[0])
-    if found is None:
-        return HypercycleReport(n, d, alpha, "not_chordal", None, counter[0])
-    witness = _sequence_from_chunks(found, d)
-    return HypercycleReport(n, d, alpha, "chordal", witness, counter[0])
 
 
 @dataclass(frozen=True)
@@ -744,46 +611,32 @@ def realization_search(
     def order(masks) -> list[int]:
         return sorted(masks, key=lambda m: (-m.bit_count(), m))
 
+    def done(_chunks, state):
+        return state[0] == verts and not state[1]
+
     states = 0
     for pool, conclusive in (
         (order(bigs) + order(hunt_smalls) + singles, False),
         (order(bigs) + order(smalls) + singles, True),
     ):
-        dead: set[frozenset[int]] = set()
-        counter = [0]
-
-        def dfs(chunks: tuple[int, ...], used: int, remaining: frozenset[int]):
-            if used == verts and not remaining:
-                return chunks
-            key = frozenset(chunks)
-            if key in dead:
-                return None
-            counter[0] += 1
-            if counter[0] > node_budget:
-                raise SizeBudgetError("state budget exhausted")
+        def children(chunks, placed, state):
+            used, remaining = state
             for cand in pool:
-                if cand in chunks:
-                    continue
-                if not cand & ~used:
+                if cand in placed or not cand & ~used:
                     continue
                 glue = cand & used
                 if glue and not any(contains(c, glue) for c in chunks):
                     continue
-                nxt = frozenset(e for e in remaining if not contains(cand, e))
-                found = dfs(chunks + (cand,), used | cand, nxt)
-                if found is not None:
-                    return found
-            dead.add(key)
-            return None
+                yield cand, (used | cand, frozenset(e for e in remaining if not contains(cand, e)))
 
         try:
-            found = dfs((), 0, frozenset(h.edges))
+            found, nodes = search_order((0, frozenset(h.edges)), children, done, node_budget)
         except SizeBudgetError:
-            states += counter[0]
+            states += node_budget + 1
             if conclusive:
                 return RealizationReport(d, "inconclusive", None, states)
             continue
-        states += counter[0]
+        states += nodes
         if found is not None:
             return RealizationReport(
                 d, "chordal", _sequence_from_chunks(found, d), states

@@ -50,20 +50,11 @@ class SimplicialComplex:
         return not self.facets
 
     @property
-    def is_empty_complex(self) -> bool:
-        """True for the complex whose only face is the empty set."""
-        return self.facets == frozenset({0})
-
-    @property
     def dim(self) -> int | None:
         """Dimension, or None for the void complex.  Empty complex: -1."""
         if self.is_void:
             return None
         return max(f.bit_count() for f in self.facets) - 1
-
-    @property
-    def is_pure(self) -> bool:
-        return len({f.bit_count() for f in self.facets}) <= 1
 
     def has_face(self, face: int) -> bool:
         return any(contains(f, face) for f in self.facets)

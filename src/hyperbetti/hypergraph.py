@@ -59,10 +59,6 @@ class Hypergraph:
         return self.vertices.bit_count()
 
     @property
-    def edge_count(self) -> int:
-        return len(self.edges)
-
-    @property
     def uniform_degree(self) -> int | None:
         """Common edge size if the hypergraph is uniform, else None."""
         sizes = {e.bit_count() for e in self.edges}
@@ -104,11 +100,6 @@ class Hypergraph:
     @classmethod
     def from_json(cls, text: str) -> "Hypergraph":
         return cls.from_json_obj(json.loads(text))
-
-    @classmethod
-    def from_edges(cls, n: int, edges) -> "Hypergraph":
-        """Build from an iterable of vertex iterables."""
-        return cls(n, frozenset(mask_of(e) for e in edges))
 
 
 # -- JSON readers -----------------------------------------------------

@@ -220,47 +220,63 @@ def verify_d_quotients(
     return QuotientCertificate(d, order, tuple(steps))
 
 
-def search_d_quotients(
-    ideal: MonomialIdeal, d: int, max_generators: int = 12, node_budget: int | None = None
-) -> tuple[int, ...] | None:
-    """Find an ordering with d-quotients, or prove that none exists.
+def search_order(start, children, done, node_budget: int | None = None):
+    """Depth-first search for an ordering of items, placed one at a time.
 
-    Whether a generator may be appended depends only on the *set* already
-    placed, so the backtracking memoizes dead prefix sets.  Branching follows
-    sorted support order for reproducible witnesses.
+    Whether an item may follow must depend only on the *set* already
+    placed, and so must the state threaded along the ordering; a set from
+    which no ordering completes is then dead whichever way it was reached,
+    and is never expanded twice.  ``children(order, placed, state)`` yields,
+    in branching order, each item that may follow together with the state
+    after it; ``done(order, state)`` says when the ordering is complete.
+
+    Returns the ordering as a tuple (None if none exists) and the number of
+    nodes expanded; expanding more than ``node_budget`` raises
+    SizeBudgetError.
     """
-    if not ideal.is_minimal:
-        raise PreconditionError("generators must be a minimal generating set")
-    t = len(ideal.generators)
-    if t > max_generators:
-        raise SizeBudgetError(f"{t} generators exceeds the search bound {max_generators}")
-    if t == 0:
-        return ()
-    branch = sorted(range(t), key=lambda i: bits_of(ideal.generators[i]))
-    dead: set[frozenset[int]] = set()
+    dead: set[frozenset] = set()
     nodes = 0
 
-    def extend(used: list[int], used_set: frozenset[int]) -> tuple[int, ...] | None:
+    def extend(order: tuple, placed: frozenset, state):
         nonlocal nodes
-        if len(used) == t:
-            return tuple(used)
-        if used_set in dead:
+        if done(order, state):
+            return order
+        if placed in dead:
             return None
         nodes += 1
         if node_budget is not None and nodes > node_budget:
             raise SizeBudgetError("search node budget exhausted")
-        for s in branch:
-            if s in used_set:
-                continue
-            if used and _colon_step_flaw(ideal, used, s, d)[1] is not None:
-                continue
-            found = extend(used + [s], used_set | {s})
+        for item, after in children(order, placed, state):
+            found = extend(order + (item,), placed | {item}, after)
             if found is not None:
                 return found
-        dead.add(used_set)
+        dead.add(placed)
         return None
 
-    return extend([], frozenset())
+    return extend((), frozenset(), start), nodes
+
+
+def search_d_quotients(
+    ideal: MonomialIdeal, d: int, node_budget: int | None = None
+) -> tuple[int, ...] | None:
+    """Find an ordering with d-quotients, or prove that none exists.
+
+    Whether a generator may be appended depends only on the set already
+    placed, so ``search_order`` applies.  Branching follows sorted support
+    order for reproducible witnesses.
+    """
+    if not ideal.is_minimal:
+        raise PreconditionError("generators must be a minimal generating set")
+    t = len(ideal.generators)
+    branch = sorted(range(t), key=lambda i: bits_of(ideal.generators[i]))
+
+    def children(used, placed, _state):
+        for s in branch:
+            if s in placed or used and _colon_step_flaw(ideal, used, s, d)[1] is not None:
+                continue
+            yield s, None
+
+    return search_order(None, children, lambda order, _: len(order) == t, node_budget)[0]
 
 
 # --------------------------------------------------------------------------
@@ -368,32 +384,14 @@ def search_d_shelling(
     t = len(facets)
     if t > max_facets:
         raise SizeBudgetError(f"{t} facets exceeds the search bound {max_facets}")
-    if t == 1:
-        return (facets[0],)
-    dead: set[frozenset[int]] = set()
-    nodes = 0
 
-    def extend(used: list[int], used_set: frozenset[int]) -> tuple[int, ...] | None:
-        nonlocal nodes
-        if len(used) == t:
-            return tuple(used)
-        if used_set in dead:
-            return None
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise SizeBudgetError("search node budget exhausted")
+    def children(used, placed, _state):
         for f in facets:
-            if f in used_set:
+            if f in placed or used and _purity_flaw(f, used, d):
                 continue
-            if used and _purity_flaw(f, used, d):
-                continue
-            found = extend(used + [f], used_set | {f})
-            if found is not None:
-                return found
-        dead.add(used_set)
-        return None
+            yield f, None
 
-    return extend([], frozenset())
+    return search_order(None, children, lambda order, _: len(order) == t, node_budget)[0]
 
 
 # --------------------------------------------------------------------------
@@ -564,16 +562,3 @@ def rsequence_colon_profile(
                     )
         sizes.append(len(gens))
     return tuple(sizes)
-
-
-def rsequence_betti_closed_form(
-    colon_sizes: Sequence[int], d: int, d_prime: int, n_vars: int
-):
-    """Closed-form graded table from the colon-size profile.
-
-    Beyond the generator row, entries sit at j = i + d' - 1 + (i-1)(d-1) with
-    value sum_s C(r_s, i-1).
-    """
-    from .betti import rsequence_betti_table
-
-    return rsequence_betti_table(colon_sizes, d, d_prime, n_vars)

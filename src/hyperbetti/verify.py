@@ -50,6 +50,7 @@ from .betti import (
     line_betti_closed_form,
     line_betti_degenerate,
     resolution_stats,
+    rsequence_betti_table,
     star_betti_closed_form,
     taylor_betti_free_vertex,
 )
@@ -86,7 +87,6 @@ from .ideal import (
     betti_splitting_check,
     duality_bridge,
     extend_ring,
-    rsequence_betti_closed_form,
     rsequence_colon_profile,
     search_d_quotients,
     search_d_shelling,
@@ -281,7 +281,7 @@ def _linear_quotients(ideal: MonomialIdeal) -> tuple[int, ...] | None:
     """A linear-quotient ordering of the generators, or None.  The search
     runs with a spare ring variable so the property depends on the
     generators alone (see extend_ring)."""
-    return search_d_quotients(extend_ring(ideal), 1, max_generators=len(ideal.generators))
+    return search_d_quotients(extend_ring(ideal), 1)
 
 
 def _quotient_table(ideal: MonomialIdeal, fld: FieldSpec) -> BettiTable:
@@ -876,9 +876,7 @@ def check_dquot_dshell(grid: Mapping) -> list[InstanceResult]:
     for prefix, ideal in _ideal_pool(grid, nmax, gmax):
         for d in _span(grid, "dq", 1, 3):
             def body(ideal=ideal, d=d):
-                q = search_d_quotients(
-                    ideal, d, max_generators=len(ideal.generators)
-                )
+                q = search_d_quotients(ideal, d)
                 s = search_d_shelling(
                     duality_bridge(ideal), d, max_facets=len(ideal.generators)
                 )
@@ -910,7 +908,7 @@ def check_betti_splitting(grid: Mapping) -> list[InstanceResult]:
             continue
         found: tuple[int, tuple[int, ...]] | None = None
         for d in _span(grid, "dq", 1, 3):
-            ordering = search_d_quotients(ideal, d, max_generators=len(ideal.generators))
+            ordering = search_d_quotients(ideal, d)
             if ordering is not None and len(ideal.generators) > 1:
                 found = (d, ordering)
                 break
@@ -972,7 +970,7 @@ def _rsequence_cases(grid: Mapping):
         for d in _span(grid, "dq", 1, 3):
             if placed:
                 break
-            ordering = search_d_quotients(ideal, d, max_generators=len(ideal.generators))
+            ordering = search_d_quotients(ideal, d)
             if ordering is None:
                 continue
             try:
@@ -983,7 +981,7 @@ def _rsequence_cases(grid: Mapping):
             placed = True
     for label, ideal, d, profile in _stride(pool, _val(grid, "count", 160)):
         dprime = ideal.generator_degree
-        expected = partial(rsequence_betti_closed_form, profile, d, dprime, ideal.n_vertices)
+        expected = partial(rsequence_betti_table, profile, d, dprime, ideal.n_vertices)
         yield f"{label} d={d} profile={list(profile)}", partial(_quotient_table, ideal), expected
 
 

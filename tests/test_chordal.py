@@ -25,8 +25,6 @@ from hyperbetti.chordal import (
     auto_glue,
     build_chordal_with_chunks,
     complement_diameter,
-    corollary_graph_check,
-    hypercycle_not_chordal_check,
     sequence_for_line,
     two_gluing_classification,
     two_gluing_hypergraph,
@@ -90,22 +88,6 @@ def test_chordal_recognizer_on_graphs():
     assert rep2.is_chordal and rep2.elimination_order is not None
 
 
-def test_graph_corollary_agreement_small():
-    """Chordal iff the complement-style ideal has linear quotients."""
-    chorded = Hypergraph(4, frozenset(_cycle_graph(4).edges | {mask_of([0, 2])}))
-    for g in (_cycle_graph(4), _cycle_graph(5), chorded):
-        rep = corollary_graph_check(g)
-        assert rep.agree
-        assert rep.is_chordal == (g is chorded)
-
-
-def test_graph_corollary_refuses_complete_graphs():
-    from hyperbetti import PreconditionError
-
-    with pytest.raises(PreconditionError):
-        corollary_graph_check(make_complete(4, 2))
-
-
 def test_two_gluing_hypergraph_counts():
     h = two_gluing_hypergraph(4, 3, 2, 3)
     assert h.n_vertices == 5
@@ -124,13 +106,9 @@ def test_complement_diameter_values():
     assert complement_diameter(make_complete(3, 2)) is None
 
 
-def test_hypercycle_is_never_chordal():
-    rep = hypercycle_not_chordal_check(4, 3, 1)
-    assert rep.outcome == "not_chordal"
-
-
 def test_realization_search_agrees_with_cycle_route():
-    """The general search reproduces the dedicated cycle verdicts."""
+    """Cycle arrangements are decided by the general search: the ring of
+    four triples is not chordal, three 4-sets sharing single vertices are."""
     rep = realization_search(make_cycle(4, 3, 1), 3)
     assert rep.outcome == "not_chordal"
     rep2 = realization_search(make_cycle(3, 4, 1), 4)
@@ -172,3 +150,15 @@ def test_realization_budget_reports_inconclusive():
     rep = realization_search(make_cycle(4, 3, 1), 3, node_budget=50)
     assert rep.outcome == "inconclusive"
     assert rep.witness is None
+
+
+def test_exported_names_resolve():
+    """Every name the package and its chordal module export exists, so a
+    deletion cannot leave a stale entry in ``__all__``."""
+    import hyperbetti
+    import hyperbetti.chordal
+
+    for module in (hyperbetti, hyperbetti.chordal):
+        for name in module.__all__:
+            assert getattr(module, name, None) is not None, f"{module.__name__}.{name}"
+

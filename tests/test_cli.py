@@ -329,6 +329,44 @@ def test_chordal_negative_and_budget(capsys, tmp_path):
     assert "budget" in err
 
 
+@pytest.mark.parametrize(
+    "recipe, message",
+    [
+        (
+            {"d": 3, "steps": [{"i": 100000}]},
+            "error: step 0: the recipe needs more than 63 vertices",
+        ),
+        (
+            {"d": 3, "steps": [{"i": 3}, {"i": 2, "glue": [0.5]}]},
+            "error: malformed attachment step glue: expected a list of integer vertex labels "
+            "from 0 to 62",
+        ),
+        ({"d": 3, "steps": [5]}, "error: malformed attachment step: not a JSON object"),
+    ],
+)
+def test_malformed_recipes_are_usage_errors(capsys, tmp_path, recipe, message):
+    """A piece too large to label, a fractional glue label or a step that
+    is not an object ends in exit 2 with one error line, before any
+    d-subset is listed."""
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps(recipe))
+    code, out, err = run(capsys, "chordal", str(path))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [message]
+
+
+def test_recipe_listing_too_many_edges_is_refused(capsys, tmp_path):
+    """A 63-vertex piece of uniformity 31 would list C(63, 31) edges; it
+    is refused as over budget before any is built."""
+    path = tmp_path / "recipe.json"
+    path.write_text(json.dumps({"d": 31, "steps": [{"i": 63}]}))
+    code, out, err = run(capsys, "chordal", str(path))
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[0] == "error: step 0: the recipe lists more than 262144 edges"
+
+
 def test_export_hypergraph_and_ideal_inputs(capsys, tmp_path):
     h = tmp_path / "h.json"
     h.write_text('{"n":4,"edges":[[0,1,2],[1,2,3]]}')
@@ -470,6 +508,21 @@ _FAMILY = st.one_of(
     ),
     _LEAF,
 )
+_STEPS = st.one_of(
+    st.lists(
+        st.one_of(
+            st.fixed_dictionaries(
+                {},
+                optional={
+                    "i": _LABEL, "j": _LABEL, "glue": st.one_of(st.lists(_LABEL, max_size=4), _LEAF)
+                },
+            ),
+            _LABEL,
+        ),
+        max_size=4,
+    ),
+    _LEAF,
+)
 _OBJECT = st.one_of(
     st.fixed_dictionaries(
         {},
@@ -477,7 +530,7 @@ _OBJECT = st.one_of(
             "n": st.one_of(st.integers(-1, 10), _LABEL, _LEAF),
             "edges": _SETS, "facets": _SETS, "generators": _SETS,
             "vertices": st.one_of(st.lists(_LABEL, max_size=10), _LEAF),
-            "void": _LABEL, "family": _FAMILY,
+            "void": _LABEL, "family": _FAMILY, "d": _LABEL, "steps": _STEPS,
         },
     ),
     _LEAF,
@@ -489,6 +542,7 @@ _COMMANDS = [
     ["dual"],
     ["export"],
     ["shell", "--d", "2"],
+    ["chordal", "--node-budget", "2000"],
 ]
 
 

@@ -2,7 +2,11 @@
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbetti import (
     Hypergraph,
@@ -21,7 +25,9 @@ from hyperbetti import (
 from hyperbetti.bitsets import mask_of
 from hyperbetti.complexes import SimplicialComplex, independence_complex
 from hyperbetti.ideal import (
+    QuotientCertificate,
     QuotientRefusal,
+    ShellingCertificate,
     ShellingRefusal,
     colon_by_generator,
     duality_bridge,
@@ -163,3 +169,42 @@ def test_non_minimal_generators_are_rejected_for_quotients():
     raw = MonomialIdeal(4, (0b0011, 0b0111))
     with pytest.raises(PreconditionError):
         verify_d_quotients(raw, (0, 1), 2)
+
+
+@st.composite
+def _equigenerated(draw):
+    """A squarefree ideal of up to 5 generators of one degree on up to 6
+    variables, with a quotient degree d from 1 to 3."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    supports = [mask_of(c) for c in combinations(range(n), k)]
+    gens = draw(st.lists(st.sampled_from(supports), min_size=1, max_size=5, unique=True))
+    return MonomialIdeal(n, tuple(gens)), draw(st.integers(1, 3))
+
+
+@settings(max_examples=150, deadline=None)
+@given(_equigenerated())
+def test_ordering_searches_match_every_permutation(case):
+    """The searches find an ordering exactly when some permutation passes
+    the step-by-step verifiers, and what they return passes them."""
+    ideal, d = case
+    t = len(ideal.generators)
+    passing = [
+        order for order in permutations(range(t))
+        if isinstance(verify_d_quotients(ideal, order, d), QuotientCertificate)
+    ]
+    found = search_d_quotients(ideal, d)
+    assert (found is None) == (not passing)
+    if found is not None:
+        assert isinstance(verify_d_quotients(ideal, found, d), QuotientCertificate)
+
+    dual = duality_bridge(ideal)
+    shellings = [
+        order for order in permutations(sorted(dual.facets))
+        if isinstance(verify_d_shelling(dual, order, d), ShellingCertificate)
+    ]
+    shelling = search_d_shelling(dual, d, max_facets=t)
+    assert (shelling is None) == (not shellings)
+    if shelling is not None:
+        assert isinstance(verify_d_shelling(dual, shelling, d), ShellingCertificate)
+
