@@ -7,6 +7,14 @@ degree j - i - 1.  Everything else in this module is either a fast
 evaluation strategy for those restriction homologies or a closed-form
 table for a structured family, checked against that oracle in tests.
 
+The sum reads the ground set, the facets of the complex and its minimal
+nonfaces, which are the minimal generators of I.  Each presentation
+holds one half and derives the other once: ``hochster_betti`` dualizes
+the facets of a complex, while ``edge_ideal_betti`` (the edges),
+``clique_ideal_betti`` (the non-edge d-sets) and ``ideal_betti`` (the
+generators) pass their nonfaces straight through and build only the
+facets.
+
 Subsets that induce a cone contribute nothing, so when the minimal
 nonfaces are few the sum runs only over their unions.  Every other
 subset is answered by one of three strategies:
@@ -37,11 +45,11 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .bitsets import contains, k_submasks, max_antichain, min_antichain, submasks
+from .bitsets import contains, k_submasks, max_antichain, submasks
 from .complexes import (
     SimplicialComplex,
     clique_complex,
-    face_test,
+    enumerate_faces,
     independence_complex,
     minimal_nonfaces,
 )
@@ -53,7 +61,8 @@ from .homology import (
     dims_from_faces,
     rank_over_field,
 )
-from .hypergraph import Hypergraph, canonical_json
+from .hypergraph import Hypergraph, canonical_json, non_edges
+from .ideal import MonomialIdeal, sr_complex
 
 
 def safe_binom(a: int, b: int) -> int:
@@ -157,6 +166,8 @@ class BettiTable:
 
 # -- the restriction oracle -------------------------------------------
 
+# Most vertices a restriction sum runs over, unless the caller says otherwise.
+VERTEX_BUDGET = 20
 # Most faces one restriction may enumerate, by either route.
 FACE_BUDGET = 1 << 22
 # Most faces of size >= s the skeleton strategy lists.
@@ -166,50 +177,22 @@ CLOSURE_MAX_NONFACES = 26
 
 
 class _RestrictionOracle:
-    """Per-complex engine answering 'reduced homology of the induced
-    subcomplex on V' for many V, with strategy dispatch and memoing."""
+    """Engine answering 'reduced homology of the induced subcomplex on V'
+    for many V, with strategy dispatch and memoing.  It reads the ground
+    set, the facets and the minimal nonfaces of one complex."""
 
     def __init__(
-        self,
-        c: SimplicialComplex,
-        fld: FieldSpec,
-        nonface_hint: Iterable[int] | None = None,
+        self, ground: int, facets: Iterable[int], nonfaces: Iterable[int], fld: FieldSpec
     ) -> None:
-        if c.is_void:
+        self.facets = sorted(facets)
+        if not self.facets:
             raise PreconditionError("restriction homology needs a nonvoid complex")
-        self.c = c
         self.fld = fld
-        self.ground = c.vertices
-        self.n = self.ground.bit_count()
-        self.facets = sorted(c.facets)
-        if nonface_hint is not None:
-            self.mnf = self._validated_hint(nonface_hint)
-        else:
-            self.mnf = sorted(minimal_nonfaces(c))
+        self.ground = ground
+        self.mnf = sorted(set(nonfaces))
         self.min_nonface_size = min((m.bit_count() for m in self.mnf), default=0)
         self.big_faces = self._collect_big_faces()
         self._rank_memo: dict[tuple[int, ...], tuple[dict, dict]] = {}
-
-    def _validated_hint(self, hint: Iterable[int]) -> list[int]:
-        """The hint, sorted, once it is known to be an antichain of
-        nonfaces inside the ground set.
-
-        Both checks cost little more than reading the hint: the
-        antichain test compares masks of different sizes only (the
-        size-class rule of ``min_antichain``), and each mask is tested
-        for being a face by ANDing the facet-incidence bitsets of its
-        vertices (``face_test``), not against every facet.
-        """
-        masks = sorted(set(hint))
-        if len(min_antichain(masks)) != len(masks):
-            raise ParameterError("nonface hint must be an antichain")
-        is_face = face_test(self.c)
-        for m in masks:
-            if m & ~self.ground:
-                raise ParameterError("nonface hint leaves the ground set")
-            if is_face(m):
-                raise ParameterError(f"hint mask {m:#x} is actually a face")
-        return masks
 
     def _collect_big_faces(self) -> list[int] | None:
         """Faces of size >= minimal-nonface-size, if there are few."""
@@ -268,21 +251,7 @@ class _RestrictionOracle:
 
     def _dims_direct(self, vmask: int) -> dict[int, int]:
         rf = max_antichain(f & vmask for f in self.facets)
-        cost = sum(1 << f.bit_count() for f in rf)
-        if cost > FACE_BUDGET:
-            raise SizeBudgetError(
-                f"restriction face enumeration cost {cost} exceeds the face budget"
-            )
-        seen: set[int] = set()
-        for f in rf:
-            for sub in submasks(f):
-                if sub in seen:
-                    continue
-                seen.add(sub)
-        by_size: dict[int, list[int]] = {}
-        for face in seen:
-            by_size.setdefault(face.bit_count(), []).append(face)
-        return dims_from_faces(by_size, self.fld)
+        return dims_from_faces(enumerate_faces(rf, FACE_BUDGET), self.fld)
 
     def _dims_nerve(self, vmask: int, m: int, relevant: list[int]) -> dict[int, int]:
         """Homology through the nerve of the minimal nonfaces inside V.
@@ -358,29 +327,27 @@ class _RestrictionOracle:
         return sorted(closure)
 
 
-def hochster_betti(
-    c: SimplicialComplex,
-    fld: FieldSpec = QQ,
-    *,
-    nonface_hint: Iterable[int] | None = None,
-    vertex_budget: int = 20,
-) -> BettiTable:
-    """Graded Betti numbers of R/I for the face ideal of the complex.
-
-    Exact over the requested field.  The nonface hint, when supplied,
-    must be the complete list of minimal nonfaces (it is checked for
-    being an antichain of honest nonfaces); passing it skips a
-    potentially expensive dualization.
-
-    The sum runs over the unions of minimal nonfaces when there are few
-    enough of them, and over every vertex subset otherwise.
-    """
-    n = c.vertices.bit_count()
+def _check_vertex_budget(ground: int, vertex_budget: int) -> None:
+    n = ground.bit_count()
     if n > vertex_budget:
         raise SizeBudgetError(
             f"restriction sum over {n} vertices exceeds the vertex budget {vertex_budget}"
         )
-    oracle = _RestrictionOracle(c, fld, nonface_hint)
+
+
+def _restriction_sum(
+    ground: int, facets: Iterable[int], nonfaces: Iterable[int], fld: FieldSpec,
+    vertex_budget: int,
+) -> BettiTable:
+    """Graded Betti numbers of R/I, where I is generated by the minimal
+    nonfaces of the complex with these facets on the ground set.
+
+    The sum runs over the unions of minimal nonfaces when there are few
+    enough of them, and over every vertex subset otherwise.
+    """
+    _check_vertex_budget(ground, vertex_budget)
+    n = ground.bit_count()
+    oracle = _RestrictionOracle(ground, facets, nonfaces, fld)
     subsets: Iterable[int] | None = None
     if len(oracle.mnf) <= CLOSURE_MAX_NONFACES:
         subsets = oracle.union_closure()
@@ -392,7 +359,7 @@ def hochster_betti(
                 "too many minimal nonfaces for the union-closure sum and too "
                 "many large faces for the skeleton strategy; no feasible plan"
             )
-        subsets = submasks(c.vertices)
+        subsets = submasks(ground)
     entries: dict[tuple[int, int], int] = {}
     for v in subsets:
         dims = oracle.dims_for(v)
@@ -405,27 +372,42 @@ def hochster_betti(
     return BettiTable("quotient", n, entries)
 
 
-def edge_ideal_betti(
-    h: Hypergraph, fld: FieldSpec = QQ, *, vertex_budget: int = 20
+def hochster_betti(
+    c: SimplicialComplex, fld: FieldSpec = QQ, *, vertex_budget: int = VERTEX_BUDGET
 ) -> BettiTable:
-    """Betti table of R/I(H); the minimal nonfaces of the independence
-    complex are exactly the edges, so they are passed straight through."""
-    return hochster_betti(
-        independence_complex(h), fld, nonface_hint=h.edges, vertex_budget=vertex_budget
+    """Graded Betti numbers of R/I for the face ideal of the complex,
+    exact over the requested field; the facets are dualized to the
+    minimal nonfaces once the ground set is known to be within budget."""
+    _check_vertex_budget(c.vertices, vertex_budget)
+    return _restriction_sum(c.vertices, c.facets, minimal_nonfaces(c), fld, vertex_budget)
+
+
+def edge_ideal_betti(
+    h: Hypergraph, fld: FieldSpec = QQ, *, vertex_budget: int = VERTEX_BUDGET
+) -> BettiTable:
+    """Betti table of R/I(H): the edges are the minimal nonfaces of the
+    independence complex."""
+    return _restriction_sum(
+        h.vertices, independence_complex(h).facets, h.edges, fld, vertex_budget
     )
 
 
 def clique_ideal_betti(
-    h: Hypergraph, d: int, fld: FieldSpec = QQ, *, vertex_budget: int = 20
+    h: Hypergraph, d: int, fld: FieldSpec = QQ, *, vertex_budget: int = VERTEX_BUDGET
 ) -> BettiTable:
     """Betti table of R/I for the face ideal of the clique-style complex
     of a d-uniform hypergraph; minimal nonfaces are the non-edge d-sets."""
-    non_edges = [
-        m for m in k_submasks(h.vertices, d) if m not in h.edges
-    ]
-    cx = clique_complex(h, d)
-    return hochster_betti(
-        cx, fld, nonface_hint=non_edges or None, vertex_budget=vertex_budget
+    facets = clique_complex(h, d).facets
+    return _restriction_sum(h.vertices, facets, non_edges(h, d), fld, vertex_budget)
+
+
+def ideal_betti(ideal: MonomialIdeal, fld: FieldSpec = QQ) -> BettiTable:
+    """Betti table of R/I for a squarefree monomial ideal given by its
+    minimal generators, which are the minimal nonfaces of its complex."""
+    if not ideal.is_minimal:
+        raise PreconditionError("generators must be a minimal generating set")
+    return _restriction_sum(
+        ideal.ring_mask, sr_complex(ideal).facets, ideal.generators, fld, VERTEX_BUDGET
     )
 
 
@@ -744,10 +726,10 @@ def connectivity(
             raise PreconditionError("connectivity needs a uniform hypergraph")
     elif not h.is_uniform(d):
         raise PreconditionError(f"connectivity needs {d}-uniform input")
-    non_edges = [m for m in k_submasks(h.vertices, d) if m not in h.edges]
-    if not non_edges:
+    nonfaces = non_edges(h, d)
+    if not nonfaces:
         return None
-    oracle = _RestrictionOracle(clique_complex(h, d), fld, nonface_hint=non_edges)
+    oracle = _RestrictionOracle(h.vertices, clique_complex(h, d).facets, nonfaces, fld)
     verts = h.vertices
     n = verts.bit_count()
     for w in range(0, n - d + 1):
@@ -783,7 +765,7 @@ def check_conn_depth_theorem(
         d = h.uniform_degree
         if d is None:
             raise PreconditionError("needs a uniform hypergraph")
-    if all(m in h.edges for m in k_submasks(h.vertices, d)):
+    if not non_edges(h, d):
         raise PreconditionError(
             "complete hypergraph: connectivity is infinite, theorem does not apply"
         )
@@ -844,7 +826,7 @@ def froberg_cm_witness(
         raise PreconditionError("void complex has no face ring")
     n = c.vertices.bit_count()
     e = (c.dim if c.dim is not None else -1) + 1
-    oracle = _RestrictionOracle(c, fld)
+    oracle = _RestrictionOracle(c.vertices, c.facets, minimal_nonfaces(c), fld)
     for i in range(-1, e - 1):
         size = n - e + i + 2
         if not 0 < size <= n:

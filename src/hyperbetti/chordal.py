@@ -19,8 +19,9 @@ from math import comb
 from .bitsets import bits_of, contains, k_submasks, mask_of, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import QQ, FieldSpec
-from .hypergraph import MAX_VERTICES, Hypergraph, json_field, json_int, json_vertex_set
-from .ideal import edge_ideal, extend_ring, search_d_quotients, search_order, sr_complex
+from .hypergraph import MAX_LISTED_EDGES, MAX_VERTICES, Hypergraph
+from .hypergraph import json_field, json_int, json_vertex_set
+from .ideal import edge_ideal, extend_ring, search_d_quotients, search_order
 
 __all__ = [
     "AttachmentStep",
@@ -40,12 +41,6 @@ __all__ = [
     "RealizationReport",
     "realization_search",
 ]
-
-# Recipes listing more d-subsets than this (repeats counted) are refused
-# before any is built: more edges than any hypergraph on 20 vertices has
-# (C(20, 10) = 184,756), the default vertex budget of the Betti routes.
-MAX_RECIPE_EDGES = 1 << 18
-
 
 # -- attachment sequences ---------------------------------------------
 
@@ -156,9 +151,9 @@ def build_chordal_with_chunks(
         chunks.append(chunk)
         if step.size >= seq.d:
             listed += comb(step.size, seq.d)
-            if listed > MAX_RECIPE_EDGES:
+            if listed > MAX_LISTED_EDGES:
                 raise SizeBudgetError(
-                    f"step {pos}: the recipe lists more than {MAX_RECIPE_EDGES} edges"
+                    f"step {pos}: the recipe lists more than {MAX_LISTED_EDGES} edges"
                 )
             edges.update(k_submasks(chunk, seq.d))
     return Hypergraph(n, frozenset(edges)), tuple(chunks)
@@ -463,13 +458,11 @@ def two_gluing_empirical(
     search gets a spare ring variable so the answer depends only on the
     edges, not on how tightly they fill the vertex set.
     """
-    from .betti import hochster_betti
+    from .betti import ideal_betti
 
     h = two_gluing_hypergraph(m, i, j, d)
     ideal = edge_ideal(h)
-    table = hochster_betti(
-        sr_complex(ideal), fld, nonface_hint=sorted(ideal.generators)
-    )
+    table = ideal_betti(ideal, fld)
     if any(jj != ii + d - 1 for (ii, jj) in table.entries if ii >= 1):
         return False
     ordering = search_d_quotients(extend_ring(ideal), 1, node_budget=node_budget)

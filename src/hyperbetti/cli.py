@@ -33,7 +33,7 @@ from .betti import (
     star_betti_closed_form,
     taylor_betti_free_vertex,
 )
-from .bitsets import k_submasks, mask_of
+from .bitsets import mask_of
 from .chordal import (
     AttachmentSequence,
     AttachmentStep,
@@ -45,7 +45,7 @@ from .chordal import (
 from .complexes import SimplicialComplex, alexander_dual, clique_complex, independence_complex
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import parse_field
-from .hypergraph import FamilySpec, Hypergraph, canonical_hash, canonical_json
+from .hypergraph import FamilySpec, Hypergraph, canonical_hash, canonical_json, non_edges
 from .hypergraph import make_complete, make_cycle, make_line, make_multipartite, make_star_overlap
 from .ideal import MonomialIdeal, ShellingRefusal, edge_ideal, search_d_shelling, verify_d_shelling
 from .verify import run_check
@@ -182,10 +182,8 @@ def _betti_table(args: argparse.Namespace, h: Hypergraph, fam: FamilySpec | None
     if args.complex == "clique":
         d = _uniformity(h, args.d)
         if args.method == "taylor":
-            non_edges = frozenset(
-                m for m in k_submasks(h.vertices, d) if m not in h.edges
-            )
-            return taylor_betti_free_vertex(Hypergraph(h.n_vertices, non_edges, h.vertices))
+            complement = Hypergraph(h.n_vertices, frozenset(non_edges(h, d)), h.vertices)
+            return taylor_betti_free_vertex(complement)
         return clique_ideal_betti(h, d, fld, vertex_budget=args.max_vertices)
     if args.method == "taylor":
         return taylor_betti_free_vertex(h)
@@ -448,6 +446,9 @@ def main(argv: list[str] | None = None) -> int:
     args = _build_parser().parse_args(argv)
     start = time.perf_counter()
     try:
+        for budget in ("max_vertices", "max_facets", "node_budget"):
+            if getattr(args, budget, 0) < 0:
+                raise ParameterError(f"--{budget.replace('_', '-')} must be nonnegative")
         return args.handler(args)
     except (ParameterError, PreconditionError) as exc:
         _note(f"error: {exc}")

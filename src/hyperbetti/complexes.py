@@ -15,7 +15,6 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Callable
 
 from .bitsets import bits_of, contains, k_submasks, max_antichain, min_antichain, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
@@ -145,32 +144,6 @@ def minimal_transversals(masks) -> frozenset[int]:
     return frozenset(trans)
 
 
-def face_test(c: SimplicialComplex) -> Callable[[int], bool]:
-    """Face membership by vertex incidence.
-
-    One bitset per vertex lists the facets through it (bit i for the
-    i-th facet).  A mask is a face exactly when some facet holds all of
-    its vertices, that is when the AND of its vertices' bitsets is
-    nonzero: |mask| ANDs instead of one containment test per facet.  The
-    empty mask is a face of every nonvoid complex.
-    """
-    through = [0] * c.n_vertices
-    for i, f in enumerate(c.facets):
-        for v in bits_of(f):
-            through[v] |= 1 << i
-    every = (1 << len(c.facets)) - 1
-
-    def is_face(mask: int) -> bool:
-        common = every
-        while mask and common:
-            low = mask & -mask
-            mask ^= low
-            common &= through[low.bit_length() - 1]
-        return common != 0
-
-    return is_face
-
-
 def minimal_nonfaces(c: SimplicialComplex) -> frozenset[int]:
     """Minimal subsets of the ground set that are not faces.
 
@@ -265,16 +238,17 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(c.n_vertices, facets, c.vertices)
 
 
-def enumerate_faces(c: SimplicialComplex, budget: int = 1 << 22) -> dict[int, list[int]]:
-    """All faces grouped by size.  Raises when the submask count Σ 2^|F|
-    over facets exceeds the budget (the enumeration cost bound)."""
-    cost = sum(1 << f.bit_count() for f in c.facets)
+def enumerate_faces(facets, budget: int = 1 << 22) -> dict[int, list[int]]:
+    """All faces of the complex with these facet masks, grouped by size.
+    Raises when the submask count Σ 2^|F| over the facets exceeds the
+    budget (the enumeration cost bound)."""
+    cost = sum(1 << f.bit_count() for f in facets)
     if cost > budget:
         raise SizeBudgetError(
             f"face enumeration cost {cost} exceeds the face budget {budget}"
         )
     seen: set[int] = set()
-    for f in c.facets:
+    for f in facets:
         for sub in submasks(f):
             if sub in seen:
                 continue

@@ -205,12 +205,12 @@ def reduced_homology_dims(
     c: SimplicialComplex, field: FieldSpec = QQ, budget: int = 1 << 22
 ) -> dict[int, int]:
     """Reduced homology of a complex by direct face enumeration."""
-    return dims_from_faces(enumerate_faces(c, budget), field)
+    return dims_from_faces(enumerate_faces(c.facets, budget), field)
 
 
 def euler_characteristic_reduced(c: SimplicialComplex, budget: int = 1 << 22) -> int:
     """Alternating face-count sum with the empty face included."""
     total = 0
-    for s, faces in enumerate_faces(c, budget).items():
+    for s, faces in enumerate_faces(c.facets, budget).items():
         total += len(faces) if s % 2 else -len(faces)
     return total

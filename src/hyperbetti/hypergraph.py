@@ -16,11 +16,17 @@ import hashlib
 import json
 from dataclasses import dataclass
 from itertools import combinations
+from math import comb
 
-from .bitsets import bits_of, contains, mask_of, min_antichain
-from .errors import ParameterError
+from .bitsets import bits_of, contains, k_submasks, mask_of, min_antichain
+from .errors import ParameterError, SizeBudgetError
 
 MAX_VERTICES = 63
+# Family makers and build recipes listing more d-subsets than this
+# (repeats counted) are refused before any is listed: more edges than
+# any hypergraph on 20 vertices has (C(20, 10) = 184,756), the default
+# vertex budget of the Betti routes.
+MAX_LISTED_EDGES = 1 << 18
 
 
 @dataclass(frozen=True)
@@ -205,6 +211,7 @@ def make_complete(n: int, d: int) -> Hypergraph:
         raise ParameterError("edge size d must be at least 2")
     if n < 0:
         raise ParameterError("vertex count must be nonnegative")
+    _check_listing(n, d)
     edges = frozenset(mask_of(c) for c in combinations(range(n), d))
     return Hypergraph(n, edges)
 
@@ -266,6 +273,7 @@ def make_multipartite(parts: tuple[int, ...] | list[int], d: int) -> Hypergraph:
     if not parts or any(p < 1 for p in parts):
         raise ParameterError("each part needs at least one vertex")
     n = sum(parts)
+    _check_listing(n, d)
     part_masks = []
     start = 0
     for p in parts:
@@ -277,6 +285,13 @@ def make_multipartite(parts: tuple[int, ...] | list[int], d: int) -> Hypergraph:
         if not any(contains(pm, m) for pm in part_masks):
             edges.add(m)
     return Hypergraph(n, frozenset(edges))
+
+
+def _check_listing(n: int, d: int) -> None:
+    if comb(n, d) > MAX_LISTED_EDGES:
+        raise SizeBudgetError(
+            f"the family lists more than {MAX_LISTED_EDGES} {d}-subsets of {n} vertices"
+        )
 
 
 def _check_overlap_params(n: int, d: int, alpha: int, min_edges: int) -> None:
@@ -291,6 +306,14 @@ def _check_overlap_params(n: int, d: int, alpha: int, min_edges: int) -> None:
 
 
 # -- operations -------------------------------------------------------
+
+
+def non_edges(h: Hypergraph, d: int) -> list[int]:
+    """The d-subsets of the present vertices that are not edges, in
+    vertex order.  For d-uniform h these are the minimal nonfaces of the
+    clique-style complex (a d-set is a face exactly when it is an edge,
+    and every smaller set is a face)."""
+    return [m for m in k_submasks(h.vertices, d) if m not in h.edges]
 
 
 def free_vertices(h: Hypergraph) -> dict[int, int]:

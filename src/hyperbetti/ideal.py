@@ -267,6 +267,8 @@ def search_d_quotients(
     """
     if not ideal.is_minimal:
         raise PreconditionError("generators must be a minimal generating set")
+    if d < 1:
+        raise ParameterError("d must be positive")
     t = len(ideal.generators)
     branch = sorted(range(t), key=lambda i: bits_of(ideal.generators[i]))
 
@@ -380,6 +382,8 @@ def search_d_shelling(
     """Find a d-shelling order of the facets, or prove that none exists."""
     if c.is_void:
         raise PreconditionError("void complex has no facet ordering")
+    if d < 1:
+        raise ParameterError("d must be positive")
     facets = sorted(c.facets, key=bits_of)
     t = len(facets)
     if t > max_facets:
@@ -468,7 +472,7 @@ def betti_splitting_check(
     and that each step's shifted colon table shares no degree with the table
     of the prefix ideal in homological degrees >= 2.
     """
-    from .betti import hochster_betti
+    from .betti import ideal_betti
 
     if not ideal.is_zero and ideal.generator_degree != d_prime:
         raise PreconditionError(f"generators must all have degree {d_prime}")
@@ -478,12 +482,7 @@ def betti_splitting_check(
         raise PreconditionError(f"ordering has no uniform-degree quotients: {cert.reason}")
     d = cert.d
 
-    def table_of(mi: MonomialIdeal):
-        return hochster_betti(
-            sr_complex(mi), field, nonface_hint=tuple(sorted(mi.generators, key=bits_of))
-        )
-
-    full = table_of(ideal)
+    full = ideal_betti(ideal, field)
     pd = full.projective_dimension
     order = cert.ordering
     colon_tables = []
@@ -493,8 +492,8 @@ def betti_splitting_check(
         colon = colon_by_generator(prefix, ideal.generators[order[pos]])
         for b in colon.generators:
             assert contains(ideal.ring_mask, b) and b.bit_count() == d
-        colon_tables.append(table_of(colon))
-        prefix_tables.append(table_of(prefix))
+        colon_tables.append(ideal_betti(colon, field))
+        prefix_tables.append(ideal_betti(prefix, field))
 
     sum_ok = True
     for i in range(2, pd + 1):

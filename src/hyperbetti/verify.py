@@ -46,6 +46,7 @@ from .betti import (
     enumerate_line_subconfigs,
     froberg_cm_check,
     hochster_betti,
+    ideal_betti,
     knd_complement_betti,
     line_betti_closed_form,
     line_betti_degenerate,
@@ -80,6 +81,7 @@ from .hypergraph import (
     make_cycle,
     make_line,
     make_star_overlap,
+    non_edges,
 )
 from .ideal import (
     MonomialIdeal,
@@ -90,8 +92,6 @@ from .ideal import (
     rsequence_colon_profile,
     search_d_quotients,
     search_d_shelling,
-    sr_complex,
-    stanley_reisner_ideal,
     verify_d_shelling,
 )
 
@@ -282,11 +282,6 @@ def _linear_quotients(ideal: MonomialIdeal) -> tuple[int, ...] | None:
     runs with a spare ring variable so the property depends on the
     generators alone (see extend_ring)."""
     return search_d_quotients(extend_ring(ideal), 1)
-
-
-def _quotient_table(ideal: MonomialIdeal, fld: FieldSpec) -> BettiTable:
-    """The oracle table of R/I, seeded with the generators as nonfaces."""
-    return hochster_betti(sr_complex(ideal), fld, nonface_hint=sorted(ideal.generators))
 
 
 def _partitions(i: int, cap: int | None = None) -> Iterable[tuple[int, ...]]:
@@ -649,7 +644,7 @@ def check_hypergraph(grid: Mapping) -> list[InstanceResult]:
     for label, seq in _sequence_pool(grid, 2, 3, 7, 3, 400):
         def body(seq=seq):
             h, _ = build_chordal_with_chunks(seq)
-            ideal = stanley_reisner_ideal(clique_complex(h, seq.d))
+            ideal = MonomialIdeal(h.n_vertices, tuple(non_edges(h, seq.d)))
             if ideal.is_zero:
                 raise SkipInstance("complete hypergraph: nonface ideal is zero")
             if _linear_quotients(ideal) is None:
@@ -673,8 +668,8 @@ def check_graph_corollary(grid: Mapping) -> list[InstanceResult]:
             edges = frozenset(pairs[k] for k in range(len(pairs)) if code >> k & 1)
             g = Hypergraph(n, edges)
 
-            def body(g=g, n=n):
-                ideal = stanley_reisner_ideal(clique_complex(g, 2))
+            def body(g=g):
+                ideal = MonomialIdeal(g.n_vertices, tuple(non_edges(g, 2)))
                 if ideal.is_zero:
                     raise SkipInstance("complete graph: nonface ideal is zero")
                 rep = chordal_graph_recognize(g)
@@ -682,7 +677,7 @@ def check_graph_corollary(grid: Mapping) -> list[InstanceResult]:
                     if _linear_quotients(ideal) is None:
                         return "recognizer says chordal but no linear quotients exist"
                     return None
-                table = _quotient_table(ideal, GF2)
+                table = ideal_betti(ideal, GF2)
                 if any(j != i + 1 for (i, j) in table.entries if i >= 1):
                     return None  # nonlinear resolution certifies absence
                 ordering = _linear_quotients(ideal)
@@ -982,7 +977,7 @@ def _rsequence_cases(grid: Mapping):
     for label, ideal, d, profile in _stride(pool, _val(grid, "count", 160)):
         dprime = ideal.generator_degree
         expected = partial(rsequence_betti_table, profile, d, dprime, ideal.n_vertices)
-        yield f"{label} d={d} profile={list(profile)}", partial(_quotient_table, ideal), expected
+        yield f"{label} d={d} profile={list(profile)}", partial(ideal_betti, ideal), expected
 
 
 def check_lin_quot(grid: Mapping) -> list[InstanceResult]:
@@ -991,7 +986,7 @@ def check_lin_quot(grid: Mapping) -> list[InstanceResult]:
     pool: list[tuple[str, MonomialIdeal]] = []
     for label, seq in _sequence_pool(grid, 2, 3, 6, 3, 60):
         h, _ = build_chordal_with_chunks(seq)
-        ideal = stanley_reisner_ideal(clique_complex(h, seq.d))
+        ideal = MonomialIdeal(h.n_vertices, tuple(non_edges(h, seq.d)))
         if not ideal.is_zero:
             pool.append((f"nonface ideal of {label}", ideal))
     pool.extend(
@@ -1005,7 +1000,7 @@ def check_lin_quot(grid: Mapping) -> list[InstanceResult]:
                 raise SkipInstance("no linear quotients; statement does not apply")
             dprime = ideal.generator_degree
             for fld in FIELD_TRIPLE:
-                table = _quotient_table(ideal, fld)
+                table = ideal_betti(ideal, fld)
                 stats = resolution_stats(table, dprime)
                 if not stats.has_linear_resolution:
                     return (

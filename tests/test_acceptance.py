@@ -8,6 +8,7 @@ zero mismatches.
 
 from __future__ import annotations
 
+import hashlib
 import time
 
 from hyperbetti import (
@@ -21,7 +22,7 @@ from hyperbetti import (
     connectivity,
     edge_ideal,
     edge_ideal_betti,
-    hochster_betti,
+    ideal_betti,
     run_check,
     rsequence_betti_table,
     search_d_quotients,
@@ -30,7 +31,8 @@ from hyperbetti import (
 )
 from hyperbetti.betti import BettiTable
 from hyperbetti.bitsets import bits_of, mask_of
-from hyperbetti.ideal import colon_by_generator, sr_complex
+from hyperbetti.hypergraph import canonical_json
+from hyperbetti.ideal import colon_by_generator
 
 
 def _ok(num: int, text: str) -> None:
@@ -38,7 +40,7 @@ def _ok(num: int, text: str) -> None:
 
 
 def _ideal_table(ideal: MonomialIdeal) -> BettiTable:
-    return hochster_betti(sr_complex(ideal), QQ, nonface_hint=ideal.generators)
+    return ideal_betti(ideal, QQ)
 
 
 def test_criterion_01_overlapping_pair_second_betti():
@@ -146,9 +148,41 @@ BATTERIES = {
 }
 
 
+# sha256 of each check's canonical report on its default grid: any change
+# to an instance, a label, a verdict or a message shows here.
+REPORT_DIGESTS = {
+    "betti": "75035c98f6f86ae88a1b1ce6da781c400d1a8b256b70aeec7c9a9f8834e2cc91",
+    "u": "a568c14b03d77cc9e181caa0ce24332b3d4a755bb93df9defe18125fba0d390a",
+    "b1": "0f8e40fefe60ce5ab8e46d4849c958efb5fb35df9bf7237c8aa600e8093046cd",
+    "l": "6fa3dfa2848b40a9033b1fef10569443d2e407a5976ad7d611fdb4fd771d3653",
+    "P": "6309f52f2e1d8ff119d49c958db4f96d13e797fa1fbf9353d3b0aaea8c62271b",
+    "PI": "ff79532ee6d3211e1880bd29e8a662964bf77054d2d3b7f51ffea49df3aa9ed4",
+    "b": "19c9c3b740376038e1beaa2c22b09e8b3f6a4af655a9ce9cba9845e243e85608",
+    "k": "35140f280ed8c9ecfd09da65ed53b89d17ae3118b229292f01b7a7a52a3d6ede",
+    "betti1": "add4cfc7b542bb8d2beec0e77acf39fed1198873e76e41c15bbc6dfeb79ea2cf",
+    "to": "cb1085a04e10efa9c5f22d0e96cb7b635d2b202fd91d0bd1073df75750f4fdf3",
+    "star": "7129c3d4ed8833e8fa6a574bbe86b8ad2942ee9563b11677ca58915b5df488a2",
+    "hypergraph": "0c3df3444ebb7a9d445824259e648a85973eb06f03c8bc8473fa2bb2b9725be6",
+    "graph-corollary": "f53d7edcfaedc4491e4c40767be837c1ee8667420f2114a9131826f0b349ec56",
+    "Td-shellable": "e4b27285df3a9120a87d35e8d65976d850204ea95d0676004ffac376b4aeb1ec",
+    "two-gluing": "3d2d71b2425c2f0b753d1183121da7dcc34e49b800de30c58d26db09fff82605",
+    "diameter": "c9f9b3a229e61c39b9d3d78249984d1d1913e64f9e6894e705a5550bbc0822ec",
+    "AdRd": "be9607ec6fd8a994d432ecf48caf181a126beb343c5d333e3f05a8201cd5f79c",
+    "conn-depth": "9ad2faa20d115752f012067c1e862ccddd801efd030872d366b4bd8e2514310d",
+    "homconn": "6bc7180796a82fe5df056e1e5b6775dfe8542fc09748b1975b3d956639c21be6",
+    "cm-froberg": "235d15410f5d104a7136b0b05261d5caa01185f0954500fcf0e951f7f249039e",
+    "knd-complement": "cdaac5fdf659e8e2d32c39021b777e456b0efb564cea3b591ba3c185d7b4fd5d",
+    "dquot-dshell": "591ee6e2aad27410cf1b7ea9feeca9d4bbd56c5d0d84a8fde335d9a69790182e",
+    "betti-splitting": "e2f6889726d8eecdd4036e6e03f501250592e729839a14e484922d6813407bc2",
+    "rsequence": "678ba49c58308a6cd2fa78eccb519e4e96b2a295652ff73c429df04ebe74374d",
+    "lin-quot": "71049a74fdc66942d1b8eddc79b9cb0329bb1a6fa4e8e719187dadc9bfece538",
+}
+
+
 def test_batteries_cover_every_registered_check():
     ids = [theorem for battery in BATTERIES.values() for theorem in battery]
     assert sorted(ids) == sorted(THEOREM_IDS)
+    assert sorted(REPORT_DIGESTS) == sorted(THEOREM_IDS)
 
 
 def _battery(num: int, budget_s: float, text: str) -> None:
@@ -158,6 +192,8 @@ def _battery(num: int, budget_s: float, text: str) -> None:
         summary = report.summary_line()
         assert report.ok, f"{theorem} reported a mismatch: {summary}"
         assert report.to_json_obj()["summary"]["instances"] > 0
+        digest = hashlib.sha256(canonical_json(report.to_json_obj()).encode()).hexdigest()
+        assert digest == REPORT_DIGESTS[theorem], f"{theorem} report bytes changed"
     elapsed = time.perf_counter() - started
     assert elapsed < budget_s
     _ok(num, f"{text} in {elapsed:.1f}s")

@@ -12,15 +12,18 @@ from hyperbetti import (
     QQ,
     BettiTable,
     Hypergraph,
-    ParameterError,
+    MonomialIdeal,
+    PreconditionError,
     SimplicialComplex,
     SizeBudgetError,
     check_conn_depth_theorem,
+    clique_complex,
     clique_ideal_betti,
     connectivity,
     cycle_betti_closed_form,
     edge_ideal_betti,
     hochster_betti,
+    ideal_betti,
     independence_complex,
     is_cohen_macaulay,
     knd_complement_betti,
@@ -30,11 +33,14 @@ from hyperbetti import (
     make_cycle,
     make_line,
     make_star_overlap,
+    minimal_nonfaces,
     star_betti_closed_form,
     taylor_betti_free_vertex,
 )
 from hyperbetti.betti import _RestrictionOracle, resolution_stats
-from hyperbetti.bitsets import contains, mask_of, submasks
+from hyperbetti.bitsets import contains, k_submasks, mask_of, min_antichain, submasks
+from hyperbetti.hypergraph import non_edges
+from hyperbetti.ideal import sr_complex
 
 
 # Reference tables frozen from the restriction-homology sum over the
@@ -176,7 +182,7 @@ def test_restriction_routes_agree_subset_by_subset(n, data):
     faces = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
     c = SimplicialComplex.from_faces(n, faces)
     for fld in (GF2, GF3, QQ):
-        oracle = _RestrictionOracle(c, fld)
+        oracle = _RestrictionOracle(c.vertices, c.facets, minimal_nonfaces(c), fld)
         for vmask in submasks(c.vertices):
             relevant = [M for M in oracle.mnf if contains(vmask, M)]
             covered = 0
@@ -192,36 +198,43 @@ def test_restriction_routes_agree_subset_by_subset(n, data):
             assert oracle.dims_for(vmask) == direct
 
 
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 7), st.data())
+def test_each_presentation_hands_the_sum_its_minimal_nonfaces(n, data):
+    """The edge, clique and ideal routes pass their nonfaces straight to
+    the restriction sum; each must give the table of the complex whose
+    own nonfaces are dualized from its facets, on the full vertex range
+    or a smaller ground set."""
+    full = (1 << n) - 1
+    ground = data.draw(st.one_of(st.just(full), st.integers(0, full)), label="vertices")
+    present = [m for m in submasks(ground) if m.bit_count() >= 2]
+    drawn = data.draw(st.lists(st.sampled_from(present), max_size=6)) if present else []
+    h = Hypergraph(n, min_antichain(drawn), ground)
+    d = data.draw(st.integers(2, 3), label="d")
+    subsets = list(k_submasks(ground, d))
+    picked = data.draw(st.lists(st.sampled_from(subsets), max_size=8)) if subsets else []
+    u = Hypergraph(n, frozenset(picked), ground)
+    gens = data.draw(st.lists(st.integers(1, full), max_size=5), label="generators")
+    ideal = MonomialIdeal(n, tuple(min_antichain(gens)))
+    assert minimal_nonfaces(clique_complex(u, d)) == set(non_edges(u, d))
+    for fld in (GF2, GF3, QQ):
+        assert edge_ideal_betti(h, fld) == hochster_betti(independence_complex(h), fld)
+        assert clique_ideal_betti(u, d, fld) == hochster_betti(clique_complex(u, d), fld)
+        assert ideal_betti(ideal, fld) == hochster_betti(sr_complex(ideal), fld)
+
+
+def test_ideal_betti_refuses_a_non_minimal_generating_set():
+    with pytest.raises(PreconditionError, match="minimal generating set"):
+        ideal_betti(MonomialIdeal(3, (0b011, 0b111)), GF2)
+
+
 # The 4-cycle's independence complex: facets {0,2} and {1,3}, minimal
 # nonfaces the four edges of the cycle.
 SQUARE = SimplicialComplex(4, frozenset({0b0101, 0b1010}))
 
 
-@pytest.mark.parametrize(
-    "hint, message",
-    [
-        ([0b0011, 0b0111], "nonface hint must be an antichain"),
-        ([0b0011, 0b10000], "nonface hint leaves the ground set"),
-        ([0b0011, 0b0101], "hint mask 0x5 is actually a face"),
-        ([0b0011, 0], "nonface hint must be an antichain"),
-        ([0], "hint mask 0x0 is actually a face"),
-    ],
-)
-def test_nonface_hint_refusals(hint, message):
-    """Every defect of a nonface hint is refused, with its own message,
-    before any restriction is computed."""
-    with pytest.raises(ParameterError) as exc:
-        hochster_betti(SQUARE, GF2, nonface_hint=hint)
-    assert str(exc.value) == message
-
-
-def test_nonface_hint_on_a_smaller_ground_set():
-    """A hint mask that uses a vertex outside a restricted ground set is
-    refused, even though the vertex lies in the ambient range."""
+def test_restriction_sum_on_a_smaller_ground_set():
+    """A complex whose ground set leaves out an ambient vertex gives the
+    table of the same complex on the smaller ambient range."""
     c = SimplicialComplex(5, frozenset({0b00101, 0b01010}), 0b01111)
-    with pytest.raises(ParameterError) as exc:
-        hochster_betti(c, GF2, nonface_hint=[0b0011, 0b10001])
-    assert str(exc.value) == "nonface hint leaves the ground set"
-    assert hochster_betti(c, GF2, nonface_hint=[0b0011, 0b0110, 0b1100, 0b1001]) == (
-        hochster_betti(SQUARE, GF2)
-    )
+    assert hochster_betti(c, GF2) == hochster_betti(SQUARE, GF2)

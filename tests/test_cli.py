@@ -64,6 +64,23 @@ def test_gen_multipartite(capsys):
     assert len(json.loads(out)["edges"]) == 4
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("--family", "complete", "--n", "40", "--d", "20"),
+        ("--family", "multipartite", "--parts", "20,20", "--d", "20"),
+    ],
+)
+def test_gen_listing_too_many_edges_is_refused(capsys, argv):
+    """C(40, 20) d-subsets are refused as over budget before any is listed."""
+    code, out, err = run(capsys, "gen", *argv)
+    assert code == 3
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: the family lists more than 262144 20-subsets of 40 vertices"
+    ]
+
+
 def _gen_to_file(capsys, tmp_path, *argv):
     _, out, _ = run(capsys, *argv)
     path = tmp_path / "input.json"
@@ -258,6 +275,29 @@ def test_shell_checks_an_explicit_order(capsys, tmp_path):
     code, _, err = run(capsys, "shell", str(path), "--d", "1", "--order", "0,1")
     assert code == 1
     assert "not a 1-shelling" in err
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (("shell", "--d", "0"), "error: d must be positive"),
+        (("shell", "--d", "-1"), "error: d must be positive"),
+        (("shell", "--d", "0", "--order", "0,1"), "error: d must be positive"),
+        (("shell", "--d", "1", "--max-facets", "-1"), "error: --max-facets must be nonnegative"),
+        (("betti", "--no-cache", "--max-vertices", "-1"),
+         "error: --max-vertices must be nonnegative"),
+        (("chordal", "--node-budget", "-5"), "error: --node-budget must be nonnegative"),
+    ],
+)
+def test_meaningless_search_parameters_are_usage_errors(capsys, tmp_path, argv, message):
+    """A shelling of codimension below one, or a negative budget, is a
+    usage error with one error line, whether or not an order is given."""
+    path = tmp_path / "h.json"
+    path.write_text('{"n":5,"edges":[[0,1,2],[2,3,4]]}')
+    code, out, err = run(capsys, argv[0], str(path), *argv[1:])
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [message]
 
 
 def test_shell_budget_exit(capsys, tmp_path):
@@ -546,13 +586,42 @@ _COMMANDS = [
 ]
 
 
+# Build recipes for ``chordal``: always a ``d`` and a ``steps`` list, so
+# that the fuzz reaches the recipe reader and the builder, not only the
+# first missing-key refusal.
+_RECIPE = st.fixed_dictionaries(
+    {
+        "d": st.one_of(st.integers(-1, 4), _LABEL),
+        "steps": st.lists(
+            st.one_of(
+                st.fixed_dictionaries(
+                    {"i": st.one_of(st.integers(-1, 8), _LABEL)},
+                    optional={
+                        "j": st.one_of(st.integers(-1, 4), _LABEL),
+                        "glue": st.one_of(st.lists(st.integers(-1, 8), max_size=4), _LEAF),
+                    },
+                ),
+                _LABEL,
+            ),
+            max_size=4,
+        ),
+    }
+)
+
+
 @settings(
     max_examples=150, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture]
 )
-@given(st.sampled_from(_COMMANDS), _OBJECT)
-def test_fuzzed_objects_end_in_a_documented_exit_code(argv, obj):
+@given(
+    st.one_of(
+        st.tuples(st.sampled_from(_COMMANDS), _OBJECT),
+        st.tuples(st.just(["chordal", "--node-budget", "2000"]), _RECIPE),
+    )
+)
+def test_fuzzed_objects_end_in_a_documented_exit_code(command):
     """Whatever JSON value arrives, the command ends in exit 0, 1, 2 or
     3; an exception escaping ``main`` would be a traceback."""
+    argv, obj = command
     out, err = io.StringIO(), io.StringIO()
     with mock.patch.object(sys, "stdin", io.StringIO(json.dumps(obj))):
         with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

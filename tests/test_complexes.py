@@ -19,7 +19,7 @@ from hyperbetti import (
     restrict,
 )
 from hyperbetti.bitsets import bits_of, mask_of
-from hyperbetti.complexes import face_test, minimal_transversals, pad_facets
+from hyperbetti.complexes import minimal_transversals, pad_facets
 
 
 def test_facets_must_form_antichain():
@@ -146,20 +146,3 @@ def test_minimal_transversals_edge_cases():
 def test_minimal_transversals_match_brute_force(n, data):
     family = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
     assert minimal_transversals(family) == _brute_minimal_transversals(n, family)
-
-
-@settings(max_examples=150, deadline=None)
-@given(st.integers(0, 7), st.data())
-def test_incidence_face_test_matches_has_face(n, data):
-    """Facet-incidence bitsets give the same answer as testing every
-    facet, for every mask of the ambient range (void complexes, the
-    empty mask and vertices outside a smaller ground set included)."""
-    full = (1 << n) - 1
-    faces = data.draw(st.lists(st.integers(0, full), max_size=8))
-    ground = data.draw(st.integers(0, full))
-    for f in faces:
-        ground |= f
-    c = SimplicialComplex.from_faces(n, faces, ground)
-    is_face = face_test(c)
-    for m in range(1 << n):
-        assert is_face(m) == c.has_face(m)

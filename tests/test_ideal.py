@@ -171,6 +171,17 @@ def test_non_minimal_generators_are_rejected_for_quotients():
         verify_d_quotients(raw, (0, 1), 2)
 
 
+@pytest.mark.parametrize("d", [0, -1])
+def test_searches_refuse_codimension_below_one(d):
+    """The searches refuse d < 1 as the order checks do, instead of
+    reporting that no order exists."""
+    ideal = _ideal(4, [0, 1], [1, 2])
+    with pytest.raises(ParameterError, match="d must be positive"):
+        search_d_quotients(ideal, d)
+    with pytest.raises(ParameterError, match="d must be positive"):
+        search_d_shelling(duality_bridge(ideal), d)
+
+
 @st.composite
 def _equigenerated(draw):
     """A squarefree ideal of up to 5 generators of one degree on up to 6
