@@ -7,13 +7,13 @@ degree j - i - 1.  Everything else in this module is either a fast
 evaluation strategy for those restriction homologies or a closed-form
 table for a structured family, checked against that oracle in tests.
 
-The sum reads the ground set, the facets of the complex and its minimal
-nonfaces, which are the minimal generators of I.  Each presentation
-holds one half and derives the other once: ``hochster_betti`` dualizes
-the facets of a complex, while ``edge_ideal_betti`` (the edges),
-``clique_ideal_betti`` (the non-edge d-sets) and ``ideal_betti`` (the
-generators) pass their nonfaces straight through and build only the
-facets.
+The sum reads only the ground set and the minimal nonfaces, which are
+the minimal generators of I: ``edge_ideal_betti`` passes the edges,
+``clique_ideal_betti`` the non-edge d-sets, ``ideal_betti`` the
+generators, and ``hochster_betti`` dualizes the facets of its complex.
+No route builds a facet list.  ``complexes.grow_faces`` lists faces
+level by level from the nonfaces, up to a cap, wherever a route needs
+them.
 
 Subsets that induce a cone contribute nothing, so when the minimal
 nonfaces are few the sum runs only over their unions.  Every other
@@ -24,16 +24,18 @@ subset is answered by one of three strategies:
   their boundary ranks depend on that face list alone, so they memoize
   across subsets (complexes with few large faces, e.g. clique-style
   complexes of sparse hypergraphs).  It answers every subset whenever
-  those faces are few enough to list;
+  those faces are few enough to grow;
 * dual nerve - replace the subcomplex by the nerve of the k minimal
   nonfaces inside V, which has complementary homology and at most 2^k
-  faces;
-* direct - enumerate the faces of the induced subcomplex, at most the
-  sum of 2^|F & V| over the facets F, and compute boundary ranks.
+  faces (the crosscut complex of the LCM lattice);
+* direct - grow the faces of the induced subcomplex and compute
+  boundary ranks.
 
-Between the last two one cost rule decides: the nerve runs when its 2^k
-is below the direct route's face sum, the direct route otherwise.  One
-face budget bounds both; a route over it refuses with SizeBudgetError.
+Between the last two the cost is measured, not estimated: the faces on
+V are grown up to the nerve's 2^k (or up to the face budget, if 2^k is
+over it).  If the growth finishes the direct route answers; otherwise
+the nerve runs, and refuses with SizeBudgetError when 2^k is over the
+face budget.
 """
 
 from __future__ import annotations
@@ -45,14 +47,8 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Iterable, Sequence
 
-from .bitsets import contains, k_submasks, max_antichain, submasks
-from .complexes import (
-    SimplicialComplex,
-    clique_complex,
-    enumerate_faces,
-    independence_complex,
-    minimal_nonfaces,
-)
+from .bitsets import contains, k_submasks, submasks
+from .complexes import FACE_BUDGET, SimplicialComplex, grow_faces, minimal_nonfaces
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import (
     QQ,
@@ -62,7 +58,7 @@ from .homology import (
     rank_over_field,
 )
 from .hypergraph import Hypergraph, canonical_json, non_edges
-from .ideal import MonomialIdeal, sr_complex
+from .ideal import MonomialIdeal
 
 
 def safe_binom(a: int, b: int) -> int:
@@ -168,8 +164,6 @@ class BettiTable:
 
 # Most vertices a restriction sum runs over, unless the caller says otherwise.
 VERTEX_BUDGET = 20
-# Most faces one restriction may enumerate, by either route.
-FACE_BUDGET = 1 << 22
 # Most faces of size >= s the skeleton strategy lists.
 BIG_FACE_CAP = 600
 # Most minimal nonfaces for which the sum runs over their union closure.
@@ -179,38 +173,18 @@ CLOSURE_MAX_NONFACES = 26
 class _RestrictionOracle:
     """Engine answering 'reduced homology of the induced subcomplex on V'
     for many V, with strategy dispatch and memoing.  It reads the ground
-    set, the facets and the minimal nonfaces of one complex."""
+    set and the minimal nonfaces of one complex."""
 
-    def __init__(
-        self, ground: int, facets: Iterable[int], nonfaces: Iterable[int], fld: FieldSpec
-    ) -> None:
-        self.facets = sorted(facets)
-        if not self.facets:
+    def __init__(self, ground: int, nonfaces: Iterable[int], fld: FieldSpec) -> None:
+        self.mnf = sorted(set(nonfaces))
+        if 0 in self.mnf:
             raise PreconditionError("restriction homology needs a nonvoid complex")
         self.fld = fld
-        self.ground = ground
-        self.mnf = sorted(set(nonfaces))
-        self.min_nonface_size = min((m.bit_count() for m in self.mnf), default=0)
-        self.big_faces = self._collect_big_faces()
+        self.min_nonface_size = s = min((m.bit_count() for m in self.mnf), default=0)
+        # the faces of size >= s, if there are few (none needed for a simplex)
+        big = grow_faces(ground, self.mnf, s, BIG_FACE_CAP) if self.mnf else None
+        self.big_faces = None if big is None else sorted(f for fs in big.values() for f in fs)
         self._rank_memo: dict[tuple[int, ...], tuple[dict, dict]] = {}
-
-    def _collect_big_faces(self) -> list[int] | None:
-        """Faces of size >= minimal-nonface-size, if there are few."""
-        s = self.min_nonface_size
-        if s == 0:
-            return None  # full simplex; handled before strategies run
-        if sum(1 << f.bit_count() for f in self.facets) > FACE_BUDGET:
-            return None
-        out: set[int] = set()
-        for f in self.facets:
-            if f.bit_count() < s:
-                continue
-            for sub in submasks(f):
-                if sub.bit_count() >= s:
-                    out.add(sub)
-                    if len(out) > BIG_FACE_CAP:
-                        return None
-        return sorted(out)
 
     # -- public -------------------------------------------------------
 
@@ -219,9 +193,9 @@ class _RestrictionOracle:
 
         Cones are answered at once, and the skeleton strategy takes every
         subset when it exists.  Otherwise the k minimal nonfaces inside V
-        give a nerve of 2^k faces, and the direct route enumerates at most
-        the sum of 2^|F & V| over the facets F: the nerve runs when it is
-        the cheaper of the two and within the face budget.
+        give a nerve of 2^k faces: the faces of the subcomplex are grown
+        up to that many (or up to the face budget), and answered directly
+        when the growth finishes, through the nerve when it does not.
         """
         m = vmask.bit_count()
         if m == 0:
@@ -238,20 +212,18 @@ class _RestrictionOracle:
             covered |= M
         if covered != vmask:
             return {}  # any uncovered vertex is a cone apex
-        nerve_cost = 1 << len(relevant)
-        if nerve_cost <= FACE_BUDGET:
-            direct_cost = 0
-            for f in self.facets:
-                direct_cost += 1 << (f & vmask).bit_count()
-                if direct_cost > nerve_cost:
-                    return self._dims_nerve(vmask, m, relevant)
-        return self._dims_direct(vmask)
+        dims = self._dims_direct(vmask, relevant, min(1 << len(relevant), FACE_BUDGET))
+        if dims is None:
+            return self._dims_nerve(vmask, m, relevant)
+        return dims
 
     # -- strategies ---------------------------------------------------
 
-    def _dims_direct(self, vmask: int) -> dict[int, int]:
-        rf = max_antichain(f & vmask for f in self.facets)
-        return dims_from_faces(enumerate_faces(rf, FACE_BUDGET), self.fld)
+    def _dims_direct(self, vmask: int, relevant: list[int], cap: int) -> dict[int, int] | None:
+        """Homology from the faces of the subcomplex, grown from the
+        minimal nonfaces inside V; None when it has more than cap faces."""
+        faces = grow_faces(vmask, relevant, 0, cap)
+        return None if faces is None else dims_from_faces(faces, self.fld)
 
     def _dims_nerve(self, vmask: int, m: int, relevant: list[int]) -> dict[int, int]:
         """Homology through the nerve of the minimal nonfaces inside V.
@@ -336,18 +308,17 @@ def _check_vertex_budget(ground: int, vertex_budget: int) -> None:
 
 
 def _restriction_sum(
-    ground: int, facets: Iterable[int], nonfaces: Iterable[int], fld: FieldSpec,
-    vertex_budget: int,
+    ground: int, nonfaces: Iterable[int], fld: FieldSpec, vertex_budget: int
 ) -> BettiTable:
-    """Graded Betti numbers of R/I, where I is generated by the minimal
-    nonfaces of the complex with these facets on the ground set.
+    """Graded Betti numbers of R/I, where I is generated by these minimal
+    nonfaces of a complex on the ground set.
 
     The sum runs over the unions of minimal nonfaces when there are few
     enough of them, and over every vertex subset otherwise.
     """
     _check_vertex_budget(ground, vertex_budget)
     n = ground.bit_count()
-    oracle = _RestrictionOracle(ground, facets, nonfaces, fld)
+    oracle = _RestrictionOracle(ground, nonfaces, fld)
     subsets: Iterable[int] | None = None
     if len(oracle.mnf) <= CLOSURE_MAX_NONFACES:
         subsets = oracle.union_closure()
@@ -379,7 +350,7 @@ def hochster_betti(
     exact over the requested field; the facets are dualized to the
     minimal nonfaces once the ground set is known to be within budget."""
     _check_vertex_budget(c.vertices, vertex_budget)
-    return _restriction_sum(c.vertices, c.facets, minimal_nonfaces(c), fld, vertex_budget)
+    return _restriction_sum(c.vertices, minimal_nonfaces(c), fld, vertex_budget)
 
 
 def edge_ideal_betti(
@@ -387,9 +358,7 @@ def edge_ideal_betti(
 ) -> BettiTable:
     """Betti table of R/I(H): the edges are the minimal nonfaces of the
     independence complex."""
-    return _restriction_sum(
-        h.vertices, independence_complex(h).facets, h.edges, fld, vertex_budget
-    )
+    return _restriction_sum(h.vertices, h.edges, fld, vertex_budget)
 
 
 def clique_ideal_betti(
@@ -397,8 +366,12 @@ def clique_ideal_betti(
 ) -> BettiTable:
     """Betti table of R/I for the face ideal of the clique-style complex
     of a d-uniform hypergraph; minimal nonfaces are the non-edge d-sets."""
-    facets = clique_complex(h, d).facets
-    return _restriction_sum(h.vertices, facets, non_edges(h, d), fld, vertex_budget)
+    if d < 2:
+        raise ParameterError("edge size d must be at least 2")
+    if not h.is_uniform(d):
+        raise PreconditionError(f"clique-style complex needs {d}-uniform input")
+    _check_vertex_budget(h.vertices, vertex_budget)
+    return _restriction_sum(h.vertices, non_edges(h, d), fld, vertex_budget)
 
 
 def ideal_betti(ideal: MonomialIdeal, fld: FieldSpec = QQ) -> BettiTable:
@@ -406,9 +379,7 @@ def ideal_betti(ideal: MonomialIdeal, fld: FieldSpec = QQ) -> BettiTable:
     minimal generators, which are the minimal nonfaces of its complex."""
     if not ideal.is_minimal:
         raise PreconditionError("generators must be a minimal generating set")
-    return _restriction_sum(
-        ideal.ring_mask, sr_complex(ideal).facets, ideal.generators, fld, VERTEX_BUDGET
-    )
+    return _restriction_sum(ideal.ring_mask, ideal.generators, fld, VERTEX_BUDGET)
 
 
 # -- closed-form families ---------------------------------------------
@@ -729,7 +700,7 @@ def connectivity(
     nonfaces = non_edges(h, d)
     if not nonfaces:
         return None
-    oracle = _RestrictionOracle(h.vertices, clique_complex(h, d).facets, nonfaces, fld)
+    oracle = _RestrictionOracle(h.vertices, nonfaces, fld)
     verts = h.vertices
     n = verts.bit_count()
     for w in range(0, n - d + 1):
@@ -826,7 +797,7 @@ def froberg_cm_witness(
         raise PreconditionError("void complex has no face ring")
     n = c.vertices.bit_count()
     e = (c.dim if c.dim is not None else -1) + 1
-    oracle = _RestrictionOracle(c.vertices, c.facets, minimal_nonfaces(c), fld)
+    oracle = _RestrictionOracle(c.vertices, minimal_nonfaces(c), fld)
     for i in range(-1, e - 1):
         size = n - e + i + 2
         if not 0 < size <= n:

@@ -18,7 +18,6 @@ from math import comb
 
 from .bitsets import bits_of, contains, k_submasks, mask_of, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
-from .homology import QQ, FieldSpec
 from .hypergraph import MAX_LISTED_EDGES, MAX_VERTICES, Hypergraph
 from .hypergraph import json_field, json_int, json_vertex_set
 from .ideal import edge_ideal, extend_ring, search_d_quotients, search_order
@@ -189,20 +188,12 @@ def sequence_for_line(n: int, d: int, alpha: int) -> AttachmentSequence:
     return AttachmentSequence(d, tuple(steps))
 
 
-def enumerate_sequences(
-    d: int,
-    max_vertices: int,
-    max_steps: int,
-    *,
-    min_piece: int = 1,
-    max_piece: int | None = None,
-):
+def enumerate_sequences(d: int, max_vertices: int, max_steps: int):
     """Yield every attachment sequence within the size bounds, depth-first.
 
     Glues are enumerated as subsets of single existing pieces, deduplicated
     by mask, so each distinct labelled hypergraph build appears once.
     """
-    cap = max_vertices if max_piece is None else max_piece
 
     def extend(steps: list[AttachmentStep], n: int, chunks: list[int]):
         seq = AttachmentSequence(d, tuple(steps))
@@ -215,7 +206,7 @@ def enumerate_sequences(
                 glue_masks.update(k_submasks(c, size))
         for gmask in sorted(glue_masks):
             j = gmask.bit_count()
-            for size in range(max(j + 1, min_piece), cap + 1):
+            for size in range(j + 1, max_vertices + 1):
                 fresh = size - j
                 if n + fresh > max_vertices:
                     break
@@ -223,7 +214,7 @@ def enumerate_sequences(
                 chunk = gmask | (((1 << fresh) - 1) << n)
                 yield from extend(steps + [step], n + fresh, chunks + [chunk])
 
-    for first in range(min_piece, min(cap, max_vertices) + 1):
+    for first in range(1, max_vertices + 1):
         yield from extend(
             [AttachmentStep(first)], first, [(1 << first) - 1]
         )
@@ -442,15 +433,7 @@ def two_gluing_classification(m: int, i: int, j: int, d: int) -> bool:
     return j == m - 1 or j == i - 1
 
 
-def two_gluing_empirical(
-    m: int,
-    i: int,
-    j: int,
-    d: int,
-    fld: FieldSpec = QQ,
-    *,
-    node_budget: int = 4_000_000,
-) -> bool:
+def two_gluing_empirical(m: int, i: int, j: int, d: int) -> bool:
     """Decide linear quotients for the gluing by computation alone.
 
     A non-linear resolution rules linear quotients out immediately; when
@@ -462,10 +445,10 @@ def two_gluing_empirical(
 
     h = two_gluing_hypergraph(m, i, j, d)
     ideal = edge_ideal(h)
-    table = ideal_betti(ideal, fld)
+    table = ideal_betti(ideal)
     if any(jj != ii + d - 1 for (ii, jj) in table.entries if ii >= 1):
         return False
-    ordering = search_d_quotients(extend_ring(ideal), 1, node_budget=node_budget)
+    ordering = search_d_quotients(extend_ring(ideal), 1, node_budget=4_000_000)
     return ordering is not None
 
 
@@ -509,8 +492,12 @@ class RealizationReport:
     states_explored: int
 
 
+# Most vertices the build-recipe search takes.
+REALIZATION_MAX_VERTICES = 13
+
+
 def realization_search(
-    h: Hypergraph, d: int, *, node_budget: int = 500_000, max_vertices: int = 13
+    h: Hypergraph, d: int, *, node_budget: int = 500_000
 ) -> RealizationReport:
     """Decide whether a d-uniform hypergraph arises from gluing complete
     pieces, by exhausting a finite pool of candidate pieces.
@@ -551,9 +538,9 @@ def realization_search(
     n = h.num_vertices
     if n == 0:
         return RealizationReport(d, "chordal", None, 0)
-    if n > max_vertices:
+    if n > REALIZATION_MAX_VERTICES:
         raise SizeBudgetError(
-            f"{n} vertices exceeds the realization-search bound {max_vertices}"
+            f"{n} vertices exceeds the realization-search bound {REALIZATION_MAX_VERTICES}"
         )
     verts = h.vertices
     covered_by_edges = 0

@@ -15,10 +15,12 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from math import comb
 
 from .bitsets import bits_of, contains, k_submasks, max_antichain, min_antichain, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .hypergraph import Hypergraph, canonical_json, json_int, json_vertex_set, json_vertex_sets
+from .hypergraph import non_edges
 
 
 @dataclass(frozen=True)
@@ -166,8 +168,8 @@ def clique_complex(h: Hypergraph, d: int) -> SimplicialComplex:
     """Faces are the vertex sets all of whose d-subsets are edges.
 
     Sets with fewer than d vertices are faces unconditionally, so the
-    facets are the maximal d-wise-complete sets together with any
-    (d-1)-set lying in no edge.
+    minimal nonfaces are the non-edge d-sets, and the facets are the
+    maximal grown faces together with any (d-1)-set lying in no edge.
     """
     if d < 2:
         raise ParameterError("edge size d must be at least 2")
@@ -176,34 +178,15 @@ def clique_complex(h: Hypergraph, d: int) -> SimplicialComplex:
     m = h.vertices.bit_count()
     if m < d:
         return SimplicialComplex(h.n_vertices, frozenset({h.vertices}), h.vertices)
-    # grow cliques upward from the edges
-    cliques: set[int] = set(h.edges)
-    frontier = set(h.edges)
-    while frontier:
-        nxt: set[int] = set()
-        for c in frontier:
-            rest = h.vertices & ~c
-            while rest:
-                low = rest & -rest
-                rest ^= low
-                cand = c | low
-                if cand in cliques or cand in nxt:
-                    continue
-                if all(
-                    (sub | low) in h.edges
-                    for sub in k_submasks(c, d - 1)
-                ):
-                    nxt.add(cand)
-        cliques |= nxt
-        frontier = nxt
+    # no complex on m vertices has more than 2^m faces, so the growth finishes
+    cliques = grow_faces(h.vertices, non_edges(h, d), d, 1 << m)
     small = [
         s
         for s in k_submasks(h.vertices, d - 1)
         if not any(contains(e, s) for e in h.edges)
     ]
-    return SimplicialComplex(
-        h.n_vertices, max_antichain(list(cliques) + small), h.vertices
-    )
+    grown = [f for faces in cliques.values() for f in faces]
+    return SimplicialComplex(h.n_vertices, max_antichain(grown + small), h.vertices)
 
 
 # -- operations -------------------------------------------------------
@@ -238,14 +221,18 @@ def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     return SimplicialComplex(c.n_vertices, facets, c.vertices)
 
 
-def enumerate_faces(facets, budget: int = 1 << 22) -> dict[int, list[int]]:
+# Most faces one enumeration may list.
+FACE_BUDGET = 1 << 22
+
+
+def enumerate_faces(facets) -> dict[int, list[int]]:
     """All faces of the complex with these facet masks, grouped by size.
     Raises when the submask count Σ 2^|F| over the facets exceeds the
-    budget (the enumeration cost bound)."""
+    face budget (the enumeration cost bound)."""
     cost = sum(1 << f.bit_count() for f in facets)
-    if cost > budget:
+    if cost > FACE_BUDGET:
         raise SizeBudgetError(
-            f"face enumeration cost {cost} exceeds the face budget {budget}"
+            f"face enumeration cost {cost} exceeds the face budget {FACE_BUDGET}"
         )
     seen: set[int] = set()
     for f in facets:
@@ -257,6 +244,56 @@ def enumerate_faces(facets, budget: int = 1 << 22) -> dict[int, list[int]]:
     for face in seen:
         by_size.setdefault(face.bit_count(), []).append(face)
     return by_size
+
+
+def grow_faces(ground: int, nonfaces, start: int, cap: int) -> dict[int, list[int]] | None:
+    """The faces of size >= start of the complex on ``ground`` with these
+    minimal nonfaces, grouped by size; None once there are more than
+    ``cap`` of them.
+
+    Every set smaller than ``start`` must be a face.  Up to the smallest
+    nonface size s the count is known before anything is listed: every
+    smaller set is a face, and a set of size s is one unless it is a
+    nonface.  Above that, a set is a face exactly when all its
+    one-smaller subsets are faces and it is not itself a minimal
+    nonface.  Each candidate is a face with one vertex added above its
+    top vertex, so it is built once.
+    """
+    nonfaces = set(nonfaces)
+    n = ground.bit_count()
+    s = min((m.bit_count() for m in nonfaces), default=n + 1)
+    at_s = sum(1 for m in nonfaces if m.bit_count() == s)
+    if sum(comb(n, t) for t in range(start, s + 1)) - at_s > cap:
+        return None
+    level = [m for m in k_submasks(ground, start) if m not in nonfaces]
+    count = len(level)
+    faces: dict[int, list[int]] = {}
+    while level:
+        faces[start] = level
+        start += 1
+        known = set(level)
+        grown = []
+        for f in level:
+            above = ground >> f.bit_length() << f.bit_length()
+            while above:
+                v = above & -above
+                above ^= v
+                cand = f | v
+                if cand in nonfaces:
+                    continue
+                rest = f
+                while rest:
+                    low = rest & -rest
+                    if cand ^ low not in known:
+                        break
+                    rest ^= low
+                else:
+                    grown.append(cand)
+                    count += 1
+                    if count > cap:
+                        return None
+        level = grown
+    return faces
 
 
 # -- skeleton strip / pad ---------------------------------------------

@@ -201,16 +201,14 @@ def dims_from_faces(faces_by_size: dict[int, list[int]], field: FieldSpec) -> di
     return dims
 
 
-def reduced_homology_dims(
-    c: SimplicialComplex, field: FieldSpec = QQ, budget: int = 1 << 22
-) -> dict[int, int]:
+def reduced_homology_dims(c: SimplicialComplex, field: FieldSpec = QQ) -> dict[int, int]:
     """Reduced homology of a complex by direct face enumeration."""
-    return dims_from_faces(enumerate_faces(c.facets, budget), field)
+    return dims_from_faces(enumerate_faces(c.facets), field)
 
 
-def euler_characteristic_reduced(c: SimplicialComplex, budget: int = 1 << 22) -> int:
+def euler_characteristic_reduced(c: SimplicialComplex) -> int:
     """Alternating face-count sum with the empty face included."""
     total = 0
-    for s, faces in enumerate_faces(c.facets, budget).items():
+    for s, faces in enumerate_faces(c.facets).items():
         total += len(faces) if s % 2 else -len(faces)
     return total

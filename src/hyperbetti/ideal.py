@@ -232,8 +232,10 @@ def search_order(start, children, done, node_budget: int | None = None):
 
     Returns the ordering as a tuple (None if none exists) and the number of
     nodes expanded; expanding more than ``node_budget`` raises
-    SizeBudgetError.
+    SizeBudgetError, and a negative budget is refused.
     """
+    if node_budget is not None and node_budget < 0:
+        raise ParameterError("node budget must be nonnegative")
     dead: set[frozenset] = set()
     nodes = 0
 
@@ -402,8 +404,8 @@ def search_d_shelling(
 # Alexander-dual bridge
 
 
-def extend_ring(ideal: MonomialIdeal, extra: int = 1) -> MonomialIdeal:
-    """The same generators inside a ring with extra unused variables.
+def extend_ring(ideal: MonomialIdeal) -> MonomialIdeal:
+    """The same generators inside a ring with one more, unused variable.
 
     Colon ideals are untouched, but the refusals for a colon generator
     covering everything outside its monomial can no longer fire, so
@@ -411,9 +413,7 @@ def extend_ring(ideal: MonomialIdeal, extra: int = 1) -> MonomialIdeal:
     and not on the ambient ring.  On the dual side the extension is a
     cone, which removes the empty-intersection refusals the same way.
     """
-    if extra < 0:
-        raise ParameterError("cannot remove variables")
-    return MonomialIdeal(ideal.n_vertices + extra, ideal.generators)
+    return MonomialIdeal(ideal.n_vertices + 1, ideal.generators)
 
 
 def duality_bridge(ideal: MonomialIdeal) -> SimplicialComplex:

@@ -34,11 +34,13 @@ from hyperbetti import (
     make_line,
     make_star_overlap,
     minimal_nonfaces,
+    reduced_homology_dims,
     star_betti_closed_form,
     taylor_betti_free_vertex,
 )
 from hyperbetti.betti import _RestrictionOracle, resolution_stats
 from hyperbetti.bitsets import contains, k_submasks, mask_of, min_antichain, submasks
+from hyperbetti.complexes import FACE_BUDGET, restrict
 from hyperbetti.hypergraph import non_edges
 from hyperbetti.ideal import sr_complex
 
@@ -176,13 +178,14 @@ def test_resolution_stats_depth():
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 7), st.data())
 def test_restriction_routes_agree_subset_by_subset(n, data):
-    """Direct faces, the nonface nerve and the sparse skeleton give the
-    same restriction homology wherever the cone filters let a subset
-    through, whichever route the cost rule would pick."""
+    """Grown faces, the nonface nerve and the sparse skeleton give the
+    restriction homology of the facet-based induced subcomplex wherever
+    the cone filters let a subset through, whichever route the measured
+    cost rule would pick."""
     faces = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
     c = SimplicialComplex.from_faces(n, faces)
     for fld in (GF2, GF3, QQ):
-        oracle = _RestrictionOracle(c.vertices, c.facets, minimal_nonfaces(c), fld)
+        oracle = _RestrictionOracle(c.vertices, minimal_nonfaces(c), fld)
         for vmask in submasks(c.vertices):
             relevant = [M for M in oracle.mnf if contains(vmask, M)]
             covered = 0
@@ -191,11 +194,12 @@ def test_restriction_routes_agree_subset_by_subset(n, data):
             if not relevant or covered != vmask:
                 continue
             m = vmask.bit_count()
-            direct = oracle._dims_direct(vmask)
-            assert oracle._dims_nerve(vmask, m, relevant) == direct
+            expected = reduced_homology_dims(restrict(c, vmask), fld)
+            assert oracle._dims_direct(vmask, relevant, FACE_BUDGET) == expected
+            assert oracle._dims_nerve(vmask, m, relevant) == expected
             if oracle.big_faces is not None:
-                assert oracle._dims_skeleton(vmask, m) == direct
-            assert oracle.dims_for(vmask) == direct
+                assert oracle._dims_skeleton(vmask, m) == expected
+            assert oracle.dims_for(vmask) == expected
 
 
 @settings(max_examples=100, deadline=None)
@@ -238,3 +242,10 @@ def test_restriction_sum_on_a_smaller_ground_set():
     table of the same complex on the smaller ambient range."""
     c = SimplicialComplex(5, frozenset({0b00101, 0b01010}), 0b01111)
     assert hochster_betti(c, GF2) == hochster_betti(SQUARE, GF2)
+
+
+def test_the_edge_route_reaches_the_paper_lines():
+    """31 vertices: past the default vertex budget, but the sum reads only
+    the ten edges and never builds the independence complex."""
+    table = edge_ideal_betti(make_line(10, 4, 1), GF2, vertex_budget=40)
+    assert table == line_betti_closed_form(10, 4, 1)

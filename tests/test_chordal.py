@@ -152,6 +152,11 @@ def test_realization_budget_reports_inconclusive():
     assert rep.witness is None
 
 
+def test_negative_node_budget_is_refused():
+    with pytest.raises(ParameterError, match="node budget must be nonnegative"):
+        realization_search(make_cycle(4, 3, 1), 3, node_budget=-5)
+
+
 def test_exported_names_resolve():
     """Every name the package and its chordal module export exists, so a
     deletion cannot leave a stale entry in ``__all__``."""

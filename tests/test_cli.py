@@ -217,6 +217,31 @@ def test_betti_vertex_budget_exit(capsys, tmp_path):
     assert "budget" in err
 
 
+@pytest.mark.parametrize("route", ["independence", "clique"])
+def test_betti_refuses_over_budget_before_building_a_complex(capsys, tmp_path, monkeypatch, route):
+    """line(10,4,1) has 31 vertices: both routes refuse at once at the
+    default budget, before any complex or transversal is built."""
+    path = _gen_to_file(
+        capsys, tmp_path, "gen", "--family", "line", "--n", "10", "--d", "4", "--alpha", "1"
+    )
+
+    def built(*_args, **_kwargs):
+        raise AssertionError("a complex was built")
+
+    builders = ("independence_complex", "clique_complex", "sr_complex", "minimal_transversals")
+    for name, module in list(sys.modules.items()):
+        if name == "hyperbetti" or name.startswith("hyperbetti."):
+            for attr in builders:
+                if hasattr(module, attr):
+                    monkeypatch.setattr(module, attr, built)
+    code, out, err = run(capsys, "betti", path, "--complex", route, "--no-cache")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "error: restriction sum over 31 vertices exceeds the vertex budget 20"
+    )
+
+
 def test_betti_clique_route_needs_uniformity_hint_when_edgeless(capsys, tmp_path):
     path = tmp_path / "edgeless.json"
     path.write_text('{"n":3,"edges":[]}')

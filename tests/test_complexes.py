@@ -18,8 +18,13 @@ from hyperbetti import (
     minimal_nonfaces,
     restrict,
 )
-from hyperbetti.bitsets import bits_of, mask_of
-from hyperbetti.complexes import minimal_transversals, pad_facets
+from hyperbetti.bitsets import bits_of, k_submasks, mask_of, max_antichain, submasks
+from hyperbetti.complexes import (
+    enumerate_faces,
+    grow_faces,
+    minimal_transversals,
+    pad_facets,
+)
 
 
 def test_facets_must_form_antichain():
@@ -146,3 +151,60 @@ def test_minimal_transversals_edge_cases():
 def test_minimal_transversals_match_brute_force(n, data):
     family = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
     assert minimal_transversals(family) == _brute_minimal_transversals(n, family)
+
+
+def _as_sets(faces: dict[int, list[int]]) -> dict[int, set[int]]:
+    return {size: set(level) for size, level in faces.items() if level}
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_grown_faces_match_the_facet_enumeration(n, data):
+    """On every vertex subset V, the faces grown from the minimal nonfaces
+    inside V are the faces of the facets cut down to V, from any start
+    size up to the smallest nonface; the grower gives up exactly when
+    their count passes the cap."""
+    drawn = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    start_pick = data.draw(st.integers(0, n), label="start")
+    slack = data.draw(st.integers(-3, 1), label="cap minus face count")
+    c = SimplicialComplex.from_faces(n, drawn)
+    nonfaces = minimal_nonfaces(c)
+    for vmask in submasks(c.vertices):
+        inside = [m for m in nonfaces if m & ~vmask == 0]
+        smallest = min((m.bit_count() for m in inside), default=vmask.bit_count() + 1)
+        start = min(start_pick, smallest)
+        expected = enumerate_faces(max_antichain(f & vmask for f in c.facets))
+        wanted = {size: set(fs) for size, fs in expected.items() if size >= start}
+        count = sum(len(fs) for fs in wanted.values())
+        cap = max(0, count + slack)
+        grown = grow_faces(vmask, inside, start, cap)
+        if count > cap:
+            assert grown is None
+        else:
+            assert grown is not None and _as_sets(grown) == wanted
+
+
+def _brute_clique_facets(h: Hypergraph, d: int) -> frozenset[int]:
+    """Maximal vertex sets whose d-subsets are all edges, together with
+    the (d-1)-sets that lie in no edge, straight from the definition."""
+    cliques = [
+        m for m in submasks(h.vertices)
+        if m.bit_count() >= d and all(e in h.edges for e in k_submasks(m, d))
+    ]
+    uncovered = [
+        m for m in k_submasks(h.vertices, d - 1)
+        if not any(m & ~e == 0 for e in h.edges)
+    ]
+    return max_antichain(cliques + uncovered)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 8), st.data())
+def test_clique_complex_matches_the_definition(d, n, data):
+    subsets = list(k_submasks((1 << n) - 1, d))
+    edges = data.draw(st.lists(st.sampled_from(subsets), max_size=12)) if subsets else []
+    h = Hypergraph(n, frozenset(edges))
+    if n < d:
+        assert clique_complex(h, d).facets == {h.vertices}
+    else:
+        assert clique_complex(h, d).facets == _brute_clique_facets(h, d)

@@ -152,12 +152,18 @@ def test_duality_bridge_swaps_quotients_and_shellings():
     assert quotient_order_from_shelling(ideal, facet_order) == tuple(ordering)
 
 
+def test_negative_node_budgets_are_refused():
+    ideal = edge_ideal(make_line(3, 3, 1))
+    with pytest.raises(ParameterError, match="node budget must be nonnegative"):
+        search_d_quotients(ideal, 2, node_budget=-1)
+    with pytest.raises(ParameterError, match="node budget must be nonnegative"):
+        search_d_shelling(duality_bridge(ideal), 2, node_budget=-5)
+
+
 def test_extend_ring_keeps_generators():
     ideal = _ideal(3, [0, 1])
-    assert extend_ring(ideal, 2).n_vertices == 5
-    assert extend_ring(ideal, 2).generators == ideal.generators
-    with pytest.raises(ParameterError):
-        extend_ring(ideal, -1)
+    assert extend_ring(ideal).n_vertices == 4
+    assert extend_ring(ideal).generators == ideal.generators
 
 
 def test_ideal_json_roundtrip():
