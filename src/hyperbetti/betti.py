@@ -28,11 +28,12 @@ subset is answered by one of three strategies:
 * dual nerve - replace the subcomplex by the nerve of the k minimal
   nonfaces inside V, which has complementary homology and at most 2^k
   faces (the crosscut complex of the LCM lattice);
-* direct - grow the faces of the induced subcomplex and compute
-  boundary ranks.
+* direct - grow the faces of size >= s of the induced subcomplex (s
+  the smallest nonface size inside V, so every smaller set is a face)
+  and answer by the skeleton's formula, without its memo.
 
-Between the last two the cost is measured, not estimated: the faces on
-V are grown up to the nerve's 2^k (or up to the face budget, if 2^k is
+Between the last two the cost is measured, not estimated: those faces
+are grown up to the nerve's 2^k (or up to the face budget, if 2^k is
 over it).  If the growth finishes the direct route answers; otherwise
 the nerve runs, and refuses with SizeBudgetError when 2^k is over the
 face budget.
@@ -193,9 +194,9 @@ class _RestrictionOracle:
 
         Cones are answered at once, and the skeleton strategy takes every
         subset when it exists.  Otherwise the k minimal nonfaces inside V
-        give a nerve of 2^k faces: the faces of the subcomplex are grown
-        up to that many (or up to the face budget), and answered directly
-        when the growth finishes, through the nerve when it does not.
+        give a nerve of 2^k faces: the faces of the subcomplex no smaller
+        than these nonfaces are grown up to that many (or up to the face
+        budget); they answer if the growth finishes, the nerve otherwise.
         """
         m = vmask.bit_count()
         if m == 0:
@@ -220,10 +221,13 @@ class _RestrictionOracle:
     # -- strategies ---------------------------------------------------
 
     def _dims_direct(self, vmask: int, relevant: list[int], cap: int) -> dict[int, int] | None:
-        """Homology from the faces of the subcomplex, grown from the
-        minimal nonfaces inside V; None when it has more than cap faces."""
-        faces = grow_faces(vmask, relevant, 0, cap)
-        return None if faces is None else dims_from_faces(faces, self.fld)
+        """Homology from the faces of size >= s (the smallest nonface size
+        inside V) of the subcomplex; None when there are more than cap."""
+        s = min(M.bit_count() for M in relevant)
+        faces = grow_faces(vmask, relevant, s, cap)
+        if faces is None:
+            return None
+        return _dims_above(vmask.bit_count(), s, *_ranks_by_size(faces, self.fld))
 
     def _dims_nerve(self, vmask: int, m: int, relevant: list[int]) -> dict[int, int]:
         """Homology through the nerve of the minimal nonfaces inside V.
@@ -255,17 +259,7 @@ class _RestrictionOracle:
             return {}  # V itself is a face: simplex
         assert self.big_faces is not None
         S = tuple(f for f in self.big_faces if contains(vmask, f))
-        counts, ranks = self._skeleton_ranks(S)
-        dims: dict[int, int] = {}
-        h = comb(m - 1, s - 1) - ranks.get(s, 0)
-        if h:
-            dims[s - 2] = h
-        top = max(counts) if counts else s - 1
-        for t in range(s, top + 1):
-            h = counts.get(t, 0) - ranks.get(t, 0) - ranks.get(t + 1, 0)
-            if h:
-                dims[t - 1] = h
-        return dims
+        return _dims_above(m, s, *self._skeleton_ranks(S))
 
     def _skeleton_ranks(self, S: tuple[int, ...]) -> tuple[dict, dict]:
         """Boundary ranks of the size >= s part; depends only on S."""
@@ -275,13 +269,8 @@ class _RestrictionOracle:
         by_size: dict[int, list[int]] = {}
         for f in S:
             by_size.setdefault(f.bit_count(), []).append(f)
-        counts = {t: len(fs) for t, fs in by_size.items()}
-        ranks = {
-            t: rank_over_field(boundary_rows(fs), self.fld)
-            for t, fs in by_size.items()
-        }
-        self._rank_memo[S] = (counts, ranks)
-        return counts, ranks
+        self._rank_memo[S] = memo = _ranks_by_size(by_size, self.fld)
+        return memo
 
     # -- subset iteration ---------------------------------------------
 
@@ -297,6 +286,29 @@ class _RestrictionOracle:
             if len(closure) > 1 << 18:
                 return None
         return sorted(closure)
+
+
+def _ranks_by_size(faces_by_size: dict[int, list[int]], fld: FieldSpec) -> tuple[dict, dict]:
+    """The face count and the boundary rank at each size."""
+    counts = {t: len(fs) for t, fs in faces_by_size.items()}
+    ranks = {t: rank_over_field(boundary_rows(fs), fld) for t, fs in faces_by_size.items()}
+    return counts, ranks
+
+
+def _dims_above(m: int, s: int, counts: dict[int, int], ranks: dict[int, int]) -> dict[int, int]:
+    """Reduced homology on m >= s vertices where every set smaller than s
+    is a face, from the face counts and boundary ranks at sizes >= s: that
+    full skeleton has C(m-1, s-1) cycles in degree s - 2."""
+    dims: dict[int, int] = {}
+    h = comb(m - 1, s - 1) - ranks.get(s, 0)
+    if h:
+        dims[s - 2] = h
+    top = max(counts) if counts else s - 1
+    for t in range(s, top + 1):
+        h = counts.get(t, 0) - ranks.get(t, 0) - ranks.get(t + 1, 0)
+        if h:
+            dims[t - 1] = h
+    return dims
 
 
 def _check_vertex_budget(ground: int, vertex_budget: int) -> None:

@@ -50,10 +50,6 @@ class MonomialIdeal:
         return not self.generators
 
     @property
-    def is_unit(self) -> bool:
-        return 0 in self.generators
-
-    @property
     def is_minimal(self) -> bool:
         """Whether the stored generators form the unique minimal generating set."""
         return min_antichain(self.generators) == frozenset(self.generators)

@@ -8,12 +8,16 @@ report with one record per instance, so a mismatch pinpoints the exact
 parameters (and serialized objects) needed to replay it.
 
 ``REGISTRY``, at the end of the module, is the table of checks.  An entry
-names the loop that produces the check's instances, the grid keys that
-loop reads and the notes its report carries.  Checks that share a loop
-differ only in what they pass to it: a family row names the maker, the
-regime of (d, alpha) pairs, the smallest n, the expected table and the
-comparison; a connectivity row names the report field it tests and the
-message; a counting row names the two counting functions.
+names the generator of the check's cases (a label, and a body that names
+the flaw or returns None), the grid keys it reads and its report notes.
+``run_check`` runs, times and records every body: one that raises
+SkipInstance is skipped, and one that raises ParameterError,
+PreconditionError or SizeBudgetError is an error, not an abort.
+Checks that share a generator differ only in what they pass to it: a
+family row names the maker, the regime of (d, alpha) pairs, the smallest
+n, the expected table and the comparison; a connectivity row names the
+report field it tests and the message; a counting row names the two
+counting functions.
 
 Grid strings are comma-separated ``key=value`` or ``key=lo..hi`` pairs,
 e.g. ``"n=3..6,alpha=1..2"``; a bare word (``"small-world"``) selects a
@@ -73,7 +77,7 @@ from .complexes import (
     pad_facets,
     strip_small_facets,
 )
-from .errors import ParameterError, PreconditionError
+from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import GF2, GF3, QQ, FieldSpec
 from .hypergraph import (
     Hypergraph,
@@ -106,7 +110,7 @@ class InstanceResult:
     """One grid point: what was checked and how it went."""
 
     instance: str
-    status: str  # "match" | "mismatch" | "skipped"
+    status: str  # "match" | "mismatch" | "skipped" | "error"
     details: str = ""
     elapsed_ms: int = 0
 
@@ -132,14 +136,19 @@ class VerificationReport:
         return sum(1 for r in self.results if r.status == "skipped")
 
     @property
+    def errored(self) -> int:
+        return sum(1 for r in self.results if r.status == "error")
+
+    @property
     def ok(self) -> bool:
-        return self.mismatched == 0
+        return self.mismatched == 0 and self.errored == 0
 
     def summary_line(self) -> str:
-        return (
+        line = (
             f"theorem={self.theorem} instances={len(self.results)} "
             f"match={self.matched} mismatch={self.mismatched} skipped={self.skipped}"
         )
+        return line + f" error={self.errored}" if self.errored else line
 
     def to_json_obj(self, include_timings: bool = False) -> dict:
         obj: dict = {
@@ -157,6 +166,8 @@ class VerificationReport:
                 for r in self.results
             ],
         }
+        if self.errored:
+            obj["summary"]["error"] = self.errored
         if include_timings:
             obj["timings_ms"] = {
                 "total": self.total_ms,
@@ -227,23 +238,27 @@ def _stride(items: list, cap: int) -> list:
 
 # -- shared helpers ----------------------------------------------------
 
-# A check's loop: the instance results of one grid.
-Run = Callable[[Mapping], list[InstanceResult]]
+# The body of one instance: the flaw it finds, or None.
+Body = Callable[[], str | None]
+# One instance of a check: its label and its body.
+Case = tuple[str, Body]
+# A check's cases on one grid.
+Cases = Callable[[Mapping], Iterable[Case]]
 # The flaw between an expected value and an oracle table, or None.
 Compare = Callable[[object, BettiTable], str | None]
 
 
-def _instance(label: str, fn: Callable[[], str | None]) -> InstanceResult:
+def _instance(label: str, body: Body) -> InstanceResult:
     t0 = time.perf_counter()
     try:
-        flaw = fn()
+        flaw = body()
+        status = "match" if flaw is None else "mismatch"
     except SkipInstance as skip:
-        ms = int(1000 * (time.perf_counter() - t0))
-        return InstanceResult(label, "skipped", str(skip), ms)
+        status, flaw = "skipped", str(skip)
+    except (ParameterError, PreconditionError, SizeBudgetError) as exc:
+        status, flaw = "error", str(exc)
     ms = int(1000 * (time.perf_counter() - t0))
-    if flaw is None:
-        return InstanceResult(label, "match", "", ms)
-    return InstanceResult(label, "mismatch", flaw, ms)
+    return InstanceResult(label, status, flaw or "", ms)
 
 
 def _table_diff(expected: BettiTable, actual: BettiTable) -> str | None:
@@ -340,25 +355,23 @@ def _free_vertex_pool(grid: Mapping) -> list[tuple[str, Hypergraph]]:
 
 
 def _against_oracle(
-    cases: Callable[[Mapping], Iterable[tuple]], compare: Compare = _table_diff
-) -> Run:
-    """The loop of every check that holds an expected table against the
-    oracle: one instance per (label, table, expected) case and field, in
+    tables: Callable[[Mapping], Iterable[tuple]], compare: Compare = _table_diff
+) -> Cases:
+    """The cases of every check that holds an expected table against the
+    oracle: one instance per (label, table, expected) triple and field, in
     which ``compare(expected(), table(field))`` names the flaw or is None.
     Both are built inside the instance, so a case outside a closed form's
     domain can skip itself without aborting the report."""
 
-    def run(grid: Mapping) -> list[InstanceResult]:
-        return [
-            _instance(
-                f"{label} field={fld.label}",
-                lambda t=table, e=expected, f=fld: compare(e(), t(f)),
-            )
-            for label, table, expected in cases(grid)
-            for fld in FIELD_TRIPLE
-        ]
+    def cases(grid: Mapping):
+        for label, table, expected in tables(grid):
+            for fld in FIELD_TRIPLE:
+                yield (
+                    f"{label} field={fld.label}",
+                    lambda t=table, e=expected, f=fld: compare(e(), t(f)),
+                )
 
-    return run
+    return cases
 
 
 def _top_row_diff(expected: dict, actual: BettiTable) -> str | None:
@@ -378,7 +391,9 @@ def _totals_diff(expected: dict, actual: BettiTable) -> str | None:
     return None
 
 
-def _free_vertex(expected: Callable[[Hypergraph], object], compare: Compare = _table_diff) -> Run:
+def _free_vertex(
+    expected: Callable[[Hypergraph], object], compare: Compare = _table_diff
+) -> Cases:
     """``expected(h)`` against the oracle on the free-vertex pool."""
     return _against_oracle(
         lambda grid: (
@@ -410,12 +425,12 @@ def _family(
     nmin: int,
     expected: Callable[[int, int, int], object],
     compare: Compare = _table_diff,
-) -> Run:
+) -> Cases:
     """``expected(n, d, alpha)`` against the oracle on the members of
     ``family`` for every (d, alpha) pair of ``regime`` and
     ``nmin <= n <= 6``."""
 
-    def cases(grid: Mapping):
+    def tables(grid: Mapping):
         for d, alpha in _regime_pairs(grid, regime):
             for n in _span(grid, "n", nmin, 6):
                 member = partial(_in_domain, _MAKERS[family], n, d, alpha)
@@ -425,7 +440,7 @@ def _family(
                     partial(_in_domain, expected, n, d, alpha),
                 )
 
-    return _against_oracle(cases, compare)
+    return _against_oracle(tables, compare)
 
 
 def _in_domain(make: Callable, *args):
@@ -436,7 +451,7 @@ def _in_domain(make: Callable, *args):
         raise SkipInstance(str(exc)) from exc
 
 
-def _knd_cases(grid: Mapping):
+def _knd_tables(grid: Mapping):
     """Skeleton-quotient tables of the edgeless hypergraph against the
     closed product of binomials."""
     for n in _span(grid, "n", 2, 6):
@@ -447,12 +462,11 @@ def _knd_cases(grid: Mapping):
                 yield f"edgeless n={n} d={d}", table, expected
 
 
-def _counting(prefix: str, nmin: int, closed_form: Callable, enumeration: Callable) -> Run:
+def _counting(prefix: str, nmin: int, closed_form: Callable, enumeration: Callable) -> Cases:
     """Run-placement counts: the closed form against full subset
     enumeration for every partition of 1..i cells and n >= nmin."""
 
-    def run(grid: Mapping) -> list[InstanceResult]:
-        out = []
+    def cases(grid: Mapping):
         imax = _val(grid, "i", 6)
         for n in _span(grid, "n", nmin, 8):
             for i in range(1, min(imax, n) + 1):
@@ -464,10 +478,9 @@ def _counting(prefix: str, nmin: int, closed_form: Callable, enumeration: Callab
                             return f"closed form {a} != enumeration {b}"
                         return None
 
-                    out.append(_instance(f"{prefix} runs={list(part)} n={n}", body))
-        return out
+                    yield f"{prefix} runs={list(part)} n={n}", body
 
-    return run
+    return cases
 
 
 # -- connectivity, depth, Cohen-Macaulay -------------------------------
@@ -514,12 +527,11 @@ def _conn_fields(trial_label: str, index: int) -> tuple[FieldSpec, ...]:
 
 def _connectivity(
     holds: Callable[[ConnectivityReport], bool], flaw: Callable[[ConnectivityReport], str]
-) -> Run:
-    """The loop shared by the connectivity checks: the theorem's report on
+) -> Cases:
+    """The cases shared by the connectivity checks: the theorem's report on
     every pool instance, a mismatch wherever ``holds`` is false."""
 
-    def run(grid: Mapping) -> list[InstanceResult]:
-        out = []
+    def cases(grid: Mapping):
         for index, (label, h, d) in enumerate(_conn_pool(grid)):
             for fld in _conn_fields(label, index):
                 def body(h=h, d=d, fld=fld):
@@ -534,10 +546,9 @@ def _connectivity(
                         f"(pd={rep.pd} depth={rep.depth} strand={rep.linear_strand_length})"
                     )
 
-                out.append(_instance(f"{label} field={fld.label}", body))
-        return out
+                yield f"{label} field={fld.label}", body
 
-    return run
+    return cases
 
 
 def _cm_pool(grid: Mapping) -> list[tuple[str, SimplicialComplex]]:
@@ -579,10 +590,9 @@ def _cm_pool(grid: Mapping) -> list[tuple[str, SimplicialComplex]]:
     return pool
 
 
-def check_cm_froberg(grid: Mapping) -> list[InstanceResult]:
+def check_cm_froberg(grid: Mapping) -> Iterable[Case]:
     """The restriction-vanishing criterion for Cohen-Macaulayness agrees
     with depth read off the full Betti table."""
-    out = []
     for label, c in _cm_pool(grid):
         for fld in FIELD_TRIPLE:
             def body(c=c, fld=fld):
@@ -598,8 +608,7 @@ def check_cm_froberg(grid: Mapping) -> list[InstanceResult]:
                     )
                 return None
 
-            out.append(_instance(f"{label} field={fld.label}", body))
-    return out
+            yield f"{label} field={fld.label}", body
 
 
 # -- chordal structure checks ------------------------------------------
@@ -625,23 +634,23 @@ def _distinct_builds(
 
 
 def _sequence_pool(
-    grid: Mapping, dmin: int, dmax: int, vmax: int, steps: int, cap: int
+    grid: Mapping, ds: Iterable[int], vmax: int, steps: int, cap: int
 ) -> list[tuple[str, AttachmentSequence]]:
-    """Deduplicated builder inputs: every attachment sequence within the
-    bounds, one representative per labeled output hypergraph."""
+    """Deduplicated builder inputs: every attachment sequence of each
+    uniformity d in ``ds`` within the bounds, one representative per
+    labeled output hypergraph."""
     pool = _distinct_builds(
         (f"d={d} steps={_steps_label(seq.steps)}", seq)
-        for d in _span(grid, "d", dmin, dmax)
+        for d in ds
         for seq in enumerate_sequences(d, _val(grid, "n", vmax), _val(grid, "steps", steps))
     )
     return _stride(pool, _val(grid, "count", cap))
 
 
-def check_hypergraph(grid: Mapping) -> list[InstanceResult]:
+def check_hypergraph(grid: Mapping) -> Iterable[Case]:
     """Every buildable hypergraph yields a nonface ideal with linear
     quotients (the algebraic shadow of being chordal)."""
-    out = []
-    for label, seq in _sequence_pool(grid, 2, 3, 7, 3, 400):
+    for label, seq in _sequence_pool(grid, _span(grid, "d", 2, 3), 7, 3, 400):
         def body(seq=seq):
             h, _ = build_chordal_with_chunks(seq)
             ideal = MonomialIdeal(h.n_vertices, tuple(non_edges(h, seq.d)))
@@ -654,14 +663,12 @@ def check_hypergraph(grid: Mapping) -> list[InstanceResult]:
                 )
             return None
 
-        out.append(_instance(label, body))
-    return out
+        yield label, body
 
 
-def check_graph_corollary(grid: Mapping) -> list[InstanceResult]:
+def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
     """Chordality of a graph is equivalent to linear quotients of its
     nonadjacency ideal — checked over every labeled graph in range."""
-    out = []
     for n in _span(grid, "n", 1, 6):
         pairs = [mask_of(p) for p in combinations(range(n), 2)]
         for code in range(1 << len(pairs)):
@@ -688,8 +695,7 @@ def check_graph_corollary(grid: Mapping) -> list[InstanceResult]:
                     )
                 return None
 
-            out.append(_instance(f"graph n={n} edges={_edges_label(g)}", body))
-    return out
+            yield f"graph n={n} edges={_edges_label(g)}", body
 
 
 def _td_sequences(grid: Mapping) -> list[tuple[str, AttachmentSequence]]:
@@ -728,10 +734,9 @@ def _td_sequences(grid: Mapping) -> list[tuple[str, AttachmentSequence]]:
     return _stride(_distinct_builds(pool), _val(grid, "count", 80))
 
 
-def check_td_shellable(grid: Mapping) -> list[InstanceResult]:
+def check_td_shellable(grid: Mapping) -> Iterable[Case]:
     """One-vertex-at-a-time builds: the complex spanned by the complete
     pieces is shelled by construction order and is Cohen-Macaulay."""
-    out = []
     for label, seq in _td_sequences(grid):
         def body(seq=seq):
             h, chunks = build_chordal_with_chunks(seq)
@@ -748,14 +753,12 @@ def check_td_shellable(grid: Mapping) -> list[InstanceResult]:
                     return f"piece complex not Cohen-Macaulay over {fld.label}"
             return None
 
-        out.append(_instance(label, body))
-    return out
+        yield label, body
 
 
-def check_two_gluing(grid: Mapping) -> list[InstanceResult]:
+def check_two_gluing(grid: Mapping) -> Iterable[Case]:
     """The linear-quotients classification of two glued complete pieces
     against a from-scratch decision on the edge ideal."""
-    out = []
     nmax = _val(grid, "n", 9)
     for d in _span(grid, "d", 2, 3):
         for m in range(d, nmax + 1):
@@ -771,15 +774,13 @@ def check_two_gluing(grid: Mapping) -> list[InstanceResult]:
                             return f"classification {predicted} but computation {observed}"
                         return None
 
-                    out.append(_instance(f"m={m} i={i} j={j} d={d}", body))
-    return out
+                    yield f"m={m} i={i} j={j} d={d}", body
 
 
-def check_diameter(grid: Mapping) -> list[InstanceResult]:
+def check_diameter(grid: Mapping) -> Iterable[Case]:
     """Complements of built chordal graphs are within three steps of
     every vertex whenever they are connected."""
-    out = []
-    pool = _sequence_pool({**grid, "d": (2, 2)}, 2, 2, 9, 3, 1200)
+    pool = _sequence_pool(grid, (2,), 9, 3, 1200)
     rng = random.Random(_val(grid, "seed", 5))
     randoms: list[tuple[str, AttachmentSequence]] = []
     for trial in range(_val(grid, "count2", 200)):
@@ -810,15 +811,13 @@ def check_diameter(grid: Mapping) -> list[InstanceResult]:
                 return f"complement diameter {diam} on edges {_edges_label(g)}"
             return None
 
-        out.append(_instance(label, body))
-    return out
+        yield label, body
 
 
-def check_adrd(grid: Mapping) -> list[InstanceResult]:
+def check_adrd(grid: Mapping) -> Iterable[Case]:
     """Removing undersized facets and then restoring the small skeleton
     reproduces the original edge-span complex exactly."""
-    out = []
-    for label, seq in _sequence_pool(grid, 2, 4, 7, 3, 100000):
+    for label, seq in _sequence_pool(grid, _span(grid, "d", 2, 4), 7, 3, 100000):
         def body(seq=seq):
             h, _ = build_chordal_with_chunks(seq)
             c = clique_complex(h, seq.d)
@@ -830,8 +829,7 @@ def check_adrd(grid: Mapping) -> list[InstanceResult]:
                 )
             return None
 
-        out.append(_instance(label, body))
-    return out
+        yield label, body
 
 
 # -- ideal-side checks -------------------------------------------------
@@ -856,7 +854,7 @@ def _ideal_pool(grid: Mapping, nmax: int, gmax: int) -> list[tuple[str, Monomial
     return pool
 
 
-def check_dquot_dshell(grid: Mapping) -> list[InstanceResult]:
+def check_dquot_dshell(grid: Mapping) -> Iterable[Case]:
     """Colon-degree orderings exist precisely when the complement-support
     complex is shellable at the matching codimension — both sides searched
     independently for every ideal in range."""
@@ -867,7 +865,6 @@ def check_dquot_dshell(grid: Mapping) -> list[InstanceResult]:
         nmax, gmax = 5, 4
     else:
         raise ParameterError(f"unknown preset {preset!r}")
-    out = []
     for prefix, ideal in _ideal_pool(grid, nmax, gmax):
         for d in _span(grid, "dq", 1, 3):
             def body(ideal=ideal, d=d):
@@ -882,16 +879,12 @@ def check_dquot_dshell(grid: Mapping) -> list[InstanceResult]:
                     )
                 return None
 
-            out.append(
-                _instance(f"{prefix} gens={_gens_label(ideal)} d={d}", body)
-            )
-    return out
+            yield f"{prefix} gens={_gens_label(ideal)} d={d}", body
 
 
-def check_betti_splitting(grid: Mapping) -> list[InstanceResult]:
+def check_betti_splitting(grid: Mapping) -> Iterable[Case]:
     """Whenever a colon-degree ordering exists, the quotient's total Betti
     numbers split as the shifted sum over the per-step colon ideals."""
-    out = []
     showcase = [
         MonomialIdeal(6, (0b000111, 0b011100, 0b110010, 0b101001)),
         MonomialIdeal(9, (0b000000111, 0b000011100, 0b001100100, 0b110000100)),
@@ -924,13 +917,10 @@ def check_betti_splitting(grid: Mapping) -> list[InstanceResult]:
                 return "; ".join(flaws) + f" (colon totals {rep.colon_totals})"
             return None
 
-        out.append(
-            _instance(f"{prefix} gens={_gens_label(ideal)} d={d}", body)
-        )
-    return out
+        yield f"{prefix} gens={_gens_label(ideal)} d={d}", body
 
 
-def _rsequence_cases(grid: Mapping):
+def _rsequence_tables(grid: Mapping):
     """When every colon ideal is generated by a regular sequence, the full
     graded table follows from the colon sizes alone — compared against
     the oracle over all three fields."""
@@ -980,11 +970,10 @@ def _rsequence_cases(grid: Mapping):
         yield f"{label} d={d} profile={list(profile)}", partial(ideal_betti, ideal), expected
 
 
-def check_lin_quot(grid: Mapping) -> list[InstanceResult]:
+def check_lin_quot(grid: Mapping) -> Iterable[Case]:
     """Linear quotients force a linear resolution, over every test field."""
-    out = []
     pool: list[tuple[str, MonomialIdeal]] = []
-    for label, seq in _sequence_pool(grid, 2, 3, 6, 3, 60):
+    for label, seq in _sequence_pool(grid, _span(grid, "d", 2, 3), 6, 3, 60):
         h, _ = build_chordal_with_chunks(seq)
         ideal = MonomialIdeal(h.n_vertices, tuple(non_edges(h, seq.d)))
         if not ideal.is_zero:
@@ -1009,8 +998,7 @@ def check_lin_quot(grid: Mapping) -> list[InstanceResult]:
                     )
             return None
 
-        out.append(_instance(label, body))
-    return out
+        yield label, body
 
 
 # -- registry ----------------------------------------------------------
@@ -1018,10 +1006,10 @@ def check_lin_quot(grid: Mapping) -> list[InstanceResult]:
 
 @dataclass(frozen=True)
 class Check:
-    """One registry entry: the loop that produces the instance results,
-    every grid key that loop reads, and the notes of its report."""
+    """One registry entry: the generator of the check's cases, every grid
+    key it reads, and the notes of its report."""
 
-    run: Run
+    cases: Cases
     keys: tuple[str, ...]
     notes: tuple[str, ...] = ()
 
@@ -1090,7 +1078,7 @@ REGISTRY: dict[str, Check] = {
     ),
     "Td-shellable": Check(check_td_shellable, _SEQUENCE_KEYS),
     "two-gluing": Check(check_two_gluing, ("d", "n")),
-    # the sequence pool runs at d = 2 whatever the grid says
+    # the sequence pool runs at d = 2 alone
     "diameter": Check(check_diameter, ("n", "steps", "count", "seed", "count2")),
     "AdRd": Check(check_adrd, _SEQUENCE_KEYS),
     # connectivity by direct removal scan equals the value implied by the
@@ -1122,10 +1110,10 @@ REGISTRY: dict[str, Check] = {
         _CONN_KEYS,
     ),
     "cm-froberg": Check(check_cm_froberg, ("vcap", "seed", "count")),
-    "knd-complement": Check(_against_oracle(_knd_cases), ("n", "d")),
+    "knd-complement": Check(_against_oracle(_knd_tables), ("n", "d")),
     "dquot-dshell": Check(check_dquot_dshell, ("preset",) + _IDEAL_KEYS),
     "betti-splitting": Check(check_betti_splitting, _IDEAL_KEYS),
-    "rsequence": Check(_against_oracle(_rsequence_cases), _IDEAL_KEYS + ("count",)),
+    "rsequence": Check(_against_oracle(_rsequence_tables), _IDEAL_KEYS + ("count",)),
     "lin-quot": Check(check_lin_quot, _SEQUENCE_KEYS + ("degree", "gens")),
 }
 
@@ -1136,7 +1124,9 @@ def run_check(theorem: str, grid: str | None = None) -> VerificationReport:
     """Run one registered check over a grid string (or its defaults).
 
     A grid key that the check does not read is refused before any
-    instance runs."""
+    instance runs.  Each case's body is run, timed and recorded here; an
+    error raised while the cases are built, such as a bad grid value,
+    ends the run."""
     check = REGISTRY.get(theorem)
     if check is None:
         raise ParameterError(
@@ -1150,7 +1140,7 @@ def run_check(theorem: str, grid: str | None = None) -> VerificationReport:
             f"its keys are {', '.join(check.keys)}"
         )
     t0 = time.perf_counter()
-    results = check.run(params)
+    results = [_instance(label, body) for label, body in check.cases(params)]
     total_ms = int(1000 * (time.perf_counter() - t0))
     return VerificationReport(
         theorem=theorem,

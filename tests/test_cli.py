@@ -262,6 +262,20 @@ def test_verify_round_trip(capsys):
     assert "theorem=P" in err
 
 
+def test_verify_reports_instances_out_of_budget_as_errors(capsys):
+    """One instance out of budget fails the check (exit 1) but still
+    prints the whole report, with one summary line."""
+    grid = "n=9..10,alpha=1..1,d=3..3"
+    code, out, err = run(capsys, "verify", "--theorem", "P", "--grid", grid)
+    assert code == 1
+    report = json.loads(out)
+    assert [r["status"] for r in report["results"]] == ["match"] * 3 + ["error"] * 3
+    assert report["summary"]["error"] == 3
+    summaries = [line for line in err.splitlines() if line.startswith("theorem=")]
+    assert summaries == ["theorem=P instances=6 match=3 mismatch=0 skipped=0 error=3"]
+    assert "Traceback" not in err and "error:" not in err
+
+
 def test_verify_unknown_grid_key_is_usage_error(capsys):
     code, out, err = run(capsys, "verify", "--theorem", "P", "--grid", "nn=3")
     assert code == 2

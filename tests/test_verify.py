@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from typing import Mapping
 
 import pytest
 
 from hyperbetti import THEOREM_IDS, ParameterError, run_check
-from hyperbetti.verify import parse_grid
+from hyperbetti.verify import REGISTRY, parse_grid
 
 
 def test_registry_lists_twenty_five_checks():
@@ -74,7 +75,7 @@ def test_report_json_is_canonical():
     text = json.dumps(obj, sort_keys=True)
     assert json.loads(text) == obj
     assert {"theorem", "grid", "summary", "results", "notes"} <= set(obj)
-    assert all(r["status"] in {"match", "mismatch", "skipped"} for r in obj["results"])
+    assert all(r["status"] in {"match", "mismatch", "skipped", "error"} for r in obj["results"])
 
 
 def test_timings_are_opt_in():
@@ -105,3 +106,66 @@ def test_free_vertex_checks_take_a_range_of_n(theorem):
     # the tight line n=2 d=2alpha is in every pool, whatever the grid
     assert {r.instance.split()[1] for r in single.results} == {"n=2", "n=3"}
     assert not any(r.instance.startswith("line n=2 d=3 ") for r in single.results)
+
+
+def test_an_instance_over_budget_is_an_error_not_an_abort():
+    """A body that raises a package error is recorded against its own
+    instance; the rest of the grid still runs and ``ok`` turns false."""
+    rep = run_check("P", "n=3..12,alpha=1..1,d=3..3")
+    assert len(rep.results) == 30
+    assert [r.status for r in rep.results] == ["match"] * 21 + ["error"] * 9
+    assert [r.instance.split()[1] for r in rep.results] == [
+        f"n={n}" for n in range(3, 13) for _field in range(3)
+    ]
+    assert {r.details for r in rep.results if r.status == "error"} == {
+        "restriction sum over 21 vertices exceeds the vertex budget 20",
+        "restriction sum over 23 vertices exceeds the vertex budget 20",
+        "restriction sum over 25 vertices exceeds the vertex budget 20",
+    }
+    assert not rep.ok
+    assert rep.summary_line().endswith("mismatch=0 skipped=0 error=9")
+    assert rep.to_json_obj()["summary"] == {
+        "instances": 30, "match": 21, "mismatch": 0, "skipped": 0, "error": 9,
+    }
+
+
+def test_errors_raised_while_building_cases_end_the_run():
+    with pytest.raises(ParameterError, match="unknown preset 'nope'"):
+        run_check("dquot-dshell", "nope")
+    with pytest.raises(ParameterError, match="grid key 'i' takes a single value"):
+        run_check("l", "i=2..3")
+
+
+class _KeysRead(Mapping):
+    """An empty grid that records every key a check looks up."""
+
+    def __init__(self) -> None:
+        self.read: set[str] = set()
+
+    def __getitem__(self, key):
+        self.read.add(key)
+        raise KeyError(key)
+
+    def __contains__(self, key) -> bool:
+        self.read.add(key)
+        return False
+
+    def __iter__(self):
+        return iter(())
+
+    def __len__(self) -> int:
+        return 0
+
+
+@pytest.mark.parametrize("theorem", THEOREM_IDS)
+def test_each_check_reads_exactly_the_keys_it_declares(theorem):
+    """Building the cases of the default grid, without running a body,
+    looks up every declared key and no other: a key the check reads but
+    does not declare would be refused, and a declared key it never reads
+    would be accepted and ignored."""
+    check = REGISTRY[theorem]
+    grid = _KeysRead()
+    for _label, _body in check.cases(grid):
+        pass
+    assert sorted(grid.read) == sorted(check.keys)
+    assert len(set(check.keys)) == len(check.keys)
