@@ -326,7 +326,8 @@ def _restriction_sum(
     nonfaces of a complex on the ground set.
 
     The sum runs over the unions of minimal nonfaces when there are few
-    enough of them, and over every vertex subset otherwise.
+    enough of them, and over every vertex subset otherwise; that sweep is
+    refused up front when its 2^n subsets are over the face budget.
     """
     _check_vertex_budget(ground, vertex_budget)
     n = ground.bit_count()
@@ -341,6 +342,11 @@ def _restriction_sum(
             raise SizeBudgetError(
                 "too many minimal nonfaces for the union-closure sum and too "
                 "many large faces for the skeleton strategy; no feasible plan"
+            )
+        if 1 << n > FACE_BUDGET:
+            raise SizeBudgetError(
+                f"a full sweep over the 2^{n} vertex subsets exceeds the face "
+                f"budget {FACE_BUDGET}"
             )
         subsets = submasks(ground)
     entries: dict[tuple[int, int], int] = {}

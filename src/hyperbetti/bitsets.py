@@ -23,12 +23,10 @@ def mask_of(vertices: Iterable[int]) -> int:
 def bits_of(mask: int) -> list[int]:
     """Unpack a bitmask into a sorted list of vertex labels."""
     out = []
-    v = 0
     while mask:
-        if mask & 1:
-            out.append(v)
-        mask >>= 1
-        v += 1
+        low = mask & -mask
+        out.append(low.bit_length() - 1)
+        mask ^= low
     return out
 
 

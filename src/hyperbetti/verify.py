@@ -19,6 +19,13 @@ n, the expected table and the comparison; a connectivity row names the
 report field it tests and the message; a counting row names the two
 counting functions.
 
+Work is shared only within one run of a check.  The sequence checks
+build each attachment sequence once, to deduplicate the pool, and hand
+the built hypergraph and pieces to their cases.  ``graph-corollary``
+keeps a memo keyed by isomorphism class (``_graph_orbits``) for the
+invariants of the ideal and checks every 97th repeat of a class against
+a recomputation.
+
 Grid strings are comma-separated ``key=value`` or ``key=lo..hi`` pairs,
 e.g. ``"n=3..6,alpha=1..2"``; a bare word (``"small-world"``) selects a
 named preset.  A key the check does not read is refused.  Every check has
@@ -31,7 +38,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import partial
-from itertools import combinations
+from itertools import combinations, permutations
 from math import comb
 from operator import attrgetter
 from typing import Callable, Iterable, Mapping
@@ -618,27 +625,31 @@ def _steps_label(steps: Iterable[AttachmentStep]) -> str:
     return ";".join(f"{s.size}+{sorted(s.glue)}" if s.glue else str(s.size) for s in steps)
 
 
-def _distinct_builds(
-    pool: Iterable[tuple[str, AttachmentSequence]]
-) -> list[tuple[str, AttachmentSequence]]:
-    """The first sequence of the pool for each labeled output hypergraph."""
+# A built sequence: its label, its uniformity d, the hypergraph and the
+# pieces as masks.
+Build = tuple[str, int, Hypergraph, tuple[int, ...]]
+
+
+def _distinct_builds(pool: Iterable[tuple[str, AttachmentSequence]]) -> list[Build]:
+    """The build of the first sequence of the pool for each labeled output
+    hypergraph."""
     seen: set[tuple[int, frozenset[int]]] = set()
     out = []
     for label, seq in pool:
-        h, _ = build_chordal_with_chunks(seq)
+        h, chunks = build_chordal_with_chunks(seq)
         key = (h.n_vertices, h.edges)
         if key not in seen:
             seen.add(key)
-            out.append((label, seq))
+            out.append((label, seq.d, h, chunks))
     return out
 
 
 def _sequence_pool(
     grid: Mapping, ds: Iterable[int], vmax: int, steps: int, cap: int
-) -> list[tuple[str, AttachmentSequence]]:
-    """Deduplicated builder inputs: every attachment sequence of each
-    uniformity d in ``ds`` within the bounds, one representative per
-    labeled output hypergraph."""
+) -> list[Build]:
+    """Deduplicated builds: every attachment sequence of each uniformity d
+    in ``ds`` within the bounds, one representative per labeled output
+    hypergraph."""
     pool = _distinct_builds(
         (f"d={d} steps={_steps_label(seq.steps)}", seq)
         for d in ds
@@ -650,10 +661,9 @@ def _sequence_pool(
 def check_hypergraph(grid: Mapping) -> Iterable[Case]:
     """Every buildable hypergraph yields a nonface ideal with linear
     quotients (the algebraic shadow of being chordal)."""
-    for label, seq in _sequence_pool(grid, _span(grid, "d", 2, 3), 7, 3, 400):
-        def body(seq=seq):
-            h, _ = build_chordal_with_chunks(seq)
-            ideal = MonomialIdeal(h.n_vertices, tuple(non_edges(h, seq.d)))
+    for label, d, h, _ in _sequence_pool(grid, _span(grid, "d", 2, 3), 7, 3, 400):
+        def body(h=h, d=d):
+            ideal = MonomialIdeal(h.n_vertices, tuple(non_edges(h, d)))
             if ideal.is_zero:
                 raise SkipInstance("complete hypergraph: nonface ideal is zero")
             if _linear_quotients(ideal) is None:
@@ -666,28 +676,85 @@ def check_hypergraph(grid: Mapping) -> Iterable[Case]:
         yield label, body
 
 
+def _graph_orbits(n: int, pairs: list[int]) -> list[int]:
+    """The least code of each edge code's orbit under the n! relabellings
+    of the vertices, bit k of a code standing for the pair ``pairs[k]``.
+    Codes are visited in increasing order, so a code no earlier orbit
+    reached is the least of its own, and only that one is permuted."""
+    index = {p: k for k, p in enumerate(pairs)}
+    images = [
+        [index[mask_of(perm[v] for v in bits_of(p))] for p in pairs]
+        for perm in permutations(range(n))
+    ]
+    least = [-1] * (1 << len(pairs))
+    for code in range(len(least)):
+        if least[code] < 0:
+            bits = [k for k in range(len(pairs)) if code >> k & 1]
+            for image in images:
+                least[sum(1 << image[k] for k in bits)] = code
+    return least
+
+
+# One in this many graphs that repeat a class recomputes what the memo holds.
+_MEMO_AUDIT_STRIDE = 97
+
+
 def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
     """Chordality of a graph is equivalent to linear quotients of its
-    nonadjacency ideal — checked over every labeled graph in range."""
+    nonadjacency ideal — checked over every labeled graph in range.
+
+    The GF(2) Betti table and the existence of a linear-quotient order are
+    the same for isomorphic graphs, so each is computed once per class and
+    read from a memo for the rest: the table on the class's first graph,
+    the order search on the first graph whose verdict needs it.  The
+    recognizer, and the ordering quoted in a mismatch, still run on each
+    labelled graph.  Every 97th graph that is not the first of its class
+    recomputes the table, and the search if the class has an answer, and
+    must agree with the memo."""
+    tables: dict[tuple[int, int], BettiTable] = {}
+    quotients: dict[tuple[int, int], bool] = {}
+    repeats = 0
     for n in _span(grid, "n", 1, 6):
         pairs = [mask_of(p) for p in combinations(range(n), 2)]
+        least = _graph_orbits(n, pairs)
         for code in range(1 << len(pairs)):
             edges = frozenset(pairs[k] for k in range(len(pairs)) if code >> k & 1)
             g = Hypergraph(n, edges)
+            key = (n, least[code])
+            audit = False
+            if least[code] != code:
+                repeats += 1
+                audit = repeats % _MEMO_AUDIT_STRIDE == 0
 
-            def body(g=g):
+            def body(g=g, key=key, audit=audit):
                 ideal = MonomialIdeal(g.n_vertices, tuple(non_edges(g, 2)))
                 if ideal.is_zero:
                     raise SkipInstance("complete graph: nonface ideal is zero")
+
+                def class_has_quotients() -> bool:
+                    if key not in quotients:
+                        quotients[key] = _linear_quotients(ideal) is not None
+                    return quotients[key]
+
+                if key not in tables:
+                    tables[key] = ideal_betti(ideal, GF2)
+                elif audit and (
+                    ideal_betti(ideal, GF2) != tables[key]
+                    or key in quotients
+                    and (_linear_quotients(ideal) is not None) != quotients[key]
+                ):
+                    return (
+                        f"memo self-check: graph edges={_edges_label(g)} disagrees "
+                        f"with the memo of its isomorphism class, least code {key[1]}"
+                    )
                 rep = chordal_graph_recognize(g)
                 if rep.is_chordal:
-                    if _linear_quotients(ideal) is None:
+                    if not class_has_quotients():
                         return "recognizer says chordal but no linear quotients exist"
                     return None
-                table = ideal_betti(ideal, GF2)
-                if any(j != i + 1 for (i, j) in table.entries if i >= 1):
+                if any(j != i + 1 for (i, j) in tables[key].entries if i >= 1):
                     return None  # nonlinear resolution certifies absence
-                ordering = _linear_quotients(ideal)
+                ordering = _linear_quotients(ideal) if class_has_quotients() else None
                 if ordering is not None:
                     return (
                         f"chordless cycle {rep.chordless_cycle} found but the ideal "
@@ -698,7 +765,7 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
             yield f"graph n={n} edges={_edges_label(g)}", body
 
 
-def _td_sequences(grid: Mapping) -> list[tuple[str, AttachmentSequence]]:
+def _td_sequences(grid: Mapping) -> list[Build]:
     """Sequences whose pieces all have one more vertex than their glue:
     a first complete piece, then one fresh vertex per step."""
     pool: list[tuple[str, AttachmentSequence]] = []
@@ -737,9 +804,8 @@ def _td_sequences(grid: Mapping) -> list[tuple[str, AttachmentSequence]]:
 def check_td_shellable(grid: Mapping) -> Iterable[Case]:
     """One-vertex-at-a-time builds: the complex spanned by the complete
     pieces is shelled by construction order and is Cohen-Macaulay."""
-    for label, seq in _td_sequences(grid):
-        def body(seq=seq):
-            h, chunks = build_chordal_with_chunks(seq)
+    for label, _, h, chunks in _td_sequences(grid):
+        def body(h=h, chunks=chunks):
             distinct = tuple(dict.fromkeys(chunks))
             cc = SimplicialComplex.from_faces(h.n_vertices, distinct)
             sizes = {c.bit_count() for c in distinct}
@@ -780,9 +846,8 @@ def check_two_gluing(grid: Mapping) -> Iterable[Case]:
 def check_diameter(grid: Mapping) -> Iterable[Case]:
     """Complements of built chordal graphs are within three steps of
     every vertex whenever they are connected."""
-    pool = _sequence_pool(grid, (2,), 9, 3, 1200)
+    graphs = [(label, g) for label, _, g, _ in _sequence_pool(grid, (2,), 9, 3, 1200)]
     rng = random.Random(_val(grid, "seed", 5))
-    randoms: list[tuple[str, AttachmentSequence]] = []
     for trial in range(_val(grid, "count2", 200)):
         steps = [AttachmentStep(rng.randrange(1, 5))]
         chunks = [mask_of(range(steps[0].size))]
@@ -798,12 +863,10 @@ def check_diameter(grid: Mapping) -> Iterable[Case]:
             steps.append(AttachmentStep(size, glue))
             chunks.append(mask_of(glue) | (((1 << (size - j)) - 1) << n))
             n += size - j
-        randoms.append(
-            (f"random trial={trial}", AttachmentSequence(2, tuple(steps)))
-        )
-    for label, seq in pool + randoms:
-        def body(seq=seq):
-            g, _ = build_chordal_with_chunks(seq)
+        g, _ = build_chordal_with_chunks(AttachmentSequence(2, tuple(steps)))
+        graphs.append((f"random trial={trial}", g))
+    for label, g in graphs:
+        def body(g=g):
             diam = complement_diameter(g)
             if diam is None:
                 raise SkipInstance("complement disconnected")
@@ -817,11 +880,10 @@ def check_diameter(grid: Mapping) -> Iterable[Case]:
 def check_adrd(grid: Mapping) -> Iterable[Case]:
     """Removing undersized facets and then restoring the small skeleton
     reproduces the original edge-span complex exactly."""
-    for label, seq in _sequence_pool(grid, _span(grid, "d", 2, 4), 7, 3, 100000):
-        def body(seq=seq):
-            h, _ = build_chordal_with_chunks(seq)
-            c = clique_complex(h, seq.d)
-            back = pad_facets(strip_small_facets(c, seq.d), seq.d)
+    for label, d, h, _ in _sequence_pool(grid, _span(grid, "d", 2, 4), 7, 3, 100000):
+        def body(h=h, d=d):
+            c = clique_complex(h, d)
+            back = pad_facets(strip_small_facets(c, d), d)
             if back != c:
                 return (
                     f"round trip changed the complex: facets {sorted(c.facets)} "
@@ -973,9 +1035,8 @@ def _rsequence_tables(grid: Mapping):
 def check_lin_quot(grid: Mapping) -> Iterable[Case]:
     """Linear quotients force a linear resolution, over every test field."""
     pool: list[tuple[str, MonomialIdeal]] = []
-    for label, seq in _sequence_pool(grid, _span(grid, "d", 2, 3), 6, 3, 60):
-        h, _ = build_chordal_with_chunks(seq)
-        ideal = MonomialIdeal(h.n_vertices, tuple(non_edges(h, seq.d)))
+    for label, d, h, _ in _sequence_pool(grid, _span(grid, "d", 2, 3), 6, 3, 60):
+        ideal = MonomialIdeal(h.n_vertices, tuple(non_edges(h, d)))
         if not ideal.is_zero:
             pool.append((f"nonface ideal of {label}", ideal))
     pool.extend(

@@ -242,6 +242,27 @@ def test_betti_refuses_over_budget_before_building_a_complex(capsys, tmp_path, m
     )
 
 
+def test_betti_refuses_a_full_sweep_over_the_face_budget(capsys, tmp_path):
+    """At --max-vertices 40 the clique route of line(10,4,1) has 31,455
+    non-edges, too many for the union closure, so the sum would sweep all
+    2^31 subsets; it is refused up front instead of running for hours."""
+    path = _gen_to_file(
+        capsys, tmp_path, "gen", "--family", "line", "--n", "10", "--d", "4", "--alpha", "1"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC, HYPERBETTI_CACHE_DIR=str(tmp_path / "cache"))
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperbetti", "betti", path,
+         "--complex", "clique", "--max-vertices", "40", "--no-cache"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
+        "error: a full sweep over the 2^31 vertex subsets exceeds the face budget 4194304"
+    ]
+
+
 def test_betti_clique_route_needs_uniformity_hint_when_edgeless(capsys, tmp_path):
     path = tmp_path / "edgeless.json"
     path.write_text('{"n":3,"edges":[]}')

@@ -3,11 +3,12 @@
 from __future__ import annotations
 
 import json
+from itertools import combinations, permutations
 from typing import Mapping
 
 import pytest
 
-from hyperbetti import THEOREM_IDS, ParameterError, run_check
+from hyperbetti import THEOREM_IDS, ParameterError, run_check, verify
 from hyperbetti.verify import REGISTRY, parse_grid
 
 
@@ -169,3 +170,46 @@ def test_each_check_reads_exactly_the_keys_it_declares(theorem):
         pass
     assert sorted(grid.read) == sorted(check.keys)
     assert len(set(check.keys)) == len(check.keys)
+
+
+def _pair_masks(n: int) -> list[int]:
+    return [(1 << a) | (1 << b) for a, b in combinations(range(n), 2)]
+
+
+def test_graph_orbits_count_the_isomorphism_classes():
+    """One representative per unlabelled graph on n vertices (OEIS A000088)."""
+    counts = [len(set(verify._graph_orbits(n, _pair_masks(n)))) for n in range(1, 7)]
+    assert counts == [1, 2, 4, 11, 34, 156]
+
+
+@pytest.mark.parametrize("n", range(1, 6))
+def test_graph_orbits_give_the_least_relabelled_code(n):
+    """Each code's representative is the least code over all n! relabellings."""
+    pairs = _pair_masks(n)
+    index = {p: k for k, p in enumerate(pairs)}
+    relabel = [
+        [index[(1 << perm[a]) | (1 << perm[b])] for a, b in combinations(range(n), 2)]
+        for perm in permutations(range(n))
+    ]
+    least = verify._graph_orbits(n, pairs)
+    for code in range(1 << len(pairs)):
+        images = [
+            sum(1 << image[k] for k in range(len(pairs)) if code >> k & 1) for image in relabel
+        ]
+        assert least[code] == min(images)
+
+
+def test_graph_corollary_memo_is_checked_against_a_recomputation(monkeypatch):
+    """With every graph sent to one class, the memo answers for graphs it
+    does not describe; the every-97th recomputation must report it."""
+    assert run_check("graph-corollary", "n=4..5").ok
+    monkeypatch.setattr(verify, "_graph_orbits", lambda n, pairs: [0] * (1 << len(pairs)))
+    rep = run_check("graph-corollary", "n=4..5")
+    assert not rep.ok
+    flagged = [r for r in rep.results if r.status == "mismatch"]
+    assert flagged and all(
+        r.details.startswith("memo self-check: graph edges=")
+        and r.details.endswith("disagrees with the memo of its isomorphism class, least code 0")
+        for r in flagged
+    )
+    assert rep.notes == REGISTRY["graph-corollary"].notes
