@@ -24,7 +24,10 @@ subset is answered by one of three strategies:
   their boundary ranks depend on that face list alone, so they memoize
   across subsets (complexes with few large faces, e.g. clique-style
   complexes of sparse hypergraphs).  It answers every subset whenever
-  those faces are few enough to grow;
+  those faces are few enough to grow.  A full sweep on it does not visit
+  the 2^n subsets one by one: the answer on V depends only on |V| and
+  the large faces inside V, so the subsets are counted per such pair
+  and each pair is answered once;
 * dual nerve - replace the subcomplex by the nerve of the k minimal
   nonfaces inside V, which has complementary homology and at most 2^k
   faces (the crosscut complex of the LCM lattice);
@@ -258,7 +261,8 @@ class _RestrictionOracle:
         if m < s:
             return {}  # V itself is a face: simplex
         assert self.big_faces is not None
-        S = tuple(f for f in self.big_faces if contains(vmask, f))
+        out = ~vmask
+        S = tuple(f for f in self.big_faces if not f & out)
         return _dims_above(m, s, *self._skeleton_ranks(S))
 
     def _skeleton_ranks(self, S: tuple[int, ...]) -> tuple[dict, dict]:
@@ -274,6 +278,29 @@ class _RestrictionOracle:
 
     # -- subset iteration ---------------------------------------------
 
+    def skeleton_sweep(self, ground: int) -> dict[tuple[int, int], int]:
+        """Betti entries of the full sweep over the subsets of the ground
+        set, on the skeleton strategy.
+
+        A subset V is answered from |V| and the big faces inside V alone,
+        so each distinct pair is answered once and weighted by the number
+        of subsets that share it; the ranks come from the same memo.
+        """
+        assert self.big_faces is not None
+        s = self.min_nonface_size
+        families = _count_by_big_faces(ground, self.big_faces)
+        # the empty set has dims {-1: 1}; any other V smaller than s is a simplex
+        entries: dict[tuple[int, int], int] = {(0, 0): 1}
+        while families:  # popped, so the counts shrink as the rank memo grows
+            S, sizes = families.popitem()
+            ranks = self._skeleton_ranks(S)
+            for m in range(s, len(sizes)):
+                if sizes[m]:
+                    for degree, dim in _dims_above(m, s, *ranks).items():
+                        key = (m - 1 - degree, m)
+                        entries[key] = entries.get(key, 0) + dim * sizes[m]
+        return entries
+
     def union_closure(self) -> list[int] | None:
         """All unions of minimal-nonface subfamilies, or None if huge.
 
@@ -286,6 +313,44 @@ class _RestrictionOracle:
             if len(closure) > 1 << 18:
                 return None
         return sorted(closure)
+
+
+def _count_by_big_faces(
+    ground: int, big_faces: Sequence[int]
+) -> dict[tuple[int, ...], list[int]]:
+    """The subsets V of the ground set grouped by the big faces inside V:
+    for each tuple S of them (in the given order) that occurs, the number
+    of such V of each size, as a list indexed by size.
+
+    A depth-first search decides the vertices that some surviving face
+    meets, lowest bit first: excluding a vertex drops every face through
+    it.  Once no surviving face meets an undecided vertex, the surviving
+    faces are exactly S for every way of completing the subset, and the
+    r undecided vertices give C(r, j) subsets of each extra size j.
+    """
+    n = ground.bit_count()
+    binomials = [[comb(r, j) for j in range(r + 1)] for r in range(n + 1)]
+    counts: dict[tuple[int, ...], list[int]] = {}
+
+    def visit(undecided: int, k: int, alive: tuple[int, ...]) -> None:
+        touched = 0
+        for f in alive:
+            touched |= f
+        touched &= undecided
+        if not touched:
+            sizes = counts.get(alive)
+            if sizes is None:
+                counts[alive] = sizes = [0] * (n + 1)
+            for j, c in enumerate(binomials[undecided.bit_count()]):
+                sizes[k + j] += c
+            return
+        v = touched & -touched
+        rest = undecided ^ v
+        visit(rest, k + 1, alive)
+        visit(rest, k, tuple(f for f in alive if not f & v))
+
+    visit(ground, 0, tuple(big_faces))
+    return counts
 
 
 def _ranks_by_size(faces_by_size: dict[int, list[int]], fld: FieldSpec) -> tuple[dict, dict]:
@@ -336,8 +401,8 @@ def _restriction_sum(
     if len(oracle.mnf) <= CLOSURE_MAX_NONFACES:
         subsets = oracle.union_closure()
     if subsets is None:
-        # full sweep over 2^n subsets: needs the cheap per-subset strategy
-        # unless the ground set is small enough to brute-force
+        # full sweep over 2^n subsets: needs the skeleton strategy unless
+        # the ground set is small enough to brute-force
         if oracle.big_faces is None and n > 14:
             raise SizeBudgetError(
                 "too many minimal nonfaces for the union-closure sum and too "
@@ -348,6 +413,8 @@ def _restriction_sum(
                 f"a full sweep over the 2^{n} vertex subsets exceeds the face "
                 f"budget {FACE_BUDGET}"
             )
+        if oracle.big_faces is not None:
+            return BettiTable("quotient", n, oracle.skeleton_sweep(ground))
         subsets = submasks(ground)
     entries: dict[tuple[int, int], int] = {}
     for v in subsets:

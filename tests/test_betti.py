@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperbetti import (
@@ -38,7 +40,12 @@ from hyperbetti import (
     star_betti_closed_form,
     taylor_betti_free_vertex,
 )
-from hyperbetti.betti import _RestrictionOracle, resolution_stats
+from hyperbetti.betti import (
+    CLOSURE_MAX_NONFACES,
+    _count_by_big_faces,
+    _RestrictionOracle,
+    resolution_stats,
+)
 from hyperbetti.bitsets import contains, k_submasks, mask_of, min_antichain, submasks
 from hyperbetti.complexes import FACE_BUDGET, restrict
 from hyperbetti.hypergraph import non_edges
@@ -249,3 +256,72 @@ def test_the_edge_route_reaches_the_paper_lines():
     the ten edges and never builds the independence complex."""
     table = edge_ideal_betti(make_line(10, 4, 1), GF2, vertex_budget=40)
     assert table == line_betti_closed_form(10, 4, 1)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(7, 9), st.integers(2, 3), st.data())
+def test_skeleton_sweep_equals_the_per_subset_sum(n, d, data):
+    """The grouped count of the skeleton full sweep gives the table of the
+    per-subset restriction sum, on full and gapped ground sets."""
+    full = (1 << n) - 1
+    ground = full ^ data.draw(st.sampled_from([0] + [1 << i for i in range(n)]), label="gap")
+    subsets = list(k_submasks(ground, d))
+    most = max(0, len(subsets) - CLOSURE_MAX_NONFACES - 1)  # more non-edges than that
+    picked = data.draw(st.lists(st.sampled_from(subsets), max_size=most))
+    h = Hypergraph(n, frozenset(picked), ground)
+    nonfaces = non_edges(h, d)
+    assume(len(nonfaces) > CLOSURE_MAX_NONFACES)
+    for fld in (GF2, GF3, QQ):
+        oracle = _RestrictionOracle(ground, nonfaces, fld)
+        assume(oracle.big_faces is not None)
+        entries: dict[tuple[int, int], int] = {}
+        for vmask in submasks(ground):
+            j = vmask.bit_count()
+            for degree, dim in oracle.dims_for(vmask).items():
+                key = (j - 1 - degree, j)
+                entries[key] = entries.get(key, 0) + dim
+        assert clique_ideal_betti(h, d, fld) == BettiTable("quotient", ground.bit_count(), entries)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(0, (1 << 9) - 1), st.lists(st.integers(1, (1 << 9) - 1), max_size=7))
+@example(0b110111011, [0b000000011, 0b000011010, 0b110000010])  # gaps, free vertices
+@example(0b1111, [0b1111])  # one big face is the whole ground set
+@example(0b101101, [])  # no big faces
+@example(0, [])
+def test_big_face_counts_match_a_brute_force_tally(ground, faces):
+    """Subsets counted by size and the big faces they contain."""
+    big = sorted({f & ground for f in faces})
+    expected = Counter(
+        (v.bit_count(), tuple(f for f in big if f & ~v == 0)) for v in submasks(ground)
+    )
+    counts = Counter(
+        {(m, S): c for S, sizes in _count_by_big_faces(ground, big).items()
+         for m, c in enumerate(sizes) if c}
+    )
+    assert counts == expected
+    assert sum(counts.values()) == 1 << ground.bit_count()
+
+
+def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch):
+    """line(5,4,1) on the clique route is a 16-vertex skeleton full sweep:
+    it must group its 2^16 subsets, and rank each family of big faces once."""
+    dims_calls = []
+    families: Counter[tuple[int, ...]] = Counter()
+    dims_for = _RestrictionOracle.dims_for
+    skeleton_ranks = _RestrictionOracle._skeleton_ranks
+
+    def counted_dims_for(self, vmask):
+        dims_calls.append(vmask)
+        return dims_for(self, vmask)
+
+    def counted_ranks(self, S):
+        families[S] += 1
+        return skeleton_ranks(self, S)
+
+    monkeypatch.setattr(_RestrictionOracle, "dims_for", counted_dims_for)
+    monkeypatch.setattr(_RestrictionOracle, "_skeleton_ranks", counted_ranks)
+    table = clique_ideal_betti(make_line(5, 4, 1), 4, GF2)
+    assert table.n == 16 and table.beta(0, 0) == 1
+    assert not dims_calls
+    assert families and max(families.values()) == 1
