@@ -15,17 +15,20 @@ No route builds a facet list.  ``complexes.grow_faces`` lists faces
 level by level from the nonfaces, up to a cap, wherever a route needs
 them.
 
-Subsets that induce a cone contribute nothing, so when the minimal
-nonfaces are few the sum runs only over their unions.  Every other
-subset is answered by one of three strategies:
+Subsets that induce a cone contribute nothing, so the sum runs over the
+support U, the union of the minimal nonfaces, and has two plans: the
+union closure of the minimal nonfaces, which holds every subset with
+nonzero homology, when there are few nonfaces or few vertices in U; and
+otherwise the grouped full sweep of the skeleton strategy over the 2^|U|
+subsets of U.  Each subset is answered by one of three strategies:
 
 * sparse skeleton - when every set smaller than s (the minimal nonface
   size) is a face, only the faces of size >= s carry information, and
   their boundary ranks depend on that face list alone, so they memoize
   across subsets (complexes with few large faces, e.g. clique-style
   complexes of sparse hypergraphs).  It answers every subset whenever
-  those faces are few enough to grow.  A full sweep on it does not visit
-  the 2^n subsets one by one: the answer on V depends only on |V| and
+  those faces are few enough to grow.  Its full sweep does not visit
+  the 2^|U| subsets one by one: the answer on V depends only on |V| and
   the large faces inside V, so the subsets are counted per such pair
   and each pair is answered once;
 * dual nerve - replace the subcomplex by the nerve of the k minimal
@@ -49,9 +52,9 @@ from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb, factorial
-from typing import Iterable, Sequence
+from typing import Collection, Iterable, Iterator, Sequence
 
-from .bitsets import contains, k_submasks, submasks
+from .bitsets import contains, k_submasks
 from .complexes import FACE_BUDGET, SimplicialComplex, grow_faces, minimal_nonfaces
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import (
@@ -278,9 +281,9 @@ class _RestrictionOracle:
 
     # -- subset iteration ---------------------------------------------
 
-    def skeleton_sweep(self, ground: int) -> dict[tuple[int, int], int]:
-        """Betti entries of the full sweep over the subsets of the ground
-        set, on the skeleton strategy.
+    def skeleton_sweep(self, ground: int) -> Iterator[tuple[int, dict[int, int], int]]:
+        """The full sweep over the subsets of the ground set on the skeleton
+        strategy, as (size, dims, number of subsets) terms.
 
         A subset V is answered from |V| and the big faces inside V alone,
         so each distinct pair is answered once and weighted by the number
@@ -290,16 +293,13 @@ class _RestrictionOracle:
         s = self.min_nonface_size
         families = _count_by_big_faces(ground, self.big_faces)
         # the empty set has dims {-1: 1}; any other V smaller than s is a simplex
-        entries: dict[tuple[int, int], int] = {(0, 0): 1}
+        yield 0, {-1: 1}, 1
         while families:  # popped, so the counts shrink as the rank memo grows
             S, sizes = families.popitem()
             ranks = self._skeleton_ranks(S)
             for m in range(s, len(sizes)):
                 if sizes[m]:
-                    for degree, dim in _dims_above(m, s, *ranks).items():
-                        key = (m - 1 - degree, m)
-                        entries[key] = entries.get(key, 0) + dim * sizes[m]
-        return entries
+                    yield m, _dims_above(m, s, *ranks), sizes[m]
 
     def union_closure(self) -> list[int] | None:
         """All unions of minimal-nonface subfamilies, or None if huge.
@@ -385,47 +385,51 @@ def _check_vertex_budget(ground: int, vertex_budget: int) -> None:
 
 
 def _restriction_sum(
-    ground: int, nonfaces: Iterable[int], fld: FieldSpec, vertex_budget: int
+    ground: int, nonfaces: Collection[int], fld: FieldSpec, vertex_budget: int
 ) -> BettiTable:
     """Graded Betti numbers of R/I, where I is generated by these minimal
     nonfaces of a complex on the ground set.
 
-    The sum runs over the unions of minimal nonfaces when there are few
-    enough of them, and over every vertex subset otherwise; that sweep is
-    refused up front when its 2^n subsets are over the face budget.
+    The sum runs over the support U, the union of the minimal nonfaces:
+    a subset holding any other vertex induces a cone.  Its nonzero terms
+    lie in the union closure of the nonfaces, which is the plan when
+    there are few enough nonfaces, or when there is no skeleton strategy
+    and U has at most 14 vertices (at most 2^14 unions).  Otherwise the
+    skeleton strategy sweeps the 2^|U| subsets of U grouped by the big
+    faces they contain; that sweep is refused up front when 2^|U| is over
+    the face budget, and with no skeleton strategy there is no plan.
     """
     _check_vertex_budget(ground, vertex_budget)
-    n = ground.bit_count()
-    oracle = _RestrictionOracle(ground, nonfaces, fld)
-    subsets: Iterable[int] | None = None
-    if len(oracle.mnf) <= CLOSURE_MAX_NONFACES:
-        subsets = oracle.union_closure()
-    if subsets is None:
-        # full sweep over 2^n subsets: needs the skeleton strategy unless
-        # the ground set is small enough to brute-force
-        if oracle.big_faces is None and n > 14:
-            raise SizeBudgetError(
-                "too many minimal nonfaces for the union-closure sum and too "
-                "many large faces for the skeleton strategy; no feasible plan"
-            )
-        if 1 << n > FACE_BUDGET:
-            raise SizeBudgetError(
-                f"a full sweep over the 2^{n} vertex subsets exceeds the face "
-                f"budget {FACE_BUDGET}"
-            )
-        if oracle.big_faces is not None:
-            return BettiTable("quotient", n, oracle.skeleton_sweep(ground))
-        subsets = submasks(ground)
+    support = 0
+    for M in nonfaces:
+        support |= M
+    u = support.bit_count()
+    oracle = _RestrictionOracle(support, nonfaces, fld)
+    closure = None
+    if len(oracle.mnf) <= CLOSURE_MAX_NONFACES or (oracle.big_faces is None and u <= 14):
+        closure = oracle.union_closure()
+    if closure is not None:
+        terms: Iterable[tuple[int, dict[int, int], int]] = (
+            (v.bit_count(), oracle.dims_for(v), 1) for v in closure
+        )
+    elif oracle.big_faces is None:
+        raise SizeBudgetError(
+            "too many minimal nonfaces for the union-closure sum and too "
+            "many large faces for the skeleton strategy; no feasible plan"
+        )
+    elif 1 << u > FACE_BUDGET:
+        raise SizeBudgetError(
+            f"a full sweep over the 2^{u} vertex subsets exceeds the face "
+            f"budget {FACE_BUDGET}"
+        )
+    else:
+        terms = oracle.skeleton_sweep(support)
     entries: dict[tuple[int, int], int] = {}
-    for v in subsets:
-        dims = oracle.dims_for(v)
-        if not dims:
-            continue
-        j = v.bit_count()
+    for j, dims, count in terms:
         for degree, dim in dims.items():
             key = (j - 1 - degree, j)
-            entries[key] = entries.get(key, 0) + dim
-    return BettiTable("quotient", n, entries)
+            entries[key] = entries.get(key, 0) + dim * count
+    return BettiTable("quotient", ground.bit_count(), entries)
 
 
 def hochster_betti(

@@ -78,10 +78,6 @@ class AttachmentSequence:
         if self.steps[0].glue:
             raise ParameterError("the first step cannot glue onto anything")
 
-    @property
-    def total_vertices(self) -> int:
-        return sum(s.size - len(s.glue) for s in self.steps)
-
     def to_json_obj(self) -> dict:
         return {
             "d": self.d,

@@ -57,9 +57,6 @@ class SimplicialComplex:
             return None
         return max(f.bit_count() for f in self.facets) - 1
 
-    def has_face(self, face: int) -> bool:
-        return any(contains(f, face) for f in self.facets)
-
     def facet_list(self) -> list[tuple[int, ...]]:
         return sorted(tuple(bits_of(f)) for f in self.facets)
 

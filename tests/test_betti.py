@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 from collections import Counter
+from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -242,6 +244,59 @@ def test_ideal_betti_refuses_a_non_minimal_generating_set():
 # The 4-cycle's independence complex: facets {0,2} and {1,3}, minimal
 # nonfaces the four edges of the cycle.
 SQUARE = SimplicialComplex(4, frozenset({0b0101, 0b1010}))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.integers(1, 6), st.integers(0, 2), st.data())
+def test_hochster_betti_equals_the_facet_based_sum(k, cones, data):
+    """The table of a complex whose faces all hold the same cone vertices,
+    so its minimal nonfaces miss them, against the sum over every subset
+    of the ground set of the homology of the induced subcomplex, each
+    built from the facets."""
+    n = k + cones
+    apex = mask_of(range(k, n))
+    faces = data.draw(st.lists(st.integers(0, (1 << k) - 1), min_size=1, max_size=6))
+    c = SimplicialComplex.from_faces(n, [f | apex for f in faces])
+    for fld in (GF2, GF3, QQ):
+        entries: dict[tuple[int, int], int] = {}
+        for vmask in submasks(c.vertices):
+            j = vmask.bit_count()
+            for degree, dim in reduced_homology_dims(restrict(c, vmask), fld).items():
+                key = (j - 1 - degree, j)
+                entries[key] = entries.get(key, 0) + dim
+        assert hochster_betti(c, fld) == BettiTable("quotient", n, entries)
+
+
+@pytest.mark.parametrize("n, a, d", [(12, 8, 2), (15, 7, 3), (16, 8, 2), (20, 7, 3)])
+def test_the_sum_runs_over_the_support_of_the_non_edges(n, a, d):
+    """Every d-set except those inside the first a vertices is an edge, so
+    the non-edges live on a vertices and every other vertex is a cone
+    apex: the table is that of all d-subsets of an a-set, on n variables."""
+    inside = (1 << a) - 1
+    edges = frozenset(
+        m for m in map(mask_of, combinations(range(n), d)) if not contains(inside, m)
+    )
+    h = Hypergraph(n, edges)
+    for fld in (GF2, GF3, QQ):
+        table = clique_ideal_betti(h, d, fld)
+        assert table.n == n
+        assert table.entries == knd_complement_betti(a, d).entries
+
+
+def test_the_closure_answers_a_small_support_with_no_skeleton():
+    """K(3,10) and two isolated vertices on the edge route: 30 edges, more
+    than the closure takes on their count alone, and 1,017 independent
+    sets of size >= 2, too many for the skeleton strategy.  The 13-vertex
+    support lets the union closure answer anyway.  Complete bipartite
+    edge ideals have a linear resolution, with beta(i, i+1) the sum of
+    C(3, p) C(10, q) over p + q = i + 1, p, q >= 1."""
+    edges = frozenset(mask_of([i, 3 + j]) for i in range(3) for j in range(10))
+    expected = {(0, 0): 1}
+    for j in range(2, 14):
+        expected[(j - 1, j)] = sum(comb(3, p) * comb(10, j - p) for p in range(1, j))
+    table = edge_ideal_betti(Hypergraph(15, edges), GF2)
+    assert table.n == 15
+    assert table.entries == expected
 
 
 def test_restriction_sum_on_a_smaller_ground_set():

@@ -75,7 +75,7 @@ def test_auto_glue_prefers_lexicographic():
 def test_enumerate_sequences_are_distinct_and_bounded():
     seqs = list(enumerate_sequences(3, 6, 2))
     assert len(seqs) == len(set(seqs))
-    assert all(s.total_vertices <= 6 for s in seqs)
+    assert all(sum(step.size - len(step.glue) for step in s.steps) <= 6 for s in seqs)
 
 
 def test_chordal_recognizer_on_graphs():

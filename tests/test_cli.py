@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -260,6 +261,32 @@ def test_betti_refuses_a_full_sweep_over_the_face_budget(capsys, tmp_path):
     assert "Traceback" not in done.stderr
     assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
         "error: a full sweep over the 2^31 vertex subsets exceeds the face budget 4194304"
+    ]
+
+
+def test_betti_refuses_when_no_plan_is_feasible(tmp_path):
+    """The complete 3-uniform hypergraph on 15 vertices minus the 30 triples
+    {i, i+1, i+3} and {i, i+2, i+7} (mod 15): the clique route has 30
+    non-edges, too many for the union closure, they cover all 15
+    vertices, and the complex has too many large faces for the skeleton
+    strategy.  No plan is left, and the sum is refused at once."""
+    missing = {frozenset({i, (i + 1) % 15, (i + 3) % 15}) for i in range(15)}
+    missing |= {frozenset({i, (i + 2) % 15, (i + 7) % 15}) for i in range(15)}
+    edges = [list(t) for t in itertools.combinations(range(15), 3) if frozenset(t) not in missing]
+    path = tmp_path / "sparse-complement.json"
+    path.write_text(json.dumps({"n": 15, "edges": edges}))
+    env = dict(os.environ, PYTHONPATH=SRC, HYPERBETTI_CACHE_DIR=str(tmp_path / "cache"))
+    done = subprocess.run(
+        [sys.executable, "-m", "hyperbetti", "betti", str(path), "--complex", "clique",
+         "--no-cache"],
+        capture_output=True, text=True, env=env, timeout=20,
+    )
+    assert done.returncode == 3
+    assert done.stdout == ""
+    assert "Traceback" not in done.stderr
+    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
+        "error: too many minimal nonfaces for the union-closure sum and too many large "
+        "faces for the skeleton strategy; no feasible plan"
     ]
 
 

@@ -18,13 +18,17 @@ from hyperbetti import (
     minimal_nonfaces,
     restrict,
 )
-from hyperbetti.bitsets import bits_of, k_submasks, mask_of, max_antichain, submasks
+from hyperbetti.bitsets import bits_of, contains, k_submasks, mask_of, max_antichain, submasks
 from hyperbetti.complexes import (
     enumerate_faces,
     grow_faces,
     minimal_transversals,
     pad_facets,
 )
+
+
+def _has_face(c, face):
+    return any(contains(f, face) for f in c.facets)
 
 
 def test_facets_must_form_antichain():
@@ -37,7 +41,7 @@ def test_void_versus_empty_complex():
     void = SimplicialComplex(3, frozenset())
     empty = SimplicialComplex(3, frozenset({0}))
     assert void.is_void and not empty.is_void
-    assert empty.has_face(0) and not void.has_face(0)
+    assert _has_face(empty, 0) and not _has_face(void, 0)
     assert SimplicialComplex.from_json(void.to_json()) == void
     assert SimplicialComplex.from_json(empty.to_json()) == empty
     revived = SimplicialComplex.from_json_obj({"n": 3, "facets": [], "void": False})
@@ -59,9 +63,9 @@ def test_clique_complex_fills_low_dimensions():
     """Sets smaller than the uniformity are faces for free."""
     h = Hypergraph(4, frozenset({mask_of([0, 1, 2])}))
     c = clique_complex(h, 3)
-    assert c.has_face(mask_of([0, 3]))
-    assert c.has_face(mask_of([0, 1, 2]))
-    assert not c.has_face(mask_of([1, 2, 3]))
+    assert _has_face(c, mask_of([0, 3]))
+    assert _has_face(c, mask_of([0, 1, 2]))
+    assert not _has_face(c, mask_of([1, 2, 3]))
 
 
 def test_minimal_nonfaces_of_independence_complex_are_edges():

@@ -14,7 +14,7 @@ from hyperbetti import (
     parse_field,
     reduced_homology_dims,
 )
-from hyperbetti.homology import euler_characteristic_reduced, rank_over_field
+from hyperbetti.homology import rank_over_field
 
 
 def test_field_labels():
@@ -97,8 +97,3 @@ def test_projective_plane_detects_characteristic_two():
     assert reduced_homology_dims(c, QQ) == {}
     assert reduced_homology_dims(c, GF3) == {}
     assert reduced_homology_dims(c, GF2) == {1: 1, 2: 1}
-
-
-def test_euler_characteristic_matches_homology():
-    c = SimplicialComplex.from_faces(3, [[0, 1], [1, 2], [0, 2]])
-    assert euler_characteristic_reduced(c) == -1
