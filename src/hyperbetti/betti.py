@@ -20,7 +20,7 @@ support U, the union of the minimal nonfaces, and has two plans: the
 union closure of the minimal nonfaces, which holds every subset with
 nonzero homology, when there are few nonfaces or few vertices in U; and
 otherwise the grouped full sweep of the skeleton strategy over the 2^|U|
-subsets of U.  Each subset is answered by one of three strategies:
+subsets of U.  Each subset is answered by one of these strategies:
 
 * sparse skeleton - when every set smaller than s (the minimal nonface
   size) is a face, only the faces of size >= s carry information, and
@@ -31,18 +31,28 @@ subsets of U.  Each subset is answered by one of three strategies:
   the 2^|U| subsets one by one: the answer on V depends only on |V| and
   the large faces inside V, so the subsets are counted per such pair
   and each pair is answered once;
-* dual nerve - replace the subcomplex by the nerve of the k minimal
-  nonfaces inside V, which has complementary homology and at most 2^k
-  faces (the crosscut complex of the LCM lattice);
-* direct - grow the faces of size >= s of the induced subcomplex (s
-  the smallest nonface size inside V, so every smaller set is a face)
-  and answer by the skeleton's formula, without its memo.
+* join split and shape memo - without the skeleton, the minimal
+  nonfaces inside V fall into components, two nonfaces being joined
+  when they share a vertex.  The components' supports partition V, and
+  the subcomplex on V is the join of the subcomplexes on those supports,
+  so by the Kunneth formula for joins its homology is the product of
+  theirs, H~_{p+q+1}(A*B) = sum of H~_p(A) (x) H~_q(B).  Each component
+  is relabelled onto the vertices 0..m-1 in order, a simplicial
+  isomorphism, and its sorted relabelled nonfaces are the key of a memo:
+  every shape is answered once per oracle, by one of the two routes
+  below on the relabelled component;
+* dual nerve - replace the subcomplex by the nerve of its k minimal
+  nonfaces, which has complementary homology and at most 2^k faces (the
+  crosscut complex of the LCM lattice);
+* direct - grow the faces of size >= s of the subcomplex (s the smallest
+  nonface size in it, so every smaller set is a face) and answer by the
+  skeleton's formula, without its memo.
 
 Between the last two the cost is measured, not estimated: those faces
-are grown up to the nerve's 2^k (or up to the face budget, if 2^k is
-over it).  If the growth finishes the direct route answers; otherwise
-the nerve runs, and refuses with SizeBudgetError when 2^k is over the
-face budget.
+are grown up to the component's nerve size 2^k (or up to the face
+budget, if 2^k is over it).  If the growth finishes the direct route
+answers; otherwise the nerve runs, and refuses with SizeBudgetError
+when 2^k is over the face budget.
 """
 
 from __future__ import annotations
@@ -54,7 +64,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .bitsets import contains, k_submasks
+from .bitsets import k_submasks
 from .complexes import FACE_BUDGET, SimplicialComplex, grow_faces, minimal_nonfaces
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import (
@@ -192,6 +202,7 @@ class _RestrictionOracle:
         big = grow_faces(ground, self.mnf, s, BIG_FACE_CAP) if self.mnf else None
         self.big_faces = None if big is None else sorted(f for fs in big.values() for f in fs)
         self._rank_memo: dict[tuple[int, ...], tuple[dict, dict]] = {}
+        self._shape_memo: dict[tuple[int, ...], dict[int, int]] = {}
 
     # -- public -------------------------------------------------------
 
@@ -199,10 +210,10 @@ class _RestrictionOracle:
         """Nonzero reduced homology dims of the induced subcomplex.
 
         Cones are answered at once, and the skeleton strategy takes every
-        subset when it exists.  Otherwise the k minimal nonfaces inside V
-        give a nerve of 2^k faces: the faces of the subcomplex no smaller
-        than these nonfaces are grown up to that many (or up to the face
-        budget); they answer if the growth finishes, the nerve otherwise.
+        subset when it exists.  Otherwise the minimal nonfaces inside V
+        are split into components, and the subcomplex is the join of the
+        subcomplexes on their supports; each component shape is answered
+        once, and the join multiplies their homologies.
         """
         m = vmask.bit_count()
         if m == 0:
@@ -211,7 +222,8 @@ class _RestrictionOracle:
             return {}  # the whole complex is a simplex
         if self.big_faces is not None:
             return self._dims_skeleton(vmask, m)
-        relevant = [M for M in self.mnf if contains(vmask, M)]
+        out = ~vmask
+        relevant = [M for M in self.mnf if not M & out]
         if not relevant:
             return {}  # simplex on V
         covered = 0
@@ -219,12 +231,32 @@ class _RestrictionOracle:
             covered |= M
         if covered != vmask:
             return {}  # any uncovered vertex is a cone apex
-        dims = self._dims_direct(vmask, relevant, min(1 << len(relevant), FACE_BUDGET))
-        if dims is None:
-            return self._dims_nerve(vmask, m, relevant)
+        dims = {-1: 1}  # the empty complex, the unit of the join
+        for support, members in _nonface_components(relevant):
+            part = self._dims_shape(_relabelled(support, members))
+            if not part:
+                return {}  # an acyclic factor makes the join acyclic
+            dims = _join_dims(dims, part)
         return dims
 
     # -- strategies ---------------------------------------------------
+
+    def _dims_shape(self, key: tuple[int, ...]) -> dict[int, int]:
+        """Homology of the complex on 0..m-1 whose minimal nonfaces are the
+        key and cover every vertex, once per key.  The k nonfaces give a
+        nerve of 2^k faces: the faces no smaller than the nonfaces are
+        grown up to that many (or up to the face budget); they answer if
+        the growth finishes, the nerve otherwise."""
+        dims = self._shape_memo.get(key)
+        if dims is None:
+            relevant = list(key)
+            m = key[-1].bit_length()  # the top vertex lies in some nonface
+            full = (1 << m) - 1
+            dims = self._dims_direct(full, relevant, min(1 << len(relevant), FACE_BUDGET))
+            if dims is None:
+                dims = self._dims_nerve(full, m, relevant)
+            self._shape_memo[key] = dims
+        return dims
 
     def _dims_direct(self, vmask: int, relevant: list[int], cap: int) -> dict[int, int] | None:
         """Homology from the faces of size >= s (the smallest nonface size
@@ -351,6 +383,55 @@ def _count_by_big_faces(
 
     visit(ground, 0, tuple(big_faces))
     return counts
+
+
+def _nonface_components(nonfaces: Iterable[int]) -> list[tuple[int, list[int]]]:
+    """The nonfaces grouped into components, two being joined when they
+    share a vertex, as (support, members) pairs with disjoint supports."""
+    parts: list[tuple[int, list[int]]] = []
+    for M in nonfaces:
+        support, members = M, [M]
+        apart = []
+        for part in parts:
+            if part[0] & M:
+                support |= part[0]
+                members += part[1]
+            else:
+                apart.append(part)
+        apart.append((support, members))
+        parts = apart
+    return parts
+
+
+def _relabelled(support: int, masks: Iterable[int]) -> tuple[int, ...]:
+    """The masks, subsets of the support, with the support's vertices
+    relabelled 0..m-1 in increasing order, sorted.
+
+    Each maximal run of vertices missing from the support, from the top
+    down, is closed by shifting the bits above it down over it.
+    """
+    low = (support & -support).bit_length() - 1
+    support >>= low
+    out = [M >> low for M in masks]
+    gaps = ~support & ((1 << support.bit_length()) - 1)
+    while gaps:
+        hi = gaps.bit_length()  # the run of gaps ends at bit hi - 1
+        lo = (support & ((1 << hi) - 1)).bit_length()  # and starts at bit lo
+        keep = (1 << lo) - 1
+        out = [(M & keep) | (M >> (hi - lo) & ~keep) for M in out]
+        gaps &= keep
+    out.sort()
+    return tuple(out)
+
+
+def _join_dims(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
+    """Reduced homology of the join of two complexes over a field:
+    H~_{p+q+1}(A*B) is the sum of H~_p(A) (x) H~_q(B)."""
+    out: dict[int, int] = {}
+    for p, x in a.items():
+        for q, y in b.items():
+            out[p + q + 1] = out.get(p + q + 1, 0) + x * y
+    return out
 
 
 def _ranks_by_size(faces_by_size: dict[int, list[int]], fld: FieldSpec) -> tuple[dict, dict]:

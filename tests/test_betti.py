@@ -380,3 +380,106 @@ def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch):
     assert table.n == 16 and table.beta(0, 0) == 1
     assert not dims_calls
     assert families and max(families.values()) == 1
+
+
+_BLOCK = st.tuples(st.integers(0, 1), st.lists(st.integers(1, 15), min_size=1, max_size=4))
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.lists(_BLOCK, min_size=1, max_size=3))
+@example([(0, [0b0011, 0b0110, 0b1100]), (0, [0b11])])  # an acyclic path, joined
+@example([(0, [0b0101, 0b1010]), (1, [0b1, 0b110])])  # interleaved components
+def test_the_join_split_equals_the_unsplit_routes(blocks):
+    """Nonfaces drawn as a disjoint union of small families, each on its
+    own block of vertices after an optional gap, so many subsets split
+    into several components: on every subset the cone filters let
+    through, the split answer equals the direct and the nerve routes run
+    on the whole, unsplit subset."""
+    nonfaces: list[int] = []
+    shift = 0
+    for gap, family in blocks:
+        shift += gap
+        nonfaces += [M << shift for M in min_antichain(family)]
+        shift += max(family).bit_length()
+    for fld in (GF2, GF3, QQ):
+        oracle = _RestrictionOracle((1 << shift) - 1, nonfaces, fld)
+        oracle.big_faces = None  # take the split path even where the skeleton fits
+        for vmask in oracle.union_closure():
+            relevant = [M for M in oracle.mnf if contains(vmask, M)]
+            if not relevant:
+                continue
+            m = vmask.bit_count()
+            expected = oracle._dims_direct(vmask, relevant, FACE_BUDGET)
+            assert oracle._dims_nerve(vmask, m, relevant) == expected
+            assert oracle.dims_for(vmask) == expected
+
+
+def _product_table(a: BettiTable, b: BettiTable) -> dict[tuple[int, int], int]:
+    entries: Counter[tuple[int, int]] = Counter()
+    for (i1, j1), x in a.entries.items():
+        for (i2, j2), y in b.entries.items():
+            entries[(i1 + i2, j1 + j2)] += x * y
+    return dict(entries)
+
+
+_SIX = [m for m in range(1 << 6) if 2 <= m.bit_count() <= 3]
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    st.lists(st.sampled_from(_SIX), max_size=4), st.lists(st.sampled_from(_SIX), max_size=4)
+)
+@example([0b000011, 0b000110, 0b001100], [0b000011])  # P4: an acyclic complex
+def test_a_disjoint_union_has_the_product_table(e1, e2):
+    """The resolution of R/(I1 + I2) on disjoint variables is the tensor
+    product of the two resolutions, so the table of H1 and H2 side by
+    side on 12 vertices, summed over joins of components, is the product
+    of their tables."""
+    h1, h2 = Hypergraph(6, min_antichain(e1)), Hypergraph(6, min_antichain(e2))
+    both = Hypergraph(12, h1.edges | {M << 6 for M in h2.edges})
+    for fld in (GF2, GF3, QQ):
+        expected = _product_table(edge_ideal_betti(h1, fld), edge_ideal_betti(h2, fld))
+        assert edge_ideal_betti(both, fld).entries == expected
+
+
+def test_each_component_shape_is_answered_once(monkeypatch):
+    """On the edge route every subset of a star is one star-shaped
+    component and every subset of a line splits into runs, so the direct
+    route runs once per shape, 10 star sizes and 12 run lengths, and the
+    nerve only where the direct route gave up."""
+    calls: Counter[str] = Counter()
+    dims_direct = _RestrictionOracle._dims_direct
+    dims_nerve = _RestrictionOracle._dims_nerve
+
+    def counted_direct(self, vmask, relevant, cap):
+        calls["direct"] += 1
+        return dims_direct(self, vmask, relevant, cap)
+
+    def counted_nerve(self, vmask, m, relevant):
+        calls["nerve"] += 1
+        return dims_nerve(self, vmask, m, relevant)
+
+    monkeypatch.setattr(_RestrictionOracle, "_dims_direct", counted_direct)
+    monkeypatch.setattr(_RestrictionOracle, "_dims_nerve", counted_nerve)
+    assert edge_ideal_betti(make_star_overlap(10, 2, 1), GF2) == star_betti_closed_form(10, 2, 1)
+    assert calls["direct"] <= 10 and calls["nerve"] <= calls["direct"]
+    calls.clear()
+    table = edge_ideal_betti(make_line(12, 3, 1), GF2, vertex_budget=40)
+    assert table == line_betti_closed_form(12, 3, 1)
+    assert calls["direct"] <= 12 and calls["nerve"] <= calls["direct"]
+
+
+@pytest.mark.parametrize("fld", [GF2, QQ], ids=["gf2", "q"])
+@pytest.mark.parametrize(
+    "family, n, d, closed_form",
+    [
+        (make_line, 12, 3, line_betti_closed_form),
+        (make_cycle, 12, 3, cycle_betti_closed_form),
+        (make_line, 11, 4, line_betti_closed_form),
+    ],
+    ids=["line-12-3-1", "cycle-12-3-1", "line-11-4-1"],
+)
+def test_the_edge_route_reaches_the_frontier_families(family, n, d, closed_form, fld):
+    """24 to 34 vertices on the edge route, each equal to its closed form."""
+    table = edge_ideal_betti(family(n, d, 1), fld, vertex_budget=40)
+    assert table == closed_form(n, d, 1)

@@ -264,6 +264,19 @@ def test_betti_refuses_a_full_sweep_over_the_face_budget(capsys, tmp_path):
     ]
 
 
+def test_betti_answers_a_paper_line_at_a_raised_vertex_budget(capsys, tmp_path):
+    """line(12,3,1) has 25 vertices: over the default budget, answered on
+    the edge route at --max-vertices 40 with the closed form's bytes."""
+    path = _gen_to_file(
+        capsys, tmp_path, "gen", "--family", "line", "--n", "12", "--d", "3", "--alpha", "1"
+    )
+    code, out, _ = run(capsys, "betti", path, "--max-vertices", "40", "--no-cache")
+    assert code == 0
+    code, closed, _ = run(capsys, "betti", path, "--method", "closed-form", "--no-cache")
+    assert code == 0
+    assert out == closed
+
+
 def test_betti_refuses_when_no_plan_is_feasible(tmp_path):
     """The complete 3-uniform hypergraph on 15 vertices minus the 30 triples
     {i, i+1, i+3} and {i, i+2, i+7} (mod 15): the clique route has 30
