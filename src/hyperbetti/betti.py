@@ -18,9 +18,13 @@ them.
 Subsets that induce a cone contribute nothing, so the sum runs over the
 support U, the union of the minimal nonfaces, and has two plans: the
 union closure of the minimal nonfaces, which holds every subset with
-nonzero homology, when there are few nonfaces or few vertices in U; and
-otherwise the grouped full sweep of the skeleton strategy over the 2^|U|
-subsets of U.  Each subset is answered by one of these strategies:
+nonzero homology, when there are few nonfaces or no skeleton strategy;
+and otherwise the grouped full sweep of the skeleton strategy over the
+subsets of U.  One plan budget bounds both by what they visit before any
+rank runs: the sets of the closure as it grows, or the leaves of the
+sweep's search.  A closure past it gives way to the sweep when there is
+a skeleton strategy; otherwise, and for a sweep past it, the sum is
+refused.  Each subset is answered by one of these strategies:
 
 * sparse skeleton - when every set smaller than s (the minimal nonface
   size) is a face, only the faces of size >= s carry information, and
@@ -183,8 +187,12 @@ class BettiTable:
 VERTEX_BUDGET = 20
 # Most faces of size >= s the skeleton strategy lists.
 BIG_FACE_CAP = 600
-# Most minimal nonfaces for which the sum runs over their union closure.
+# Most minimal nonfaces for which the sum runs over their union closure
+# when the skeleton strategy is there too.
 CLOSURE_MAX_NONFACES = 26
+# Most sets a plan of the restriction sum visits before any rank runs: the
+# union closure as it grows, or the leaves of the grouped skeleton search.
+PLAN_BUDGET = 1 << 18
 
 
 class _RestrictionOracle:
@@ -313,17 +321,17 @@ class _RestrictionOracle:
 
     # -- subset iteration ---------------------------------------------
 
-    def skeleton_sweep(self, ground: int) -> Iterator[tuple[int, dict[int, int], int]]:
-        """The full sweep over the subsets of the ground set on the skeleton
-        strategy, as (size, dims, number of subsets) terms.
+    def skeleton_sweep(
+        self, families: dict[tuple[int, ...], list[int]]
+    ) -> Iterator[tuple[int, dict[int, int], int]]:
+        """The full sweep on the skeleton strategy, as (size, dims, number of
+        subsets) terms, from the subsets counted by ``_count_by_big_faces``.
 
         A subset V is answered from |V| and the big faces inside V alone,
         so each distinct pair is answered once and weighted by the number
         of subsets that share it; the ranks come from the same memo.
         """
-        assert self.big_faces is not None
         s = self.min_nonface_size
-        families = _count_by_big_faces(ground, self.big_faces)
         # the empty set has dims {-1: 1}; any other V smaller than s is a simplex
         yield 0, {-1: 1}, 1
         while families:  # popped, so the counts shrink as the rank memo grows
@@ -334,7 +342,8 @@ class _RestrictionOracle:
                     yield m, _dims_above(m, s, *ranks), sizes[m]
 
     def union_closure(self) -> list[int] | None:
-        """All unions of minimal-nonface subfamilies, or None if huge.
+        """All unions of minimal-nonface subfamilies, or None once they
+        pass the plan budget.
 
         Induced subcomplexes on any other vertex set are cones, so the
         restriction sum may run over this family alone.
@@ -342,47 +351,56 @@ class _RestrictionOracle:
         closure: set[int] = {0}
         for M in self.mnf:
             closure |= {c | M for c in closure}
-            if len(closure) > 1 << 18:
+            if len(closure) > PLAN_BUDGET:
                 return None
         return sorted(closure)
 
 
 def _count_by_big_faces(
     ground: int, big_faces: Sequence[int]
-) -> dict[tuple[int, ...], list[int]]:
+) -> dict[tuple[int, ...], list[int]] | None:
     """The subsets V of the ground set grouped by the big faces inside V:
     for each tuple S of them (in the given order) that occurs, the number
-    of such V of each size, as a list indexed by size.
+    of such V of each size, as a list indexed by size; None once the
+    search has more leaves than the plan budget.
 
     A depth-first search decides the vertices that some surviving face
-    meets, lowest bit first: excluding a vertex drops every face through
-    it.  Once no surviving face meets an undecided vertex, the surviving
+    meets, lowest bit first: each call walks those vertices in order,
+    branching at each into a call that excludes it, which drops every face
+    through it, and going on with it included.  Once no surviving face
+    meets an undecided vertex, the search is at a leaf: the surviving
     faces are exactly S for every way of completing the subset, and the
     r undecided vertices give C(r, j) subsets of each extra size j.
     """
     n = ground.bit_count()
     binomials = [[comb(r, j) for j in range(r + 1)] for r in range(n + 1)]
     counts: dict[tuple[int, ...], list[int]] = {}
+    leaves = 0
 
-    def visit(undecided: int, k: int, alive: tuple[int, ...]) -> None:
+    def visit(undecided: int, k: int, alive: tuple[int, ...]) -> bool:
+        nonlocal leaves
         touched = 0
         for f in alive:
             touched |= f
         touched &= undecided
-        if not touched:
-            sizes = counts.get(alive)
-            if sizes is None:
-                counts[alive] = sizes = [0] * (n + 1)
-            for j, c in enumerate(binomials[undecided.bit_count()]):
-                sizes[k + j] += c
-            return
-        v = touched & -touched
-        rest = undecided ^ v
-        visit(rest, k + 1, alive)
-        visit(rest, k, tuple(f for f in alive if not f & v))
+        while touched:
+            v = touched & -touched
+            touched ^= v
+            undecided ^= v
+            if not visit(undecided, k, tuple(f for f in alive if not f & v)):
+                return False
+            k += 1
+        leaves += 1
+        if leaves > PLAN_BUDGET:
+            return False
+        sizes = counts.get(alive)
+        if sizes is None:
+            counts[alive] = sizes = [0] * (n + 1)
+        for j, c in enumerate(binomials[undecided.bit_count()]):
+            sizes[k + j] += c
+        return True
 
-    visit(ground, 0, tuple(big_faces))
-    return counts
+    return counts if visit(ground, 0, tuple(big_faces)) else None
 
 
 def _nonface_components(nonfaces: Iterable[int]) -> list[tuple[int, list[int]]]:
@@ -473,21 +491,22 @@ def _restriction_sum(
 
     The sum runs over the support U, the union of the minimal nonfaces:
     a subset holding any other vertex induces a cone.  Its nonzero terms
-    lie in the union closure of the nonfaces, which is the plan when
-    there are few enough nonfaces, or when there is no skeleton strategy
-    and U has at most 14 vertices (at most 2^14 unions).  Otherwise the
-    skeleton strategy sweeps the 2^|U| subsets of U grouped by the big
-    faces they contain; that sweep is refused up front when 2^|U| is over
-    the face budget, and with no skeleton strategy there is no plan.
+    lie in the union closure of the nonfaces, which is the plan when there
+    are few nonfaces or no skeleton strategy.  Otherwise the skeleton
+    strategy sweeps the subsets of U grouped by the big faces they
+    contain.  Each plan is built before any rank runs and stops once it
+    visits more than PLAN_BUDGET sets: the closure's sets, or the leaves
+    of the sweep's search.  A closure stopped there gives way to the sweep
+    when there is a skeleton strategy; otherwise, and for a stopped sweep,
+    the sum is refused, naming the plan.
     """
     _check_vertex_budget(ground, vertex_budget)
     support = 0
     for M in nonfaces:
         support |= M
-    u = support.bit_count()
     oracle = _RestrictionOracle(support, nonfaces, fld)
     closure = None
-    if len(oracle.mnf) <= CLOSURE_MAX_NONFACES or (oracle.big_faces is None and u <= 14):
+    if len(oracle.mnf) <= CLOSURE_MAX_NONFACES or oracle.big_faces is None:
         closure = oracle.union_closure()
     if closure is not None:
         terms: Iterable[tuple[int, dict[int, int], int]] = (
@@ -495,16 +514,17 @@ def _restriction_sum(
         )
     elif oracle.big_faces is None:
         raise SizeBudgetError(
-            "too many minimal nonfaces for the union-closure sum and too "
-            "many large faces for the skeleton strategy; no feasible plan"
-        )
-    elif 1 << u > FACE_BUDGET:
-        raise SizeBudgetError(
-            f"a full sweep over the 2^{u} vertex subsets exceeds the face "
-            f"budget {FACE_BUDGET}"
+            f"the union-closure plan visits more than {PLAN_BUDGET} sets (the plan "
+            "budget), and there is no skeleton strategy"
         )
     else:
-        terms = oracle.skeleton_sweep(support)
+        families = _count_by_big_faces(support, oracle.big_faces)
+        if families is None:
+            raise SizeBudgetError(
+                f"the skeleton-sweep plan visits more than {PLAN_BUDGET} search "
+                "leaves (the plan budget)"
+            )
+        terms = oracle.skeleton_sweep(families)
     entries: dict[tuple[int, int], int] = {}
     for j, dims, count in terms:
         for degree, dim in dims.items():

@@ -17,12 +17,14 @@ chordal), 2 usage or precondition error, 3 a size budget was exceeded.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 import time
 
 from . import cache
 from .betti import (
+    VERTEX_BUDGET,
     BettiTable,
     clique_ideal_betti,
     cycle_betti_closed_form,
@@ -355,6 +357,7 @@ def cmd_export(args: argparse.Namespace) -> int:
 # -- parser -------------------------------------------------------------
 
 
+@functools.cache  # parsing keeps no state, so every call shares one parser
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="hyperbetti",
@@ -387,8 +390,8 @@ def _build_parser() -> argparse.ArgumentParser:
     betti.add_argument("--convention", choices=["quotient", "ideal"], default="quotient")
     betti.add_argument("--d", type=int, help="uniformity for the clique route (default: inferred)")
     betti.add_argument(
-        "--max-vertices", type=int, default=20,
-        help="vertex budget for the restriction sum (default 20)",
+        "--max-vertices", type=int, default=VERTEX_BUDGET,
+        help="vertex budget for the restriction sum (default %(default)s)",
     )
     betti.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     betti.set_defaults(handler=cmd_betti)

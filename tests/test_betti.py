@@ -5,6 +5,7 @@ from __future__ import annotations
 from collections import Counter
 from itertools import combinations
 from math import comb
+from unittest import mock
 
 import pytest
 from hypothesis import assume, example, given, settings
@@ -36,12 +37,14 @@ from hyperbetti import (
     make_complete,
     make_cycle,
     make_line,
+    make_multipartite,
     make_star_overlap,
     minimal_nonfaces,
     reduced_homology_dims,
     star_betti_closed_form,
     taylor_betti_free_vertex,
 )
+from hyperbetti import betti
 from hyperbetti.betti import (
     CLOSURE_MAX_NONFACES,
     _count_by_big_faces,
@@ -380,6 +383,100 @@ def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch):
     assert table.n == 16 and table.beta(0, 0) == 1
     assert not dims_calls
     assert families and max(families.values()) == 1
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3, QQ], ids=["gf2", "gf3", "q"])
+def test_the_clique_route_reaches_line_11_3_1(fld):
+    """The clique route of line(11,3,1) has 23 vertices and 1,760 non-edge
+    triples; its skeleton-sweep search has 236,196 leaves, inside the plan
+    budget.  The faces are every set of at most two vertices and the 11
+    edges, so the table satisfies the K-polynomial identity
+    sum (-1)^i beta_ij t^j = sum over faces F of t^|F| (1-t)^(n-|F|)."""
+    n = 23
+    table = clique_ideal_betti(make_line(11, 3, 1), 3, fld, vertex_budget=40)
+    assert table.n == n and table.beta(1, 3) == comb(n, 3) - 11
+    difference: Counter[int] = Counter()
+    for (i, j), b in table.entries.items():
+        difference[j] += (-1) ** i * b
+    for size, faces in {0: 1, 1: n, 2: comb(n, 2), 3: 11}.items():
+        for k in range(n - size + 1):
+            difference[size + k] -= faces * (-1) ** k * comb(n - size, k)
+    assert not any(difference.values())
+
+
+@pytest.mark.parametrize("a, b", [(2, 3), (4, 5), (4, 7), (3, 8)])
+def test_the_clique_route_of_a_complete_bipartite_graph(a, b):
+    """The non-edges of K(a,b) are the pairs inside each part: two disjoint
+    cliques, so the table is the product of the tables of all pairs on a
+    and on b vertices.  The first two take the union closure, the last
+    two (more than 26 non-edges) the skeleton sweep."""
+    h = make_multipartite([a, b], 2)
+    for fld in (GF2, GF3, QQ):
+        expected = _product_table(knd_complement_betti(a, 2), knd_complement_betti(b, 2))
+        assert clique_ideal_betti(h, 2, fld).entries == expected
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, (1 << 8) - 1), min_size=1, max_size=7))
+def test_the_closure_is_refused_exactly_past_the_plan_budget(family):
+    """The union closure is built at a budget of its own size, and refused
+    one below it."""
+    nonfaces = sorted(min_antichain(family))
+    unions = set()
+    for r in range(len(nonfaces) + 1):
+        for chosen in combinations(nonfaces, r):
+            union = 0
+            for M in chosen:
+                union |= M
+            unions.add(union)
+    oracle = _RestrictionOracle((1 << 8) - 1, nonfaces, GF2)
+    with mock.patch.object(betti, "PLAN_BUDGET", len(unions)):
+        assert oracle.union_closure() == sorted(unions)
+    with mock.patch.object(betti, "PLAN_BUDGET", len(unions) - 1):
+        assert oracle.union_closure() is None
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.lists(st.integers(1, 4), min_size=1, max_size=5), st.integers(0, 2))
+def test_the_search_is_refused_exactly_past_the_plan_budget(sizes, gap):
+    """Big faces on disjoint vertex sets of sizes s_1, s_2, ... give the
+    search one leaf per way of keeping a prefix of each face, prod(s_i + 1)
+    leaves: the subsets are counted at that budget and refused one below."""
+    faces, shift, leaves = [], 0, 1
+    for size in sizes:
+        faces.append(((1 << size) - 1) << shift)
+        shift += size + gap
+        leaves *= size + 1
+    ground = (1 << shift) - 1
+    with mock.patch.object(betti, "PLAN_BUDGET", leaves):
+        counts = _count_by_big_faces(ground, faces)
+        assert counts is not None and sum(map(sum, counts.values())) == 1 << shift
+    with mock.patch.object(betti, "PLAN_BUDGET", leaves - 1):
+        assert _count_by_big_faces(ground, faces) is None
+
+
+def test_each_plan_is_refused_exactly_past_the_plan_budget(monkeypatch):
+    """Through the restriction sum: 7 disjoint edges have no skeleton
+    strategy and a union closure of 2^7 sets, and the clique route of a
+    perfect matching on 10 vertices has 40 non-edges and 5 big faces, a
+    search of 3^5 leaves.  Each is answered at its count, with the table
+    of another route, and refused one below it, by a message naming the
+    plan."""
+    pairs = Hypergraph(10, frozenset(0b11 << 2 * i for i in range(5)))
+    with mock.patch.object(betti, "CLOSURE_MAX_NONFACES", 40):
+        expected = clique_ideal_betti(pairs, 2, GF2)  # summed over the closure's 1,009 sets
+    matching = Hypergraph(14, frozenset(0b11 << 2 * i for i in range(7)))
+    assert _RestrictionOracle(matching.vertices, matching.edges, GF2).big_faces is None
+    monkeypatch.setattr(betti, "PLAN_BUDGET", 1 << 7)
+    assert edge_ideal_betti(matching, GF2) == taylor_betti_free_vertex(matching)
+    monkeypatch.setattr(betti, "PLAN_BUDGET", (1 << 7) - 1)
+    with pytest.raises(SizeBudgetError, match="^the union-closure plan visits more than 127 "):
+        edge_ideal_betti(matching, GF2)
+    monkeypatch.setattr(betti, "PLAN_BUDGET", 3**5)
+    assert clique_ideal_betti(pairs, 2, GF2) == expected
+    monkeypatch.setattr(betti, "PLAN_BUDGET", 3**5 - 1)
+    with pytest.raises(SizeBudgetError, match="^the skeleton-sweep plan visits more than 242 "):
+        clique_ideal_betti(pairs, 2, GF2)
 
 
 _BLOCK = st.tuples(st.integers(0, 1), st.lists(st.integers(1, 15), min_size=1, max_size=4))

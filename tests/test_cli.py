@@ -4,7 +4,6 @@ from __future__ import annotations
 
 import contextlib
 import io
-import itertools
 import json
 import os
 import subprocess
@@ -27,7 +26,10 @@ def _isolated_cache(tmp_path, monkeypatch):
 
 
 def run(capsys, *argv):
-    code = main(list(argv))
+    try:
+        code = main(list(argv))
+    except SystemExit as exc:  # argparse exits on --help and on bad flags
+        code = exc.code
     captured = capsys.readouterr()
     return code, captured.out, captured.err
 
@@ -45,6 +47,33 @@ def test_gen_is_deterministic(capsys):
     _, first, _ = run(capsys, *args)
     _, second, _ = run(capsys, *args)
     assert first == second
+
+
+def test_calls_in_one_process_print_what_fresh_processes_print(capsys, tmp_path, monkeypatch):
+    """``main`` builds its parser once per process.  Repeated calls in one
+    process print the bytes that a fresh process prints, and a bad flag
+    still exits 2 with the same message, without disturbing the calls
+    after it."""
+    monkeypatch.setenv("COLUMNS", "80")  # help text wraps to the same width
+    path = _gen_to_file(
+        capsys, tmp_path, "gen", "--family", "cycle", "--n", "4", "--d", "3", "--alpha", "1"
+    )
+    env = dict(os.environ, PYTHONPATH=SRC)
+    for argv in (
+        ("betti", path, "--complex", "clique", "--field", "q", "--format", "csv", "--no-cache"),
+        ("betti", "--help"),
+        ("betti", path, "--no-such-flag"),
+    ):
+        fresh = subprocess.run(
+            [sys.executable, "-m", "hyperbetti", *argv],
+            capture_output=True, text=True, env=env, timeout=60,
+        )
+        for _ in range(2):
+            code, out, err = run(capsys, *argv)
+            assert (code, out) == (fresh.returncode, fresh.stdout)
+            if code == 2:
+                assert err == fresh.stderr
+    assert fresh.returncode == 2 and "unrecognized arguments: --no-such-flag" in fresh.stderr
 
 
 def test_gen_complete_below_degree(capsys):
@@ -245,23 +274,42 @@ def test_betti_refuses_over_budget_before_building_a_complex(capsys, tmp_path, m
 
 def test_betti_refuses_a_full_sweep_over_the_face_budget(capsys, tmp_path):
     """At --max-vertices 40 the clique route of line(10,4,1) has 31,455
-    non-edges, too many for the union closure, so the sum would sweep all
-    2^31 subsets; it is refused up front instead of running for hours."""
+    non-edges, too many for the union closure, so the sum would sweep the
+    subsets of 31 vertices grouped by their big faces; that search has
+    1,310,720 leaves, and it is refused as it passes the plan budget,
+    before any rank runs, instead of running for minutes."""
     path = _gen_to_file(
         capsys, tmp_path, "gen", "--family", "line", "--n", "10", "--d", "4", "--alpha", "1"
     )
+    assert _betti_refusal(tmp_path, path, "--complex", "clique", "--max-vertices", "40") == (
+        "error: the skeleton-sweep plan visits more than 262144 search leaves (the plan budget)"
+    )
+
+
+def test_betti_refuses_the_clique_route_of_k10_10(capsys, tmp_path):
+    """Within the default vertex budget, the clique route of K(10,10) has a
+    skeleton-sweep search of 1,047,553 leaves (about 90 s to answer); it
+    is refused once the search passes the plan budget."""
+    path = _gen_to_file(capsys, tmp_path, "gen", "--family", "multipartite", "--parts", "10,10",
+                        "--d", "2")
+    assert _betti_refusal(tmp_path, path, "--complex", "clique") == (
+        "error: the skeleton-sweep plan visits more than 262144 search leaves (the plan budget)"
+    )
+
+
+def _betti_refusal(tmp_path, path, *flags):
+    """Run ``hyperbetti betti`` as a program; it must exit 3 with nothing on
+    stdout and no traceback.  Returns its one error line."""
     env = dict(os.environ, PYTHONPATH=SRC, HYPERBETTI_CACHE_DIR=str(tmp_path / "cache"))
     done = subprocess.run(
-        [sys.executable, "-m", "hyperbetti", "betti", path,
-         "--complex", "clique", "--max-vertices", "40", "--no-cache"],
+        [sys.executable, "-m", "hyperbetti", "betti", str(path), *flags, "--no-cache"],
         capture_output=True, text=True, env=env, timeout=20,
     )
     assert done.returncode == 3
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
-    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
-        "error: a full sweep over the 2^31 vertex subsets exceeds the face budget 4194304"
-    ]
+    [line] = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    return line
 
 
 def test_betti_answers_a_paper_line_at_a_raised_vertex_budget(capsys, tmp_path):
@@ -278,29 +326,16 @@ def test_betti_answers_a_paper_line_at_a_raised_vertex_budget(capsys, tmp_path):
 
 
 def test_betti_refuses_when_no_plan_is_feasible(tmp_path):
-    """The complete 3-uniform hypergraph on 15 vertices minus the 30 triples
-    {i, i+1, i+3} and {i, i+2, i+7} (mod 15): the clique route has 30
-    non-edges, too many for the union closure, they cover all 15
-    vertices, and the complex has too many large faces for the skeleton
-    strategy.  No plan is left, and the sum is refused at once."""
-    missing = {frozenset({i, (i + 1) % 15, (i + 3) % 15}) for i in range(15)}
-    missing |= {frozenset({i, (i + 2) % 15, (i + 7) % 15}) for i in range(15)}
-    edges = [list(t) for t in itertools.combinations(range(15), 3) if frozenset(t) not in missing]
-    path = tmp_path / "sparse-complement.json"
-    path.write_text(json.dumps({"n": 15, "edges": edges}))
-    env = dict(os.environ, PYTHONPATH=SRC, HYPERBETTI_CACHE_DIR=str(tmp_path / "cache"))
-    done = subprocess.run(
-        [sys.executable, "-m", "hyperbetti", "betti", str(path), "--complex", "clique",
-         "--no-cache"],
-        capture_output=True, text=True, env=env, timeout=20,
+    """19 disjoint edges on 38 vertices: the independence complex has too
+    many large faces for the skeleton strategy, so the union closure is
+    the only plan, and its 2^19 sets pass the plan budget.  The sum is
+    refused before any rank runs."""
+    path = tmp_path / "matching.json"
+    path.write_text(json.dumps({"n": 38, "edges": [[2 * i, 2 * i + 1] for i in range(19)]}))
+    assert _betti_refusal(tmp_path, path, "--max-vertices", "40") == (
+        "error: the union-closure plan visits more than 262144 sets (the plan budget), "
+        "and there is no skeleton strategy"
     )
-    assert done.returncode == 3
-    assert done.stdout == ""
-    assert "Traceback" not in done.stderr
-    assert [line for line in done.stderr.splitlines() if line.startswith("error:")] == [
-        "error: too many minimal nonfaces for the union-closure sum and too many large "
-        "faces for the skeleton strategy; no feasible plan"
-    ]
 
 
 def test_betti_clique_route_needs_uniformity_hint_when_edgeless(capsys, tmp_path):
