@@ -20,11 +20,13 @@ support U, the union of the minimal nonfaces, and has two plans: the
 union closure of the minimal nonfaces, which holds every subset with
 nonzero homology, when there are few nonfaces or no skeleton strategy;
 and otherwise the grouped full sweep of the skeleton strategy over the
-subsets of U.  One plan budget bounds both by what they visit before any
-rank runs: the sets of the closure as it grows, or the leaves of the
-sweep's search.  A closure past it gives way to the sweep when there is
-a skeleton strategy; otherwise, and for a sweep past it, the sum is
-refused.  Each subset is answered by one of these strategies:
+subsets of U.  One plan budget bounds both by a count taken before any
+rank runs: for the closure, its sets times its nonfaces, since each set
+is scanned against every nonface and the build scans no more; for the
+sweep, the leaves of its search.  A closure past it gives way to the
+sweep when there is a skeleton strategy; otherwise, and for a sweep past
+it, the sum is refused.  Each subset is answered by one of these
+strategies:
 
 * sparse skeleton - when every set smaller than s (the minimal nonface
   size) is a face, only the faces of size >= s carry information, and
@@ -190,8 +192,9 @@ BIG_FACE_CAP = 600
 # Most minimal nonfaces for which the sum runs over their union closure
 # when the skeleton strategy is there too.
 CLOSURE_MAX_NONFACES = 26
-# Most sets a plan of the restriction sum visits before any rank runs: the
-# union closure as it grows, or the leaves of the grouped skeleton search.
+# Most a plan of the restriction sum visits before any rank runs: the
+# (set, nonface) pairs of the union closure, or the leaves of the grouped
+# skeleton search.
 PLAN_BUDGET = 1 << 18
 
 
@@ -342,16 +345,19 @@ class _RestrictionOracle:
                     yield m, _dims_above(m, s, *ranks), sizes[m]
 
     def union_closure(self) -> list[int] | None:
-        """All unions of minimal-nonface subfamilies, or None once they
-        pass the plan budget.
+        """All unions of minimal-nonface subfamilies, or None once the plan
+        visits more than the plan budget.
 
         Induced subcomplexes on any other vertex set are cones, so the
-        restriction sum may run over this family alone.
+        restriction sum may run over this family alone.  The plan visits
+        each (set, nonface) pair: ``dims_for`` scans every nonface for each
+        set, and each step of the build scans the sets so far.  The
+        closure only grows, so the count is checked after each step.
         """
         closure: set[int] = {0}
         for M in self.mnf:
             closure |= {c | M for c in closure}
-            if len(closure) > PLAN_BUDGET:
+            if len(self.mnf) * len(closure) > PLAN_BUDGET:
                 return None
         return sorted(closure)
 
@@ -365,12 +371,11 @@ def _count_by_big_faces(
     search has more leaves than the plan budget.
 
     A depth-first search decides the vertices that some surviving face
-    meets, lowest bit first: each call walks those vertices in order,
-    branching at each into a call that excludes it, which drops every face
-    through it, and going on with it included.  Once no surviving face
-    meets an undecided vertex, the search is at a leaf: the surviving
-    faces are exactly S for every way of completing the subset, and the
-    r undecided vertices give C(r, j) subsets of each extra size j.
+    meets, lowest bit first: excluding a vertex drops every face through
+    it.  Once no surviving face meets an undecided vertex, the search is
+    at a leaf: the surviving faces are exactly S for every way of
+    completing the subset, and the r undecided vertices give C(r, j)
+    subsets of each extra size j.
     """
     n = ground.bit_count()
     binomials = [[comb(r, j) for j in range(r + 1)] for r in range(n + 1)]
@@ -383,22 +388,19 @@ def _count_by_big_faces(
         for f in alive:
             touched |= f
         touched &= undecided
-        while touched:
-            v = touched & -touched
-            touched ^= v
-            undecided ^= v
-            if not visit(undecided, k, tuple(f for f in alive if not f & v)):
+        if not touched:
+            leaves += 1
+            if leaves > PLAN_BUDGET:
                 return False
-            k += 1
-        leaves += 1
-        if leaves > PLAN_BUDGET:
-            return False
-        sizes = counts.get(alive)
-        if sizes is None:
-            counts[alive] = sizes = [0] * (n + 1)
-        for j, c in enumerate(binomials[undecided.bit_count()]):
-            sizes[k + j] += c
-        return True
+            sizes = counts.get(alive)
+            if sizes is None:
+                counts[alive] = sizes = [0] * (n + 1)
+            for j, c in enumerate(binomials[undecided.bit_count()]):
+                sizes[k + j] += c
+            return True
+        v = touched & -touched
+        rest = undecided ^ v
+        return visit(rest, k + 1, alive) and visit(rest, k, tuple(f for f in alive if not f & v))
 
     return counts if visit(ground, 0, tuple(big_faces)) else None
 
@@ -494,8 +496,9 @@ def _restriction_sum(
     lie in the union closure of the nonfaces, which is the plan when there
     are few nonfaces or no skeleton strategy.  Otherwise the skeleton
     strategy sweeps the subsets of U grouped by the big faces they
-    contain.  Each plan is built before any rank runs and stops once it
-    visits more than PLAN_BUDGET sets: the closure's sets, or the leaves
+    contain.  Each plan is built before any rank runs and stops once its
+    count passes PLAN_BUDGET: the closure's (set, nonface) pairs, which
+    bound both its build and the scan that splits each set, or the leaves
     of the sweep's search.  A closure stopped there gives way to the sweep
     when there is a skeleton strategy; otherwise, and for a stopped sweep,
     the sum is refused, naming the plan.
@@ -514,8 +517,8 @@ def _restriction_sum(
         )
     elif oracle.big_faces is None:
         raise SizeBudgetError(
-            f"the union-closure plan visits more than {PLAN_BUDGET} sets (the plan "
-            "budget), and there is no skeleton strategy"
+            f"the union-closure plan visits more than {PLAN_BUDGET} (set, nonface) "
+            "pairs (the plan budget), and there is no skeleton strategy"
         )
     else:
         families = _count_by_big_faces(support, oracle.big_faces)

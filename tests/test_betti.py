@@ -419,8 +419,8 @@ def test_the_clique_route_of_a_complete_bipartite_graph(a, b):
 @settings(max_examples=40, deadline=None)
 @given(st.lists(st.integers(1, (1 << 8) - 1), min_size=1, max_size=7))
 def test_the_closure_is_refused_exactly_past_the_plan_budget(family):
-    """The union closure is built at a budget of its own size, and refused
-    one below it."""
+    """The union closure is priced at its size times the number of
+    nonfaces: it is built at that budget, and refused one below it."""
     nonfaces = sorted(min_antichain(family))
     unions = set()
     for r in range(len(nonfaces) + 1):
@@ -430,9 +430,10 @@ def test_the_closure_is_refused_exactly_past_the_plan_budget(family):
                 union |= M
             unions.add(union)
     oracle = _RestrictionOracle((1 << 8) - 1, nonfaces, GF2)
-    with mock.patch.object(betti, "PLAN_BUDGET", len(unions)):
+    pairs = len(nonfaces) * len(unions)
+    with mock.patch.object(betti, "PLAN_BUDGET", pairs):
         assert oracle.union_closure() == sorted(unions)
-    with mock.patch.object(betti, "PLAN_BUDGET", len(unions) - 1):
+    with mock.patch.object(betti, "PLAN_BUDGET", pairs - 1):
         assert oracle.union_closure() is None
 
 
@@ -453,30 +454,6 @@ def test_the_search_is_refused_exactly_past_the_plan_budget(sizes, gap):
         assert counts is not None and sum(map(sum, counts.values())) == 1 << shift
     with mock.patch.object(betti, "PLAN_BUDGET", leaves - 1):
         assert _count_by_big_faces(ground, faces) is None
-
-
-def test_each_plan_is_refused_exactly_past_the_plan_budget(monkeypatch):
-    """Through the restriction sum: 7 disjoint edges have no skeleton
-    strategy and a union closure of 2^7 sets, and the clique route of a
-    perfect matching on 10 vertices has 40 non-edges and 5 big faces, a
-    search of 3^5 leaves.  Each is answered at its count, with the table
-    of another route, and refused one below it, by a message naming the
-    plan."""
-    pairs = Hypergraph(10, frozenset(0b11 << 2 * i for i in range(5)))
-    with mock.patch.object(betti, "CLOSURE_MAX_NONFACES", 40):
-        expected = clique_ideal_betti(pairs, 2, GF2)  # summed over the closure's 1,009 sets
-    matching = Hypergraph(14, frozenset(0b11 << 2 * i for i in range(7)))
-    assert _RestrictionOracle(matching.vertices, matching.edges, GF2).big_faces is None
-    monkeypatch.setattr(betti, "PLAN_BUDGET", 1 << 7)
-    assert edge_ideal_betti(matching, GF2) == taylor_betti_free_vertex(matching)
-    monkeypatch.setattr(betti, "PLAN_BUDGET", (1 << 7) - 1)
-    with pytest.raises(SizeBudgetError, match="^the union-closure plan visits more than 127 "):
-        edge_ideal_betti(matching, GF2)
-    monkeypatch.setattr(betti, "PLAN_BUDGET", 3**5)
-    assert clique_ideal_betti(pairs, 2, GF2) == expected
-    monkeypatch.setattr(betti, "PLAN_BUDGET", 3**5 - 1)
-    with pytest.raises(SizeBudgetError, match="^the skeleton-sweep plan visits more than 242 "):
-        clique_ideal_betti(pairs, 2, GF2)
 
 
 _BLOCK = st.tuples(st.integers(0, 1), st.lists(st.integers(1, 15), min_size=1, max_size=4))

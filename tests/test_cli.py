@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import contextlib
 import io
+import itertools
 import json
 import os
 import subprocess
@@ -326,16 +327,37 @@ def test_betti_answers_a_paper_line_at_a_raised_vertex_budget(capsys, tmp_path):
 
 
 def test_betti_refuses_when_no_plan_is_feasible(tmp_path):
-    """19 disjoint edges on 38 vertices: the independence complex has too
-    many large faces for the skeleton strategy, so the union closure is
-    the only plan, and its 2^19 sets pass the plan budget.  The sum is
-    refused before any rank runs."""
-    path = tmp_path / "matching.json"
-    path.write_text(json.dumps({"n": 38, "edges": [[2 * i, 2 * i + 1] for i in range(19)]}))
-    assert _betti_refusal(tmp_path, path, "--max-vertices", "40") == (
-        "error: the union-closure plan visits more than 262144 sets (the plan budget), "
-        "and there is no skeleton strategy"
-    )
+    """The complete 3-uniform hypergraph on 15 vertices minus the 30 triples
+    {i, i+1, i+3} and {i, i+2, i+7} (mod 15): the clique route has 30
+    non-edges and too many large faces for the skeleton strategy, so the
+    union closure is the only plan.  Its 10,790 sets, each scanned against
+    the 30 nonfaces, pass the plan budget, and the sum is refused before
+    any rank runs (answering it takes about 15 s)."""
+    missing = {frozenset({i, (i + 1) % 15, (i + 3) % 15}) for i in range(15)}
+    missing |= {frozenset({i, (i + 2) % 15, (i + 7) % 15}) for i in range(15)}
+    edges = [list(t) for t in itertools.combinations(range(15), 3) if frozenset(t) not in missing]
+    path = tmp_path / "sparse-complement.json"
+    path.write_text(json.dumps({"n": 15, "edges": edges}))
+    assert _betti_refusal(tmp_path, path, "--complex", "clique") == _NO_PLAN
+
+
+def test_betti_refuses_a_closure_over_many_nonfaces_at_the_default_budget(tmp_path):
+    """The 3-uniform hypergraph on 18 vertices whose edges are the triples
+    of even sum: its clique route has 408 non-edges and 790 large faces,
+    too many for the skeleton strategy.  The union closure of those
+    non-edges would hold nearly all 2^18 subsets, each scanned against
+    408 nonfaces, so it is refused as soon as its count passes the plan
+    budget, within the default vertex budget."""
+    edges = [list(t) for t in itertools.combinations(range(18), 3) if sum(t) % 2 == 0]
+    path = tmp_path / "even-triples.json"
+    path.write_text(json.dumps({"n": 18, "edges": edges}))
+    assert _betti_refusal(tmp_path, path, "--complex", "clique") == _NO_PLAN
+
+
+_NO_PLAN = (
+    "error: the union-closure plan visits more than 262144 (set, nonface) pairs "
+    "(the plan budget), and there is no skeleton strategy"
+)
 
 
 def test_betti_clique_route_needs_uniformity_hint_when_edgeless(capsys, tmp_path):
