@@ -80,7 +80,7 @@ from .homology import (
     dims_from_faces,
     rank_over_field,
 )
-from .hypergraph import Hypergraph, canonical_json, non_edges
+from .hypergraph import Hypergraph, canonical_json, every_edge_has_free_vertex, non_edges
 from .ideal import MonomialIdeal
 
 
@@ -582,8 +582,6 @@ def taylor_betti_free_vertex(h: Hypergraph) -> BettiTable:
     """Subset-counting Betti table for edge sets where every edge keeps
     a private vertex: entry (i, j) counts the i-subsets of edges whose
     union has j vertices.  Characteristic-free."""
-    from .hypergraph import every_edge_has_free_vertex
-
     if not every_edge_has_free_vertex(h):
         raise PreconditionError("needs a private vertex in every edge")
     edges = sorted(h.edges)

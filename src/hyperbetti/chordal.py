@@ -20,7 +20,7 @@ from .bitsets import bits_of, contains, k_submasks, mask_of, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .hypergraph import MAX_LISTED_EDGES, MAX_VERTICES, Hypergraph
 from .hypergraph import json_field, json_int, json_vertex_set
-from .ideal import edge_ideal, extend_ring, search_d_quotients, search_order
+from .ideal import search_order
 
 __all__ = [
     "AttachmentStep",
@@ -35,7 +35,6 @@ __all__ = [
     "chordal_graph_recognize",
     "two_gluing_hypergraph",
     "two_gluing_classification",
-    "two_gluing_empirical",
     "complement_diameter",
     "RealizationReport",
     "realization_search",
@@ -427,25 +426,6 @@ def two_gluing_classification(m: int, i: int, j: int, d: int) -> bool:
     if j == m:
         return True
     return j == m - 1 or j == i - 1
-
-
-def two_gluing_empirical(m: int, i: int, j: int, d: int) -> bool:
-    """Decide linear quotients for the gluing by computation alone.
-
-    A non-linear resolution rules linear quotients out immediately; when
-    the resolution is linear, exhaustive ordering search settles it.  The
-    search gets a spare ring variable so the answer depends only on the
-    edges, not on how tightly they fill the vertex set.
-    """
-    from .betti import ideal_betti
-
-    h = two_gluing_hypergraph(m, i, j, d)
-    ideal = edge_ideal(h)
-    table = ideal_betti(ideal)
-    if any(jj != ii + d - 1 for (ii, jj) in table.entries if ii >= 1):
-        return False
-    ordering = search_d_quotients(extend_ring(ideal), 1, node_budget=4_000_000)
-    return ordering is not None
 
 
 # -- complement diameter -----------------------------------------------

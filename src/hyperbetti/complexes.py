@@ -17,7 +17,7 @@ import json
 from dataclasses import dataclass
 from math import comb
 
-from .bitsets import bits_of, contains, k_submasks, max_antichain, min_antichain, submasks
+from .bitsets import bits_of, contains, k_submasks, mask_of, max_antichain, min_antichain, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .hypergraph import Hypergraph, canonical_json, json_int, json_vertex_set, json_vertex_sets
 from .hypergraph import non_edges
@@ -93,8 +93,6 @@ class SimplicialComplex:
     @classmethod
     def from_faces(cls, n: int, faces, vertices: int = -1) -> "SimplicialComplex":
         """Build from any generating family of faces (maximal ones kept)."""
-        from .bitsets import mask_of
-
         masks = [f if isinstance(f, int) else mask_of(f) for f in faces]
         return cls(n, max_antichain(masks), vertices)
 

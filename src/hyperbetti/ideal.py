@@ -10,10 +10,9 @@ import json
 from dataclasses import dataclass
 from typing import Iterable, Sequence
 
-from .bitsets import bits_of, contains, mask_of, max_antichain, min_antichain
+from .bitsets import bits_of, mask_of, max_antichain, min_antichain
 from .complexes import SimplicialComplex, minimal_nonfaces, minimal_transversals
 from .errors import ParameterError, PreconditionError, SizeBudgetError
-from .homology import QQ, FieldSpec
 from .hypergraph import MAX_VERTICES, Hypergraph, json_field, json_int, json_vertex_set
 
 
@@ -356,7 +355,6 @@ def verify_d_shelling(
     if frozenset(order) != c.facets or len(order) != len(c.facets):
         raise ParameterError("ordering must list every facet exactly once")
     steps: list[tuple[int, ...]] = []
-    verdicts: list[tuple[int, str]] = []
     for pos in range(1, len(order)):
         reason_a = _purity_flaw(order[pos], order[:pos], d)
         witnesses, reason_b = _pairwise_step(order[pos], order[:pos], d)
@@ -366,11 +364,8 @@ def verify_d_shelling(
                 f"{reason_a!r} vs {reason_b!r}"
             )
         if reason_a:
-            verdicts.append((pos, reason_a))
-            break
+            return ShellingRefusal(pos, reason_a)
         steps.append(witnesses)
-    if verdicts:
-        return ShellingRefusal(*verdicts[0])
     return ShellingCertificate(d, order, ((),) + tuple(steps))
 
 
@@ -437,105 +432,6 @@ def quotient_order_from_shelling(ideal: MonomialIdeal, facet_order: Sequence[int
         return tuple(pos[ring & ~f] for f in facet_order)
     except KeyError:
         raise ParameterError("facet order does not match the ideal's dual complex") from None
-
-
-# --------------------------------------------------------------------------
-# Betti splittings along a quotient order
-
-
-@dataclass(frozen=True)
-class SplittingReport:
-    d: int
-    gen_degree: int
-    quotient_table_entries: tuple[tuple[int, int, int], ...]
-    colon_totals: tuple[tuple[int, ...], ...]
-    sum_identity_holds: bool
-    graded_identity_holds: bool
-    degree_disjointness_holds: bool
-
-
-def betti_splitting_check(
-    ideal: MonomialIdeal,
-    ordering: Sequence[int],
-    d_prime: int,
-    field: FieldSpec = QQ,
-) -> SplittingReport:
-    """Verify the splitting consequences of a d-quotients order.
-
-    Checks, against the homological oracle, that for 2 <= i <= pd the i-th
-    total Betti number of R/I is the sum over steps s >= 2 of the (i-1)-st
-    Betti number of R over the step's colon ideal (shifted by d_prime in j),
-    and that each step's shifted colon table shares no degree with the table
-    of the prefix ideal in homological degrees >= 2.
-    """
-    from .betti import ideal_betti
-
-    if not ideal.is_zero and ideal.generator_degree != d_prime:
-        raise PreconditionError(f"generators must all have degree {d_prime}")
-    d0 = d_prime if len(ideal.generators) <= 1 else _common_colon_degree(ideal, ordering)
-    cert = verify_d_quotients(ideal, ordering, d0)
-    if isinstance(cert, QuotientRefusal):
-        raise PreconditionError(f"ordering has no uniform-degree quotients: {cert.reason}")
-    d = cert.d
-
-    full = ideal_betti(ideal, field)
-    pd = full.projective_dimension
-    order = cert.ordering
-    colon_tables = []
-    prefix_tables = []
-    for pos in range(1, len(order)):
-        prefix = MonomialIdeal(ideal.n_vertices, tuple(ideal.generators[i] for i in order[:pos]))
-        colon = colon_by_generator(prefix, ideal.generators[order[pos]])
-        for b in colon.generators:
-            assert contains(ideal.ring_mask, b) and b.bit_count() == d
-        colon_tables.append(ideal_betti(colon, field))
-        prefix_tables.append(ideal_betti(prefix, field))
-
-    sum_ok = True
-    for i in range(2, pd + 1):
-        if full.total(i) != sum(t.total(i - 1) for t in colon_tables):
-            sum_ok = False
-    graded_ok = True
-    degrees = {j for (_, j) in full.entries} | {
-        j + d_prime for t in colon_tables for (_, j) in t.entries
-    }
-    for i in range(2, pd + 1):
-        for j in degrees:
-            lhs = full.beta(i, j)
-            rhs = sum(t.beta(i - 1, j - d_prime) for t in colon_tables)
-            if lhs != rhs:
-                graded_ok = False
-    disjoint_ok = True
-    for colon_t, prefix_t in zip(colon_tables, prefix_tables):
-        shifted = {(i, j + d_prime) for (i, j) in colon_t.entries if i >= 2}
-        if shifted & {(i, j) for (i, j) in prefix_t.entries if i >= 2}:
-            disjoint_ok = False
-
-    max_i = max([pd] + [t.projective_dimension + 1 for t in colon_tables])
-    return SplittingReport(
-        d=d,
-        gen_degree=d_prime,
-        quotient_table_entries=tuple(sorted((i, j, b) for (i, j), b in full.entries.items())),
-        colon_totals=tuple(
-            tuple(t.total(i) for i in range(1, max_i + 1)) for t in colon_tables
-        ),
-        sum_identity_holds=sum_ok,
-        graded_identity_holds=graded_ok,
-        degree_disjointness_holds=disjoint_ok,
-    )
-
-
-def _common_colon_degree(ideal: MonomialIdeal, ordering: Sequence[int]) -> int:
-    """The uniform degree of all colon generators along the ordering."""
-    order = _check_ordering(len(ideal.generators), ordering)
-    degs = set()
-    for pos in range(1, len(order)):
-        prefix = MonomialIdeal(ideal.n_vertices, tuple(ideal.generators[i] for i in order[:pos]))
-        colon = colon_by_generator(prefix, ideal.generators[order[pos]])
-        degs.update(b.bit_count() for b in colon.generators)
-    if len(degs) != 1:
-        raise PreconditionError(f"colon generators do not share one degree: {sorted(degs)}")
-    return degs.pop()
 
 
 def rsequence_colon_profile(

@@ -8,7 +8,8 @@ from typing import Mapping
 
 import pytest
 
-from hyperbetti import THEOREM_IDS, ParameterError, run_check, verify
+from hyperbetti import THEOREM_IDS, MonomialIdeal, ParameterError, run_check, verify
+from hyperbetti.betti import BettiTable
 from hyperbetti.verify import REGISTRY, parse_grid
 
 
@@ -213,3 +214,50 @@ def test_graph_corollary_memo_is_checked_against_a_recomputation(monkeypatch):
         for r in flagged
     )
     assert rep.notes == REGISTRY["graph-corollary"].notes
+
+
+# The first showcase ideal abc, cde, bef, adf on six variables has the
+# 2-quotient ordering abc, adf, bef, cde: its first colon ideal is (bc),
+# and the prefix before its last step is (abc, adf, bef).
+@pytest.mark.parametrize(
+    "gens, changed, details",
+    [
+        (
+            (0b000110,),
+            {(1, 2): 2},
+            "total-sum identity fails; graded identity fails"
+            " (colon totals ((2, 0, 0), (2, 1, 0), (3, 2, 0)))",
+        ),
+        (
+            (0b000110,),
+            {(1, 2): 0, (1, 3): 1},
+            "graded identity fails (colon totals ((1, 0, 0), (2, 1, 0), (3, 2, 0)))",
+        ),
+        (
+            (0b000111, 0b101001, 0b110010),
+            {(2, 6): 1},
+            "degree disjointness fails (colon totals ((1, 0, 0), (2, 1, 0), (3, 2, 0)))",
+        ),
+    ],
+)
+def test_betti_splitting_reports_the_identity_a_wrong_table_breaks(
+    monkeypatch, gens, changed, details
+):
+    """An oracle that is off by one on one step's table makes that
+    showcase instance a mismatch naming the identity it breaks, with the
+    colon totals; every other instance still matches."""
+    target = MonomialIdeal(6, gens)
+    oracle = verify.ideal_betti
+
+    def off_by_one(ideal, fld):
+        table = oracle(ideal, fld)
+        if ideal != target:
+            return table
+        return BettiTable(table.convention, table.n, {**table.entries, **changed})
+
+    monkeypatch.setattr(verify, "ideal_betti", off_by_one)
+    rep = run_check("betti-splitting", "n=2..2")
+    assert [(r.instance, r.status, r.details) for r in rep.results] == [
+        ("showcase gens=abc,cde,bef,adf d=2", "mismatch", details),
+        ("showcase gens=abc,cde,cfg,chi d=2", "match", ""),
+    ]
