@@ -144,6 +144,29 @@ class BettiTable:
             return 0
         return max(j - i for i, j in self.entries)
 
+    # The resolution-shape readings below are taken on the quotient form,
+    # so a table and its ideal form agree on them.
+
+    @property
+    def depth(self) -> int:
+        """The number of variables minus the quotient's projective dimension."""
+        t = self.as_quotient()
+        return t.n - t.projective_dimension
+
+    def linear_strand(self, gen_degree: int) -> int:
+        """Last step i >= 1 of the quotient's resolution with an entry in
+        degree i + gen_degree - 1 (the linear strand of an ideal generated
+        in ``gen_degree``), or 0 if there is none."""
+        return max(
+            (i for i, j in self.as_quotient().entries if i >= 1 and j == i + gen_degree - 1),
+            default=0,
+        )
+
+    def is_linear(self, gen_degree: int) -> bool:
+        """Every entry past step 0 of the quotient's resolution lies on the
+        linear strand of an ideal generated in ``gen_degree``."""
+        return all(j == i + gen_degree - 1 for i, j in self.as_quotient().entries if i >= 1)
+
     def as_quotient(self) -> "BettiTable":
         if self.convention == "quotient":
             return self
@@ -838,39 +861,7 @@ def rsequence_betti_table(
     return BettiTable("quotient", n_vars, entries)
 
 
-# -- connectivity and resolution shape --------------------------------
-
-
-@dataclass(frozen=True)
-class ResolutionStats:
-    projective_dimension: int
-    depth: int
-    regularity: int
-    linear_strand_length: int
-    has_linear_resolution: bool
-
-
-def resolution_stats(table: BettiTable, gen_degree: int) -> ResolutionStats:
-    """Shape summary of a quotient-convention table whose ideal is
-    generated in the given degree."""
-    t = table.as_quotient()
-    pd = t.projective_dimension
-    strand = 0
-    linear = True
-    for (i, j), b in t.entries.items():
-        if i == 0:
-            continue
-        if j == i + gen_degree - 1:
-            strand = max(strand, i)
-        else:
-            linear = False
-    return ResolutionStats(
-        projective_dimension=pd,
-        depth=t.n - pd,
-        regularity=t.regularity,
-        linear_strand_length=strand,
-        has_linear_resolution=linear and bool(t.entries),
-    )
+# -- connectivity -----------------------------------------------------
 
 
 def connectivity(
@@ -901,63 +892,6 @@ def connectivity(
     return None
 
 
-@dataclass(frozen=True)
-class ConnectivityReport:
-    """Both routes to connectivity plus the depth-based equivalences."""
-
-    n: int
-    d: int
-    connectivity_direct: int | None
-    linear_strand_length: int
-    connectivity_from_strand: int | None
-    matches: bool
-    pd: int
-    depth: int
-    zero_connectivity: bool
-    depth_route_zero: bool
-    equivalence_holds: bool
-
-
-def check_conn_depth_theorem(
-    h: Hypergraph, fld: FieldSpec = QQ, d: int | None = None
-) -> ConnectivityReport:
-    """Check connectivity == n - d + 1 - (linear strand length), and the
-    zero-connectivity characterization through depth, on one instance."""
-    if d is None:
-        d = h.uniform_degree
-        if d is None:
-            raise PreconditionError("needs a uniform hypergraph")
-    if not non_edges(h, d):
-        raise PreconditionError(
-            "complete hypergraph: connectivity is infinite, theorem does not apply"
-        )
-    n = h.num_vertices
-    table = clique_ideal_betti(h, d, fld)
-    stats = resolution_stats(table, d)
-    strand = stats.linear_strand_length
-    con = connectivity(h, fld, d)
-    expected = None if strand == 0 else n - d + 1 - strand
-    zero = con == 0
-    depth_zero = (
-        stats.projective_dimension == n - d + 1
-        and stats.depth == d - 1
-        and strand == stats.projective_dimension
-    )
-    return ConnectivityReport(
-        n=n,
-        d=d,
-        connectivity_direct=con,
-        linear_strand_length=strand,
-        connectivity_from_strand=expected,
-        matches=con == expected,
-        pd=stats.projective_dimension,
-        depth=stats.depth,
-        zero_connectivity=zero,
-        depth_route_zero=depth_zero,
-        equivalence_holds=zero == depth_zero,
-    )
-
-
 # -- Cohen-Macaulay checks --------------------------------------------
 
 
@@ -965,9 +899,7 @@ def is_cohen_macaulay(c: SimplicialComplex, fld: FieldSpec = QQ) -> bool:
     """Depth of the face ring equals dimension (via the restriction sum)."""
     if c.is_void:
         raise PreconditionError("void complex has no face ring")
-    table = hochster_betti(c, fld)
-    depth = c.vertices.bit_count() - table.projective_dimension
-    return depth == (c.dim if c.dim is not None else -1) + 1
+    return hochster_betti(c, fld).depth == (c.dim if c.dim is not None else -1) + 1
 
 
 def froberg_cm_witness(

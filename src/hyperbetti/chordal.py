@@ -187,7 +187,10 @@ def enumerate_sequences(d: int, max_vertices: int, max_steps: int):
     """Yield every attachment sequence within the size bounds, depth-first.
 
     Glues are enumerated as subsets of single existing pieces, deduplicated
-    by mask, so each distinct labelled hypergraph build appears once.
+    by mask at each step.  Different sequences can still build the same
+    labelled hypergraph (for d = 2, 9 vertices and 3 steps, 58,961
+    sequences build 52,913 distinct hypergraphs); ``verify._distinct_builds``
+    keeps one sequence per build.
     """
 
     def extend(steps: list[AttachmentStep], n: int, chunks: list[int]):
@@ -260,9 +263,6 @@ def hypergraph_sequence_from_graph(g: Hypergraph, d: int) -> AttachmentSequence:
             raise PreconditionError(
                 "clique ordering lost the running-intersection property"
             )
-    for v in bits_of(g.vertices):
-        if v not in label_of:
-            steps.append(AttachmentStep(1))
     return AttachmentSequence(max(d, 2), tuple(steps))
 
 
@@ -499,11 +499,15 @@ def realization_search(
     relabelling of the vertices (build recipes always assign fresh
     labels in order).  Absence is a verdict only when the second phase
     exhausts, and running out of budget is reported as inconclusive,
-    never as a verdict.  Uniformity two skips the search
+    never as a verdict.  The hypergraph with no vertices is chordal with
+    no witness, at any uniformity.  Uniformity two skips the search
     entirely: the elimination-order recognizer decides it at any size.
     """
     if not h.is_uniform(d):
         raise PreconditionError(f"expected a {d}-uniform hypergraph")
+    n = h.num_vertices
+    if n == 0:
+        return RealizationReport(d, "chordal", None, 0)
     if d == 2:
         rep = chordal_graph_recognize(h)
         if not rep.is_chordal:
@@ -511,9 +515,6 @@ def realization_search(
         return RealizationReport(
             2, "chordal", hypergraph_sequence_from_graph(h, 2), 0
         )
-    n = h.num_vertices
-    if n == 0:
-        return RealizationReport(d, "chordal", None, 0)
     if n > REALIZATION_MAX_VERTICES:
         raise SizeBudgetError(
             f"{n} vertices exceeds the realization-search bound {REALIZATION_MAX_VERTICES}"

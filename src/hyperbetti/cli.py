@@ -47,8 +47,8 @@ from .chordal import (
 from .complexes import SimplicialComplex, alexander_dual, clique_complex, independence_complex
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import parse_field
-from .hypergraph import FamilySpec, Hypergraph, canonical_hash, canonical_json, non_edges
-from .hypergraph import make_complete, make_cycle, make_line, make_multipartite, make_star_overlap
+from .hypergraph import OVERLAP_FAMILIES, FamilySpec, Hypergraph, canonical_hash, canonical_json
+from .hypergraph import make_complete, make_multipartite, non_edges
 from .ideal import MonomialIdeal, ShellingRefusal, edge_ideal, search_d_shelling, verify_d_shelling
 from .verify import run_check
 
@@ -123,18 +123,10 @@ def _need(args: argparse.Namespace, *names: str) -> None:
 
 
 def cmd_gen(args: argparse.Namespace) -> int:
-    if args.family == "line":
+    if args.family in OVERLAP_FAMILIES:
         _need(args, "n", "d", "alpha")
-        h = make_line(args.n, args.d, args.alpha)
-        spec = FamilySpec("line", n=args.n, d=args.d, alpha=args.alpha)
-    elif args.family == "cycle":
-        _need(args, "n", "d", "alpha")
-        h = make_cycle(args.n, args.d, args.alpha)
-        spec = FamilySpec("cycle", n=args.n, d=args.d, alpha=args.alpha)
-    elif args.family == "star":
-        _need(args, "n", "d", "alpha")
-        h = make_star_overlap(args.n, args.d, args.alpha)
-        spec = FamilySpec("star", n=args.n, d=args.d, alpha=args.alpha)
+        h = OVERLAP_FAMILIES[args.family](args.n, args.d, args.alpha)
+        spec = FamilySpec(args.family, n=args.n, d=args.d, alpha=args.alpha)
     elif args.family == "complete":
         _need(args, "n", "d")
         h = make_complete(args.n, args.d)
@@ -162,13 +154,12 @@ def _closed_form_table(h: Hypergraph, fam: FamilySpec | None, complex_kind: str)
         raise PreconditionError(
             f"no closed-form table for the {complex_kind} complex route"
         )
-    makers = {"line": make_line, "cycle": make_cycle, "star": make_star_overlap}
-    if fam.kind not in makers:
+    if fam.kind not in OVERLAP_FAMILIES:
         raise PreconditionError(f"no closed-form table for the {fam.kind} family")
     if fam.n is None or fam.d is None or fam.alpha is None:
         raise ParameterError("family tag is missing n, d, or alpha")
     n, d, alpha = fam.n, fam.d, fam.alpha
-    if makers[fam.kind](n, d, alpha).edges != h.edges:
+    if OVERLAP_FAMILIES[fam.kind](n, d, alpha).edges != h.edges:
         raise PreconditionError("family tag does not match the edges of the input")
     if fam.kind == "star":
         return star_betti_closed_form(n, d, alpha)

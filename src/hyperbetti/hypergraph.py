@@ -265,6 +265,10 @@ def make_star_overlap(n: int, d: int, alpha: int) -> Hypergraph:
     return Hypergraph(alpha + n * step, edges)
 
 
+# The makers of the families with an overlap, each called as (n, d, alpha).
+OVERLAP_FAMILIES = {"line": make_line, "cycle": make_cycle, "star": make_star_overlap}
+
+
 def make_multipartite(parts: tuple[int, ...] | list[int], d: int) -> Hypergraph:
     """Complete multipartite: d-subsets meeting at least two vertex classes."""
     if d < 2:

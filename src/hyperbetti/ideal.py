@@ -13,7 +13,14 @@ from typing import Iterable, Sequence
 from .bitsets import bits_of, mask_of, max_antichain, min_antichain
 from .complexes import SimplicialComplex, minimal_nonfaces, minimal_transversals
 from .errors import ParameterError, PreconditionError, SizeBudgetError
-from .hypergraph import MAX_VERTICES, Hypergraph, json_field, json_int, json_vertex_set
+from .hypergraph import (
+    MAX_VERTICES,
+    Hypergraph,
+    canonical_json,
+    json_field,
+    json_int,
+    json_vertex_set,
+)
 
 
 @dataclass(frozen=True)
@@ -78,7 +85,7 @@ class MonomialIdeal:
         return {"n": self.n_vertices, "generators": [bits_of(g) for g in self.generators]}
 
     def to_json(self) -> str:
-        return json.dumps(self.to_json_obj(), sort_keys=True, separators=(",", ":"))
+        return canonical_json(self.to_json_obj())
 
     @staticmethod
     def from_json_obj(obj: dict) -> "MonomialIdeal":

@@ -16,8 +16,8 @@ PreconditionError or SizeBudgetError is an error, not an abort.
 Checks that share a generator differ only in what they pass to it: a
 family row names the maker, the regime of (d, alpha) pairs, the smallest
 n, the expected table and the comparison; a connectivity row names the
-report field it tests and the message; a counting row names the two
-counting functions.
+comparison of the direct connectivity with the shape of the Betti table;
+a counting row names the two counting functions.
 
 Two routes live only here, inside their checks: ``betti-splitting``
 reads the colon ideals from the certificate of the ordering it found
@@ -46,14 +46,12 @@ from dataclasses import dataclass
 from functools import partial
 from itertools import combinations, permutations
 from math import comb
-from operator import attrgetter
 from typing import Callable, Iterable, Mapping
 
 from .betti import (
     BettiTable,
-    ConnectivityReport,
-    check_conn_depth_theorem,
     clique_ideal_betti,
+    connectivity,
     count_cycle_subconfigs,
     count_line_subconfigs,
     cycle_betti_closed_form,
@@ -64,10 +62,10 @@ from .betti import (
     froberg_cm_check,
     hochster_betti,
     ideal_betti,
+    is_cohen_macaulay,
     knd_complement_betti,
     line_betti_closed_form,
     line_betti_degenerate,
-    resolution_stats,
     rsequence_betti_table,
     star_betti_closed_form,
     taylor_betti_free_vertex,
@@ -93,6 +91,7 @@ from .complexes import (
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import GF2, GF3, QQ, FieldSpec
 from .hypergraph import (
+    OVERLAP_FAMILIES,
     Hypergraph,
     every_edge_has_free_vertex,
     make_cycle,
@@ -419,9 +418,6 @@ def _free_vertex(
     )
 
 
-_MAKERS = {"line": make_line, "cycle": make_cycle, "star": make_star_overlap}
-
-
 def _regime_pairs(grid: Mapping, regime: str) -> list[tuple[int, int]]:
     """The (d, alpha) pairs of an overlap regime, in grid order: "spread"
     (d > 2 alpha), "tight" (d = 2 alpha, so the grid sets alpha only) or
@@ -448,7 +444,7 @@ def _family(
     def tables(grid: Mapping):
         for d, alpha in _regime_pairs(grid, regime):
             for n in _span(grid, "n", nmin, 6):
-                member = partial(_in_domain, _MAKERS[family], n, d, alpha)
+                member = partial(_in_domain, OVERLAP_FAMILIES[family], n, d, alpha)
                 yield (
                     f"{family} n={n} d={d} alpha={alpha}",
                     lambda fld, member=member: edge_ideal_betti(member(), fld),
@@ -540,30 +536,59 @@ def _conn_fields(trial_label: str, index: int) -> tuple[FieldSpec, ...]:
     return FIELD_TRIPLE
 
 
-def _connectivity(
-    holds: Callable[[ConnectivityReport], bool], flaw: Callable[[ConnectivityReport], str]
-) -> Cases:
-    """The cases shared by the connectivity checks: the theorem's report on
-    every pool instance, a mismatch wherever ``holds`` is false."""
+def _connectivity(compare: Callable[..., str | None]) -> Cases:
+    """The cases shared by the connectivity checks.  On every pool
+    instance but a complete one, the connectivity found by a removal scan
+    and the one the clique-route table implies, n - d + 1 minus the length
+    of its linear strand (None for an empty strand), go to ``compare``
+    with the table and d; a flaw carries the table's shape."""
 
     def cases(grid: Mapping):
         for index, (label, h, d) in enumerate(_conn_pool(grid)):
             for fld in _conn_fields(label, index):
                 def body(h=h, d=d, fld=fld):
+                    if not non_edges(h, d):
+                        raise SkipInstance(
+                            "complete hypergraph: connectivity is infinite, "
+                            "theorem does not apply"
+                        )
                     try:
-                        rep = check_conn_depth_theorem(h, fld, d)
+                        table = clique_ideal_betti(h, d, fld)
+                        con = connectivity(h, fld, d)
                     except PreconditionError as exc:
                         raise SkipInstance(str(exc)) from exc
-                    if holds(rep):
+                    strand = table.linear_strand(d)
+                    implied = None if strand == 0 else h.num_vertices - d + 1 - strand
+                    flaw = compare(con, implied, table, d)
+                    if flaw is None:
                         return None
                     return (
-                        f"{flaw(rep)} "
-                        f"(pd={rep.pd} depth={rep.depth} strand={rep.linear_strand_length})"
+                        f"{flaw} (pd={table.projective_dimension} "
+                        f"depth={table.depth} strand={strand})"
                     )
 
                 yield f"{label} field={fld.label}", body
 
     return cases
+
+
+def _strand_route_flaw(
+    con: int | None, implied: int | None, table: BettiTable, d: int
+) -> str | None:
+    if con == implied:
+        return None
+    return f"direct connectivity {con} != strand route {implied}"
+
+
+def _zero_route_flaw(
+    con: int | None, implied: int | None, table: BettiTable, d: int
+) -> str | None:
+    """Zero connectivity against depth d - 1 with the linear strand as long
+    as the resolution."""
+    zero = table.depth == d - 1 and table.linear_strand(d) == table.projective_dimension
+    if (con == 0) == zero:
+        return None
+    return f"connectivity {con} but resolution-shape route says zero={zero}"
 
 
 def _cm_pool(grid: Mapping) -> list[tuple[str, SimplicialComplex]]:
@@ -612,16 +637,14 @@ def check_cm_froberg(grid: Mapping) -> Iterable[Case]:
         for fld in FIELD_TRIPLE:
             def body(c=c, fld=fld):
                 crit = froberg_cm_check(c, fld)
-                table = hochster_betti(c, fld)
-                m = c.vertices.bit_count()
+                depth_route = is_cohen_macaulay(c, fld)
+                if crit == depth_route:
+                    return None
                 e = (c.dim if c.dim is not None else -1) + 1
-                depth_route = (m - table.projective_dimension) == e
-                if crit != depth_route:
-                    return (
-                        f"vanishing criterion says {crit}, Betti-table depth "
-                        f"{m - table.projective_dimension} vs dimension {e} says {depth_route}"
-                    )
-                return None
+                return (
+                    f"vanishing criterion says {crit}, Betti-table depth "
+                    f"{hochster_betti(c, fld).depth} vs dimension {e} says {depth_route}"
+                )
 
             yield f"{label} field={fld.label}", body
 
@@ -760,7 +783,7 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
                     if not class_has_quotients():
                         return "recognizer says chordal but no linear quotients exist"
                     return None
-                if any(j != i + 1 for (i, j) in tables[key].entries if i >= 1):
+                if not tables[key].is_linear(2):
                     return None  # nonlinear resolution certifies absence
                 ordering = _linear_quotients(ideal) if class_has_quotients() else None
                 if ordering is not None:
@@ -839,8 +862,7 @@ def _two_gluing_computed(m: int, i: int, j: int, d: int) -> bool:
     edges, not on how tightly they fill the vertex set.
     """
     ideal = edge_ideal(two_gluing_hypergraph(m, i, j, d))
-    table = ideal_betti(ideal)
-    if any(jj != ii + d - 1 for (ii, jj) in table.entries if ii >= 1):
+    if not ideal_betti(ideal).is_linear(d):
         return False
     return search_d_quotients(extend_ring(ideal), 1, node_budget=4_000_000) is not None
 
@@ -1100,8 +1122,7 @@ def check_lin_quot(grid: Mapping) -> Iterable[Case]:
             dprime = ideal.generator_degree
             for fld in FIELD_TRIPLE:
                 table = ideal_betti(ideal, fld)
-                stats = resolution_stats(table, dprime)
-                if not stats.has_linear_resolution:
+                if not table.is_linear(dprime):
                     return (
                         f"linear quotients under {ordering} but nonlinear entries "
                         f"over {fld.label}: {table.to_json()}"
@@ -1194,13 +1215,7 @@ REGISTRY: dict[str, Check] = {
     # connectivity by direct removal scan equals the value implied by the
     # linear-strand length of the resolution
     "conn-depth": Check(
-        _connectivity(
-            attrgetter("matches"),
-            lambda rep: (
-                f"direct connectivity {rep.connectivity_direct} != "
-                f"strand route {rep.connectivity_from_strand}"
-            ),
-        ),
+        _connectivity(_strand_route_flaw),
         _CONN_KEYS,
         notes=(
             "field policy: family instances run over GF(2), GF(3) and Q;"
@@ -1209,16 +1224,7 @@ REGISTRY: dict[str, Check] = {
     ),
     # zero connectivity holds exactly when the resolution is as long and as
     # linear as the vertex count allows
-    "homconn": Check(
-        _connectivity(
-            attrgetter("equivalence_holds"),
-            lambda rep: (
-                f"connectivity {rep.connectivity_direct} but resolution-shape "
-                f"route says zero={rep.depth_route_zero}"
-            ),
-        ),
-        _CONN_KEYS,
-    ),
+    "homconn": Check(_connectivity(_zero_route_flaw), _CONN_KEYS),
     "cm-froberg": Check(check_cm_froberg, ("vcap", "seed", "count")),
     "knd-complement": Check(_against_oracle(_knd_tables), ("n", "d")),
     "dquot-dshell": Check(check_dquot_dshell, ("preset",) + _IDEAL_KEYS),

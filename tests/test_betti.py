@@ -21,7 +21,6 @@ from hyperbetti import (
     PreconditionError,
     SimplicialComplex,
     SizeBudgetError,
-    check_conn_depth_theorem,
     clique_complex,
     clique_ideal_betti,
     connectivity,
@@ -49,7 +48,6 @@ from hyperbetti.betti import (
     CLOSURE_MAX_NONFACES,
     _count_by_big_faces,
     _RestrictionOracle,
-    resolution_stats,
 )
 from hyperbetti.bitsets import contains, k_submasks, mask_of, min_antichain, submasks
 from hyperbetti.complexes import FACE_BUDGET, restrict
@@ -166,8 +164,14 @@ def test_connectivity_none_for_complete():
 
 
 def test_conn_depth_equivalence_on_a_line():
-    rep = check_conn_depth_theorem(make_line(3, 3, 1))
-    assert rep.matches and rep.equivalence_holds
+    """Connectivity is n - d + 1 minus the linear strand; here it is zero,
+    and depth is d - 1 with a linear strand as long as the resolution."""
+    h = make_line(3, 3, 1)
+    table = clique_ideal_betti(h, 3, QQ)
+    con = connectivity(h, QQ, 3)
+    assert con == h.num_vertices - 3 + 1 - table.linear_strand(3) == 0
+    assert table.depth == 3 - 1
+    assert table.linear_strand(3) == table.projective_dimension
 
 
 def test_cohen_macaulay_examples():
@@ -182,9 +186,30 @@ def test_cohen_macaulay_examples():
 
 def test_resolution_stats_depth():
     t = edge_ideal_betti(make_line(3, 3, 1), QQ)
-    stats = resolution_stats(t, 3)
-    assert stats.projective_dimension == 3
-    assert stats.depth == 7 - 3
+    assert t.projective_dimension == 3
+    assert t.depth == 7 - 3
+
+
+@pytest.mark.parametrize(
+    "table, d, strand, linear",
+    [
+        # three triples in a line, overlap 1: the strand stops at step 1
+        (edge_ideal_betti(make_line(3, 3, 1), QQ), 3, 1, False),
+        # the edge ideal of a 5-cycle: linear to step 2, then beta(3, 5)
+        (edge_ideal_betti(make_cycle(5, 2, 1), QQ), 2, 2, False),
+        # the complete graph's nonface ideal is zero: nothing past step 0
+        (BettiTable("quotient", 4, {(0, 0): 1}), 2, 0, True),
+        # the ideal (x, y, z) of all three variables: linear throughout
+        (ideal_betti(MonomialIdeal(3, (1, 2, 4)), QQ), 1, 3, True),
+    ],
+)
+def test_resolution_shape_readings_agree_on_both_conventions(table, d, strand, linear):
+    """depth, linear_strand and is_linear read the same off a table and
+    off its ideal form."""
+    for form in (table, table.as_ideal(), table.as_ideal().as_quotient()):
+        assert form.depth == table.n - table.as_quotient().projective_dimension
+        assert form.linear_strand(d) == strand
+        assert form.is_linear(d) is linear
 
 
 @settings(max_examples=120, deadline=None)

@@ -121,6 +121,10 @@ def test_realization_search_families():
     assert realization_search(make_star_overlap(3, 3, 1), 3).outcome == "chordal"
     assert realization_search(Hypergraph(4, frozenset()), 3).outcome == "chordal"
     assert realization_search(_cycle_graph(4), 2).outcome == "not_chordal"
+    # with no vertices the verdict does not depend on the uniformity
+    for d in (2, 3):
+        rep = realization_search(Hypergraph(0, frozenset()), d)
+        assert (rep.outcome, rep.witness, rep.states_explored) == ("chordal", None, 0)
 
 
 def test_realization_witness_replays_up_to_relabelling():
@@ -144,6 +148,20 @@ def test_realization_witness_replays_up_to_relabelling():
         rep = realization_search(h, 3)
         assert rep.outcome == "chordal"
         assert isomorphic(build_chordal(rep.witness), h)
+    # every labelled graph on one to five vertices: the chordal ones come
+    # with the witness the elimination order derives
+    chordal = 0
+    for n in range(1, 6):
+        pairs = [mask_of(p) for p in itertools.combinations(range(n), 2)]
+        for bits in range(1 << len(pairs)):
+            g = Hypergraph(n, frozenset(e for k, e in enumerate(pairs) if bits >> k & 1))
+            rep = realization_search(g, 2)
+            if rep.outcome == "chordal":
+                chordal += 1
+                assert isomorphic(build_chordal(rep.witness), g)
+            else:
+                assert rep.outcome == "not_chordal"
+    assert chordal == 894
 
 
 def test_realization_budget_reports_inconclusive():

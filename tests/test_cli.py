@@ -512,6 +512,14 @@ def test_chordal_recipe_json_input(capsys, tmp_path):
     assert len(json.loads(out)["edges"]) == 5
 
 
+def test_chordal_on_the_empty_hypergraph_does_not_depend_on_the_uniformity(capsys, tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text('{"n":0,"edges":[]}')
+    for d in ("2", "3"):
+        code, out, _ = run(capsys, "chordal", str(path), "--d", d)
+        assert (code, out) == (0, '{"chordal":true,"states":0}\n')
+
+
 def test_chordal_negative_and_budget(capsys, tmp_path):
     path = tmp_path / "c4.json"
     path.write_text('{"n":4,"edges":[[0,1],[1,2],[2,3],[0,3]]}')

@@ -261,3 +261,46 @@ def test_betti_splitting_reports_the_identity_a_wrong_table_breaks(
         ("showcase gens=abc,cde,bef,adf d=2", "mismatch", details),
         ("showcase gens=abc,cde,cfg,chi d=2", "match", ""),
     ]
+
+
+
+@pytest.mark.parametrize(
+    "theorem, d, wrong, details",
+    [
+        (
+            "conn-depth",
+            2,
+            lambda con: con + 1,
+            "direct connectivity 2 != strand route 1 (pd=2 depth=2 strand=2)",
+        ),
+        (
+            "homconn",
+            2,
+            lambda con: 0,
+            "connectivity 0 but resolution-shape route says zero=False "
+            "(pd=2 depth=2 strand=2)",
+        ),
+        (
+            "homconn",
+            3,
+            lambda con: 1,
+            "connectivity 1 but resolution-shape route says zero=True "
+            "(pd=5 depth=2 strand=5)",
+        ),
+    ],
+    ids=["conn-depth", "homconn-forced-zero", "homconn-forced-one"],
+)
+def test_connectivity_checks_report_a_wrong_connectivity(monkeypatch, theorem, d, wrong, details):
+    """A removal scan that answers wrongly makes the line a mismatch naming
+    the comparison and the table's shape; a complete hypergraph is still
+    skipped."""
+    scan = verify.connectivity
+    monkeypatch.setattr(verify, "connectivity", lambda h, fld, d: wrong(scan(h, fld, d)))
+    rep = run_check(theorem, f"d={d}..{d},alpha=1..1,n=3..3,count=0")
+    first = rep.results[0]
+    assert (first.instance, first.status, first.details) == (
+        f"line n=3 d={d} alpha=1 field=gf2", "mismatch", details
+    )
+    assert {r.details for r in rep.results if r.status == "skipped"} <= {
+        "complete hypergraph: connectivity is infinite, theorem does not apply"
+    }
