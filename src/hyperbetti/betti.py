@@ -28,25 +28,27 @@ sweep when there is a skeleton strategy; otherwise, and for a sweep past
 it, the sum is refused.  Each subset is answered by one of these
 strategies:
 
+* join split and shape memo - the minimal nonfaces inside V fall into
+  components, two nonfaces being joined when they share a vertex.  The
+  components' supports partition V, and the subcomplex on V is the join
+  of the subcomplexes on those supports, so by the Kunneth formula for
+  joins its homology is the product of theirs, H~_{p+q+1}(A*B) = sum of
+  H~_p(A) (x) H~_q(B).  Each component is relabelled onto the vertices
+  0..m-1 in order, a simplicial isomorphism, and its sorted relabelled
+  nonfaces are the key of a memo: every shape is answered once per
+  oracle, by one of the routes below on that component.  A subset whose
+  nonfaces form one component is the component itself, and the skeleton,
+  when there is one, answers it whole instead, from its own memo;
 * sparse skeleton - when every set smaller than s (the minimal nonface
   size) is a face, only the faces of size >= s carry information, and
   their boundary ranks depend on that face list alone, so they memoize
   across subsets (complexes with few large faces, e.g. clique-style
-  complexes of sparse hypergraphs).  It answers every subset whenever
-  those faces are few enough to grow.  Its full sweep does not visit
-  the 2^|U| subsets one by one: the answer on V depends only on |V| and
-  the large faces inside V, so the subsets are counted per such pair
-  and each pair is answered once;
-* join split and shape memo - without the skeleton, the minimal
-  nonfaces inside V fall into components, two nonfaces being joined
-  when they share a vertex.  The components' supports partition V, and
-  the subcomplex on V is the join of the subcomplexes on those supports,
-  so by the Kunneth formula for joins its homology is the product of
-  theirs, H~_{p+q+1}(A*B) = sum of H~_p(A) (x) H~_q(B).  Each component
-  is relabelled onto the vertices 0..m-1 in order, a simplicial
-  isomorphism, and its sorted relabelled nonfaces are the key of a memo:
-  every shape is answered once per oracle, by one of the two routes
-  below on the relabelled component;
+  complexes of sparse hypergraphs).  Whenever those faces are few
+  enough to grow, it answers each subset of a single component and each
+  component shape on a miss.  Its full sweep does not visit the 2^|U|
+  subsets one by one: the answer on V depends only on |V| and the large
+  faces inside V, so the subsets are counted per such pair and each pair
+  is answered once;
 * dual nerve - replace the subcomplex by the nerve of its k minimal
   nonfaces, which has complementary homology and at most 2^k faces (the
   crosscut complex of the LCM lattice);
@@ -54,7 +56,8 @@ strategies:
   nonface size in it, so every smaller set is a face) and answer by the
   skeleton's formula, without its memo.
 
-Between the last two the cost is measured, not estimated: those faces
+Without the skeleton, a component is answered by one of the last two,
+and between them the cost is measured, not estimated: those faces
 are grown up to the component's nerve size 2^k (or up to the face
 budget, if 2^k is over it).  If the growth finishes the direct route
 answers; otherwise the nerve runs, and refuses with SizeBudgetError
@@ -243,31 +246,49 @@ class _RestrictionOracle:
     def dims_for(self, vmask: int) -> dict[int, int]:
         """Nonzero reduced homology dims of the induced subcomplex.
 
-        Cones are answered at once, and the skeleton strategy takes every
-        subset when it exists.  Otherwise the minimal nonfaces inside V
-        are split into components, and the subcomplex is the join of the
-        subcomplexes on their supports; each component shape is answered
-        once, and the join multiplies their homologies.
+        One pass over the minimal nonfaces keeps those inside V, their
+        union and their components, two nonfaces joining when they share
+        a vertex.  V is a simplex when it holds no nonface, and a cone when
+        the nonfaces miss a vertex of it.  Otherwise the subcomplex is the
+        join of the subcomplexes on the components' supports.  A single
+        component is V itself: the skeleton lookup answers it when the
+        complex has one, the shape memo otherwise.  Several components are
+        answered each once per shape, and the join multiplies their
+        homologies.
         """
-        m = vmask.bit_count()
-        if m == 0:
+        if not vmask:
             return {-1: 1}
-        if not self.mnf:
-            return {}  # the whole complex is a simplex
-        if self.big_faces is not None:
-            return self._dims_skeleton(vmask, m)
         out = ~vmask
-        relevant = [M for M in self.mnf if not M & out]
-        if not relevant:
-            return {}  # simplex on V
+        inside = []
         covered = 0
-        for M in relevant:
+        supports: list[int] = []  # of the components so far, disjoint
+        for M in self.mnf:
+            if M & out:
+                continue
+            inside.append(M)
+            if not M & covered:
+                supports.append(M)
+            elif len(supports) == 1:
+                supports[0] |= M
+            else:  # M joins every component it meets
+                joined, apart = M, []
+                for P in supports:
+                    if P & M:
+                        joined |= P
+                    else:
+                        apart.append(P)
+                apart.append(joined)
+                supports = apart
             covered |= M
         if covered != vmask:
-            return {}  # any uncovered vertex is a cone apex
+            return {}  # a simplex if V holds no nonface, else a cone on any uncovered vertex
+        if len(supports) == 1:
+            if self.big_faces is not None:
+                return self._dims_skeleton(vmask, vmask.bit_count())
+            return self._dims_shape(vmask, inside)
         dims = {-1: 1}  # the empty complex, the unit of the join
-        for support, members in _nonface_components(relevant):
-            part = self._dims_shape(_relabelled(support, members))
+        for P in supports:
+            part = self._dims_shape(P, [M for M in inside if M & P])
             if not part:
                 return {}  # an acyclic factor makes the join acyclic
             dims = _join_dims(dims, part)
@@ -275,20 +296,29 @@ class _RestrictionOracle:
 
     # -- strategies ---------------------------------------------------
 
-    def _dims_shape(self, key: tuple[int, ...]) -> dict[int, int]:
-        """Homology of the complex on 0..m-1 whose minimal nonfaces are the
-        key and cover every vertex, once per key.  The k nonfaces give a
-        nerve of 2^k faces: the faces no smaller than the nonfaces are
-        grown up to that many (or up to the face budget); they answer if
-        the growth finishes, the nerve otherwise."""
+    def _dims_shape(self, support: int, members: list[int]) -> dict[int, int]:
+        """Homology of the subcomplex on the support of one nonface
+        component, once per shape: the members relabelled onto 0..m-1 in
+        order are the memo's key.
+
+        The minimal nonfaces inside the support are exactly the members,
+        so on a miss the skeleton lookup on the support answers when the
+        complex has one.  Otherwise the k members give a nerve of 2^k
+        faces: the faces no smaller than the members are grown up to that
+        many (or up to the face budget); they answer if the growth
+        finishes, the nerve otherwise."""
+        key = _relabelled(support, members)
         dims = self._shape_memo.get(key)
         if dims is None:
-            relevant = list(key)
             m = key[-1].bit_length()  # the top vertex lies in some nonface
-            full = (1 << m) - 1
-            dims = self._dims_direct(full, relevant, min(1 << len(relevant), FACE_BUDGET))
-            if dims is None:
-                dims = self._dims_nerve(full, m, relevant)
+            if self.big_faces is not None:
+                dims = self._dims_skeleton(support, m)
+            else:
+                relevant = list(key)
+                full = (1 << m) - 1
+                dims = self._dims_direct(full, relevant, min(1 << len(relevant), FACE_BUDGET))
+                if dims is None:
+                    dims = self._dims_nerve(full, m, relevant)
             self._shape_memo[key] = dims
         return dims
 
@@ -325,10 +355,9 @@ class _RestrictionOracle:
         return {m - 3 - t: dim for t, dim in nerve_dims.items()}
 
     def _dims_skeleton(self, vmask: int, m: int) -> dict[int, int]:
-        """All small sets are faces, so only faces of size >= s matter."""
+        """All sets smaller than s are faces, so on a V of m >= s vertices
+        only the faces of size >= s matter."""
         s = self.min_nonface_size
-        if m < s:
-            return {}  # V itself is a face: simplex
         assert self.big_faces is not None
         out = ~vmask
         S = tuple(f for f in self.big_faces if not f & out)
@@ -426,24 +455,6 @@ def _count_by_big_faces(
         return visit(rest, k + 1, alive) and visit(rest, k, tuple(f for f in alive if not f & v))
 
     return counts if visit(ground, 0, tuple(big_faces)) else None
-
-
-def _nonface_components(nonfaces: Iterable[int]) -> list[tuple[int, list[int]]]:
-    """The nonfaces grouped into components, two being joined when they
-    share a vertex, as (support, members) pairs with disjoint supports."""
-    parts: list[tuple[int, list[int]]] = []
-    for M in nonfaces:
-        support, members = M, [M]
-        apart = []
-        for part in parts:
-            if part[0] & M:
-                support |= part[0]
-                members += part[1]
-            else:
-                apart.append(part)
-        apart.append((support, members))
-        parts = apart
-    return parts
 
 
 def _relabelled(support: int, masks: Iterable[int]) -> tuple[int, ...]:

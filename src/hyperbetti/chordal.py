@@ -228,7 +228,10 @@ def hypergraph_sequence_from_graph(g: Hypergraph, d: int) -> AttachmentSequence:
     Maximal cliques are taken in reverse elimination order, which gives the
     running-intersection property: each clique meets the union of the
     earlier ones inside a single earlier clique, so every glue validates.
+    A graph with no vertices has no clique to start a recipe from.
     """
+    if not g.vertices:
+        raise PreconditionError("the graph has no vertices, so it has no build recipe")
     rep = chordal_graph_recognize(g)
     if not rep.is_chordal:
         raise PreconditionError("input graph is not chordal")

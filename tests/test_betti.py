@@ -25,6 +25,7 @@ from hyperbetti import (
     clique_ideal_betti,
     connectivity,
     cycle_betti_closed_form,
+    cycle_betti_degenerate,
     edge_ideal_betti,
     hochster_betti,
     ideal_betti,
@@ -493,7 +494,10 @@ def test_the_join_split_equals_the_unsplit_routes(blocks):
     own block of vertices after an optional gap, so many subsets split
     into several components: on every subset the cone filters let
     through, the split answer equals the direct and the nerve routes run
-    on the whole, unsplit subset."""
+    on the whole, unsplit subset.  It is checked twice: with the skeleton
+    dropped, so the components take the direct and nerve routes, and with
+    the skeleton kept wherever it fits, so they take the skeleton lookup
+    on their supports."""
     nonfaces: list[int] = []
     shift = 0
     for gap, family in blocks:
@@ -501,16 +505,92 @@ def test_the_join_split_equals_the_unsplit_routes(blocks):
         nonfaces += [M << shift for M in min_antichain(family)]
         shift += max(family).bit_length()
     for fld in (GF2, GF3, QQ):
-        oracle = _RestrictionOracle((1 << shift) - 1, nonfaces, fld)
-        oracle.big_faces = None  # take the split path even where the skeleton fits
-        for vmask in oracle.union_closure():
-            relevant = [M for M in oracle.mnf if contains(vmask, M)]
-            if not relevant:
-                continue
-            m = vmask.bit_count()
-            expected = oracle._dims_direct(vmask, relevant, FACE_BUDGET)
-            assert oracle._dims_nerve(vmask, m, relevant) == expected
-            assert oracle.dims_for(vmask) == expected
+        for keep_skeleton in (False, True):
+            oracle = _RestrictionOracle((1 << shift) - 1, nonfaces, fld)
+            if not keep_skeleton:
+                oracle.big_faces = None
+            for vmask in oracle.union_closure():
+                relevant = [M for M in oracle.mnf if contains(vmask, M)]
+                if not relevant:
+                    continue
+                m = vmask.bit_count()
+                expected = oracle._dims_direct(vmask, relevant, FACE_BUDGET)
+                assert oracle._dims_nerve(vmask, m, relevant) == expected
+                assert oracle.dims_for(vmask) == expected
+
+
+@pytest.mark.parametrize(
+    "family, degenerate, most",
+    [(make_line, line_betti_degenerate, 46), (make_cycle, cycle_betti_degenerate, 72)],
+    ids=["line-10-2-1", "cycle-10-2-1"],
+)
+def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, degenerate, most):
+    """The edge routes of line(10,2,1) and cycle(10,2,1) have the skeleton
+    strategy and take the union closure, whose members mostly split into
+    runs: each run shape is ranked once, not each whole subset (341 and
+    267 ranks when every subset took the whole-V lookup)."""
+    h = family(10, 2, 1)
+    assert _RestrictionOracle(h.vertices, h.edges, GF2).big_faces is not None
+    calls = []
+    ranks_by_size = betti._ranks_by_size
+
+    def counted(faces_by_size, fld):
+        calls.append(fld)
+        return ranks_by_size(faces_by_size, fld)
+
+    monkeypatch.setattr(betti, "_ranks_by_size", counted)
+    assert edge_ideal_betti(h, GF2) == degenerate(10, 1)
+    assert 0 < len(calls) <= most
+
+
+def test_the_cone_filter_answers_before_any_route(monkeypatch):
+    """A subset holding no nonface is a simplex and a subset with a vertex
+    no nonface inside it covers is a cone: the cone filter answers both {}
+    before any route runs, with or without the skeleton."""
+
+    def no_route(*args):
+        raise AssertionError("a route ran on a subset the cone filter answers")
+
+    for name in ("_dims_shape", "_dims_skeleton", "_dims_direct", "_dims_nerve"):
+        monkeypatch.setattr(_RestrictionOracle, name, no_route)
+    # the path 0-1-2-3 and the vertex 4, which lies in no nonface
+    c = independence_complex(Hypergraph(5, frozenset({0b00011, 0b00110, 0b01100})))
+    for keep_skeleton in (True, False):
+        oracle = _RestrictionOracle(c.vertices, minimal_nonfaces(c), GF2)
+        assert oracle.big_faces is not None
+        if not keep_skeleton:
+            oracle.big_faces = None
+        for vmask in (0b00101, 0b10101, 0b01001):  # no nonface inside
+            assert oracle.dims_for(vmask) == {} == reduced_homology_dims(restrict(c, vmask), GF2)
+        for vmask in (0b10011, 0b11100, 0b01011):  # a vertex no nonface inside covers
+            assert oracle.dims_for(vmask) == {} == reduced_homology_dims(restrict(c, vmask), GF2)
+
+
+def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch):
+    """K(12) minus the edge {0, 1} has thousands of big faces, so its
+    oracle has no skeleton strategy.  Its only nonface is {0, 1}, so the
+    one disconnected induced subgraph is on {0, 1}: every other subset the
+    scan visits lacks 0 or 1 (no nonface inside) or holds another vertex
+    (a cone), and the cone filter answers it without a route."""
+    h = Hypergraph(12, make_complete(12, 2).edges - {0b11})
+    assert _RestrictionOracle(h.vertices, non_edges(h, 2), GF2).big_faces is None
+    seen: Counter[str] = Counter()
+    dims_for = _RestrictionOracle.dims_for
+    dims_shape = _RestrictionOracle._dims_shape
+
+    def counted_dims_for(self, vmask):
+        seen["no nonface" if vmask & 0b11 != 0b11 else "cone" if vmask != 0b11 else "pair"] += 1
+        return dims_for(self, vmask)
+
+    def counted_shape(self, support, members):
+        seen["route"] += 1
+        return dims_shape(self, support, members)
+
+    monkeypatch.setattr(_RestrictionOracle, "dims_for", counted_dims_for)
+    monkeypatch.setattr(_RestrictionOracle, "_dims_shape", counted_shape)
+    assert connectivity(h, GF2) == 10
+    assert seen["pair"] == seen["route"] == 1
+    assert seen["no nonface"] and seen["cone"]
 
 
 def _product_table(a: BettiTable, b: BettiTable) -> dict[tuple[int, int], int]:

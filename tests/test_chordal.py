@@ -11,6 +11,7 @@ from hyperbetti import (
     AttachmentStep,
     Hypergraph,
     ParameterError,
+    PreconditionError,
     build_chordal,
     chordal_graph_recognize,
     enumerate_sequences,
@@ -25,6 +26,7 @@ from hyperbetti.chordal import (
     auto_glue,
     build_chordal_with_chunks,
     complement_diameter,
+    hypergraph_sequence_from_graph,
     sequence_for_line,
     two_gluing_classification,
     two_gluing_hypergraph,
@@ -34,6 +36,12 @@ from hyperbetti.chordal import (
 def _cycle_graph(n):
     edges = frozenset(mask_of([i, (i + 1) % n]) for i in range(n))
     return Hypergraph(n, edges)
+
+
+def test_a_graph_with_no_vertices_has_no_recipe():
+    """The refusal names the graph, not the recipe steps it would need."""
+    with pytest.raises(PreconditionError, match="no vertices"):
+        hypergraph_sequence_from_graph(Hypergraph(0, frozenset()), 2)
 
 
 def test_first_step_cannot_glue():
