@@ -1,9 +1,11 @@
 """Exact reduced simplicial homology over Q and prime fields.
 
 Chain groups are indexed by faces-as-bitmasks and boundary matrices are
-kept as sparse dicts, so ranks come from straightforward elimination
-with exact arithmetic: modular inverses over GF(p), fraction-free
-integer pivoting over Q.
+kept as sparse dicts, so ranks come from exact elimination with one
+kernel per field: over GF(2) each matrix's columns are compacted to
+0..c-1 and rows become int bitsets reduced by XOR; over Q unit pivots
+reduce rows in place and other pivots take a fraction-free integer
+step; over GF(p) for odd p rows are reduced with modular inverses.
 
 The empty face is part of every chain complex here (augmented
 convention): a single point has no reduced homology and the empty
@@ -96,10 +98,45 @@ def parse_field(text: str) -> FieldSpec:
 
 def rank_over_field(rows, field: FieldSpec) -> int:
     """Rank of a sparse matrix given as an iterable of {column: coefficient}
-    dicts (columns are arbitrary ints).  Exact, destructive on copies."""
+    dicts (columns are arbitrary ints).  Exact over every field; the rows
+    passed in are never changed.
+
+    Each field has its own elimination.  GF(2) relabels the matrix's
+    columns 0..c-1 in the order they are first seen, packs each row into an
+    int with a bit per odd entry and eliminates by XOR.  Q pivots in place
+    on a leading entry of +-1 and takes a fraction-free step with content
+    normalization on any other.  GF(p) for odd p pivots with modular
+    inverses.
+    """
+    if field.p == 2:
+        return _rank_gf2(rows)
     if field.p is None:
         return _rank_rational(rows)
     return _rank_modular(rows, field.p)
+
+
+def _rank_gf2(rows) -> int:
+    """XOR elimination on rows packed as ints, keyed on the top bit.
+
+    Columns are relabelled densely because the labels are face masks: bit
+    positions taken from the masks themselves would make every row as wide
+    as the largest mask.
+    """
+    index: dict[int, int] = {}
+    pivots: dict[int, int] = {}
+    for raw in rows:
+        bits = 0
+        for c, v in raw.items():
+            if v & 1:
+                bits |= 1 << index.setdefault(c, len(index))
+        while bits:
+            top = bits.bit_length()
+            piv = pivots.get(top)
+            if piv is None:
+                pivots[top] = bits
+                break
+            bits ^= piv
+    return len(pivots)
 
 
 def _rank_modular(rows, p: int) -> int:
@@ -127,7 +164,13 @@ def _rank_modular(rows, p: int) -> int:
 
 
 def _rank_rational(rows) -> int:
-    """Fraction-free elimination on integer rows (rank over Q)."""
+    """Elimination on integer rows (rank over Q).
+
+    A pivot whose leading entry is +-1 is stored with leading entry 1, and
+    rows are reduced by it in place: the step needs no division, so it
+    needs no scaling either.  Any other pivot is content-normalized and
+    reduces by the fraction-free step a*row - b*pivot.
+    """
     pivots: dict[int, dict[int, int]] = {}
     rank = 0
     for raw in rows:
@@ -136,10 +179,25 @@ def _rank_rational(rows) -> int:
             c = max(row)
             piv = pivots.get(c)
             if piv is None:
-                pivots[c] = _content_normalize(row)
+                lead = row[c]
+                if lead == -1:
+                    row = {k: -v for k, v in row.items()}
+                elif lead != 1:
+                    row = _content_normalize(row)
+                pivots[c] = row
                 rank += 1
                 break
             a, b = piv[c], row[c]
+            if a == 1:
+                for k, v in piv.items():
+                    # row.get(k) is 0 only where the result is -b*v != 0,
+                    # so a zero result always has a key to delete.
+                    nv = row.get(k, 0) - b * v
+                    if nv:
+                        row[k] = nv
+                    else:
+                        del row[k]
+                continue
             new = {}
             for k in row.keys() | piv.keys():
                 nv = a * row.get(k, 0) - b * piv.get(k, 0)

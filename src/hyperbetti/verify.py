@@ -223,6 +223,9 @@ def parse_grid(text: str | None) -> dict:
                 grid[key] = (v, v)
         except ValueError as exc:
             raise ParameterError(f"grid value {raw!r} for {key!r} is not integral") from exc
+        lo, hi = grid[key]
+        if lo > hi:
+            raise ParameterError(f"grid range {raw!r} for {key!r} is empty: {lo} > {hi}")
     return grid
 
 

@@ -402,6 +402,15 @@ def test_verify_unknown_grid_key_is_usage_error(capsys):
     assert "Traceback" not in err
 
 
+def test_verify_refuses_an_empty_grid_range(capsys):
+    """A range with lo > hi is a usage error, not an empty report."""
+    code, out, err = run(capsys, "verify", "--theorem", "P", "--grid", "n=5..1")
+    assert code == 2
+    assert out == ""
+    assert err.splitlines()[0] == "error: grid range '5..1' for 'n' is empty: 5 > 1"
+    assert "theorem=" not in err and "Traceback" not in err
+
+
 def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "zzz")
     assert code == 2

@@ -2,7 +2,12 @@
 
 from __future__ import annotations
 
+import copy
+from fractions import Fraction
+
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from hyperbetti import (
     GF2,
@@ -58,6 +63,72 @@ def test_rank_sees_through_scaling():
     """Fraction-free elimination: proportional integer rows are dependent."""
     rows = [{0: 2, 1: 4, 7: 6}, {0: 1, 1: 2, 7: 3}]
     assert rank_over_field(rows, QQ) == 1
+
+
+FIELDS = [GF2, GF3, FieldSpec(7), FieldSpec(2**61 - 1), QQ]
+
+
+def _dense_rank(rows, p):
+    """Gauss-Jordan elimination on a dense copy: Fractions over Q, residues
+    mod p over GF(p)."""
+    cols = sorted({c for row in rows for c in row})
+    if p is None:
+        m = [[Fraction(row.get(c, 0)) for c in cols] for row in rows]
+    else:
+        m = [[row.get(c, 0) % p for c in cols] for row in rows]
+    rank = 0
+    for j in range(len(cols)):
+        pivot = next((i for i in range(rank, len(m)) if m[i][j]), None)
+        if pivot is None:
+            continue
+        m[rank], m[pivot] = m[pivot], m[rank]
+        inv = 1 / m[rank][j] if p is None else pow(m[rank][j], -1, p)
+        for i in range(len(m)):
+            if i != rank and m[i][j]:
+                f = m[i][j] * inv
+                m[i] = [a - f * b for a, b in zip(m[i], m[rank])]
+                if p is not None:
+                    m[i] = [a % p for a in m[i]]
+        rank += 1
+    return rank
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Rows over a few column labels up to bit 62, entries in -3..3 (zeros
+    kept), some rows empty and some repeated as the same dict object."""
+    labels = draw(st.lists(st.integers(0, (1 << 63) - 1), min_size=1, max_size=7, unique=True))
+    row = st.dictionaries(st.sampled_from(labels), st.integers(-3, 3), max_size=len(labels))
+    rows = draw(st.lists(row, max_size=8))
+    if rows:
+        rows += draw(st.lists(st.sampled_from(rows), max_size=3))
+    return draw(st.permutations(rows))
+
+
+_SHARED = {1 << 62: -1, 5: 2, 0: 3}
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label)
+@settings(max_examples=150, deadline=None)
+@given(rows=sparse_matrices())
+@example(rows=[{}, {7: 2, 1 << 40: 1}, _SHARED, _SHARED, {}, {5: -3, 0: 3}, {7: -2}])
+def test_rank_agrees_with_dense_elimination(field, rows):
+    """Each field's kernel against Gauss-Jordan on a dense copy: even
+    entries vanish over GF(2), multiples of 3 over GF(3), and leading
+    entries of +-2 and +-3 take Q's fraction-free step."""
+    assert rank_over_field(rows, field) == _dense_rank(rows, field.p)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=lambda f: f.label)
+@settings(max_examples=40, deadline=None)
+@given(rows=sparse_matrices())
+@example(rows=[_SHARED, _SHARED, {5: 1, 1 << 62: 1}, {0: -1}, {0: 2, 5: -1}])
+def test_rank_leaves_its_rows_unchanged(field, rows):
+    """Rows go in as the caller's dicts, some of them one object twice; no
+    kernel may reduce them in place or keep one as a pivot."""
+    before = copy.deepcopy(rows)
+    rank_over_field(rows, field)
+    assert rows == before
 
 
 def test_hollow_triangle_is_a_circle():

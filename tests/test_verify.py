@@ -28,6 +28,8 @@ def test_parse_grid_forms():
 def test_parse_grid_rejects_junk():
     with pytest.raises(ParameterError):
         parse_grid("n=a..b")
+    with pytest.raises(ParameterError, match="grid range '3..2' for 'd' is empty"):
+        parse_grid("n=3..5, d=3..2")
 
 
 def test_unknown_theorem_id():
