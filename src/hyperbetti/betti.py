@@ -16,18 +16,30 @@ level by level from the nonfaces, up to a cap, wherever a route needs
 them.
 
 Subsets that induce a cone contribute nothing, so the sum runs over the
-support U, the union of the minimal nonfaces, and has two plans: the
-union closure of the minimal nonfaces, which holds every subset with
-nonzero homology, when there are few nonfaces or no skeleton strategy;
-and otherwise the grouped full sweep of the skeleton strategy over the
-subsets of U.  One plan budget bounds both by a count taken before any
-rank runs: for the closure, its sets times its nonfaces, since each set
-is scanned against every nonface and the build scans no more; for the
-sweep, the leaves of its search.  A closure past it gives way to the
-sweep when there is a skeleton strategy; otherwise, and for a sweep past
-it, the sum is refused.  Each subset is answered by one of these
-strategies:
+support U, the union of the minimal nonfaces, and has two plans:
 
+* union closure - the unions of the minimal nonfaces hold every subset
+  with nonzero homology, and each is answered one by one.  This is the
+  plan when there are few nonfaces.
+* skeleton sweep - when every set smaller than s (the minimal nonface
+  size) is a face, the homology on V depends only on |V| and the faces
+  of size >= s inside V.  When those faces are few enough to grow, the
+  sweep does not visit the 2^|U| subsets one by one: it counts them per
+  such pair, and answers each pair once.  It is tried when there are
+  many nonfaces, and when the closure is over budget.
+
+One plan budget bounds both by a count taken before any rank runs: for
+the closure, its sets times its nonfaces, since each set is scanned
+against every nonface and the build scans no more; for the sweep, the
+leaves of its search.  A closure past it gives way to the sweep when
+the faces fit; a sweep past it, or a closure past it when they do not,
+is refused.
+
+Every subset answered one by one, in the closure or by the connectivity
+and Cohen-Macaulay scans, takes one route:
+
+* cone filter - V adds nothing when it holds no nonface (a simplex) or
+  when a vertex of V lies in none of the nonfaces inside V (a cone);
 * join split and shape memo - the minimal nonfaces inside V fall into
   components, two nonfaces being joined when they share a vertex.  The
   components' supports partition V, and the subcomplex on V is the join
@@ -36,32 +48,15 @@ strategies:
   H~_p(A) (x) H~_q(B).  Each component is relabelled onto the vertices
   0..m-1 in order, a simplicial isomorphism, and its sorted relabelled
   nonfaces are the key of a memo: every shape is answered once per
-  oracle, by one of the routes below on that component.  A subset whose
-  nonfaces form one component is the component itself, and the skeleton,
-  when there is one, answers it whole instead, from its own memo;
-* sparse skeleton - when every set smaller than s (the minimal nonface
-  size) is a face, only the faces of size >= s carry information, and
-  their boundary ranks depend on that face list alone, so they memoize
-  across subsets (complexes with few large faces, e.g. clique-style
-  complexes of sparse hypergraphs).  Whenever those faces are few
-  enough to grow, it answers each subset of a single component and each
-  component shape on a miss.  Its full sweep does not visit the 2^|U|
-  subsets one by one: the answer on V depends only on |V| and the large
-  faces inside V, so the subsets are counted per such pair and each pair
-  is answered once;
-* dual nerve - replace the subcomplex by the nerve of its k minimal
-  nonfaces, which has complementary homology and at most 2^k faces (the
-  crosscut complex of the LCM lattice);
-* direct - grow the faces of size >= s of the subcomplex (s the smallest
-  nonface size in it, so every smaller set is a face) and answer by the
-  skeleton's formula, without its memo.
-
-Without the skeleton, a component is answered by one of the last two,
-and between them the cost is measured, not estimated: those faces
-are grown up to the component's nerve size 2^k (or up to the face
-budget, if 2^k is over it).  If the growth finishes the direct route
-answers; otherwise the nerve runs, and refuses with SizeBudgetError
-when 2^k is over the face budget.
+  oracle;
+* direct, else the nerve - for a component with k minimal nonfaces, the
+  faces of size >= s (s the smallest of their sizes, so every smaller set
+  is a face) are grown up to the nerve size 2^k, or up to the face
+  budget if 2^k is over it.  The cost is measured, not estimated: if the
+  growth finishes, those faces answer by the skeleton's formula;
+  otherwise the nerve of the k nonfaces answers, which has complementary
+  homology and 2^k faces (the crosscut complex of the LCM lattice), and
+  it refuses with SizeBudgetError when 2^k is over the face budget.
 """
 
 from __future__ import annotations
@@ -213,10 +208,10 @@ class BettiTable:
 
 # Most vertices a restriction sum runs over, unless the caller says otherwise.
 VERTEX_BUDGET = 20
-# Most faces of size >= s the skeleton strategy lists.
+# Most faces of size >= s the skeleton sweep lists.
 BIG_FACE_CAP = 600
 # Most minimal nonfaces for which the sum runs over their union closure
-# when the skeleton strategy is there too.
+# before it tries the skeleton sweep.
 CLOSURE_MAX_NONFACES = 26
 # Most a plan of the restriction sum visits before any rank runs: the
 # (set, nonface) pairs of the union closure, or the leaves of the grouped
@@ -226,19 +221,16 @@ PLAN_BUDGET = 1 << 18
 
 class _RestrictionOracle:
     """Engine answering 'reduced homology of the induced subcomplex on V'
-    for many V, with strategy dispatch and memoing.  It reads the ground
-    set and the minimal nonfaces of one complex."""
+    for many V.  It reads the minimal nonfaces of one complex and answers
+    every V by one route: the cone filter, the split into nonface
+    components, and once per component shape the direct growth of its
+    faces, else its nerve.  Its one memo is keyed by component shape."""
 
-    def __init__(self, ground: int, nonfaces: Iterable[int], fld: FieldSpec) -> None:
+    def __init__(self, nonfaces: Iterable[int], fld: FieldSpec) -> None:
         self.mnf = sorted(set(nonfaces))
         if 0 in self.mnf:
             raise PreconditionError("restriction homology needs a nonvoid complex")
         self.fld = fld
-        self.min_nonface_size = s = min((m.bit_count() for m in self.mnf), default=0)
-        # the faces of size >= s, if there are few (none needed for a simplex)
-        big = grow_faces(ground, self.mnf, s, BIG_FACE_CAP) if self.mnf else None
-        self.big_faces = None if big is None else sorted(f for fs in big.values() for f in fs)
-        self._rank_memo: dict[tuple[int, ...], tuple[dict, dict]] = {}
         self._shape_memo: dict[tuple[int, ...], dict[int, int]] = {}
 
     # -- public -------------------------------------------------------
@@ -250,11 +242,9 @@ class _RestrictionOracle:
         union and their components, two nonfaces joining when they share
         a vertex.  V is a simplex when it holds no nonface, and a cone when
         the nonfaces miss a vertex of it.  Otherwise the subcomplex is the
-        join of the subcomplexes on the components' supports.  A single
-        component is V itself: the skeleton lookup answers it when the
-        complex has one, the shape memo otherwise.  Several components are
-        answered each once per shape, and the join multiplies their
-        homologies.
+        join of the subcomplexes on the components' supports: each
+        component is answered once per shape, and the join multiplies
+        their homologies.
         """
         if not vmask:
             return {-1: 1}
@@ -282,10 +272,6 @@ class _RestrictionOracle:
             covered |= M
         if covered != vmask:
             return {}  # a simplex if V holds no nonface, else a cone on any uncovered vertex
-        if len(supports) == 1:
-            if self.big_faces is not None:
-                return self._dims_skeleton(vmask, vmask.bit_count())
-            return self._dims_shape(vmask, inside)
         dims = {-1: 1}  # the empty complex, the unit of the join
         for P in supports:
             part = self._dims_shape(P, [M for M in inside if M & P])
@@ -294,7 +280,7 @@ class _RestrictionOracle:
             dims = _join_dims(dims, part)
         return dims
 
-    # -- strategies ---------------------------------------------------
+    # -- routes -------------------------------------------------------
 
     def _dims_shape(self, support: int, members: list[int]) -> dict[int, int]:
         """Homology of the subcomplex on the support of one nonface
@@ -302,23 +288,18 @@ class _RestrictionOracle:
         order are the memo's key.
 
         The minimal nonfaces inside the support are exactly the members,
-        so on a miss the skeleton lookup on the support answers when the
-        complex has one.  Otherwise the k members give a nerve of 2^k
-        faces: the faces no smaller than the members are grown up to that
-        many (or up to the face budget); they answer if the growth
-        finishes, the nerve otherwise."""
+        and the k members give a nerve of 2^k faces: the faces no smaller
+        than the members are grown up to that many (or up to the face
+        budget); they answer if the growth finishes, the nerve otherwise."""
         key = _relabelled(support, members)
         dims = self._shape_memo.get(key)
         if dims is None:
             m = key[-1].bit_length()  # the top vertex lies in some nonface
-            if self.big_faces is not None:
-                dims = self._dims_skeleton(support, m)
-            else:
-                relevant = list(key)
-                full = (1 << m) - 1
-                dims = self._dims_direct(full, relevant, min(1 << len(relevant), FACE_BUDGET))
-                if dims is None:
-                    dims = self._dims_nerve(full, m, relevant)
+            relevant = list(key)
+            full = (1 << m) - 1
+            dims = self._dims_direct(full, relevant, min(1 << len(relevant), FACE_BUDGET))
+            if dims is None:
+                dims = self._dims_nerve(full, m, relevant)
             self._shape_memo[key] = dims
         return dims
 
@@ -354,47 +335,7 @@ class _RestrictionOracle:
         nerve_dims = dims_from_faces(by_size, self.fld)
         return {m - 3 - t: dim for t, dim in nerve_dims.items()}
 
-    def _dims_skeleton(self, vmask: int, m: int) -> dict[int, int]:
-        """All sets smaller than s are faces, so on a V of m >= s vertices
-        only the faces of size >= s matter."""
-        s = self.min_nonface_size
-        assert self.big_faces is not None
-        out = ~vmask
-        S = tuple(f for f in self.big_faces if not f & out)
-        return _dims_above(m, s, *self._skeleton_ranks(S))
-
-    def _skeleton_ranks(self, S: tuple[int, ...]) -> tuple[dict, dict]:
-        """Boundary ranks of the size >= s part; depends only on S."""
-        memo = self._rank_memo.get(S)
-        if memo is not None:
-            return memo
-        by_size: dict[int, list[int]] = {}
-        for f in S:
-            by_size.setdefault(f.bit_count(), []).append(f)
-        self._rank_memo[S] = memo = _ranks_by_size(by_size, self.fld)
-        return memo
-
     # -- subset iteration ---------------------------------------------
-
-    def skeleton_sweep(
-        self, families: dict[tuple[int, ...], list[int]]
-    ) -> Iterator[tuple[int, dict[int, int], int]]:
-        """The full sweep on the skeleton strategy, as (size, dims, number of
-        subsets) terms, from the subsets counted by ``_count_by_big_faces``.
-
-        A subset V is answered from |V| and the big faces inside V alone,
-        so each distinct pair is answered once and weighted by the number
-        of subsets that share it; the ranks come from the same memo.
-        """
-        s = self.min_nonface_size
-        # the empty set has dims {-1: 1}; any other V smaller than s is a simplex
-        yield 0, {-1: 1}, 1
-        while families:  # popped, so the counts shrink as the rank memo grows
-            S, sizes = families.popitem()
-            ranks = self._skeleton_ranks(S)
-            for m in range(s, len(sizes)):
-                if sizes[m]:
-                    yield m, _dims_above(m, s, *ranks), sizes[m]
 
     def union_closure(self) -> list[int] | None:
         """All unions of minimal-nonface subfamilies, or None once the plan
@@ -455,6 +396,29 @@ def _count_by_big_faces(
         return visit(rest, k + 1, alive) and visit(rest, k, tuple(f for f in alive if not f & v))
 
     return counts if visit(ground, 0, tuple(big_faces)) else None
+
+
+def _skeleton_sweep(
+    families: dict[tuple[int, ...], list[int]], s: int, fld: FieldSpec
+) -> Iterator[tuple[int, dict[int, int], int]]:
+    """The skeleton sweep's terms, as (size, dims, number of subsets), from
+    the subsets counted by ``_count_by_big_faces``.
+
+    Every set smaller than s is a face, so a subset V of m >= s vertices
+    is answered from m and the faces of size >= s inside V alone: each
+    family of them is ranked once and weighted by the number of subsets
+    of each size that share it.
+    """
+    # the empty set has dims {-1: 1}; any other V smaller than s is a simplex
+    yield 0, {-1: 1}, 1
+    for S, sizes in families.items():
+        by_size: dict[int, list[int]] = {}
+        for f in S:
+            by_size.setdefault(f.bit_count(), []).append(f)
+        ranks = _ranks_by_size(by_size, fld)
+        for m in range(s, len(sizes)):
+            if sizes[m]:
+                yield m, _dims_above(m, s, *ranks), sizes[m]
 
 
 def _relabelled(support: int, masks: Iterable[int]) -> tuple[int, ...]:
@@ -528,40 +492,44 @@ def _restriction_sum(
     The sum runs over the support U, the union of the minimal nonfaces:
     a subset holding any other vertex induces a cone.  Its nonzero terms
     lie in the union closure of the nonfaces, which is the plan when there
-    are few nonfaces or no skeleton strategy.  Otherwise the skeleton
-    strategy sweeps the subsets of U grouped by the big faces they
-    contain.  Each plan is built before any rank runs and stops once its
+    are few nonfaces.  Otherwise, and when the closure passes the plan
+    budget, the faces of size >= s (the smallest nonface size) are grown
+    up to BIG_FACE_CAP; if they fit, the skeleton sweep counts the subsets
+    of U grouped by those faces, and if they do not, a closure not yet
+    tried is.  Each plan is built before any rank runs and stops once its
     count passes PLAN_BUDGET: the closure's (set, nonface) pairs, which
     bound both its build and the scan that splits each set, or the leaves
-    of the sweep's search.  A closure stopped there gives way to the sweep
-    when there is a skeleton strategy; otherwise, and for a stopped sweep,
-    the sum is refused, naming the plan.
+    of the sweep's search.  A plan stopped there with no plan to give way
+    to is refused, naming the plan.
     """
     _check_vertex_budget(ground, vertex_budget)
     support = 0
     for M in nonfaces:
         support |= M
-    oracle = _RestrictionOracle(support, nonfaces, fld)
-    closure = None
-    if len(oracle.mnf) <= CLOSURE_MAX_NONFACES or oracle.big_faces is None:
+    oracle = _RestrictionOracle(nonfaces, fld)
+    few = len(oracle.mnf) <= CLOSURE_MAX_NONFACES
+    closure = oracle.union_closure() if few else None
+    s = min((M.bit_count() for M in oracle.mnf), default=0)
+    big = None if closure is not None else grow_faces(support, oracle.mnf, s, BIG_FACE_CAP)
+    if big is None and not few:
         closure = oracle.union_closure()
     if closure is not None:
         terms: Iterable[tuple[int, dict[int, int], int]] = (
             (v.bit_count(), oracle.dims_for(v), 1) for v in closure
         )
-    elif oracle.big_faces is None:
+    elif big is None:
         raise SizeBudgetError(
             f"the union-closure plan visits more than {PLAN_BUDGET} (set, nonface) "
             "pairs (the plan budget), and there is no skeleton strategy"
         )
     else:
-        families = _count_by_big_faces(support, oracle.big_faces)
+        families = _count_by_big_faces(support, sorted(f for fs in big.values() for f in fs))
         if families is None:
             raise SizeBudgetError(
                 f"the skeleton-sweep plan visits more than {PLAN_BUDGET} search "
                 "leaves (the plan budget)"
             )
-        terms = oracle.skeleton_sweep(families)
+        terms = _skeleton_sweep(families, s, fld)
     entries: dict[tuple[int, int], int] = {}
     for j, dims, count in terms:
         for degree, dim in dims.items():
@@ -893,7 +861,7 @@ def connectivity(
     nonfaces = non_edges(h, d)
     if not nonfaces:
         return None
-    oracle = _RestrictionOracle(h.vertices, nonfaces, fld)
+    oracle = _RestrictionOracle(nonfaces, fld)
     verts = h.vertices
     n = verts.bit_count()
     for w in range(0, n - d + 1):
@@ -931,7 +899,7 @@ def froberg_cm_witness(
         raise PreconditionError("void complex has no face ring")
     n = c.vertices.bit_count()
     e = (c.dim if c.dim is not None else -1) + 1
-    oracle = _RestrictionOracle(c.vertices, minimal_nonfaces(c), fld)
+    oracle = _RestrictionOracle(minimal_nonfaces(c), fld)
     for i in range(-1, e - 1):
         size = n - e + i + 2
         if not 0 < size <= n:

@@ -45,9 +45,10 @@ def submasks(mask: int) -> Iterator[int]:
 
 
 def k_submasks(mask: int, k: int) -> Iterator[int]:
-    """All size-``k`` submasks of ``mask``, in lexicographic label order."""
-    for combo in combinations(bits_of(mask), k):
-        yield mask_of(combo)
+    """All size-``k`` submasks of ``mask``, in lexicographic label order.
+
+    The bits of a combination are disjoint, so their sum is their union."""
+    return map(sum, combinations([1 << v for v in bits_of(mask)], k))
 
 
 def max_antichain(masks: Iterable[int]) -> frozenset[int]:

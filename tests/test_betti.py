@@ -46,12 +46,13 @@ from hyperbetti import (
 )
 from hyperbetti import betti
 from hyperbetti.betti import (
+    BIG_FACE_CAP,
     CLOSURE_MAX_NONFACES,
     _count_by_big_faces,
     _RestrictionOracle,
 )
 from hyperbetti.bitsets import contains, k_submasks, mask_of, min_antichain, submasks
-from hyperbetti.complexes import FACE_BUDGET, restrict
+from hyperbetti.complexes import FACE_BUDGET, grow_faces, restrict
 from hyperbetti.hypergraph import non_edges
 from hyperbetti.ideal import sr_complex
 
@@ -216,14 +217,13 @@ def test_resolution_shape_readings_agree_on_both_conventions(table, d, strand, l
 @settings(max_examples=120, deadline=None)
 @given(st.integers(1, 7), st.data())
 def test_restriction_routes_agree_subset_by_subset(n, data):
-    """Grown faces, the nonface nerve and the sparse skeleton give the
-    restriction homology of the facet-based induced subcomplex wherever
-    the cone filters let a subset through, whichever route the measured
-    cost rule would pick."""
+    """Grown faces and the nonface nerve give the restriction homology of
+    the facet-based induced subcomplex wherever the cone filters let a
+    subset through, whichever route the measured cost rule would pick."""
     faces = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
     c = SimplicialComplex.from_faces(n, faces)
     for fld in (GF2, GF3, QQ):
-        oracle = _RestrictionOracle(c.vertices, minimal_nonfaces(c), fld)
+        oracle = _RestrictionOracle(minimal_nonfaces(c), fld)
         for vmask in submasks(c.vertices):
             relevant = [M for M in oracle.mnf if contains(vmask, M)]
             covered = 0
@@ -235,8 +235,6 @@ def test_restriction_routes_agree_subset_by_subset(n, data):
             expected = reduced_homology_dims(restrict(c, vmask), fld)
             assert oracle._dims_direct(vmask, relevant, FACE_BUDGET) == expected
             assert oracle._dims_nerve(vmask, m, relevant) == expected
-            if oracle.big_faces is not None:
-                assert oracle._dims_skeleton(vmask, m) == expected
             assert oracle.dims_for(vmask) == expected
 
 
@@ -345,8 +343,9 @@ def test_the_edge_route_reaches_the_paper_lines():
 @settings(max_examples=150, deadline=None)
 @given(st.integers(7, 9), st.integers(2, 3), st.data())
 def test_skeleton_sweep_equals_the_per_subset_sum(n, d, data):
-    """The grouped count of the skeleton full sweep gives the table of the
-    per-subset restriction sum, on full and gapped ground sets."""
+    """The grouped count of the skeleton sweep gives the table of the
+    per-subset restriction sum, which answers each subset by its
+    components, on full and gapped ground sets."""
     full = (1 << n) - 1
     ground = full ^ data.draw(st.sampled_from([0] + [1 << i for i in range(n)]), label="gap")
     subsets = list(k_submasks(ground, d))
@@ -355,9 +354,12 @@ def test_skeleton_sweep_equals_the_per_subset_sum(n, d, data):
     h = Hypergraph(n, frozenset(picked), ground)
     nonfaces = non_edges(h, d)
     assume(len(nonfaces) > CLOSURE_MAX_NONFACES)
+    support = 0
+    for M in nonfaces:
+        support |= M
+    assume(grow_faces(support, nonfaces, d, BIG_FACE_CAP) is not None)  # the sweep runs
     for fld in (GF2, GF3, QQ):
-        oracle = _RestrictionOracle(ground, nonfaces, fld)
-        assume(oracle.big_faces is not None)
+        oracle = _RestrictionOracle(nonfaces, fld)
         entries: dict[tuple[int, int], int] = {}
         for vmask in submasks(ground):
             j = vmask.bit_count()
@@ -388,23 +390,23 @@ def test_big_face_counts_match_a_brute_force_tally(ground, faces):
 
 
 def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch):
-    """line(5,4,1) on the clique route is a 16-vertex skeleton full sweep:
-    it must group its 2^16 subsets, and rank each family of big faces once."""
+    """line(5,4,1) on the clique route is a 16-vertex skeleton sweep: it
+    must group its 2^16 subsets, and rank each family of big faces once."""
     dims_calls = []
     families: Counter[tuple[int, ...]] = Counter()
     dims_for = _RestrictionOracle.dims_for
-    skeleton_ranks = _RestrictionOracle._skeleton_ranks
+    ranks_by_size = betti._ranks_by_size
 
     def counted_dims_for(self, vmask):
         dims_calls.append(vmask)
         return dims_for(self, vmask)
 
-    def counted_ranks(self, S):
-        families[S] += 1
-        return skeleton_ranks(self, S)
+    def counted_ranks(faces_by_size, fld):
+        families[tuple(sorted(f for fs in faces_by_size.values() for f in fs))] += 1
+        return ranks_by_size(faces_by_size, fld)
 
     monkeypatch.setattr(_RestrictionOracle, "dims_for", counted_dims_for)
-    monkeypatch.setattr(_RestrictionOracle, "_skeleton_ranks", counted_ranks)
+    monkeypatch.setattr(betti, "_ranks_by_size", counted_ranks)
     table = clique_ideal_betti(make_line(5, 4, 1), 4, GF2)
     assert table.n == 16 and table.beta(0, 0) == 1
     assert not dims_calls
@@ -437,9 +439,25 @@ def test_the_clique_route_of_a_complete_bipartite_graph(a, b):
     and on b vertices.  The first two take the union closure, the last
     two (more than 26 non-edges) the skeleton sweep."""
     h = make_multipartite([a, b], 2)
-    for fld in (GF2, GF3, QQ):
-        expected = _product_table(knd_complement_betti(a, 2), knd_complement_betti(b, 2))
-        assert clique_ideal_betti(h, 2, fld).entries == expected
+    sweeps = b >= 7  # K(4,7) and K(3,8)
+    plans: Counter[str] = Counter()
+    union_closure = _RestrictionOracle.union_closure
+    count_by_big_faces = betti._count_by_big_faces
+
+    def counted_closure(self):
+        plans["closure"] += 1
+        return union_closure(self)
+
+    def counted_search(ground, big_faces):
+        plans["sweep"] += 1
+        return count_by_big_faces(ground, big_faces)
+
+    with mock.patch.object(_RestrictionOracle, "union_closure", counted_closure), \
+            mock.patch.object(betti, "_count_by_big_faces", counted_search):
+        for fld in (GF2, GF3, QQ):
+            expected = _product_table(knd_complement_betti(a, 2), knd_complement_betti(b, 2))
+            assert clique_ideal_betti(h, 2, fld).entries == expected
+    assert plans == Counter({"sweep" if sweeps else "closure": 3})
 
 
 @settings(max_examples=40, deadline=None)
@@ -455,7 +473,7 @@ def test_the_closure_is_refused_exactly_past_the_plan_budget(family):
             for M in chosen:
                 union |= M
             unions.add(union)
-    oracle = _RestrictionOracle((1 << 8) - 1, nonfaces, GF2)
+    oracle = _RestrictionOracle(nonfaces, GF2)
     pairs = len(nonfaces) * len(unions)
     with mock.patch.object(betti, "PLAN_BUDGET", pairs):
         assert oracle.union_closure() == sorted(unions)
@@ -494,10 +512,7 @@ def test_the_join_split_equals_the_unsplit_routes(blocks):
     own block of vertices after an optional gap, so many subsets split
     into several components: on every subset the cone filters let
     through, the split answer equals the direct and the nerve routes run
-    on the whole, unsplit subset.  It is checked twice: with the skeleton
-    dropped, so the components take the direct and nerve routes, and with
-    the skeleton kept wherever it fits, so they take the skeleton lookup
-    on their supports."""
+    on the whole, unsplit subset."""
     nonfaces: list[int] = []
     shift = 0
     for gap, family in blocks:
@@ -505,32 +520,30 @@ def test_the_join_split_equals_the_unsplit_routes(blocks):
         nonfaces += [M << shift for M in min_antichain(family)]
         shift += max(family).bit_length()
     for fld in (GF2, GF3, QQ):
-        for keep_skeleton in (False, True):
-            oracle = _RestrictionOracle((1 << shift) - 1, nonfaces, fld)
-            if not keep_skeleton:
-                oracle.big_faces = None
-            for vmask in oracle.union_closure():
-                relevant = [M for M in oracle.mnf if contains(vmask, M)]
-                if not relevant:
-                    continue
-                m = vmask.bit_count()
-                expected = oracle._dims_direct(vmask, relevant, FACE_BUDGET)
-                assert oracle._dims_nerve(vmask, m, relevant) == expected
-                assert oracle.dims_for(vmask) == expected
+        oracle = _RestrictionOracle(nonfaces, fld)
+        for vmask in oracle.union_closure():
+            relevant = [M for M in oracle.mnf if contains(vmask, M)]
+            if not relevant:
+                continue
+            m = vmask.bit_count()
+            expected = oracle._dims_direct(vmask, relevant, FACE_BUDGET)
+            assert oracle._dims_nerve(vmask, m, relevant) == expected
+            assert oracle.dims_for(vmask) == expected
 
 
 @pytest.mark.parametrize(
     "family, degenerate, most",
-    [(make_line, line_betti_degenerate, 46), (make_cycle, cycle_betti_degenerate, 72)],
+    [(make_line, line_betti_degenerate, 10), (make_cycle, cycle_betti_degenerate, 44)],
     ids=["line-10-2-1", "cycle-10-2-1"],
 )
 def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, degenerate, most):
-    """The edge routes of line(10,2,1) and cycle(10,2,1) have the skeleton
-    strategy and take the union closure, whose members mostly split into
-    runs: each run shape is ranked once, not each whole subset (341 and
-    267 ranks when every subset took the whole-V lookup)."""
+    """The edge routes of line(10,2,1) and cycle(10,2,1) have few enough
+    big faces for a skeleton, and take the union closure, whose members
+    mostly split into runs: each run shape is ranked once by its direct
+    route, not each whole subset (341 and 267 ranks when every subset
+    took the whole-V skeleton lookup)."""
     h = family(10, 2, 1)
-    assert _RestrictionOracle(h.vertices, h.edges, GF2).big_faces is not None
+    assert grow_faces(h.vertices, h.edges, 2, BIG_FACE_CAP) is not None
     calls = []
     ranks_by_size = betti._ranks_by_size
 
@@ -546,34 +559,28 @@ def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, de
 def test_the_cone_filter_answers_before_any_route(monkeypatch):
     """A subset holding no nonface is a simplex and a subset with a vertex
     no nonface inside it covers is a cone: the cone filter answers both {}
-    before any route runs, with or without the skeleton."""
+    before any route runs."""
 
     def no_route(*args):
         raise AssertionError("a route ran on a subset the cone filter answers")
 
-    for name in ("_dims_shape", "_dims_skeleton", "_dims_direct", "_dims_nerve"):
+    for name in ("_dims_shape", "_dims_direct", "_dims_nerve"):
         monkeypatch.setattr(_RestrictionOracle, name, no_route)
     # the path 0-1-2-3 and the vertex 4, which lies in no nonface
     c = independence_complex(Hypergraph(5, frozenset({0b00011, 0b00110, 0b01100})))
-    for keep_skeleton in (True, False):
-        oracle = _RestrictionOracle(c.vertices, minimal_nonfaces(c), GF2)
-        assert oracle.big_faces is not None
-        if not keep_skeleton:
-            oracle.big_faces = None
-        for vmask in (0b00101, 0b10101, 0b01001):  # no nonface inside
-            assert oracle.dims_for(vmask) == {} == reduced_homology_dims(restrict(c, vmask), GF2)
-        for vmask in (0b10011, 0b11100, 0b01011):  # a vertex no nonface inside covers
-            assert oracle.dims_for(vmask) == {} == reduced_homology_dims(restrict(c, vmask), GF2)
+    oracle = _RestrictionOracle(minimal_nonfaces(c), GF2)
+    for vmask in (0b00101, 0b10101, 0b01001):  # no nonface inside
+        assert oracle.dims_for(vmask) == {} == reduced_homology_dims(restrict(c, vmask), GF2)
+    for vmask in (0b10011, 0b11100, 0b01011):  # a vertex no nonface inside covers
+        assert oracle.dims_for(vmask) == {} == reduced_homology_dims(restrict(c, vmask), GF2)
 
 
 def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch):
-    """K(12) minus the edge {0, 1} has thousands of big faces, so its
-    oracle has no skeleton strategy.  Its only nonface is {0, 1}, so the
+    """K(12) minus the edge {0, 1} has the single nonface {0, 1}, so the
     one disconnected induced subgraph is on {0, 1}: every other subset the
     scan visits lacks 0 or 1 (no nonface inside) or holds another vertex
     (a cone), and the cone filter answers it without a route."""
     h = Hypergraph(12, make_complete(12, 2).edges - {0b11})
-    assert _RestrictionOracle(h.vertices, non_edges(h, 2), GF2).big_faces is None
     seen: Counter[str] = Counter()
     dims_for = _RestrictionOracle.dims_for
     dims_shape = _RestrictionOracle._dims_shape
@@ -591,6 +598,26 @@ def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch):
     assert connectivity(h, GF2) == 10
     assert seen["pair"] == seen["route"] == 1
     assert seen["no nonface"] and seen["cone"]
+
+
+def test_only_the_sweep_plan_grows_the_big_faces(monkeypatch):
+    """The faces up to BIG_FACE_CAP are the sweep's plan, not part of the
+    oracle: building an oracle, the connectivity scan and a closure sum
+    whose subsets split into components grow faces only for the direct
+    route of each component shape, capped at its nerve size."""
+    caps = []
+    grow = betti.grow_faces
+
+    def counted(ground, nonfaces, start, cap):
+        caps.append(cap)
+        return grow(ground, nonfaces, start, cap)
+
+    monkeypatch.setattr(betti, "grow_faces", counted)
+    h = make_line(10, 2, 1)
+    _RestrictionOracle(h.edges, GF2)
+    assert connectivity(make_cycle(6, 2, 1), GF2) == 2
+    assert edge_ideal_betti(h, GF2) == line_betti_degenerate(10, 1)
+    assert caps and BIG_FACE_CAP not in caps
 
 
 def _product_table(a: BettiTable, b: BettiTable) -> dict[tuple[int, int], int]:

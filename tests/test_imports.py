@@ -1,4 +1,5 @@
-"""The package's import structure: imports sit at module level and form no cycle."""
+"""The package's source structure: imports sit at module level and form no
+cycle, and every private helper has a caller."""
 
 from __future__ import annotations
 
@@ -50,3 +51,28 @@ def test_the_package_modules_import_each_other_without_a_cycle():
     for module in imports:
         visit(module, ())
     assert "betti" not in imports["ideal"] | imports["chordal"]
+
+
+def test_every_private_function_is_referenced_outside_its_own_def():
+    """A ``_``-prefixed function or method that nothing outside its own
+    body names, as a name or an attribute, is code with no caller."""
+    defined: list[tuple[str, str]] = []
+    referenced: set[str] = set()
+
+    def visit(node: ast.AST, enclosing: tuple[str, ...], where: str) -> None:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if node.name.startswith("_") and not node.name.startswith("__"):
+                defined.append((node.name, f"{where}:{node.lineno} {node.name}"))
+            enclosing += (node.name,)
+        elif isinstance(node, ast.Name) and node.id not in enclosing:
+            referenced.add(node.id)
+        elif isinstance(node, ast.Attribute) and node.attr not in enclosing:
+            referenced.add(node.attr)
+        for child in ast.iter_child_nodes(node):
+            visit(child, enclosing, where)
+
+    for path in MODULES:
+        visit(_tree(path), (), path.name)
+    assert defined
+    uncalled = [where for name, where in defined if name not in referenced]
+    assert not uncalled, uncalled
