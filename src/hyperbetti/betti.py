@@ -47,8 +47,8 @@ and Cohen-Macaulay scans, takes one route:
   joins its homology is the product of theirs, H~_{p+q+1}(A*B) = sum of
   H~_p(A) (x) H~_q(B).  Each component is relabelled onto the vertices
   0..m-1 in order, a simplicial isomorphism, and its sorted relabelled
-  nonfaces are the key of a memo: every shape is answered once per
-  oracle;
+  nonfaces with the field are the key of one memo for the process:
+  every shape is answered once per field, whichever sum or scan meets it;
 * direct, else the nerve - for a component with k minimal nonfaces, the
   faces of size >= s (s the smallest of their sizes, so every smaller set
   is a face) are grown up to the nerve size 2^k, or up to the face
@@ -64,6 +64,7 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
+from functools import cache
 from itertools import combinations
 from math import comb, factorial
 from typing import Collection, Iterable, Iterator, Sequence
@@ -223,15 +224,14 @@ class _RestrictionOracle:
     """Engine answering 'reduced homology of the induced subcomplex on V'
     for many V.  It reads the minimal nonfaces of one complex and answers
     every V by one route: the cone filter, the split into nonface
-    components, and once per component shape the direct growth of its
-    faces, else its nerve.  Its one memo is keyed by component shape."""
+    components, and ``_shape_dims``, which answers each component's shape
+    once per process."""
 
     def __init__(self, nonfaces: Iterable[int], fld: FieldSpec) -> None:
         self.mnf = sorted(set(nonfaces))
         if 0 in self.mnf:
             raise PreconditionError("restriction homology needs a nonvoid complex")
         self.fld = fld
-        self._shape_memo: dict[tuple[int, ...], dict[int, int]] = {}
 
     # -- public -------------------------------------------------------
 
@@ -243,8 +243,8 @@ class _RestrictionOracle:
         a vertex.  V is a simplex when it holds no nonface, and a cone when
         the nonfaces miss a vertex of it.  Otherwise the subcomplex is the
         join of the subcomplexes on the components' supports: each
-        component is answered once per shape, and the join multiplies
-        their homologies.
+        component is answered by its shape, and the join multiplies their
+        homologies into a new dict.
         """
         if not vmask:
             return {-1: 1}
@@ -274,66 +274,11 @@ class _RestrictionOracle:
             return {}  # a simplex if V holds no nonface, else a cone on any uncovered vertex
         dims = {-1: 1}  # the empty complex, the unit of the join
         for P in supports:
-            part = self._dims_shape(P, [M for M in inside if M & P])
+            part = _shape_dims(_relabelled(P, [M for M in inside if M & P]), self.fld)
             if not part:
                 return {}  # an acyclic factor makes the join acyclic
             dims = _join_dims(dims, part)
         return dims
-
-    # -- routes -------------------------------------------------------
-
-    def _dims_shape(self, support: int, members: list[int]) -> dict[int, int]:
-        """Homology of the subcomplex on the support of one nonface
-        component, once per shape: the members relabelled onto 0..m-1 in
-        order are the memo's key.
-
-        The minimal nonfaces inside the support are exactly the members,
-        and the k members give a nerve of 2^k faces: the faces no smaller
-        than the members are grown up to that many (or up to the face
-        budget); they answer if the growth finishes, the nerve otherwise."""
-        key = _relabelled(support, members)
-        dims = self._shape_memo.get(key)
-        if dims is None:
-            m = key[-1].bit_length()  # the top vertex lies in some nonface
-            relevant = list(key)
-            full = (1 << m) - 1
-            dims = self._dims_direct(full, relevant, min(1 << len(relevant), FACE_BUDGET))
-            if dims is None:
-                dims = self._dims_nerve(full, m, relevant)
-            self._shape_memo[key] = dims
-        return dims
-
-    def _dims_direct(self, vmask: int, relevant: list[int], cap: int) -> dict[int, int] | None:
-        """Homology from the faces of size >= s (the smallest nonface size
-        inside V) of the subcomplex; None when there are more than cap."""
-        s = min(M.bit_count() for M in relevant)
-        faces = grow_faces(vmask, relevant, s, cap)
-        if faces is None:
-            return None
-        return _dims_above(vmask.bit_count(), s, *_ranks_by_size(faces, self.fld))
-
-    def _dims_nerve(self, vmask: int, m: int, relevant: list[int]) -> dict[int, int]:
-        """Homology through the nerve of the minimal nonfaces inside V.
-
-        The nerve's faces are the index sets whose nonface union misses
-        part of V; its degree-t homology equals the subcomplex homology
-        in degree m - t - 3.
-        """
-        size = 1 << len(relevant)
-        if size > FACE_BUDGET:
-            raise SizeBudgetError(
-                f"restriction nerve size {size} exceeds the face budget"
-            )
-        unions = [0] * size
-        for S in range(1, size):
-            low = S & -S
-            unions[S] = unions[S ^ low] | relevant[low.bit_length() - 1]
-        by_size: dict[int, list[int]] = {0: [0]}
-        for S in range(1, size):
-            if unions[S] != vmask:
-                by_size.setdefault(S.bit_count(), []).append(S)
-        nerve_dims = dims_from_faces(by_size, self.fld)
-        return {m - 3 - t: dim for t, dim in nerve_dims.items()}
 
     # -- subset iteration ---------------------------------------------
 
@@ -353,6 +298,54 @@ class _RestrictionOracle:
             if len(self.mnf) * len(closure) > PLAN_BUDGET:
                 return None
         return sorted(closure)
+
+
+@cache
+def _shape_dims(key: tuple[int, ...], fld: FieldSpec) -> dict[int, int]:
+    """Homology of one nonface component from its shape, its ``_relabelled``
+    nonfaces covering 0..m-1: computed once per process and field, and the
+    dict is shared by every caller, so none may change it.  The k nonfaces
+    give a nerve of 2^k faces: the faces no smaller than them are grown up
+    to that many (or the face budget), and answer if the growth finishes;
+    the nerve answers otherwise."""
+    m = key[-1].bit_length()  # the top vertex lies in some nonface
+    full = (1 << m) - 1
+    dims = _dims_direct(full, key, min(1 << len(key), FACE_BUDGET), fld)
+    return _dims_nerve(full, m, key, fld) if dims is None else dims
+
+
+def _dims_direct(
+    vmask: int, relevant: Sequence[int], cap: int, fld: FieldSpec
+) -> dict[int, int] | None:
+    """Homology from the faces of size >= s (the smallest nonface size
+    inside V) of the subcomplex; None when there are more than cap."""
+    s = min(M.bit_count() for M in relevant)
+    faces = grow_faces(vmask, relevant, s, cap)
+    if faces is None:
+        return None
+    return _dims_above(vmask.bit_count(), s, *_ranks_by_size(faces, fld))
+
+
+def _dims_nerve(vmask: int, m: int, relevant: Sequence[int], fld: FieldSpec) -> dict[int, int]:
+    """Homology through the nerve of the minimal nonfaces inside V.
+
+    The nerve's faces are the index sets whose nonface union misses
+    part of V; its degree-t homology equals the subcomplex homology
+    in degree m - t - 3.
+    """
+    size = 1 << len(relevant)
+    if size > FACE_BUDGET:
+        raise SizeBudgetError(f"restriction nerve size {size} exceeds the face budget")
+    unions = [0] * size
+    for S in range(1, size):
+        low = S & -S
+        unions[S] = unions[S ^ low] | relevant[low.bit_length() - 1]
+    by_size: dict[int, list[int]] = {0: [0]}
+    for S in range(1, size):
+        if unions[S] != vmask:
+            by_size.setdefault(S.bit_count(), []).append(S)
+    nerve_dims = dims_from_faces(by_size, fld)
+    return {m - 3 - t: dim for t, dim in nerve_dims.items()}
 
 
 def _count_by_big_faces(

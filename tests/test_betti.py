@@ -49,6 +49,8 @@ from hyperbetti.betti import (
     BIG_FACE_CAP,
     CLOSURE_MAX_NONFACES,
     _count_by_big_faces,
+    _dims_direct,
+    _dims_nerve,
     _RestrictionOracle,
 )
 from hyperbetti.bitsets import contains, k_submasks, mask_of, min_antichain, submasks
@@ -233,8 +235,8 @@ def test_restriction_routes_agree_subset_by_subset(n, data):
                 continue
             m = vmask.bit_count()
             expected = reduced_homology_dims(restrict(c, vmask), fld)
-            assert oracle._dims_direct(vmask, relevant, FACE_BUDGET) == expected
-            assert oracle._dims_nerve(vmask, m, relevant) == expected
+            assert _dims_direct(vmask, relevant, FACE_BUDGET, fld) == expected
+            assert _dims_nerve(vmask, m, relevant, fld) == expected
             assert oracle.dims_for(vmask) == expected
 
 
@@ -526,8 +528,8 @@ def test_the_join_split_equals_the_unsplit_routes(blocks):
             if not relevant:
                 continue
             m = vmask.bit_count()
-            expected = oracle._dims_direct(vmask, relevant, FACE_BUDGET)
-            assert oracle._dims_nerve(vmask, m, relevant) == expected
+            expected = _dims_direct(vmask, relevant, FACE_BUDGET, fld)
+            assert _dims_nerve(vmask, m, relevant, fld) == expected
             assert oracle.dims_for(vmask) == expected
 
 
@@ -544,6 +546,7 @@ def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, de
     took the whole-V skeleton lookup)."""
     h = family(10, 2, 1)
     assert grow_faces(h.vertices, h.edges, 2, BIG_FACE_CAP) is not None
+    betti._shape_dims.cache_clear()
     calls = []
     ranks_by_size = betti._ranks_by_size
 
@@ -564,8 +567,8 @@ def test_the_cone_filter_answers_before_any_route(monkeypatch):
     def no_route(*args):
         raise AssertionError("a route ran on a subset the cone filter answers")
 
-    for name in ("_dims_shape", "_dims_direct", "_dims_nerve"):
-        monkeypatch.setattr(_RestrictionOracle, name, no_route)
+    for name in ("_shape_dims", "_dims_direct", "_dims_nerve"):
+        monkeypatch.setattr(betti, name, no_route)
     # the path 0-1-2-3 and the vertex 4, which lies in no nonface
     c = independence_complex(Hypergraph(5, frozenset({0b00011, 0b00110, 0b01100})))
     oracle = _RestrictionOracle(minimal_nonfaces(c), GF2)
@@ -583,18 +586,19 @@ def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch):
     h = Hypergraph(12, make_complete(12, 2).edges - {0b11})
     seen: Counter[str] = Counter()
     dims_for = _RestrictionOracle.dims_for
-    dims_shape = _RestrictionOracle._dims_shape
+    shape_dims = betti._shape_dims
+    shape_dims.cache_clear()
 
     def counted_dims_for(self, vmask):
         seen["no nonface" if vmask & 0b11 != 0b11 else "cone" if vmask != 0b11 else "pair"] += 1
         return dims_for(self, vmask)
 
-    def counted_shape(self, support, members):
+    def counted_shape(key, fld):
         seen["route"] += 1
-        return dims_shape(self, support, members)
+        return shape_dims(key, fld)
 
     monkeypatch.setattr(_RestrictionOracle, "dims_for", counted_dims_for)
-    monkeypatch.setattr(_RestrictionOracle, "_dims_shape", counted_shape)
+    monkeypatch.setattr(betti, "_shape_dims", counted_shape)
     assert connectivity(h, GF2) == 10
     assert seen["pair"] == seen["route"] == 1
     assert seen["no nonface"] and seen["cone"]
@@ -613,6 +617,7 @@ def test_only_the_sweep_plan_grows_the_big_faces(monkeypatch):
         return grow(ground, nonfaces, start, cap)
 
     monkeypatch.setattr(betti, "grow_faces", counted)
+    betti._shape_dims.cache_clear()
     h = make_line(10, 2, 1)
     _RestrictionOracle(h.edges, GF2)
     assert connectivity(make_cycle(6, 2, 1), GF2) == 2
@@ -653,26 +658,60 @@ def test_each_component_shape_is_answered_once(monkeypatch):
     component and every subset of a line splits into runs, so the direct
     route runs once per shape, 10 star sizes and 12 run lengths, and the
     nerve only where the direct route gave up."""
+    betti._shape_dims.cache_clear()
     calls: Counter[str] = Counter()
-    dims_direct = _RestrictionOracle._dims_direct
-    dims_nerve = _RestrictionOracle._dims_nerve
 
-    def counted_direct(self, vmask, relevant, cap):
+    def counted_direct(vmask, relevant, cap, fld):
         calls["direct"] += 1
-        return dims_direct(self, vmask, relevant, cap)
+        return _dims_direct(vmask, relevant, cap, fld)
 
-    def counted_nerve(self, vmask, m, relevant):
+    def counted_nerve(vmask, m, relevant, fld):
         calls["nerve"] += 1
-        return dims_nerve(self, vmask, m, relevant)
+        return _dims_nerve(vmask, m, relevant, fld)
 
-    monkeypatch.setattr(_RestrictionOracle, "_dims_direct", counted_direct)
-    monkeypatch.setattr(_RestrictionOracle, "_dims_nerve", counted_nerve)
+    monkeypatch.setattr(betti, "_dims_direct", counted_direct)
+    monkeypatch.setattr(betti, "_dims_nerve", counted_nerve)
     assert edge_ideal_betti(make_star_overlap(10, 2, 1), GF2) == star_betti_closed_form(10, 2, 1)
     assert calls["direct"] <= 10 and calls["nerve"] <= calls["direct"]
     calls.clear()
     table = edge_ideal_betti(make_line(12, 3, 1), GF2, vertex_budget=40)
     assert table == line_betti_closed_form(12, 3, 1)
     assert calls["direct"] <= 12 and calls["nerve"] <= calls["direct"]
+
+
+def test_a_longer_line_grows_only_its_new_run_length(monkeypatch):
+    """Component shapes outlive the sum that met them: once line(12,3,1)
+    is answered, every subset of line(13,3,1) splits into runs of lengths
+    already answered but the one run of all 13 edges."""
+    betti._shape_dims.cache_clear()
+    edge_ideal_betti(make_line(12, 3, 1), GF2, vertex_budget=40)
+    calls = []
+
+    def counted_direct(vmask, relevant, cap, fld):
+        calls.append(vmask)
+        return _dims_direct(vmask, relevant, cap, fld)
+
+    monkeypatch.setattr(betti, "_dims_direct", counted_direct)
+    table = edge_ideal_betti(make_line(13, 3, 1), GF2, vertex_budget=40)
+    assert table == line_betti_closed_form(13, 3, 1)
+    assert len(calls) <= 1
+
+
+def test_changing_an_answer_changes_no_later_answer():
+    """Every oracle of the process shares the component answers, so a
+    caller that changes the dict ``dims_for`` returned, on one component
+    (the 4-cycle) or a join of two (with the edge {4, 5}), changes no
+    later answer."""
+    h = Hypergraph(6, frozenset({0b000011, 0b000110, 0b001100, 0b001001, 0b110000}))
+    c = independence_complex(h)
+    for vmask in (0b001111, 0b111111):
+        expected = reduced_homology_dims(restrict(c, vmask), GF2)
+        answer = _RestrictionOracle(h.edges, GF2).dims_for(vmask)
+        assert answer == expected and answer
+        for degree in answer:
+            answer[degree] += 1
+        answer[7] = 1
+        assert _RestrictionOracle(h.edges, GF2).dims_for(vmask) == expected
 
 
 @pytest.mark.parametrize("fld", [GF2, QQ], ids=["gf2", "q"])
