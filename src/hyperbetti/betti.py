@@ -243,8 +243,9 @@ class _RestrictionOracle:
         a vertex.  V is a simplex when it holds no nonface, and a cone when
         the nonfaces miss a vertex of it.  Otherwise the subcomplex is the
         join of the subcomplexes on the components' supports: each
-        component is answered by its shape, and the join multiplies their
-        homologies into a new dict.
+        component's shape is answered by its (degree, dim) pairs, and the
+        join multiplies their homologies into a new dict, which the caller
+        owns.
         """
         if not vmask:
             return {-1: 1}
@@ -301,17 +302,18 @@ class _RestrictionOracle:
 
 
 @cache
-def _shape_dims(key: tuple[int, ...], fld: FieldSpec) -> dict[int, int]:
+def _shape_dims(key: tuple[int, ...], fld: FieldSpec) -> tuple[tuple[int, int], ...]:
     """Homology of one nonface component from its shape, its ``_relabelled``
-    nonfaces covering 0..m-1: computed once per process and field, and the
-    dict is shared by every caller, so none may change it.  The k nonfaces
-    give a nerve of 2^k faces: the faces no smaller than them are grown up
-    to that many (or the face budget), and answer if the growth finishes;
-    the nerve answers otherwise."""
+    nonfaces covering 0..m-1, as (degree, dim) pairs: computed once per
+    process and field and kept as a tuple, so no caller can change it, and
+    every acyclic shape shares the one empty tuple.  The k nonfaces give a
+    nerve of 2^k faces: the faces no smaller than them are grown up to
+    that many (or the face budget), and answer if the growth finishes; the
+    nerve answers otherwise."""
     m = key[-1].bit_length()  # the top vertex lies in some nonface
     full = (1 << m) - 1
     dims = _dims_direct(full, key, min(1 << len(key), FACE_BUDGET), fld)
-    return _dims_nerve(full, m, key, fld) if dims is None else dims
+    return tuple((_dims_nerve(full, m, key, fld) if dims is None else dims).items())
 
 
 def _dims_direct(
@@ -435,12 +437,13 @@ def _relabelled(support: int, masks: Iterable[int]) -> tuple[int, ...]:
     return tuple(out)
 
 
-def _join_dims(a: dict[int, int], b: dict[int, int]) -> dict[int, int]:
-    """Reduced homology of the join of two complexes over a field:
+def _join_dims(a: dict[int, int], b: Iterable[tuple[int, int]]) -> dict[int, int]:
+    """Reduced homology of the join of two complexes over a field, from
+    the dims of A and the (degree, dim) pairs of B, into a new dict:
     H~_{p+q+1}(A*B) is the sum of H~_p(A) (x) H~_q(B)."""
     out: dict[int, int] = {}
     for p, x in a.items():
-        for q, y in b.items():
+        for q, y in b:
             out[p + q + 1] = out.get(p + q + 1, 0) + x * y
     return out
 

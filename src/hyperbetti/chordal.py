@@ -273,13 +273,16 @@ def hypergraph_sequence_from_graph(g: Hypergraph, d: int) -> AttachmentSequence:
 
 
 def _adjacency(g: Hypergraph) -> dict[int, int]:
-    if not g.is_uniform(2):
-        raise PreconditionError("expected a graph (all edges of size 2)")
-    adj = {v: 0 for v in bits_of(g.vertices)}
+    """Each present vertex's neighbours as a mask, each edge split into its
+    low and high bit."""
+    adj = dict.fromkeys(bits_of(g.vertices), 0)
     for e in g.edges:
-        a, b = bits_of(e)
-        adj[a] |= 1 << b
-        adj[b] |= 1 << a
+        if e.bit_count() != 2:
+            raise PreconditionError("expected a graph (all edges of size 2)")
+        lo = e & -e
+        hi = e ^ lo
+        adj[lo.bit_length() - 1] |= hi
+        adj[hi.bit_length() - 1] |= lo
     return adj
 
 
@@ -293,40 +296,46 @@ class ChordalityReport:
 
 
 def chordal_graph_recognize(g: Hypergraph) -> ChordalityReport:
-    """Maximum-cardinality search plus an elimination check.
+    """Maximum-cardinality search with the elimination check in the same
+    pass (Tarjan and Yannakakis, 1984).
 
-    On success the returned order lists vertices so that each one's later
-    neighbours form a clique.  On failure, an induced cycle of length at
-    least four is located and double-checked before being reported.
+    The next vertex is the unpicked one with the most picked neighbours,
+    the lowest label among equals.  When v is picked, its picked
+    neighbours are its later neighbours in the elimination order (the
+    reverse of the picking order), and the one picked most recently is
+    the anchor: the order is perfect exactly when, for every v, the
+    anchor is adjacent to the others.  On success the order lists
+    vertices so that each one's later neighbours form a clique.  On
+    failure, an induced cycle of length at least four is located and
+    double-checked before being reported.
     """
     adj = _adjacency(g)
-    verts = list(adj)
-    weight = {v: 0 for v in verts}
-    seen: set[int] = set()
-    order_rev: list[int] = []
-    for _ in verts:
-        v = max((u for u in verts if u not in seen), key=lambda u: (weight[u], -u))
-        seen.add(v)
-        order_rev.append(v)
-        for u in bits_of(adj[v]):
-            if u not in seen:
-                weight[u] += 1
-    order = tuple(reversed(order_rev))
-    pos = {v: k for k, v in enumerate(order)}
-    for v in order:
-        later = [u for u in bits_of(adj[v]) if pos[u] > pos[v]]
-        if not later:
-            continue
-        anchor = min(later, key=lambda u: pos[u])
-        rest = mask_of(u for u in later if u != anchor)
-        if rest & ~adj[anchor]:
-            cycle = _find_chordless_cycle(adj)
-            if cycle is None:
-                raise RuntimeError(
-                    "elimination check failed but no chordless cycle was found"
-                )
-            return ChordalityReport(False, None, cycle)
-    return ChordalityReport(True, order, None)
+    unseen = list(adj)
+    seen = 0
+    picked: list[int] = []
+    while unseen:
+        v, best = unseen[0], -1
+        for u in unseen:
+            weight = (adj[u] & seen).bit_count()
+            if weight > best:
+                v, best = u, weight
+        unseen.remove(v)
+        later = adj[v] & seen
+        if later:
+            for anchor in reversed(picked):
+                if later >> anchor & 1:
+                    break
+            if later & ~(1 << anchor) & ~adj[anchor]:
+                cycle = _find_chordless_cycle(adj)
+                if cycle is None:
+                    raise RuntimeError(
+                        "elimination check failed but no chordless cycle was found"
+                    )
+                return ChordalityReport(False, None, cycle)
+        seen |= 1 << v
+        picked.append(v)
+    picked.reverse()
+    return ChordalityReport(True, tuple(picked), None)
 
 
 def _find_chordless_cycle(adj: dict[int, int]) -> tuple[int, ...] | None:

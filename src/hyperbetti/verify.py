@@ -43,7 +43,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import partial
+from functools import cache, partial
 from itertools import combinations, permutations
 from math import comb
 from typing import Callable, Iterable, Mapping
@@ -294,8 +294,14 @@ def _table_diff(expected: BettiTable, actual: BettiTable) -> str | None:
     )
 
 
+@cache
+def _edge_name(m: int) -> str:
+    """An edge's vertex labels, ascending, written side by side."""
+    return "".join(map(str, bits_of(m)))
+
+
 def _edges_label(h: Hypergraph) -> str:
-    return "|".join("".join(str(v) for v in bits_of(m)) for m in sorted(h.edges))
+    return "|".join(map(_edge_name, sorted(h.edges)))
 
 
 _ABC = "abcdefghijklmnopqrstuvwxyz"
@@ -737,10 +743,12 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
     the same for isomorphic graphs, so each is computed once per class and
     read from a memo for the rest: the table on the class's first graph,
     the order search on the first graph whose verdict needs it.  The
-    recognizer, and the ordering quoted in a mismatch, still run on each
-    labelled graph.  Every 97th graph that is not the first of its class
-    recomputes the table, and the search if the class has an answer, and
-    must agree with the memo."""
+    recognizer still runs on each labelled graph.  Every 97th graph that
+    is not the first of its class recomputes the table, and the search if
+    the class has an answer, and must agree with the memo.  A complete
+    graph, whose nonadjacency ideal is zero, is skipped by its edge count.
+    The ideal itself is built only where it is read: on a memo miss, on an
+    audit and for the ordering quoted in a mismatch."""
     tables: dict[tuple[int, int], BettiTable] = {}
     quotients: dict[tuple[int, int], bool] = {}
     repeats = 0
@@ -756,22 +764,28 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
                 repeats += 1
                 audit = repeats % _MEMO_AUDIT_STRIDE == 0
 
-            def body(g=g, key=key, audit=audit):
-                ideal = MonomialIdeal(g.n_vertices, tuple(non_edges(g, 2)))
-                if ideal.is_zero:
+            def body(g=g, key=key, audit=audit, complete=len(edges) == len(pairs)):
+                if complete:
                     raise SkipInstance("complete graph: nonface ideal is zero")
+                built: MonomialIdeal | None = None
+
+                def ideal() -> MonomialIdeal:
+                    nonlocal built
+                    if built is None:
+                        built = MonomialIdeal(g.n_vertices, tuple(non_edges(g, 2)))
+                    return built
 
                 def class_has_quotients() -> bool:
                     if key not in quotients:
-                        quotients[key] = _linear_quotients(ideal) is not None
+                        quotients[key] = _linear_quotients(ideal()) is not None
                     return quotients[key]
 
                 if key not in tables:
-                    tables[key] = ideal_betti(ideal, GF2)
+                    tables[key] = ideal_betti(ideal(), GF2)
                 elif audit and (
-                    ideal_betti(ideal, GF2) != tables[key]
+                    ideal_betti(ideal(), GF2) != tables[key]
                     or key in quotients
-                    and (_linear_quotients(ideal) is not None) != quotients[key]
+                    and (_linear_quotients(ideal()) is not None) != quotients[key]
                 ):
                     return (
                         f"memo self-check: graph edges={_edges_label(g)} disagrees "
@@ -784,7 +798,7 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
                     return None
                 if not tables[key].is_linear(2):
                     return None  # nonlinear resolution certifies absence
-                ordering = _linear_quotients(ideal) if class_has_quotients() else None
+                ordering = _linear_quotients(ideal()) if class_has_quotients() else None
                 if ordering is not None:
                     return (
                         f"chordless cycle {rep.chordless_cycle} found but the ideal "

@@ -5,6 +5,8 @@ from __future__ import annotations
 import itertools
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from hyperbetti import (
     AttachmentSequence,
@@ -23,6 +25,8 @@ from hyperbetti import (
 )
 from hyperbetti.bitsets import bits_of, mask_of
 from hyperbetti.chordal import (
+    ChordalityReport,
+    _find_chordless_cycle,
     auto_glue,
     build_chordal_with_chunks,
     complement_diameter,
@@ -94,6 +98,137 @@ def test_chordal_recognizer_on_graphs():
     edges = set(_cycle_graph(4).edges) | {mask_of([0, 2])}
     rep2 = chordal_graph_recognize(Hypergraph(4, frozenset(edges)))
     assert rep2.is_chordal and rep2.elimination_order is not None
+
+
+def _reference_recognize(g):
+    """Maximum-cardinality search, then a separate elimination check over
+    the reversed order: the two-pass recognizer the one-pass one must
+    agree with, report for report."""
+    adj = {v: 0 for v in bits_of(g.vertices)}
+    for e in g.edges:
+        a, b = bits_of(e)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    verts = list(adj)
+    weight = {v: 0 for v in verts}
+    seen = set()
+    order_rev = []
+    for _ in verts:
+        v = max((u for u in verts if u not in seen), key=lambda u: (weight[u], -u))
+        seen.add(v)
+        order_rev.append(v)
+        for u in bits_of(adj[v]):
+            if u not in seen:
+                weight[u] += 1
+    order = tuple(reversed(order_rev))
+    pos = {v: k for k, v in enumerate(order)}
+    for v in order:
+        later = [u for u in bits_of(adj[v]) if pos[u] > pos[v]]
+        if not later:
+            continue
+        anchor = min(later, key=lambda u: pos[u])
+        if mask_of(u for u in later if u != anchor) & ~adj[anchor]:
+            return ChordalityReport(False, None, _find_chordless_cycle(adj))
+    return ChordalityReport(True, order, None)
+
+
+def _adjacent(g, a, b):
+    return mask_of([a, b]) in g.edges
+
+
+def _has_long_induced_cycle(g):
+    """Brute force: some vertex set of four or more induces a connected
+    graph in which every vertex has exactly two neighbours."""
+    for sub in range(1 << g.n_vertices):
+        if sub & ~g.vertices or sub.bit_count() < 4:
+            continue
+        verts = bits_of(sub)
+        if any(sum(_adjacent(g, v, u) for u in verts) != 2 for v in verts):
+            continue
+        reached, frontier = {verts[0]}, [verts[0]]
+        while frontier:
+            v = frontier.pop()
+            for u in verts:
+                if u not in reached and _adjacent(g, v, u):
+                    reached.add(u)
+                    frontier.append(u)
+        if len(reached) == len(verts):
+            return True
+    return False
+
+
+def _assert_report_holds(g, rep):
+    """The order is a perfect elimination order of the present vertices,
+    or the cycle is induced and has four or more vertices."""
+    if rep.is_chordal:
+        order = rep.elimination_order
+        assert rep.chordless_cycle is None and sorted(order) == bits_of(g.vertices)
+        for k, v in enumerate(order):
+            later = [u for u in order[k + 1 :] if _adjacent(g, v, u)]
+            assert all(_adjacent(g, a, b) for a, b in itertools.combinations(later, 2))
+    else:
+        cycle = rep.chordless_cycle
+        assert rep.elimination_order is None
+        assert len(cycle) >= 4 and len(set(cycle)) == len(cycle)
+        for s, t in itertools.combinations(range(len(cycle)), 2):
+            consecutive = t - s == 1 or (s, t) == (0, len(cycle) - 1)
+            assert _adjacent(g, cycle[s], cycle[t]) == consecutive
+
+
+def _labelled_graphs(n):
+    pairs = [mask_of(p) for p in itertools.combinations(range(n), 2)]
+    for code in range(1 << len(pairs)):
+        yield Hypergraph(n, frozenset(e for k, e in enumerate(pairs) if code >> k & 1))
+
+
+@st.composite
+def _graphs_on_a_vertex_mask(draw, most):
+    n = draw(st.integers(0, most))
+    vertices = draw(st.integers(0, (1 << n) - 1))
+    pairs = [mask_of(p) for p in itertools.combinations(bits_of(vertices), 2)]
+    code = draw(st.integers(0, (1 << len(pairs)) - 1))
+    return Hypergraph(n, frozenset(e for k, e in enumerate(pairs) if code >> k & 1), vertices)
+
+
+def test_the_recognizer_agrees_with_the_two_pass_reference_on_small_graphs():
+    """Every labelled graph on one to six vertices: the same report as the
+    two-pass reference, and an order or a cycle that holds."""
+    for n in range(1, 7):
+        for g in _labelled_graphs(n):
+            rep = chordal_graph_recognize(g)
+            assert rep == _reference_recognize(g)
+            _assert_report_holds(g, rep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_on_a_vertex_mask(16))
+def test_the_recognizer_agrees_with_the_two_pass_reference(g):
+    rep = chordal_graph_recognize(g)
+    assert rep == _reference_recognize(g)
+    _assert_report_holds(g, rep)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_graphs_on_a_vertex_mask(7))
+def test_chordal_exactly_when_no_long_induced_cycle(g):
+    rep = chordal_graph_recognize(g)
+    assert rep.is_chordal == (not _has_long_induced_cycle(g))
+    _assert_report_holds(g, rep)
+
+
+def test_chordal_on_five_vertices_exactly_when_no_long_induced_cycle():
+    """Every labelled graph on one to five vertices, against brute force."""
+    for n in range(1, 6):
+        for g in _labelled_graphs(n):
+            assert chordal_graph_recognize(g).is_chordal == (not _has_long_induced_cycle(g))
+
+
+def test_a_hypergraph_with_a_larger_edge_is_not_a_graph():
+    h = Hypergraph(4, frozenset({0b0011, 0b1110}))
+    for call in (chordal_graph_recognize, lambda g: hypergraph_sequence_from_graph(g, 2)):
+        with pytest.raises(PreconditionError) as info:
+            call(h)
+        assert str(info.value) == "expected a graph (all edges of size 2)"
 
 
 def test_two_gluing_hypergraph_counts():

@@ -218,6 +218,26 @@ def test_graph_corollary_memo_is_checked_against_a_recomputation(monkeypatch):
     assert rep.notes == REGISTRY["graph-corollary"].notes
 
 
+def test_graph_corollary_builds_an_ideal_only_where_one_is_read(monkeypatch):
+    """The first graph of each class fills the memo and every audited
+    repeat recomputes it; no other graph builds its nonadjacency ideal."""
+    classes = repeats = 0
+    for n in (4, 5):
+        least = verify._graph_orbits(n, _pair_masks(n))
+        classes += len(set(least))
+        repeats += len(least) - len(set(least))
+    built = []
+
+    def counted(n, gens):
+        built.append(gens)
+        return MonomialIdeal(n, gens)
+
+    monkeypatch.setattr(verify, "MonomialIdeal", counted)
+    rep = run_check("graph-corollary", "n=4..5")
+    assert rep.ok and len(rep.results) == 64 + 1024
+    assert 0 < len(built) <= classes + repeats // verify._MEMO_AUDIT_STRIDE
+
+
 # The first showcase ideal abc, cde, bef, adf on six variables has the
 # 2-quotient ordering abc, adf, bef, cde: its first colon ideal is (bc),
 # and the prefix before its last step is (abc, adf, bef).
