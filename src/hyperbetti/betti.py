@@ -8,12 +8,23 @@ evaluation strategy for those restriction homologies or a closed-form
 table for a structured family, checked against that oracle in tests.
 
 The sum reads only the ground set and the minimal nonfaces, which are
-the minimal generators of I: ``edge_ideal_betti`` passes the edges,
+the minimal generators of I: ``edge_restriction_sum`` passes the edges,
 ``clique_ideal_betti`` the non-edge d-sets, ``ideal_betti`` the
 generators, and ``hochster_betti`` dualizes the facets of its complex.
 No route builds a facet list.  ``complexes.grow_faces`` lists faces
 level by level from the nonfaces, up to a cap, wherever a route needs
 them.
+
+``edge_ideal_betti`` takes the splitting route, with the sum only at its
+leaves.  A vertex x in exactly one generator e makes I = (e) + K a Betti
+splitting (Francisco, Ha and Van Tuyl, Proc. AMS 2009, Cor. 2.7), where
+K holds the other generators; its correction term is K : e, shifted by
+|e|.  K and K : e have fewer generators, so the route recurses at the
+lowest free vertex, down to single generators and to leaves with no
+free vertex, which the sum answers.  The tree is built, its distinct
+nodes counted against the plan budget and every leaf's sum planned
+before any rank runs; over the budget, the sum runs on the whole edge
+set instead, as it does for an edge set with no free vertex.
 
 Subsets that induce a cone contribute nothing, so the sum runs over the
 support U, the union of the minimal nonfaces, and has two plans:
@@ -69,7 +80,7 @@ from itertools import combinations
 from math import comb, factorial
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .bitsets import k_submasks
+from .bitsets import k_submasks, min_antichain
 from .complexes import FACE_BUDGET, SimplicialComplex, grow_faces, minimal_nonfaces
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import (
@@ -479,11 +490,12 @@ def _check_vertex_budget(ground: int, vertex_budget: int) -> None:
         )
 
 
-def _restriction_sum(
-    ground: int, nonfaces: Collection[int], fld: FieldSpec, vertex_budget: int
-) -> BettiTable:
-    """Graded Betti numbers of R/I, where I is generated by these minimal
-    nonfaces of a complex on the ground set.
+def _restriction_terms(
+    nonfaces: Collection[int], fld: FieldSpec
+) -> Iterable[tuple[int, dict[int, int], int]]:
+    """The plan of the restriction sum of R/I, where I is generated by these
+    minimal nonfaces, built now; its terms, as (size, dims, number of
+    subsets), are answered as they are read.
 
     The sum runs over the support U, the union of the minimal nonfaces:
     a subset holding any other vertex induces a cone.  Its nonzero terms
@@ -492,13 +504,12 @@ def _restriction_sum(
     budget, the faces of size >= s (the smallest nonface size) are grown
     up to BIG_FACE_CAP; if they fit, the skeleton sweep counts the subsets
     of U grouped by those faces, and if they do not, a closure not yet
-    tried is.  Each plan is built before any rank runs and stops once its
-    count passes PLAN_BUDGET: the closure's (set, nonface) pairs, which
-    bound both its build and the scan that splits each set, or the leaves
-    of the sweep's search.  A plan stopped there with no plan to give way
-    to is refused, naming the plan.
+    tried is.  Each plan stops once its count passes PLAN_BUDGET: the
+    closure's (set, nonface) pairs, which bound both its build and the
+    scan that splits each set, or the leaves of the sweep's search.  A
+    plan stopped there with no plan to give way to is refused, naming the
+    plan, before any rank runs.
     """
-    _check_vertex_budget(ground, vertex_budget)
     support = 0
     for M in nonfaces:
         support |= M
@@ -510,28 +521,129 @@ def _restriction_sum(
     if big is None and not few:
         closure = oracle.union_closure()
     if closure is not None:
-        terms: Iterable[tuple[int, dict[int, int], int]] = (
-            (v.bit_count(), oracle.dims_for(v), 1) for v in closure
-        )
-    elif big is None:
+        return ((v.bit_count(), oracle.dims_for(v), 1) for v in closure)
+    if big is None:
         raise SizeBudgetError(
             f"the union-closure plan visits more than {PLAN_BUDGET} (set, nonface) "
             "pairs (the plan budget), and there is no skeleton strategy"
         )
-    else:
-        families = _count_by_big_faces(support, sorted(f for fs in big.values() for f in fs))
-        if families is None:
-            raise SizeBudgetError(
-                f"the skeleton-sweep plan visits more than {PLAN_BUDGET} search "
-                "leaves (the plan budget)"
-            )
-        terms = _skeleton_sweep(families, s, fld)
+    families = _count_by_big_faces(support, sorted(f for fs in big.values() for f in fs))
+    if families is None:
+        raise SizeBudgetError(
+            f"the skeleton-sweep plan visits more than {PLAN_BUDGET} search "
+            "leaves (the plan budget)"
+        )
+    return _skeleton_sweep(families, s, fld)
+
+
+def _tally(terms: Iterable[tuple[int, dict[int, int], int]]) -> dict[tuple[int, int], int]:
+    """The quotient-convention entries of a restriction sum's terms: a
+    subset of size j with homology in degree t adds to (j - 1 - t, j)."""
     entries: dict[tuple[int, int], int] = {}
     for j, dims, count in terms:
         for degree, dim in dims.items():
             key = (j - 1 - degree, j)
             entries[key] = entries.get(key, 0) + dim * count
-    return BettiTable("quotient", ground.bit_count(), entries)
+    return entries
+
+
+def _restriction_sum(
+    ground: int, nonfaces: Collection[int], fld: FieldSpec, vertex_budget: int
+) -> BettiTable:
+    """Graded Betti numbers of R/I, where I is generated by these minimal
+    nonfaces of a complex on the ground set: the vertex budget, then the
+    plan of ``_restriction_terms``, then its tally."""
+    _check_vertex_budget(ground, vertex_budget)
+    return BettiTable("quotient", ground.bit_count(), _tally(_restriction_terms(nonfaces, fld)))
+
+
+# -- the splitting route ----------------------------------------------
+
+# Ideal-convention entries of every ideal the splitting route answered,
+# keyed by its ``_relabelled`` generators and the field, for the process.
+_split_tables: dict[tuple[tuple[int, ...], FieldSpec], tuple[tuple[tuple[int, int], int], ...]] = {}
+
+
+def _shape_of(gens: Collection[int]) -> tuple[int, ...]:
+    """The generators relabelled onto 0..m-1 over their support; () for none."""
+    support = 0
+    for g in gens:
+        support |= g
+    return _relabelled(support, gens) if gens else ()
+
+
+def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
+    """The free-vertex splitting of the ideal with these generators, or None
+    when no vertex lies in exactly one generator.
+
+    The lowest such vertex x lies in one generator e; K holds the others
+    and K : e is generated by the minimal sets among g - e, g in K.  The
+    splitting is |e| and the shapes of K and K : e, both with fewer
+    generators, and both () when e is the only one.
+    """
+    once = twice = 0
+    for g in key:
+        twice |= once & g
+        once |= g
+    free = once & ~twice
+    if not free:
+        return None
+    x = free & -free
+    e = next(g for g in key if g & x)
+    rest = [g for g in key if g != e]
+    return e.bit_count(), _shape_of(rest), _shape_of(min_antichain(g & ~e for g in rest))
+
+
+def _split_plan(
+    key: tuple[int, ...], fld: FieldSpec
+) -> tuple[dict[tuple[int, ...], tuple], dict[tuple[int, ...], Iterable]]:
+    """The split tree below these generators, built before any rank runs:
+    every distinct node not answered yet over this field, as its splitting
+    or, at a leaf with no free vertex, the planned terms of its restriction
+    sum.  Raises SizeBudgetError once the tree has more nodes than the plan
+    budget, or when a leaf's sum has no plan within it."""
+    splits: dict[tuple[int, ...], tuple] = {}
+    leaves: dict[tuple[int, ...], Iterable] = {}
+    todo = [key]
+    while todo:
+        key = todo.pop()
+        if not key or key in splits or key in leaves or (key, fld) in _split_tables:
+            continue
+        if len(splits) + len(leaves) == PLAN_BUDGET:
+            raise SizeBudgetError(
+                f"the split tree has more than {PLAN_BUDGET} nodes (the plan budget)"
+            )
+        node = _split(key)
+        if node is None:
+            leaves[key] = _restriction_terms(key, fld)
+        else:
+            splits[key] = node
+            todo += node[1:]
+    return splits, leaves
+
+
+def _split_entries(key: tuple[int, ...], fld: FieldSpec) -> dict[tuple[int, int], int]:
+    """Ideal-convention Betti entries of the ideal with these generators,
+    from its split tree.  I = (e) + K is a Betti splitting when a vertex
+    of e lies in no other generator (Francisco, Ha and Van Tuyl, Proc. AMS
+    2009, Cor. 2.7), and (e) meets K in e times K : e, so
+
+        beta_{i,j}(I) = [i = 0, j = |e|] + beta_{i,j}(K) + beta_{i-1,j-|e|}(K : e).
+
+    The leaves are answered first, by their restriction sums; then every
+    split in order of its generator count, after its two parts."""
+    splits, leaves = _split_plan(key, fld)
+    for leaf, terms in leaves.items():
+        _split_tables[leaf, fld] = tuple(((i - 1, j), b) for (i, j), b in _tally(terms).items() if i)
+    for node in sorted(splits, key=len):
+        size, rest, colon = splits[node]
+        entries = {(0, size): 1}
+        for (i, j), b in _split_tables.get((rest, fld), ()):
+            entries[i, j] = entries.get((i, j), 0) + b
+        for (i, j), b in _split_tables.get((colon, fld), ()):
+            entries[i + 1, j + size] = entries.get((i + 1, j + size), 0) + b
+        _split_tables[node, fld] = tuple(entries.items())
+    return dict(_split_tables.get((key, fld), ()))
 
 
 def hochster_betti(
@@ -547,8 +659,30 @@ def hochster_betti(
 def edge_ideal_betti(
     h: Hypergraph, fld: FieldSpec = QQ, *, vertex_budget: int = VERTEX_BUDGET
 ) -> BettiTable:
-    """Betti table of R/I(H): the edges are the minimal nonfaces of the
-    independence complex."""
+    """Betti table of R/I(H) by free-vertex Betti splittings, with the
+    restriction sum at the leaves.
+
+    An edge set with no free vertex goes straight to the restriction sum,
+    and so does one whose split tree, or any leaf's plan, is over the plan
+    budget, or whose leaves refuse: that sum answers or refuses as
+    ``edge_restriction_sum`` does."""
+    _check_vertex_budget(h.vertices, vertex_budget)
+    key = _shape_of(h.edges)
+    if _split(key) is not None:
+        try:
+            entries = _split_entries(key, fld)
+        except SizeBudgetError:
+            pass
+        else:
+            return BettiTable("ideal", h.vertices.bit_count(), entries).as_quotient()
+    return edge_restriction_sum(h, fld, vertex_budget=vertex_budget)
+
+
+def edge_restriction_sum(
+    h: Hypergraph, fld: FieldSpec = QQ, *, vertex_budget: int = VERTEX_BUDGET
+) -> BettiTable:
+    """Betti table of R/I(H) by the restriction sum alone: the edges are
+    the minimal nonfaces of the independence complex."""
     return _restriction_sum(h.vertices, h.edges, fld, vertex_budget)
 
 

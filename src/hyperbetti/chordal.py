@@ -189,8 +189,9 @@ def enumerate_sequences(d: int, max_vertices: int, max_steps: int):
     Glues are enumerated as subsets of single existing pieces, deduplicated
     by mask at each step.  Different sequences can still build the same
     labelled hypergraph (for d = 2, 9 vertices and 3 steps, 58,961
-    sequences build 52,913 distinct hypergraphs); ``verify._distinct_builds``
-    keeps one sequence per build.
+    sequences build 52,913 distinct hypergraphs); ``verify._build_key``
+    tells the builds apart from the steps alone, so the check pools keep
+    one sequence per build and build only the sequences they keep.
     """
 
     def extend(steps: list[AttachmentStep], n: int, chunks: list[int]):

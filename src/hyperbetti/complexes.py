@@ -175,11 +175,9 @@ def clique_complex(h: Hypergraph, d: int) -> SimplicialComplex:
         return SimplicialComplex(h.n_vertices, frozenset({h.vertices}), h.vertices)
     # no complex on m vertices has more than 2^m faces, so the growth finishes
     cliques = grow_faces(h.vertices, non_edges(h, d), d, 1 << m)
-    small = [
-        s
-        for s in k_submasks(h.vertices, d - 1)
-        if not any(contains(e, s) for e in h.edges)
-    ]
+    # the (d-1)-sets inside some edge: each edge with one vertex dropped
+    in_edges = {e ^ (1 << v) for e in h.edges for v in bits_of(e)}
+    small = [s for s in k_submasks(h.vertices, d - 1) if s not in in_edges]
     grown = [f for faces in cliques.values() for f in faces]
     return SimplicialComplex(h.n_vertices, max_antichain(grown + small), h.vertices)
 

@@ -49,12 +49,15 @@ class Hypergraph:
             raise ParameterError("vertex mask uses labels outside the ambient range")
         if not isinstance(self.edges, frozenset):
             object.__setattr__(self, "edges", frozenset(self.edges))
+        sizes = set()
         for e in self.edges:
             if e & ~self.vertices:
                 raise ParameterError("edge uses a vertex not present in the hypergraph")
             if e.bit_count() < 2:
                 raise ParameterError("edges need at least two vertices")
-        if len(min_antichain(self.edges)) != len(self.edges):
+            sizes.add(e.bit_count())
+        # distinct sets of one size never contain each other
+        if len(sizes) > 1 and len(min_antichain(self.edges)) != len(self.edges):
             raise ParameterError("edges must form an antichain (simple hypergraph)")
 
     # -- basic views --------------------------------------------------

@@ -17,7 +17,10 @@ Checks that share a generator differ only in what they pass to it: a
 family row names the maker, the regime of (d, alpha) pairs, the smallest
 n, the expected table and the comparison; a connectivity row names the
 comparison of the direct connectivity with the shape of the Betti table;
-a counting row names the two counting functions.
+a counting row names the two counting functions.  The family and
+free-vertex rows hold their formulas against ``edge_restriction_sum``,
+the restriction sum itself, and ``free-split`` holds the splitting route
+of ``edge_ideal_betti`` against that sum.
 
 Two routes live only here, inside their checks: ``betti-splitting``
 reads the colon ideals from the certificate of the ordering it found
@@ -26,8 +29,10 @@ and compares the splitting identities against the oracle, and
 resolution and an ordering search (``_two_gluing_computed``).
 
 Work is shared only within one run of a check.  The sequence checks
-build each attachment sequence once, to deduplicate the pool, and hand
-the built hypergraph and pieces to their cases.  ``graph-corollary``
+deduplicate their pools by the hypergraph each attachment sequence
+builds, read from its steps without building it (``_build_key``), and
+build only the sequences they keep, handing the built hypergraph and
+pieces to their cases.  ``graph-corollary``
 keeps a memo keyed by isomorphism class (``_graph_orbits``) for the
 invariants of the ideal and checks every 97th repeat of a class against
 a recomputation.
@@ -57,6 +62,7 @@ from .betti import (
     cycle_betti_closed_form,
     cycle_betti_degenerate,
     edge_ideal_betti,
+    edge_restriction_sum,
     enumerate_cycle_subconfigs,
     enumerate_line_subconfigs,
     froberg_cm_check,
@@ -70,7 +76,7 @@ from .betti import (
     star_betti_closed_form,
     taylor_betti_free_vertex,
 )
-from .bitsets import bits_of, mask_of
+from .bitsets import bits_of, mask_of, min_antichain
 from .chordal import (
     AttachmentSequence,
     AttachmentStep,
@@ -91,6 +97,7 @@ from .complexes import (
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import GF2, GF3, QQ, FieldSpec
 from .hypergraph import (
+    MAX_VERTICES,
     OVERLAP_FAMILIES,
     Hypergraph,
     every_edge_has_free_vertex,
@@ -416,11 +423,67 @@ def _free_vertex(
     """``expected(h)`` against the oracle on the free-vertex pool."""
     return _against_oracle(
         lambda grid: (
-            (label, partial(edge_ideal_betti, h), partial(expected, h))
+            (label, partial(edge_restriction_sum, h), partial(expected, h))
             for label, h in _free_vertex_pool(grid)
         ),
         compare,
     )
+
+
+def _split_pool(grid: Mapping) -> list[tuple[str, Hypergraph]]:
+    """The line, cycle and star families for 1 <= n <= 8, at every (d,
+    alpha) with 2 <= d <= 4 and alpha <= 2 where they are defined, and
+    seeded random edge sets: on 3 to 11 vertices, the minimal ones among
+    1 to 9 random sets of 2 to 4 vertices."""
+    pool: list[tuple[str, Hypergraph]] = []
+    for family, make in OVERLAP_FAMILIES.items():
+        for d in _span(grid, "d", 2, 4):
+            for alpha in _span(grid, "alpha", 1, 2):
+                for n in _span(grid, "n", 1, 8):
+                    try:
+                        h = make(n, d, alpha)
+                    except ParameterError:
+                        continue
+                    pool.append((f"{family} n={n} d={d} alpha={alpha}", h))
+    rng = random.Random(_val(grid, "seed", 0))
+    for trial in range(_val(grid, "count", 300)):
+        n = rng.randrange(3, 12)
+        sets = [
+            mask_of(rng.sample(range(n), min(n, rng.randrange(2, 5))))
+            for _ in range(rng.randrange(1, 10))
+        ]
+        h = Hypergraph(n, min_antichain(sets))
+        # vertex lists, not _edges_label: past nine vertices its names run together
+        pool.append((f"random trial={trial} n={n} edges={h.edge_list()}", h))
+    return pool
+
+
+# Edge-route inputs past the restriction sum's reach, with their closed forms.
+_FAR_SPLITS = (
+    ("line", 31, line_betti_closed_form),
+    ("cycle", 30, cycle_betti_closed_form),
+)
+
+
+def check_free_split(grid: Mapping) -> Iterable[Case]:
+    """The free-vertex splitting route of ``edge_ideal_betti`` against the
+    restriction sum on the split pool, over every test field; then, past
+    the sum's reach, against the closed forms of line(31,3,1) and
+    cycle(30,3,1)."""
+    for label, h in _split_pool(grid):
+        for fld in FIELD_TRIPLE:
+            yield f"{label} field={fld.label}", lambda h=h, f=fld: _table_diff(
+                edge_restriction_sum(h, f, vertex_budget=MAX_VERTICES),
+                edge_ideal_betti(h, f, vertex_budget=MAX_VERTICES),
+            )
+    for family, n, closed in _FAR_SPLITS:
+        h = OVERLAP_FAMILIES[family](n, 3, 1)
+        for fld in FIELD_TRIPLE:
+            yield f"{family} n={n} d=3 alpha=1 closed form field={fld.label}", (
+                lambda h=h, f=fld, expected=closed(n, 3, 1): _table_diff(
+                    expected, edge_ideal_betti(h, f, vertex_budget=MAX_VERTICES)
+                )
+            )
 
 
 def _regime_pairs(grid: Mapping, regime: str) -> list[tuple[int, int]]:
@@ -452,7 +515,7 @@ def _family(
                 member = partial(_in_domain, OVERLAP_FAMILIES[family], n, d, alpha)
                 yield (
                     f"{family} n={n} d={d} alpha={alpha}",
-                    lambda fld, member=member: edge_ideal_betti(member(), fld),
+                    lambda fld, member=member: edge_restriction_sum(member(), fld),
                     partial(_in_domain, expected, n, d, alpha),
                 )
 
@@ -666,17 +729,45 @@ def _steps_label(steps: Iterable[AttachmentStep]) -> str:
 Build = tuple[str, int, Hypergraph, tuple[int, ...]]
 
 
+def _build_key(seq: AttachmentSequence) -> int:
+    """The labelled hypergraph a sequence builds, read from its steps alone:
+    its vertex count and, when some piece has at least d vertices, d and
+    the inclusion-maximal such pieces, sorted, packed into one int of
+    64-bit fields.
+
+    Every piece after the first has a fresh vertex, so each set of at
+    least d vertices whose d-subsets are all edges lies inside one piece:
+    the maximal pieces are the maximal cliques of the edge set, and the
+    two determine each other.  With no such piece the build is edgeless
+    whatever d is, so d is left out."""
+    n = 0
+    pieces: list[int] = []
+    for step in seq.steps:
+        fresh = step.size - len(step.glue)
+        if step.size >= seq.d:
+            pieces.append(mask_of(step.glue) | ((1 << fresh) - 1) << n)
+        n += fresh
+    if not pieces:
+        return n
+    key = 0
+    # a later piece holds a fresh vertex, so it never lies inside an earlier one
+    for k, piece in sorted(enumerate(pieces), key=lambda kp: kp[1]):
+        if not any(piece & ~later == 0 for later in pieces[k + 1:]):
+            key = key << 64 | piece
+    return (key << 64 | seq.d) << 64 | n
+
+
 def _distinct_builds(pool: Iterable[tuple[str, AttachmentSequence]]) -> list[Build]:
-    """The build of the first sequence of the pool for each labeled output
-    hypergraph."""
-    seen: set[tuple[int, frozenset[int]]] = set()
+    """The build of the first sequence of the pool for each labelled output
+    hypergraph, told apart by ``_build_key``: only the sequences kept are
+    built."""
+    seen: set[int] = set()
     out = []
     for label, seq in pool:
-        h, chunks = build_chordal_with_chunks(seq)
-        key = (h.n_vertices, h.edges)
+        key = _build_key(seq)
         if key not in seen:
             seen.add(key)
-            out.append((label, seq.d, h, chunks))
+            out.append((label, seq.d, *build_chordal_with_chunks(seq)))
     return out
 
 
@@ -756,7 +847,7 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
         pairs = [mask_of(p) for p in combinations(range(n), 2)]
         least = _graph_orbits(n, pairs)
         for code in range(1 << len(pairs)):
-            edges = frozenset(pairs[k] for k in range(len(pairs)) if code >> k & 1)
+            edges = frozenset([pairs[k] for k in bits_of(code)])
             g = Hypergraph(n, edges)
             key = (n, least[code])
             audit = False
@@ -1210,6 +1301,9 @@ REGISTRY: dict[str, Check] = {
         ("alpha", "n"),
     ),
     "star": Check(_family("star", "core", 1, star_betti_closed_form), ("d", "alpha", "n")),
+    # the splitting route of the edge ideal against the restriction sum,
+    # and against the closed forms past the sum's reach
+    "free-split": Check(check_free_split, _POOL_KEYS),
     "hypergraph": Check(check_hypergraph, _SEQUENCE_KEYS),
     "graph-corollary": Check(
         check_graph_corollary,

@@ -139,7 +139,8 @@ def test_criterion_04_star_profile_formula():
 
 # The registered checks each battery criterion replays on its default grid.
 BATTERIES = {
-    5: ["P", "PI", "betti1", "to", "star", "b1", "b", "knd-complement", "betti", "u"],
+    5: ["P", "PI", "betti1", "to", "star", "b1", "b", "knd-complement", "betti", "u",
+        "free-split"],
     6: ["l", "k"],
     7: ["dquot-dshell", "betti-splitting", "rsequence", "lin-quot"],
     8: ["conn-depth", "homconn", "cm-froberg"],
@@ -162,6 +163,7 @@ REPORT_DIGESTS = {
     "betti1": "add4cfc7b542bb8d2beec0e77acf39fed1198873e76e41c15bbc6dfeb79ea2cf",
     "to": "cb1085a04e10efa9c5f22d0e96cb7b635d2b202fd91d0bd1073df75750f4fdf3",
     "star": "7129c3d4ed8833e8fa6a574bbe86b8ad2942ee9563b11677ca58915b5df488a2",
+    "free-split": "1cfcc4563eb74a48a9287d9d3d729cc3cb2f06b12946fe44406572f3fa9f18bd",
     "hypergraph": "0c3df3444ebb7a9d445824259e648a85973eb06f03c8bc8473fa2bb2b9725be6",
     "graph-corollary": "f53d7edcfaedc4491e4c40767be837c1ee8667420f2114a9131826f0b349ec56",
     "Td-shellable": "e4b27285df3a9120a87d35e8d65976d850204ea95d0676004ffac376b4aeb1ec",
@@ -200,8 +202,9 @@ def _battery(num: int, budget_s: float, text: str) -> None:
 
 
 def test_criterion_05_closed_forms_vs_restriction_sum():
-    """Every family and free-vertex formula against the homology sum, three fields."""
-    _battery(5, 600.0, "ten closed-form checks, zero mismatches")
+    """Every family and free-vertex formula, and the splitting route of the
+    edge ideal, against the homology sum, three fields."""
+    _battery(5, 600.0, "ten closed-form checks and the splitting route, zero mismatches")
 
 
 def test_criterion_06_counting_lemmas_vs_brute_force():

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import re
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -27,6 +28,7 @@ from hyperbetti import (
     cycle_betti_closed_form,
     cycle_betti_degenerate,
     edge_ideal_betti,
+    edge_restriction_sum,
     hochster_betti,
     ideal_betti,
     independence_complex,
@@ -539,11 +541,12 @@ def test_the_join_split_equals_the_unsplit_routes(blocks):
     ids=["line-10-2-1", "cycle-10-2-1"],
 )
 def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, degenerate, most):
-    """The edge routes of line(10,2,1) and cycle(10,2,1) have few enough
-    big faces for a skeleton, and take the union closure, whose members
-    mostly split into runs: each run shape is ranked once by its direct
-    route, not each whole subset (341 and 267 ranks when every subset
-    took the whole-V skeleton lookup)."""
+    """The restriction sums of line(10,2,1) and cycle(10,2,1) have few
+    enough big faces for a skeleton, and take the union closure, whose
+    members mostly split into runs: each run shape is ranked once by its
+    direct route, not each whole subset (341 and 267 ranks when every
+    subset took the whole-V skeleton lookup).  The edge route splits the
+    line at its free vertices down to single edges, and ranks nothing."""
     h = family(10, 2, 1)
     assert grow_faces(h.vertices, h.edges, 2, BIG_FACE_CAP) is not None
     betti._shape_dims.cache_clear()
@@ -555,8 +558,14 @@ def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, de
         return ranks_by_size(faces_by_size, fld)
 
     monkeypatch.setattr(betti, "_ranks_by_size", counted)
-    assert edge_ideal_betti(h, GF2) == degenerate(10, 1)
+    assert edge_restriction_sum(h, GF2) == degenerate(10, 1)
     assert 0 < len(calls) <= most
+    if family is make_line:
+        calls.clear()
+        betti._shape_dims.cache_clear()
+        monkeypatch.setattr(betti, "_split_tables", {})
+        assert edge_ideal_betti(h, GF2) == degenerate(10, 1)
+        assert not calls
 
 
 def test_the_cone_filter_answers_before_any_route(monkeypatch):
@@ -651,6 +660,75 @@ def test_a_disjoint_union_has_the_product_table(e1, e2):
     for fld in (GF2, GF3, QQ):
         expected = _product_table(edge_ideal_betti(h1, fld), edge_ideal_betti(h2, fld))
         assert edge_ideal_betti(both, fld).entries == expected
+
+
+_NINE = [m for m in range(1 << 9) if 2 <= m.bit_count() <= 4]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.lists(st.sampled_from(_NINE), min_size=1, max_size=9))
+@example([0b101, 0b1010, 0b1100, 0b10010, 0b1000001, 0b1000100, 0b1001000])  # two leaves
+@example([0b000000011, 0b000000110, 0b000001100, 0b000011000, 0b000010001])  # C5: no split
+def test_the_splitting_route_equals_the_restriction_sum(sets):
+    """The free-vertex splitting route of the edge ideal, from an empty
+    memo, gives the restriction sum's table over every field."""
+    h = Hypergraph(9, min_antichain(sets))
+    for fld in (GF2, GF3, QQ):
+        with mock.patch.object(betti, "_split_tables", {}):
+            assert edge_ideal_betti(h, fld) == edge_restriction_sum(h, fld)
+
+
+# Vertex 4 is free; the split tree of these seven edges has two leaves.
+_TWO_LEAVES = Hypergraph(7, frozenset(map(mask_of, ([0, 2], [1, 3], [2, 3], [1, 4], [0, 6],
+                                                      [2, 6], [3, 6]))))
+
+
+def test_the_split_tree_is_planned_before_any_rank(monkeypatch):
+    """Every leaf's restriction sum is planned before the first rank runs,
+    and the splits themselves rank nothing."""
+    log = []
+    terms, ranks_by_size = betti._restriction_terms, betti._ranks_by_size
+
+    def planned(nonfaces, fld):
+        log.append("plan")
+        return terms(nonfaces, fld)
+
+    def ranked(faces_by_size, fld):
+        log.append("rank")
+        return ranks_by_size(faces_by_size, fld)
+
+    monkeypatch.setattr(betti, "_restriction_terms", planned)
+    monkeypatch.setattr(betti, "_ranks_by_size", ranked)
+    monkeypatch.setattr(betti, "_split_tables", {})
+    betti._shape_dims.cache_clear()
+    assert edge_ideal_betti(_TWO_LEAVES, GF2) == edge_restriction_sum(_TWO_LEAVES, GF2)
+    leaf_plans = log[: log.index("rank")]
+    assert leaf_plans == ["plan", "plan"]
+
+
+def test_the_split_tree_is_refused_exactly_past_the_plan_budget(monkeypatch):
+    """The tree's distinct nodes are counted against the plan budget.  Past
+    it the route gives way to the restriction sum on the whole edge set,
+    which answers or refuses as it does alone."""
+    key = betti._shape_of(_TWO_LEAVES.edges)
+    monkeypatch.setattr(betti, "_split_tables", {})
+    splits, leaves = betti._split_plan(key, GF2)
+    nodes = len(splits) + len(leaves)
+    with mock.patch.object(betti, "PLAN_BUDGET", nodes):
+        betti._split_plan(key, GF2)
+    with mock.patch.object(betti, "PLAN_BUDGET", nodes - 1):
+        with pytest.raises(SizeBudgetError, match="split tree has more than"):
+            betti._split_plan(key, GF2)
+        with pytest.raises(SizeBudgetError) as alone:
+            edge_restriction_sum(_TWO_LEAVES, GF2)
+        with pytest.raises(SizeBudgetError, match=re.escape(str(alone.value))):
+            edge_ideal_betti(_TWO_LEAVES, GF2)
+
+    def over_budget(key, fld):
+        raise SizeBudgetError("over")
+
+    monkeypatch.setattr(betti, "_split_plan", over_budget)
+    assert edge_ideal_betti(_TWO_LEAVES, QQ) == edge_restriction_sum(_TWO_LEAVES, QQ)
 
 
 def test_each_component_shape_is_answered_once(monkeypatch):

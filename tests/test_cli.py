@@ -9,6 +9,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 from unittest import mock
 
@@ -16,6 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from hyperbetti import BettiTable, betti, cycle_betti_closed_form, line_betti_closed_form
 from hyperbetti.cli import main
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
@@ -324,6 +326,30 @@ def test_betti_answers_a_paper_line_at_a_raised_vertex_budget(capsys, tmp_path):
     code, closed, _ = run(capsys, "betti", path, "--method", "closed-form", "--no-cache")
     assert code == 0
     assert out == closed
+
+
+@pytest.mark.parametrize(
+    "family, n, closed_form",
+    [("line", 31, line_betti_closed_form), ("cycle", 30, cycle_betti_closed_form)],
+    ids=["line-31-3-1", "cycle-30-3-1"],
+)
+def test_betti_splits_the_paper_families_past_the_restriction_sum(
+    capsys, tmp_path, monkeypatch, family, n, closed_form
+):
+    """line(31,3,1) has 63 vertices and cycle(30,3,1) 60, far past the
+    restriction sum's plans; the edge route splits them at free vertices
+    and answers at --max-vertices 63 in under a second, with no memo from
+    earlier calls, with the closed form's table."""
+    path = _gen_to_file(
+        capsys, tmp_path, "gen", "--family", family, "--n", str(n), "--d", "3", "--alpha", "1"
+    )
+    monkeypatch.setattr(betti, "_split_tables", {})
+    betti._shape_dims.cache_clear()
+    started = time.perf_counter()
+    code, out, _ = run(capsys, "betti", path, "--max-vertices", "63", "--no-cache")
+    assert time.perf_counter() - started < 1.0
+    assert code == 0
+    assert BettiTable.from_json(out) == closed_form(n, 3, 1)
 
 
 def test_betti_refuses_when_no_plan_is_feasible(tmp_path):

@@ -10,12 +10,13 @@ import pytest
 
 from hyperbetti import THEOREM_IDS, MonomialIdeal, ParameterError, run_check, verify
 from hyperbetti.betti import BettiTable
+from hyperbetti.chordal import build_chordal
 from hyperbetti.verify import REGISTRY, parse_grid
 
 
-def test_registry_lists_twenty_five_checks():
-    assert len(THEOREM_IDS) == 25
-    assert len(set(THEOREM_IDS)) == 25
+def test_registry_lists_twenty_six_checks():
+    assert len(THEOREM_IDS) == 26
+    assert len(set(THEOREM_IDS)) == 26
 
 
 def test_parse_grid_forms():
@@ -326,3 +327,42 @@ def test_connectivity_checks_report_a_wrong_connectivity(monkeypatch, theorem, d
     assert {r.details for r in rep.results if r.status == "skipped"} <= {
         "complete hypergraph: connectivity is infinite, theorem does not apply"
     }
+
+
+@pytest.mark.parametrize(
+    "theorem, kept",
+    [("hypergraph", 5807), ("diameter", 52913), ("AdRd", 6713), ("lin-quot", 1281),
+     ("Td-shellable", None)],
+)
+def test_the_build_key_keeps_what_building_keeps(monkeypatch, theorem, kept):
+    """On each default sequence pool, deduplicating by the key read from
+    the steps keeps the same sequences, in the same order, as building
+    every sequence and keeping the first of each (vertex count, edge
+    set), and builds only the sequences it keeps."""
+    pools, labels, builds = [], [], []
+    distinct_builds, build = verify._distinct_builds, verify.build_chordal_with_chunks
+
+    def recorded(pool):
+        pools.append(list(pool))
+        builds.clear()
+        out = distinct_builds(pools[-1])
+        labels.append([label for label, *_ in out])
+        assert len(builds) == len(out)
+        return out
+
+    def counted(seq):
+        builds.append(seq)
+        return build(seq)
+
+    monkeypatch.setattr(verify, "_distinct_builds", recorded)
+    monkeypatch.setattr(verify, "build_chordal_with_chunks", counted)
+    next(iter(REGISTRY[theorem].cases({})))
+    [pool], [kept_labels] = pools, labels
+    seen, by_build = set(), []
+    for label, seq in pool:
+        h = build_chordal(seq)
+        if (h.n_vertices, h.edges) not in seen:
+            seen.add((h.n_vertices, h.edges))
+            by_build.append(label)
+    assert kept_labels == by_build
+    assert kept is None or len(by_build) == kept
