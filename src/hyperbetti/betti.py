@@ -21,10 +21,10 @@ splitting (Francisco, Ha and Van Tuyl, Proc. AMS 2009, Cor. 2.7), where
 K holds the other generators; its correction term is K : e, shifted by
 |e|.  K and K : e have fewer generators, so the route recurses at the
 lowest free vertex, down to single generators and to leaves with no
-free vertex, which the sum answers.  The tree is built, its distinct
-nodes counted against the plan budget and every leaf's sum planned
-before any rank runs; over the budget, the sum runs on the whole edge
-set instead, as it does for an edge set with no free vertex.
+free vertex, which the sum answers; an edge set with no free vertex is a
+tree of one leaf.  The tree is built, its distinct nodes counted against
+the plan budget and every leaf's sum planned before any rank runs; over
+the budget, the sum runs on the whole edge set instead.
 
 Subsets that induce a cone contribute nothing, so the sum runs over the
 support U, the union of the minimal nonfaces, and has two plans:
@@ -64,7 +64,7 @@ and Cohen-Macaulay scans, takes one route:
   faces of size >= s (s the smallest of their sizes, so every smaller set
   is a face) are grown up to the nerve size 2^k, or up to the face
   budget if 2^k is over it.  The cost is measured, not estimated: if the
-  growth finishes, those faces answer by the skeleton's formula;
+  growth finishes, those faces answer by ``homology.dims_above``;
   otherwise the nerve of the k nonfaces answers, which has complementary
   homology and 2^k faces (the crosscut complex of the LCM lattice), and
   it refuses with SizeBudgetError when 2^k is over the face budget.
@@ -75,21 +75,16 @@ from __future__ import annotations
 import json
 from collections import Counter
 from dataclasses import dataclass
-from functools import cache
+from functools import cache, reduce
 from itertools import combinations
 from math import comb, factorial
+from operator import or_
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .bitsets import k_submasks, min_antichain
+from .bitsets import exactly_once, k_submasks, min_antichain, subfamily_unions
 from .complexes import FACE_BUDGET, SimplicialComplex, grow_faces, minimal_nonfaces
 from .errors import ParameterError, PreconditionError, SizeBudgetError
-from .homology import (
-    QQ,
-    FieldSpec,
-    boundary_rows,
-    dims_from_faces,
-    rank_over_field,
-)
+from .homology import QQ, FieldSpec, dims_above, dims_from_faces, ranks_by_size
 from .hypergraph import Hypergraph, canonical_json, every_edge_has_free_vertex, non_edges
 from .ideal import MonomialIdeal
 
@@ -336,7 +331,7 @@ def _dims_direct(
     faces = grow_faces(vmask, relevant, s, cap)
     if faces is None:
         return None
-    return _dims_above(vmask.bit_count(), s, *_ranks_by_size(faces, fld))
+    return dims_above(vmask.bit_count(), s, *ranks_by_size(faces, fld))
 
 
 def _dims_nerve(vmask: int, m: int, relevant: Sequence[int], fld: FieldSpec) -> dict[int, int]:
@@ -348,14 +343,10 @@ def _dims_nerve(vmask: int, m: int, relevant: Sequence[int], fld: FieldSpec) -> 
     """
     size = 1 << len(relevant)
     if size > FACE_BUDGET:
-        raise SizeBudgetError(f"restriction nerve size {size} exceeds the face budget")
-    unions = [0] * size
-    for S in range(1, size):
-        low = S & -S
-        unions[S] = unions[S ^ low] | relevant[low.bit_length() - 1]
+        raise SizeBudgetError(f"restriction nerve size {size} exceeds the face budget {FACE_BUDGET}")
     by_size: dict[int, list[int]] = {0: [0]}
-    for S in range(1, size):
-        if unions[S] != vmask:
+    for S, union in enumerate(subfamily_unions(relevant)):
+        if S and union != vmask:
             by_size.setdefault(S.bit_count(), []).append(S)
     nerve_dims = dims_from_faces(by_size, fld)
     return {m - 3 - t: dim for t, dim in nerve_dims.items()}
@@ -371,10 +362,11 @@ def _count_by_big_faces(
 
     A depth-first search decides the vertices that some surviving face
     meets, lowest bit first: excluding a vertex drops every face through
-    it.  Once no surviving face meets an undecided vertex, the search is
-    at a leaf: the surviving faces are exactly S for every way of
-    completing the subset, and the r undecided vertices give C(r, j)
-    subsets of each extra size j.
+    it, and including one keeps them all, so each call walks its run of
+    inclusions in a loop and recurses only on the exclusions.  Once no
+    surviving face meets an undecided vertex, the search is at a leaf: the
+    surviving faces are exactly S for every way of completing the subset,
+    and the r undecided vertices give C(r, j) subsets of each extra size j.
     """
     n = ground.bit_count()
     binomials = [[comb(r, j) for j in range(r + 1)] for r in range(n + 1)]
@@ -383,23 +375,23 @@ def _count_by_big_faces(
 
     def visit(undecided: int, k: int, alive: tuple[int, ...]) -> bool:
         nonlocal leaves
-        touched = 0
-        for f in alive:
-            touched |= f
-        touched &= undecided
-        if not touched:
-            leaves += 1
-            if leaves > PLAN_BUDGET:
+        touched = reduce(or_, alive, 0) & undecided
+        while touched:
+            v = touched & -touched
+            touched ^= v
+            undecided ^= v
+            if not visit(undecided, k, tuple(f for f in alive if not f & v)):
                 return False
-            sizes = counts.get(alive)
-            if sizes is None:
-                counts[alive] = sizes = [0] * (n + 1)
-            for j, c in enumerate(binomials[undecided.bit_count()]):
-                sizes[k + j] += c
-            return True
-        v = touched & -touched
-        rest = undecided ^ v
-        return visit(rest, k + 1, alive) and visit(rest, k, tuple(f for f in alive if not f & v))
+            k += 1
+        leaves += 1
+        if leaves > PLAN_BUDGET:
+            return False
+        sizes = counts.get(alive)
+        if sizes is None:
+            counts[alive] = sizes = [0] * (n + 1)
+        for j, c in enumerate(binomials[undecided.bit_count()]):
+            sizes[k + j] += c
+        return True
 
     return counts if visit(ground, 0, tuple(big_faces)) else None
 
@@ -421,10 +413,10 @@ def _skeleton_sweep(
         by_size: dict[int, list[int]] = {}
         for f in S:
             by_size.setdefault(f.bit_count(), []).append(f)
-        ranks = _ranks_by_size(by_size, fld)
+        ranks = ranks_by_size(by_size, fld)
         for m in range(s, len(sizes)):
             if sizes[m]:
-                yield m, _dims_above(m, s, *ranks), sizes[m]
+                yield m, dims_above(m, s, *ranks), sizes[m]
 
 
 def _relabelled(support: int, masks: Iterable[int]) -> tuple[int, ...]:
@@ -459,29 +451,6 @@ def _join_dims(a: dict[int, int], b: Iterable[tuple[int, int]]) -> dict[int, int
     return out
 
 
-def _ranks_by_size(faces_by_size: dict[int, list[int]], fld: FieldSpec) -> tuple[dict, dict]:
-    """The face count and the boundary rank at each size."""
-    counts = {t: len(fs) for t, fs in faces_by_size.items()}
-    ranks = {t: rank_over_field(boundary_rows(fs), fld) for t, fs in faces_by_size.items()}
-    return counts, ranks
-
-
-def _dims_above(m: int, s: int, counts: dict[int, int], ranks: dict[int, int]) -> dict[int, int]:
-    """Reduced homology on m >= s vertices where every set smaller than s
-    is a face, from the face counts and boundary ranks at sizes >= s: that
-    full skeleton has C(m-1, s-1) cycles in degree s - 2."""
-    dims: dict[int, int] = {}
-    h = comb(m - 1, s - 1) - ranks.get(s, 0)
-    if h:
-        dims[s - 2] = h
-    top = max(counts) if counts else s - 1
-    for t in range(s, top + 1):
-        h = counts.get(t, 0) - ranks.get(t, 0) - ranks.get(t + 1, 0)
-        if h:
-            dims[t - 1] = h
-    return dims
-
-
 def _check_vertex_budget(ground: int, vertex_budget: int) -> None:
     n = ground.bit_count()
     if n > vertex_budget:
@@ -510,9 +479,7 @@ def _restriction_terms(
     plan stopped there with no plan to give way to is refused, naming the
     plan, before any rank runs.
     """
-    support = 0
-    for M in nonfaces:
-        support |= M
+    support = reduce(or_, nonfaces, 0)
     oracle = _RestrictionOracle(nonfaces, fld)
     few = len(oracle.mnf) <= CLOSURE_MAX_NONFACES
     closure = oracle.union_closure() if few else None
@@ -547,13 +514,11 @@ def _tally(terms: Iterable[tuple[int, dict[int, int], int]]) -> dict[tuple[int, 
     return entries
 
 
-def _restriction_sum(
-    ground: int, nonfaces: Collection[int], fld: FieldSpec, vertex_budget: int
-) -> BettiTable:
+def _restriction_sum(ground: int, nonfaces: Collection[int], fld: FieldSpec) -> BettiTable:
     """Graded Betti numbers of R/I, where I is generated by these minimal
-    nonfaces of a complex on the ground set: the vertex budget, then the
-    plan of ``_restriction_terms``, then its tally."""
-    _check_vertex_budget(ground, vertex_budget)
+    nonfaces of a complex on the ground set: the plan of
+    ``_restriction_terms``, then its tally.  The caller checks the vertex
+    budget."""
     return BettiTable("quotient", ground.bit_count(), _tally(_restriction_terms(nonfaces, fld)))
 
 
@@ -566,10 +531,7 @@ _split_tables: dict[tuple[tuple[int, ...], FieldSpec], tuple[tuple[tuple[int, in
 
 def _shape_of(gens: Collection[int]) -> tuple[int, ...]:
     """The generators relabelled onto 0..m-1 over their support; () for none."""
-    support = 0
-    for g in gens:
-        support |= g
-    return _relabelled(support, gens) if gens else ()
+    return _relabelled(reduce(or_, gens), gens) if gens else ()
 
 
 def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
@@ -581,11 +543,7 @@ def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]
     splitting is |e| and the shapes of K and K : e, both with fewer
     generators, and both () when e is the only one.
     """
-    once = twice = 0
-    for g in key:
-        twice |= once & g
-        once |= g
-    free = once & ~twice
+    free = exactly_once(key)
     if not free:
         return None
     x = free & -free
@@ -653,7 +611,7 @@ def hochster_betti(
     exact over the requested field; the facets are dualized to the
     minimal nonfaces once the ground set is known to be within budget."""
     _check_vertex_budget(c.vertices, vertex_budget)
-    return _restriction_sum(c.vertices, minimal_nonfaces(c), fld, vertex_budget)
+    return _restriction_sum(c.vertices, minimal_nonfaces(c), fld)
 
 
 def edge_ideal_betti(
@@ -662,20 +620,16 @@ def edge_ideal_betti(
     """Betti table of R/I(H) by free-vertex Betti splittings, with the
     restriction sum at the leaves.
 
-    An edge set with no free vertex goes straight to the restriction sum,
-    and so does one whose split tree, or any leaf's plan, is over the plan
-    budget, or whose leaves refuse: that sum answers or refuses as
-    ``edge_restriction_sum`` does."""
+    An edge set with no free vertex is a tree of one leaf.  One whose
+    split tree, or any leaf's plan, is over the plan budget, or whose
+    leaves refuse, goes to the restriction sum on the whole edge set,
+    which answers or refuses as ``edge_restriction_sum`` does."""
     _check_vertex_budget(h.vertices, vertex_budget)
-    key = _shape_of(h.edges)
-    if _split(key) is not None:
-        try:
-            entries = _split_entries(key, fld)
-        except SizeBudgetError:
-            pass
-        else:
-            return BettiTable("ideal", h.vertices.bit_count(), entries).as_quotient()
-    return edge_restriction_sum(h, fld, vertex_budget=vertex_budget)
+    try:
+        entries = _split_entries(_shape_of(h.edges), fld)
+    except SizeBudgetError:
+        return _restriction_sum(h.vertices, h.edges, fld)
+    return BettiTable("ideal", h.vertices.bit_count(), entries).as_quotient()
 
 
 def edge_restriction_sum(
@@ -683,7 +637,8 @@ def edge_restriction_sum(
 ) -> BettiTable:
     """Betti table of R/I(H) by the restriction sum alone: the edges are
     the minimal nonfaces of the independence complex."""
-    return _restriction_sum(h.vertices, h.edges, fld, vertex_budget)
+    _check_vertex_budget(h.vertices, vertex_budget)
+    return _restriction_sum(h.vertices, h.edges, fld)
 
 
 def clique_ideal_betti(
@@ -696,7 +651,7 @@ def clique_ideal_betti(
     if not h.is_uniform(d):
         raise PreconditionError(f"clique-style complex needs {d}-uniform input")
     _check_vertex_budget(h.vertices, vertex_budget)
-    return _restriction_sum(h.vertices, non_edges(h, d), fld, vertex_budget)
+    return _restriction_sum(h.vertices, non_edges(h, d), fld)
 
 
 def ideal_betti(ideal: MonomialIdeal, fld: FieldSpec = QQ) -> BettiTable:
@@ -704,7 +659,8 @@ def ideal_betti(ideal: MonomialIdeal, fld: FieldSpec = QQ) -> BettiTable:
     minimal generators, which are the minimal nonfaces of its complex."""
     if not ideal.is_minimal:
         raise PreconditionError("generators must be a minimal generating set")
-    return _restriction_sum(ideal.ring_mask, ideal.generators, fld, VERTEX_BUDGET)
+    _check_vertex_budget(ideal.ring_mask, VERTEX_BUDGET)
+    return _restriction_sum(ideal.ring_mask, ideal.generators, fld)
 
 
 # -- closed-form families ---------------------------------------------
@@ -716,14 +672,9 @@ def taylor_betti_free_vertex(h: Hypergraph) -> BettiTable:
     union has j vertices.  Characteristic-free."""
     if not every_edge_has_free_vertex(h):
         raise PreconditionError("needs a private vertex in every edge")
-    edges = sorted(h.edges)
-    t = len(edges)
-    entries: dict[tuple[int, int], int] = {(0, 0): 1}
-    unions = [0] * (1 << t)
-    for S in range(1, 1 << t):
-        low = S & -S
-        unions[S] = unions[S ^ low] | edges[low.bit_length() - 1]
-        key = (S.bit_count(), unions[S].bit_count())
+    entries: dict[tuple[int, int], int] = {}
+    for S, union in enumerate(subfamily_unions(sorted(h.edges))):
+        key = (S.bit_count(), union.bit_count())
         entries[key] = entries.get(key, 0) + 1
     return BettiTable("quotient", h.num_vertices, entries)
 
@@ -859,31 +810,28 @@ def knd_complement_betti(n: int, d: int) -> BettiTable:
 # -- interval-pattern counts ------------------------------------------
 
 
-def count_line_subconfigs(sizes: Sequence[int], n: int) -> int:
-    """Number of ways to place disjoint, non-adjacent runs of consecutive
-    edges with the given multiset of lengths along a path of n edges."""
+def _runs(sizes: Sequence[int]) -> tuple[tuple[int, ...], int, int, int]:
+    """The run lengths as a tuple, their number r, their sum i, and the
+    product of the factorials of their multiplicities."""
     sizes = tuple(sizes)
     if not sizes or any(s < 1 for s in sizes):
         raise ParameterError("run lengths must be positive")
-    r = len(sizes)
-    i = sum(sizes)
     mult = 1
     for ccount in Counter(sizes).values():
         mult *= factorial(ccount)
-    total = factorial(r) * safe_binom(n - i + 1, r)
-    return total // mult
+    return sizes, len(sizes), sum(sizes), mult
+
+
+def count_line_subconfigs(sizes: Sequence[int], n: int) -> int:
+    """Number of ways to place disjoint, non-adjacent runs of consecutive
+    edges with the given multiset of lengths along a path of n edges."""
+    _, r, i, mult = _runs(sizes)
+    return factorial(r) * safe_binom(n - i + 1, r) // mult
 
 
 def count_cycle_subconfigs(sizes: Sequence[int], n: int) -> int:
     """Same count around a cycle of n edges (no run may close the loop)."""
-    sizes = tuple(sizes)
-    if not sizes or any(s < 1 for s in sizes):
-        raise ParameterError("run lengths must be positive")
-    r = len(sizes)
-    i = sum(sizes)
-    mult = 1
-    for ccount in Counter(sizes).values():
-        mult *= factorial(ccount)
+    sizes, r, i, mult = _runs(sizes)
     total = n * factorial(r - 1) * safe_binom(n - i - 1, r - 1)
     if total % mult:
         raise ArithmeticError(f"non-integral run count for sizes={sizes} n={n}")

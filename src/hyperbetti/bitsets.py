@@ -9,7 +9,7 @@ machine operations for the sizes this package supports.
 from __future__ import annotations
 
 from itertools import combinations
-from typing import Iterable, Iterator
+from typing import Iterable, Iterator, Sequence
 
 
 def mask_of(vertices: Iterable[int]) -> int:
@@ -49,6 +49,26 @@ def k_submasks(mask: int, k: int) -> Iterator[int]:
 
     The bits of a combination are disjoint, so their sum is their union."""
     return map(sum, combinations([1 << v for v in bits_of(mask)], k))
+
+
+def exactly_once(masks: Iterable[int]) -> int:
+    """The bits set in exactly one of the masks."""
+    once = twice = 0
+    for m in masks:
+        twice |= once & m
+        once |= m
+    return once & ~twice
+
+
+def subfamily_unions(masks: Sequence[int]) -> list[int]:
+    """The union of every subfamily of the masks, indexed by the subfamily's
+    bitmask over their positions: the union at S adds the mask of S's
+    lowest position to the union at S without it."""
+    unions = [0] * (1 << len(masks))
+    for S in range(1, len(unions)):
+        low = S & -S
+        unions[S] = unions[S ^ low] | masks[low.bit_length() - 1]
+    return unions
 
 
 def max_antichain(masks: Iterable[int]) -> frozenset[int]:

@@ -10,12 +10,17 @@ step; over GF(p) for odd p rows are reduced with modular inverses.
 The empty face is part of every chain complex here (augmented
 convention): a single point has no reduced homology and the empty
 complex {0} has one dimension in degree -1.
+
+Homology comes from one chain formula, ``dims_above``: on m vertices
+where every set smaller than s is a face, from the face counts and
+boundary ranks at sizes >= s.  ``dims_from_faces`` is its s = 1 case;
+the restriction sum takes it at the smallest nonface size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
+from math import comb, gcd
 
 from .errors import ParameterError
 from .complexes import SimplicialComplex, enumerate_faces
@@ -237,26 +242,40 @@ def boundary_rows(faces: list[int]):
         yield row
 
 
+def ranks_by_size(faces_by_size: dict[int, list[int]], field: FieldSpec) -> tuple[dict, dict]:
+    """The face count and the boundary rank at each size."""
+    counts = {t: len(fs) for t, fs in faces_by_size.items()}
+    ranks = {t: rank_over_field(boundary_rows(fs), field) for t, fs in faces_by_size.items()}
+    return counts, ranks
+
+
+def dims_above(m: int, s: int, counts: dict[int, int], ranks: dict[int, int]) -> dict[int, int]:
+    """Reduced homology on m >= s vertices where every set smaller than s
+    is a face, from the face counts and boundary ranks at sizes >= s: that
+    full skeleton has C(m-1, s-1) cycles in degree s - 2."""
+    dims: dict[int, int] = {}
+    h = comb(m - 1, s - 1) - ranks.get(s, 0)
+    if h:
+        dims[s - 2] = h
+    top = max(counts) if counts else s - 1
+    for t in range(s, top + 1):
+        h = counts.get(t, 0) - ranks.get(t, 0) - ranks.get(t + 1, 0)
+        if h:
+            dims[t - 1] = h
+    return dims
+
+
 def dims_from_faces(faces_by_size: dict[int, list[int]], field: FieldSpec) -> dict[int, int]:
     """Nonzero reduced homology dimensions, keyed by degree.
 
     ``faces_by_size`` maps face cardinality to the list of face masks and
-    must be closed under taking subsets (size 0 present unless void).
+    must be closed under taking subsets (size 0 present unless void), so
+    ``dims_above`` answers with s = 1.
     """
     if not faces_by_size:
         return {}
-    top = max(faces_by_size)
-    ranks: dict[int, int] = {}
-    for s in range(1, top + 1):
-        faces = faces_by_size.get(s, [])
-        if faces:
-            ranks[s] = rank_over_field(boundary_rows(faces), field)
-    dims: dict[int, int] = {}
-    for s in range(0, top + 1):
-        h = len(faces_by_size.get(s, ())) - ranks.get(s, 0) - ranks.get(s + 1, 0)
-        if h:
-            dims[s - 1] = h
-    return dims
+    nonempty = {t: fs for t, fs in faces_by_size.items() if t}
+    return dims_above(1, 1, *ranks_by_size(nonempty, field))
 
 
 def reduced_homology_dims(c: SimplicialComplex, field: FieldSpec = QQ) -> dict[int, int]:

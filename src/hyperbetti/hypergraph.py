@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from itertools import combinations
 from math import comb
 
-from .bitsets import bits_of, contains, k_submasks, mask_of, min_antichain
+from .bitsets import bits_of, contains, exactly_once, k_submasks, mask_of, min_antichain
 from .errors import ParameterError, SizeBudgetError
 
 MAX_VERTICES = 63
@@ -27,6 +27,12 @@ MAX_VERTICES = 63
 # any hypergraph on 20 vertices has (C(20, 10) = 184,756), the default
 # vertex budget of the Betti routes.
 MAX_LISTED_EDGES = 1 << 18
+
+
+def check_vertex_count(n: int) -> None:
+    """Refuse a hypergraph on n vertices unless 0 <= n <= MAX_VERTICES."""
+    if not 0 <= n <= MAX_VERTICES:
+        raise ParameterError(f"vertex count must be between 0 and {MAX_VERTICES}, got {n}")
 
 
 @dataclass(frozen=True)
@@ -38,10 +44,7 @@ class Hypergraph:
     vertices: int = -1  # bitmask of present vertices; -1 means all of them
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_vertices <= MAX_VERTICES:
-            raise ParameterError(
-                f"vertex count must be between 0 and {MAX_VERTICES}, got {self.n_vertices}"
-            )
+        check_vertex_count(self.n_vertices)
         full = (1 << self.n_vertices) - 1
         if self.vertices == -1:
             object.__setattr__(self, "vertices", full)
@@ -228,6 +231,7 @@ def make_line(n: int, d: int, alpha: int) -> Hypergraph:
     """
     _check_overlap_params(n, d, alpha, min_edges=1)
     step = d - alpha
+    check_vertex_count(n * step + alpha)
     edges = frozenset(mask_of(range(k * step, k * step + d)) for k in range(n))
     return Hypergraph(n * step + alpha, edges)
 
@@ -241,6 +245,7 @@ def make_cycle(n: int, d: int, alpha: int) -> Hypergraph:
     _check_overlap_params(n, d, alpha, min_edges=3)
     step = d - alpha
     total = n * step
+    check_vertex_count(total)
     edges = frozenset(
         mask_of((k * step + t) % total for t in range(d)) for k in range(n)
     )
@@ -259,8 +264,9 @@ def make_star_overlap(n: int, d: int, alpha: int) -> Hypergraph:
         raise ParameterError("edge size d must be at least 2")
     if not 1 <= alpha < d:
         raise ParameterError("core size alpha must satisfy 1 <= alpha < d")
-    core = mask_of(range(alpha))
     step = d - alpha
+    check_vertex_count(alpha + n * step)
+    core = mask_of(range(alpha))
     edges = frozenset(
         core | mask_of(range(alpha + k * step, alpha + (k + 1) * step))
         for k in range(n)
@@ -323,17 +329,7 @@ def non_edges(h: Hypergraph, d: int) -> list[int]:
     return [m for m in k_submasks(h.vertices, d) if m not in h.edges]
 
 
-def free_vertices(h: Hypergraph) -> dict[int, int]:
-    """Map each edge to the mask of its vertices lying in no other edge."""
-    out = {}
-    for e in h.edges:
-        others = 0
-        for f in h.edges:
-            if f != e:
-                others |= f
-        out[e] = e & ~others
-    return out
-
-
 def every_edge_has_free_vertex(h: Hypergraph) -> bool:
-    return all(m != 0 for m in free_vertices(h).values())
+    """Every edge holds a vertex that lies in no other edge."""
+    free = exactly_once(h.edges)
+    return all(e & free for e in h.edges)

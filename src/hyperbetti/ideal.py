@@ -8,7 +8,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable, Iterator, Sequence
 
 from .bitsets import bits_of, mask_of, max_antichain, min_antichain
 from .complexes import SimplicialComplex, minimal_nonfaces, minimal_transversals
@@ -240,24 +240,29 @@ def search_order(start, children, done, node_budget: int | None = None):
         raise ParameterError("node budget must be nonnegative")
     dead: set[frozenset] = set()
     nodes = 0
-
-    def extend(order: tuple, placed: frozenset, state):
-        nonlocal nodes
+    # The nodes being expanded, each with its children still to try; an
+    # explicit stack, as an ordering can be longer than the recursion limit.
+    stack: list[tuple[tuple, frozenset, Iterator]] = []
+    order, placed, state = (), frozenset(), start
+    while True:
         if done(order, state):
-            return order
-        if placed in dead:
-            return None
-        nodes += 1
-        if node_budget is not None and nodes > node_budget:
-            raise SizeBudgetError("search node budget exhausted")
-        for item, after in children(order, placed, state):
-            found = extend(order + (item,), placed | {item}, after)
-            if found is not None:
-                return found
-        dead.add(placed)
-        return None
-
-    return extend((), frozenset(), start), nodes
+            return order, nodes
+        if placed not in dead:
+            nodes += 1
+            if node_budget is not None and nodes > node_budget:
+                raise SizeBudgetError("search node budget exhausted")
+            stack.append((order, placed, children(order, placed, state)))
+        while stack:
+            parent, parent_placed, pending = stack[-1]
+            step = next(pending, None)
+            if step is not None:
+                item, state = step
+                order, placed = parent + (item,), parent_placed | {item}
+                break
+            stack.pop()
+            dead.add(parent_placed)
+        else:
+            return None, nodes
 
 
 def search_d_quotients(

@@ -136,6 +136,18 @@ def test_vertex_budget_is_enforced():
         edge_ideal_betti(make_line(3, 3, 1), QQ, vertex_budget=5)
 
 
+def test_a_nerve_past_the_face_budget_is_refused():
+    """The 23 windows of 10 consecutive vertices mod 30 form one component
+    with too many faces to grow and a nerve of 2^23 faces: refused at
+    once, naming the budget."""
+    windows = [sum(1 << (i + k) % 30 for k in range(10)) for i in range(23)]
+    with pytest.raises(
+        SizeBudgetError,
+        match="^restriction nerve size 8388608 exceeds the face budget 4194304$",
+    ):
+        _RestrictionOracle(windows, GF2).dims_for((1 << 30) - 1)
+
+
 def test_quotient_ideal_conventions_shift_by_one():
     t = edge_ideal_betti(make_line(3, 3, 1), QQ)
     ideal_view = t.as_ideal()
@@ -399,7 +411,7 @@ def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch):
     dims_calls = []
     families: Counter[tuple[int, ...]] = Counter()
     dims_for = _RestrictionOracle.dims_for
-    ranks_by_size = betti._ranks_by_size
+    ranks_by_size = betti.ranks_by_size
 
     def counted_dims_for(self, vmask):
         dims_calls.append(vmask)
@@ -410,7 +422,7 @@ def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch):
         return ranks_by_size(faces_by_size, fld)
 
     monkeypatch.setattr(_RestrictionOracle, "dims_for", counted_dims_for)
-    monkeypatch.setattr(betti, "_ranks_by_size", counted_ranks)
+    monkeypatch.setattr(betti, "ranks_by_size", counted_ranks)
     table = clique_ideal_betti(make_line(5, 4, 1), 4, GF2)
     assert table.n == 16 and table.beta(0, 0) == 1
     assert not dims_calls
@@ -551,13 +563,13 @@ def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, de
     assert grow_faces(h.vertices, h.edges, 2, BIG_FACE_CAP) is not None
     betti._shape_dims.cache_clear()
     calls = []
-    ranks_by_size = betti._ranks_by_size
+    ranks_by_size = betti.ranks_by_size
 
     def counted(faces_by_size, fld):
         calls.append(fld)
         return ranks_by_size(faces_by_size, fld)
 
-    monkeypatch.setattr(betti, "_ranks_by_size", counted)
+    monkeypatch.setattr(betti, "ranks_by_size", counted)
     assert edge_restriction_sum(h, GF2) == degenerate(10, 1)
     assert 0 < len(calls) <= most
     if family is make_line:
@@ -687,7 +699,7 @@ def test_the_split_tree_is_planned_before_any_rank(monkeypatch):
     """Every leaf's restriction sum is planned before the first rank runs,
     and the splits themselves rank nothing."""
     log = []
-    terms, ranks_by_size = betti._restriction_terms, betti._ranks_by_size
+    terms, ranks_by_size = betti._restriction_terms, betti.ranks_by_size
 
     def planned(nonfaces, fld):
         log.append("plan")
@@ -698,7 +710,7 @@ def test_the_split_tree_is_planned_before_any_rank(monkeypatch):
         return ranks_by_size(faces_by_size, fld)
 
     monkeypatch.setattr(betti, "_restriction_terms", planned)
-    monkeypatch.setattr(betti, "_ranks_by_size", ranked)
+    monkeypatch.setattr(betti, "ranks_by_size", ranked)
     monkeypatch.setattr(betti, "_split_tables", {})
     betti._shape_dims.cache_clear()
     assert edge_ideal_betti(_TWO_LEAVES, GF2) == edge_restriction_sum(_TWO_LEAVES, GF2)

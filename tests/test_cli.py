@@ -18,7 +18,10 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperbetti import BettiTable, betti, cycle_betti_closed_form, line_betti_closed_form
+from hyperbetti.bitsets import mask_of
 from hyperbetti.cli import main
+from hyperbetti.complexes import SimplicialComplex
+from hyperbetti.ideal import ShellingCertificate, verify_d_shelling
 
 SRC = str(Path(__file__).resolve().parents[1] / "src")
 
@@ -111,6 +114,22 @@ def test_gen_listing_too_many_edges_is_refused(capsys, argv):
     assert out == ""
     assert [line for line in err.splitlines() if line.startswith("error:")] == [
         "error: the family lists more than 262144 20-subsets of 40 vertices"
+    ]
+
+
+@pytest.mark.parametrize("family, vertices", [("line", 60000001), ("cycle", 60000000),
+                                              ("star", 60000001)])
+def test_gen_overlap_family_past_the_vertex_limit_is_refused(capsys, family, vertices):
+    """30,000,000 edges of size 3 need more than 63 vertices: refused as
+    a usage error before any edge is listed."""
+    start = time.perf_counter()
+    code, out, err = run(capsys, "gen", "--family", family, "--n", "30000000", "--d", "3",
+                         "--alpha", "1")
+    assert time.perf_counter() - start < 1
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        f"error: vertex count must be between 0 and 63, got {vertices}"
     ]
 
 
@@ -451,6 +470,22 @@ def test_shell_finds_an_order(capsys, tmp_path):
     cert = json.loads(out)
     assert cert["d"] == 1
     assert len(cert["ordering"]) == 2
+
+
+def test_shell_searches_past_the_recursion_limit(capsys, tmp_path):
+    """The 1,225 edges of K50 as facets: the search places them one by one,
+    deeper than the interpreter's recursion limit, and prints a shelling
+    the verifier accepts."""
+    edges = [list(pair) for pair in itertools.combinations(range(50), 2)]
+    path = tmp_path / "k50.json"
+    path.write_text(json.dumps({"n": 50, "edges": edges}))
+    code, out, _ = run(capsys, "shell", str(path), "--d", "1", "--max-facets", "2000")
+    assert code == 0
+    cert = json.loads(out)
+    assert len(cert["ordering"]) == len(edges)
+    c = SimplicialComplex.from_faces(50, edges)
+    ordering = tuple(mask_of(f) for f in cert["ordering"])
+    assert isinstance(verify_d_shelling(c, ordering, 1), ShellingCertificate)
 
 
 def test_shell_reports_absence(capsys, tmp_path):

@@ -16,6 +16,7 @@ from hyperbetti import (
     FieldSpec,
     ParameterError,
     SimplicialComplex,
+    SizeBudgetError,
     parse_field,
     reduced_homology_dims,
 )
@@ -156,6 +157,17 @@ def test_empty_complex_carries_degree_minus_one():
 def test_full_simplex_is_acyclic():
     c = SimplicialComplex.from_faces(4, [[0, 1, 2, 3]])
     assert reduced_homology_dims(c, GF3) == {}
+
+
+def test_face_enumeration_past_the_face_budget_is_refused():
+    """The full simplex on 23 vertices has 2^23 faces, twice the budget:
+    refused before any is listed."""
+    c = SimplicialComplex.from_faces(23, [list(range(23))])
+    with pytest.raises(
+        SizeBudgetError,
+        match="^face enumeration cost 8388608 exceeds the face budget 4194304$",
+    ):
+        reduced_homology_dims(c, GF2)
 
 
 def test_projective_plane_detects_characteristic_two():

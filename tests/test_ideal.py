@@ -13,6 +13,7 @@ from hyperbetti import (
     MonomialIdeal,
     ParameterError,
     PreconditionError,
+    SizeBudgetError,
     edge_ideal,
     make_line,
     make_star_overlap,
@@ -33,6 +34,7 @@ from hyperbetti.ideal import (
     duality_bridge,
     extend_ring,
     quotient_order_from_shelling,
+    search_order,
     shelling_order_from_quotient,
     sr_complex,
 )
@@ -134,8 +136,6 @@ def test_shelling_refusal_names_the_step():
 
 
 def test_shelling_search_budget():
-    from hyperbetti import SizeBudgetError
-
     c = SimplicialComplex.from_faces(6, [[i, j] for i in range(6) for j in range(i + 1, 6)])
     with pytest.raises(SizeBudgetError):
         search_d_shelling(c, 1, max_facets=5)
@@ -225,3 +225,67 @@ def test_ordering_searches_match_every_permutation(case):
     if shelling is not None:
         assert isinstance(verify_d_shelling(dual, shelling, d), ShellingCertificate)
 
+
+
+def _recursive_search(start, children, done, node_budget=None):
+    """The ordering search as plain recursion, one call per placed item."""
+    dead, nodes = set(), 0
+
+    def extend(order, placed, state):
+        nonlocal nodes
+        if done(order, state):
+            return order
+        if placed in dead:
+            return None
+        nodes += 1
+        if node_budget is not None and nodes > node_budget:
+            raise SizeBudgetError("search node budget exhausted")
+        for item, after in children(order, placed, state):
+            found = extend(order + (item,), placed | {item}, after)
+            if found is not None:
+                return found
+        dead.add(placed)
+        return None
+
+    return extend((), frozenset(), start), nodes
+
+
+@settings(max_examples=200, deadline=None)
+@given(
+    st.lists(st.tuples(st.integers(0, 63), st.integers(0, 63)), min_size=1, max_size=6),
+    st.none() | st.integers(0, 40),
+)
+def test_search_order_expands_what_the_recursion_expands(rules, node_budget):
+    """Item j may follow once every item of its prerequisite mask is placed
+    and none of its conflict mask is: the explicit stack returns the same
+    ordering and node count as the recursion, or refuses at the same
+    budget."""
+    t = len(rules)
+
+    def children(order, placed, state):
+        have = mask_of(placed)
+        for j, (needs, bars) in enumerate(rules):
+            if j not in placed and needs & ~have & ((1 << t) - 1) == 0 and not bars & have:
+                yield j, state + j
+
+    def done(order, state):
+        return len(order) == t
+
+    def outcome(search):
+        try:
+            return search(0, children, done, node_budget)
+        except SizeBudgetError as exc:
+            return str(exc)
+
+    assert outcome(search_order) == outcome(_recursive_search)
+
+
+def test_search_order_places_a_chain_past_the_recursion_limit():
+    """Each item has one successor, so the ordering of 5,000 items is one
+    path of 5,000 placements, deeper than the interpreter's recursion
+    limit."""
+    t = 5000
+    found, nodes = search_order(
+        None, lambda order, placed, _: iter([(len(order), None)]), lambda order, _: len(order) == t
+    )
+    assert found == tuple(range(t)) and nodes == t

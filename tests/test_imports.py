@@ -1,5 +1,6 @@
 """The package's source structure: imports sit at module level and form no
-cycle, and every private helper has a caller."""
+cycle, no module imports another's private name, and every private helper
+has a caller."""
 
 from __future__ import annotations
 
@@ -51,6 +52,20 @@ def test_the_package_modules_import_each_other_without_a_cycle():
     for module in imports:
         visit(module, ())
     assert "betti" not in imports["ideal"] | imports["chordal"]
+
+
+def test_no_module_imports_a_private_name_from_another():
+    """A rule shared between modules lives in one place under a public
+    name: no ``from .module import _name`` anywhere in the package."""
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in MODULES
+        for node in ast.walk(_tree(path))
+        if isinstance(node, ast.ImportFrom) and node.level == 1
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert not found, found
 
 
 def test_every_private_function_is_referenced_outside_its_own_def():
