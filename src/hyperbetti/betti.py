@@ -24,7 +24,7 @@ lowest free vertex, down to single generators and to leaves with no
 free vertex, which the sum answers; an edge set with no free vertex is a
 tree of one leaf.  The tree is built, its distinct nodes counted against
 the plan budget and every leaf's sum planned before any rank runs; over
-the budget, the sum runs on the whole edge set instead.
+the budget, or when a leaf refuses, the route refuses.
 
 Subsets that induce a cone contribute nothing, so the sum runs over the
 support U, the union of the minimal nonfaces, and has two plans:
@@ -620,15 +620,11 @@ def edge_ideal_betti(
     """Betti table of R/I(H) by free-vertex Betti splittings, with the
     restriction sum at the leaves.
 
-    An edge set with no free vertex is a tree of one leaf.  One whose
-    split tree, or any leaf's plan, is over the plan budget, or whose
-    leaves refuse, goes to the restriction sum on the whole edge set,
-    which answers or refuses as ``edge_restriction_sum`` does."""
+    An edge set with no free vertex is a tree of one leaf.  The route
+    refuses with SizeBudgetError when the split tree, or any leaf's plan,
+    is over the plan budget, or when a leaf refuses."""
     _check_vertex_budget(h.vertices, vertex_budget)
-    try:
-        entries = _split_entries(_shape_of(h.edges), fld)
-    except SizeBudgetError:
-        return _restriction_sum(h.vertices, h.edges, fld)
+    entries = _split_entries(_shape_of(h.edges), fld)
     return BettiTable("ideal", h.vertices.bit_count(), entries).as_quotient()
 
 
@@ -669,14 +665,26 @@ def ideal_betti(ideal: MonomialIdeal, fld: FieldSpec = QQ) -> BettiTable:
 def taylor_betti_free_vertex(h: Hypergraph) -> BettiTable:
     """Subset-counting Betti table for edge sets where every edge keeps
     a private vertex: entry (i, j) counts the i-subsets of edges whose
-    union has j vertices.  Characteristic-free."""
+    union has j vertices.  Characteristic-free; refused past FACE_BUDGET
+    subfamilies, before any is listed."""
     if not every_edge_has_free_vertex(h):
         raise PreconditionError("needs a private vertex in every edge")
+    check_taylor_budget(len(h.edges))
     entries: dict[tuple[int, int], int] = {}
     for S, union in enumerate(subfamily_unions(sorted(h.edges))):
         key = (S.bit_count(), union.bit_count())
         entries[key] = entries.get(key, 0) + 1
     return BettiTable("quotient", h.num_vertices, entries)
+
+
+def check_taylor_budget(edge_count: int) -> None:
+    """Refuse a subset count over more than FACE_BUDGET subfamilies: 2^k
+    exceeds the budget exactly when k reaches its bit length."""
+    if edge_count >= FACE_BUDGET.bit_length():
+        raise SizeBudgetError(
+            f"the subset count over {edge_count} generators has more than "
+            f"{FACE_BUDGET} subfamilies (the face budget)"
+        )
 
 
 def _check_overlap_family(n: int, d: int, alpha: int, min_n: int) -> None:

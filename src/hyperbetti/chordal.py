@@ -15,6 +15,7 @@ import json
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
+from typing import Iterable
 
 from .bitsets import bits_of, contains, k_submasks, mask_of, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
@@ -110,47 +111,83 @@ class AttachmentSequence:
     def from_json(cls, text: str) -> "AttachmentSequence":
         return cls.from_json_obj(json.loads(text))
 
+    @classmethod
+    def from_pieces(cls, d: int, pieces: Iterable[int]) -> "AttachmentSequence":
+        """The recipe that glues these pieces, given as vertex masks, in
+        this order: a piece's vertices new to the build take the next free
+        labels in increasing order, and its glue is its part inside the
+        earlier pieces, which must lie in a single one of them."""
+        label: dict[int, int] = {}
+        earlier: list[int] = []
+        seen = 0
+        steps = []
+        for piece in pieces:
+            glue = piece & seen
+            if glue and not any(contains(c, glue) for c in earlier):
+                raise PreconditionError(
+                    "the pieces lost the running-intersection property"
+                )
+            glue_labels = tuple(sorted(label[v] for v in bits_of(glue)))
+            for v in bits_of(piece & ~seen):
+                label[v] = len(label)
+            steps.append(AttachmentStep(piece.bit_count(), glue_labels))
+            earlier.append(piece)
+            seen |= piece
+        return cls(d, tuple(steps))
+
+    def pieces(self) -> tuple[int, ...]:
+        """The pieces as vertex masks, in step order.
+
+        New vertices get the next free labels, in order, so the same recipe
+        always yields the same pieces.  Every step adds a vertex, so the
+        last piece holds the highest label: its bit length is the vertex
+        count.  Each step is checked when it is reached: its glue vertices
+        exist, the glue lies inside one earlier piece, the build keeps
+        within MAX_VERTICES vertices, and its pieces of at least d vertices
+        list at most MAX_LISTED_EDGES d-subsets in all."""
+        n = listed = 0
+        pieces: list[int] = []
+        for pos, step in enumerate(self.steps):
+            gmask = 0
+            for v in step.glue:
+                if not 0 <= v < n:
+                    raise ParameterError(
+                        f"step {pos}: glue vertex {v} does not exist yet"
+                    )
+                gmask |= 1 << v
+            if gmask:
+                for c in pieces:
+                    if contains(c, gmask):
+                        break
+                else:
+                    raise ParameterError(
+                        f"step {pos}: glue does not lie inside any complete piece"
+                    )
+            fresh = step.size - len(step.glue)
+            if n + fresh > MAX_VERTICES:
+                raise ParameterError(
+                    f"step {pos}: the recipe needs more than {MAX_VERTICES} vertices"
+                )
+            if step.size >= self.d:
+                listed += comb(step.size, self.d)
+                if listed > MAX_LISTED_EDGES:
+                    raise SizeBudgetError(
+                        f"step {pos}: the recipe lists more than {MAX_LISTED_EDGES} edges"
+                    )
+            pieces.append(gmask | ((1 << fresh) - 1) << n)
+            n += fresh
+        return tuple(pieces)
+
 
 def build_chordal_with_chunks(
     seq: AttachmentSequence,
 ) -> tuple[Hypergraph, tuple[int, ...]]:
-    """Run the recipe, returning the hypergraph and the pieces as masks.
-
-    New vertices get the next free labels, in order, so rebuilding the same
-    sequence is byte-stable.  Pieces smaller than d contribute no edges and
-    just deposit isolated vertices (which later steps may glue onto).
-    """
-    n = listed = 0
-    chunks: list[int] = []
-    edges: set[int] = set()
-    for pos, step in enumerate(seq.steps):
-        gmask = 0
-        for v in step.glue:
-            if not 0 <= v < n:
-                raise ParameterError(
-                    f"step {pos}: glue vertex {v} does not exist yet"
-                )
-            gmask |= 1 << v
-        if gmask and not any(contains(c, gmask) for c in chunks):
-            raise ParameterError(
-                f"step {pos}: glue does not lie inside any complete piece"
-            )
-        fresh = step.size - len(step.glue)
-        if n + fresh > MAX_VERTICES:
-            raise ParameterError(
-                f"step {pos}: the recipe needs more than {MAX_VERTICES} vertices"
-            )
-        chunk = gmask | (((1 << fresh) - 1) << n)
-        n += fresh
-        chunks.append(chunk)
-        if step.size >= seq.d:
-            listed += comb(step.size, seq.d)
-            if listed > MAX_LISTED_EDGES:
-                raise SizeBudgetError(
-                    f"step {pos}: the recipe lists more than {MAX_LISTED_EDGES} edges"
-                )
-            edges.update(k_submasks(chunk, seq.d))
-    return Hypergraph(n, frozenset(edges)), tuple(chunks)
+    """Run the recipe, returning the hypergraph and its pieces as masks.
+    Pieces smaller than d contribute no edges and just deposit isolated
+    vertices (which later steps may glue onto)."""
+    pieces = seq.pieces()
+    edges = {e for p in pieces if p.bit_count() >= seq.d for e in k_submasks(p, seq.d)}
+    return Hypergraph(pieces[-1].bit_length(), frozenset(edges)), pieces
 
 
 def build_chordal(seq: AttachmentSequence) -> Hypergraph:
@@ -158,16 +195,15 @@ def build_chordal(seq: AttachmentSequence) -> Hypergraph:
     return build_chordal_with_chunks(seq)[0]
 
 
-def auto_glue(chunks: tuple[int, ...], n: int, j: int) -> tuple[int, ...]:
+def auto_glue(pieces: Iterable[int], j: int) -> tuple[int, ...]:
     """Lexicographically least j-tuple of existing labels that is a valid
-    glue (inside a single piece); used by the CLI's "auto" mode."""
-    if j == 0:
-        return ()
-    for cand in combinations(range(n), j):
-        m = mask_of(cand)
-        if any(contains(c, m) for c in chunks):
-            return cand
-    raise ParameterError(f"no valid glue of size {j} exists")
+    glue (inside a single piece); used by the CLI's "auto" mode.  Any
+    valid j-tuple lies in some piece, whose j least vertices come no
+    later, so the least is the least over the pieces of their j least."""
+    fits = [tuple(bits_of(p)[:j]) for p in pieces if p.bit_count() >= j >= 0]
+    if not fits:
+        raise ParameterError(f"no valid glue of size {j} exists")
+    return min(fits)
 
 
 def sequence_for_line(n: int, d: int, alpha: int) -> AttachmentSequence:
@@ -238,36 +274,17 @@ def hypergraph_sequence_from_graph(g: Hypergraph, d: int) -> AttachmentSequence:
         raise PreconditionError("input graph is not chordal")
     order = rep.elimination_order
     assert order is not None
-    pos = {v: k for k, v in enumerate(order)}
+    # label the vertices latest-eliminated first, so that the recipe gives
+    # each clique's new vertices their labels in that order
+    rank = {v: len(order) - 1 - k for k, v in enumerate(order)}
     adj = _adjacency(g)
     cliques: list[int] = []
     for v in order:
-        later = [u for u in bits_of(adj[v]) if pos[u] > pos[v]]
-        cand = (1 << v) | mask_of(later)
+        cand = mask_of(rank[u] for u in bits_of(adj[v]) if rank[u] < rank[v]) | 1 << rank[v]
         if not any(contains(c, cand) for c in cliques):
             cliques.append(cand)
     cliques.reverse()
-    steps: list[AttachmentStep] = []
-    label_of: dict[int, int] = {}
-    chunks: list[int] = []
-    for c in cliques:
-        members = sorted(bits_of(c), key=lambda u: pos[u], reverse=True)
-        old = [u for u in members if u in label_of]
-        glue = tuple(sorted(label_of[u] for u in old))
-        nxt = len(label_of)
-        for u in members:
-            if u not in label_of:
-                label_of[u] = nxt
-                nxt += 1
-        steps.append(AttachmentStep(len(members), glue))
-        chunks.append(mask_of(label_of[u] for u in members))
-        if glue and not any(
-            contains(ch, mask_of(glue)) for ch in chunks[:-1]
-        ):
-            raise PreconditionError(
-                "clique ordering lost the running-intersection property"
-            )
-    return AttachmentSequence(max(d, 2), tuple(steps))
+    return AttachmentSequence.from_pieces(max(d, 2), cliques)
 
 
 # -- graph chordality --------------------------------------------------
@@ -609,22 +626,8 @@ def realization_search(
         states += nodes
         if found is not None:
             return RealizationReport(
-                d, "chordal", _sequence_from_chunks(found, d), states
+                d, "chordal", AttachmentSequence.from_pieces(d, found), states
             )
         if conclusive:
             return RealizationReport(d, "not_chordal", None, states)
     raise AssertionError("unreachable: the conclusive phase always returns")
-
-
-def _sequence_from_chunks(chunks: tuple[int, ...], d: int) -> AttachmentSequence:
-    """Relabel a concrete chunk list into a buildable sequence."""
-    label: dict[int, int] = {}
-    steps = []
-    for c in chunks:
-        members = bits_of(c)
-        glue = tuple(sorted(label[v] for v in members if v in label))
-        for v in members:
-            if v not in label:
-                label[v] = len(label)
-        steps.append(AttachmentStep(len(members), glue))
-    return AttachmentSequence(d, tuple(steps))

@@ -21,11 +21,13 @@ import functools
 import json
 import sys
 import time
+from math import comb
 
 from . import cache
 from .betti import (
     VERTEX_BUDGET,
     BettiTable,
+    check_taylor_budget,
     clique_ideal_betti,
     cycle_betti_closed_form,
     cycle_betti_degenerate,
@@ -41,14 +43,13 @@ from .chordal import (
     AttachmentStep,
     auto_glue,
     build_chordal,
-    build_chordal_with_chunks,
     realization_search,
 )
 from .complexes import SimplicialComplex, alexander_dual, clique_complex, independence_complex
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import parse_field
 from .hypergraph import OVERLAP_FAMILIES, FamilySpec, Hypergraph, canonical_hash, canonical_json
-from .hypergraph import make_complete, make_multipartite, non_edges
+from .hypergraph import MAX_LISTED_EDGES, make_complete, make_multipartite, non_edges
 from .ideal import MonomialIdeal, ShellingRefusal, edge_ideal, search_d_shelling, verify_d_shelling
 from .verify import run_check
 
@@ -175,6 +176,9 @@ def _betti_table(args: argparse.Namespace, h: Hypergraph, fam: FamilySpec | None
     if args.complex == "clique":
         d = _uniformity(h, args.d)
         if args.method == "taylor":
+            count = comb(h.vertices.bit_count(), d) - len(h.edges)
+            if count > MAX_LISTED_EDGES:  # too many to list, and far past the subset budget
+                check_taylor_budget(count)
             complement = Hypergraph(h.n_vertices, frozenset(non_edges(h, d)), h.vertices)
             return taylor_betti_free_vertex(complement)
         return clique_ideal_betti(h, d, fld, vertex_budget=args.max_vertices)
@@ -226,12 +230,14 @@ def cmd_verify(args: argparse.Namespace) -> int:
 # -- shell --------------------------------------------------------------
 
 
-def _complex_from_input(obj: dict, complex_kind: str, d_flag: int | None) -> SimplicialComplex:
+def _complex_from_input(
+    obj: dict, complex_kind: str, d_flag: int | None, cap: int
+) -> SimplicialComplex:
     if "facets" in obj:
         return SimplicialComplex.from_json_obj(obj)
     h = Hypergraph.from_json_obj(obj)
     if complex_kind == "independence":
-        return independence_complex(h)
+        return independence_complex(h, cap)
     if complex_kind == "clique":
         return clique_complex(h, _uniformity(h, d_flag))
     return SimplicialComplex.from_faces(h.n_vertices, h.edges, h.vertices)
@@ -239,7 +245,9 @@ def _complex_from_input(obj: dict, complex_kind: str, d_flag: int | None) -> Sim
 
 def cmd_shell(args: argparse.Namespace) -> int:
     obj = _load_obj(args.input)
-    c = _complex_from_input(obj, args.complex, args.uniform)
+    # a search refuses past --max-facets facets, so the dualization may stop there
+    cap = MAX_LISTED_EDGES if args.order is not None else args.max_facets
+    c = _complex_from_input(obj, args.complex, args.uniform, cap)
     if args.order is not None:
         facets = c.facet_list()
         try:
@@ -299,8 +307,8 @@ def _parse_build_spec(text: str, d: int) -> AttachmentSequence:
                 raise ParameterError("the first piece cannot glue onto anything")
             steps.append(AttachmentStep(size, ()))
             continue
-        built, chunks = build_chordal_with_chunks(AttachmentSequence(d, tuple(steps)))
-        steps.append(AttachmentStep(size, auto_glue(chunks, built.n_vertices, glue_size)))
+        pieces = AttachmentSequence(d, tuple(steps)).pieces()
+        steps.append(AttachmentStep(size, auto_glue(pieces, glue_size)))
     return AttachmentSequence(d, tuple(steps))
 
 

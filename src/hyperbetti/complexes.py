@@ -19,8 +19,8 @@ from math import comb
 
 from .bitsets import bits_of, contains, k_submasks, mask_of, max_antichain, min_antichain, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
-from .hypergraph import Hypergraph, canonical_json, json_int, json_vertex_set, json_vertex_sets
-from .hypergraph import non_edges
+from .hypergraph import MAX_LISTED_EDGES, Hypergraph, canonical_json, json_int
+from .hypergraph import json_vertex_set, json_vertex_sets, non_edges
 
 
 @dataclass(frozen=True)
@@ -100,7 +100,7 @@ class SimplicialComplex:
 # -- transversals and nonfaces ---------------------------------------
 
 
-def minimal_transversals(masks) -> frozenset[int]:
+def minimal_transversals(masks, cap: int = MAX_LISTED_EDGES) -> frozenset[int]:
     """All minimal sets meeting every mask in the family.
 
     Incremental dualization: fold one mask m in at a time.  The minimal
@@ -114,9 +114,18 @@ def minimal_transversals(masks) -> frozenset[int]:
     lie inside t | v only when h meets m in v alone, so only those h are
     tried.  An empty family has the empty set as its unique transversal;
     a family containing the empty mask has none.
+
+    The masks go in increasing order, so the fold of the last mask inside
+    the vertices 0..k ends with the minimal transversals of the masks
+    inside 0..k.  Each of those, with the vertices above k added and then
+    trimmed above k, becomes a minimal transversal of the whole family
+    that meets 0..k in it, so the family has at least as many.  Once that
+    fold holds more than cap of them, it stops and refuses with
+    SizeBudgetError.
     """
     trans: list[int] = [0]
-    for m in sorted(set(masks)):
+    ordered = sorted(set(masks))
+    for m, after in zip(ordered, ordered[1:] + [None]):
         if m == 0:
             return frozenset()
         grown = [t for t in trans if t & m]
@@ -124,7 +133,10 @@ def minimal_transversals(masks) -> frozenset[int]:
         for h in grown:
             if (h & m).bit_count() == 1:
                 meets_only.setdefault(h & m, []).append(h)
+        ends_group = after is None or after.bit_length() > m.bit_length()
         for t in trans:
+            if ends_group and len(grown) > cap:
+                break
             if t & m:
                 continue
             mm = m
@@ -138,6 +150,8 @@ def minimal_transversals(masks) -> frozenset[int]:
                 else:
                     grown.append(cand)
         trans = grown
+        if ends_group and len(trans) > cap:
+            raise SizeBudgetError(f"the dualization yields more than {cap} sets")
     return frozenset(trans)
 
 
@@ -151,10 +165,10 @@ def minimal_nonfaces(c: SimplicialComplex) -> frozenset[int]:
     return minimal_transversals(c.vertices & ~f for f in c.facets)
 
 
-def independence_complex(h: Hypergraph) -> SimplicialComplex:
-    """Faces are the sets containing no edge of h."""
+def independence_complex(h: Hypergraph, cap: int = MAX_LISTED_EDGES) -> SimplicialComplex:
+    """Faces are the sets containing no edge of h; refused past cap facets."""
     facets = frozenset(
-        h.vertices & ~t for t in minimal_transversals(h.edges)
+        h.vertices & ~t for t in minimal_transversals(h.edges, cap)
     )
     return SimplicialComplex(h.n_vertices, facets, h.vertices)
 

@@ -23,9 +23,10 @@ from .errors import ParameterError, SizeBudgetError
 
 MAX_VERTICES = 63
 # Family makers and build recipes listing more d-subsets than this
-# (repeats counted) are refused before any is listed: more edges than
-# any hypergraph on 20 vertices has (C(20, 10) = 184,756), the default
-# vertex budget of the Betti routes.
+# (repeats counted) are refused before any is listed, and a dualization
+# yielding more sets is refused as it passes it: more than any antichain
+# on 20 vertices holds (C(20, 10) = 184,756), the default vertex budget
+# of the Betti routes.
 MAX_LISTED_EDGES = 1 << 18
 
 

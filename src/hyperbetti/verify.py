@@ -30,9 +30,9 @@ resolution and an ordering search (``_two_gluing_computed``).
 
 Work is shared only within one run of a check.  The sequence checks
 deduplicate their pools by the hypergraph each attachment sequence
-builds, read from its steps without building it (``_build_key``), and
-build only the sequences they keep, handing the built hypergraph and
-pieces to their cases.  ``graph-corollary``
+builds, read from its pieces without listing an edge (``_build_key``),
+and build only the sequences they keep, handing the built hypergraph
+and pieces to their cases.  ``graph-corollary``
 keeps a memo keyed by isomorphism class (``_graph_orbits``) for the
 invariants of the ideal and checks every 97th repeat of a class against
 a recomputation.
@@ -730,23 +730,19 @@ Build = tuple[str, int, Hypergraph, tuple[int, ...]]
 
 
 def _build_key(seq: AttachmentSequence) -> int:
-    """The labelled hypergraph a sequence builds, read from its steps alone:
-    its vertex count and, when some piece has at least d vertices, d and
-    the inclusion-maximal such pieces, sorted, packed into one int of
-    64-bit fields.
+    """The labelled hypergraph a sequence builds, read from its pieces
+    without listing an edge: its vertex count and, when some piece has at
+    least d vertices, d and the inclusion-maximal such pieces, sorted,
+    packed into one int of 64-bit fields.
 
     Every piece after the first has a fresh vertex, so each set of at
     least d vertices whose d-subsets are all edges lies inside one piece:
     the maximal pieces are the maximal cliques of the edge set, and the
     two determine each other.  With no such piece the build is edgeless
     whatever d is, so d is left out."""
-    n = 0
-    pieces: list[int] = []
-    for step in seq.steps:
-        fresh = step.size - len(step.glue)
-        if step.size >= seq.d:
-            pieces.append(mask_of(step.glue) | ((1 << fresh) - 1) << n)
-        n += fresh
+    pieces = seq.pieces()
+    n = pieces[-1].bit_length()
+    pieces = [p for p in pieces if p.bit_count() >= seq.d]
     if not pieces:
         return n
     key = 0
@@ -908,31 +904,18 @@ def _td_sequences(grid: Mapping) -> list[Build]:
     extra = _val(grid, "steps", 3)
     for d in _span(grid, "d", 2, 3):
         for base in range(d - 1, 5):
-            size = base + 1
-
-            def grow(
-                steps: tuple[AttachmentStep, ...],
-                chunks: tuple[int, ...],
-                n: int,
-                d: int = d,
-                base: int = base,
-                size: int = size,
-            ) -> None:
+            def grow(steps: tuple[AttachmentStep, ...], d: int = d, base: int = base) -> None:
                 label = f"d={d} glue={base} steps={_steps_label(steps)}"
-                pool.append((label, AttachmentSequence(d, steps)))
-                if len(steps) > extra or n >= vmax:
+                seq = AttachmentSequence(d, steps)
+                pool.append((label, seq))
+                pieces = seq.pieces()
+                if len(steps) > extra or pieces[-1].bit_length() >= vmax:
                     return
-                glues = set()
-                for c in chunks:
-                    for gmask in combinations(bits_of(c), base):
-                        glues.add(gmask)
-                for gmask in sorted(glues):
-                    step = AttachmentStep(size, gmask)
-                    chunk = mask_of(gmask) | (1 << n)
-                    grow(steps + (step,), chunks + (chunk,), n + 1)
+                glues = {g for c in pieces for g in combinations(bits_of(c), base)}
+                for glue in sorted(glues):
+                    grow(steps + (AttachmentStep(base + 1, glue),))
 
-            first = AttachmentStep(size)
-            grow((first,), (mask_of(range(size)),), size)
+            grow((AttachmentStep(base + 1),))
     return _stride(_distinct_builds(pool), _val(grid, "count", 80))
 
 
@@ -999,19 +982,14 @@ def check_diameter(grid: Mapping) -> Iterable[Case]:
     rng = random.Random(_val(grid, "seed", 5))
     for trial in range(_val(grid, "count2", 200)):
         steps = [AttachmentStep(rng.randrange(1, 5))]
-        chunks = [mask_of(range(steps[0].size))]
-        n = steps[0].size
         for _ in range(rng.randrange(1, 5)):
-            host = rng.choice(chunks)
-            host_verts = bits_of(host)
+            pieces = AttachmentSequence(2, tuple(steps)).pieces()
+            host_verts = bits_of(rng.choice(pieces))
             j = rng.randrange(0, len(host_verts) + 1)
             glue = tuple(sorted(rng.sample(host_verts, j)))
             size = j + rng.randrange(1, 4)
-            if n + size - j > 9:
-                continue
-            steps.append(AttachmentStep(size, glue))
-            chunks.append(mask_of(glue) | (((1 << (size - j)) - 1) << n))
-            n += size - j
+            if pieces[-1].bit_length() + size - j <= 9:
+                steps.append(AttachmentStep(size, glue))
         g, _ = build_chordal_with_chunks(AttachmentSequence(2, tuple(steps)))
         graphs.append((f"random trial={trial}", g))
     for label, g in graphs:

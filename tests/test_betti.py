@@ -720,8 +720,7 @@ def test_the_split_tree_is_planned_before_any_rank(monkeypatch):
 
 def test_the_split_tree_is_refused_exactly_past_the_plan_budget(monkeypatch):
     """The tree's distinct nodes are counted against the plan budget.  Past
-    it the route gives way to the restriction sum on the whole edge set,
-    which answers or refuses as it does alone."""
+    it the route refuses, and the tree's own refusal is the route's."""
     key = betti._shape_of(_TWO_LEAVES.edges)
     monkeypatch.setattr(betti, "_split_tables", {})
     splits, leaves = betti._split_plan(key, GF2)
@@ -729,18 +728,10 @@ def test_the_split_tree_is_refused_exactly_past_the_plan_budget(monkeypatch):
     with mock.patch.object(betti, "PLAN_BUDGET", nodes):
         betti._split_plan(key, GF2)
     with mock.patch.object(betti, "PLAN_BUDGET", nodes - 1):
-        with pytest.raises(SizeBudgetError, match="split tree has more than"):
+        with pytest.raises(SizeBudgetError, match="split tree has more than") as tree:
             betti._split_plan(key, GF2)
-        with pytest.raises(SizeBudgetError) as alone:
-            edge_restriction_sum(_TWO_LEAVES, GF2)
-        with pytest.raises(SizeBudgetError, match=re.escape(str(alone.value))):
+        with pytest.raises(SizeBudgetError, match=re.escape(str(tree.value))):
             edge_ideal_betti(_TWO_LEAVES, GF2)
-
-    def over_budget(key, fld):
-        raise SizeBudgetError("over")
-
-    monkeypatch.setattr(betti, "_split_plan", over_budget)
-    assert edge_ideal_betti(_TWO_LEAVES, QQ) == edge_restriction_sum(_TWO_LEAVES, QQ)
 
 
 def test_each_component_shape_is_answered_once(monkeypatch):

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import random
 
 import pytest
 from hypothesis import given, settings
@@ -23,7 +24,8 @@ from hyperbetti import (
     make_star_overlap,
     realization_search,
 )
-from hyperbetti.bitsets import bits_of, mask_of
+from hyperbetti import chordal
+from hyperbetti.bitsets import bits_of, contains, mask_of
 from hyperbetti.chordal import (
     ChordalityReport,
     _find_chordless_cycle,
@@ -35,6 +37,7 @@ from hyperbetti.chordal import (
     two_gluing_classification,
     two_gluing_hypergraph,
 )
+from hyperbetti.ideal import search_order
 
 
 def _cycle_graph(n):
@@ -79,9 +82,31 @@ def test_sequence_json_roundtrip():
 
 
 def test_auto_glue_prefers_lexicographic():
-    assert auto_glue((0b0111,), 3, 2) == (0, 1)
+    assert auto_glue((0b0111,), 2) == (0, 1)
     with pytest.raises(ParameterError):
-        auto_glue((0b0011,), 2, 3)
+        auto_glue((0b0011,), 3)
+
+
+def _reference_auto_glue(pieces, n, j):
+    """The least valid glue by walking every j-tuple of labels in order;
+    None when no j-tuple lies inside a piece."""
+    if j < 0:
+        return None
+    for cand in itertools.combinations(range(n), j):
+        if any(contains(c, mask_of(cand)) for c in pieces):
+            return cand
+    return None
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(1, 255), min_size=1, max_size=5), st.integers(-1, 9))
+def test_auto_glue_is_the_least_tuple_of_the_label_walk(pieces, j):
+    expected = _reference_auto_glue(pieces, max(p.bit_length() for p in pieces), j)
+    if expected is None:
+        with pytest.raises(ParameterError, match=f"no valid glue of size {j} exists"):
+            auto_glue(pieces, j)
+    else:
+        assert auto_glue(pieces, j) == expected
 
 
 def test_enumerate_sequences_are_distinct_and_bounded():
@@ -305,6 +330,74 @@ def test_realization_witness_replays_up_to_relabelling():
             else:
                 assert rep.outcome == "not_chordal"
     assert chordal == 894
+
+
+def _reference_graph_recipe(g, d):
+    """The recipe of a chordal graph by relabelling its maximal cliques,
+    taken in reverse elimination order, vertex by vertex, latest
+    eliminated first."""
+    order = chordal_graph_recognize(g).elimination_order
+    pos = {v: k for k, v in enumerate(order)}
+    adj = dict.fromkeys(order, 0)
+    for e in g.edges:
+        a, b = bits_of(e)
+        adj[a] |= 1 << b
+        adj[b] |= 1 << a
+    cliques = []
+    for v in order:
+        cand = (1 << v) | mask_of(u for u in bits_of(adj[v]) if pos[u] > pos[v])
+        if not any(contains(c, cand) for c in cliques):
+            cliques.append(cand)
+    label, steps = {}, []
+    for c in reversed(cliques):
+        members = sorted(bits_of(c), key=lambda u: pos[u], reverse=True)
+        glue = tuple(sorted(label[u] for u in members if u in label))
+        for u in members:
+            label.setdefault(u, len(label))
+        steps.append(AttachmentStep(len(members), glue))
+    return AttachmentSequence(max(d, 2), tuple(steps))
+
+
+def _reference_chunk_recipe(chunks, d):
+    """The recipe of a list of pieces, relabelled vertex by vertex in
+    increasing order."""
+    label, steps = {}, []
+    for c in chunks:
+        members = bits_of(c)
+        glue = tuple(sorted(label[v] for v in members if v in label))
+        for v in members:
+            label.setdefault(v, len(label))
+        steps.append(AttachmentStep(len(members), glue))
+    return AttachmentSequence(d, tuple(steps))
+
+
+def test_recipes_from_pieces_equal_the_vertex_by_vertex_relabelling(monkeypatch):
+    """On seeded random graphs, the recipe and the realization witness are
+    the ones the clique relabelling gives; on 3-uniform builds, the
+    witness is the relabelling of the pieces the search found."""
+    rng = random.Random(2323)
+    for _ in range(400):
+        n = rng.randrange(1, 12)
+        density = rng.random()
+        pairs = [mask_of(p) for p in itertools.combinations(range(n), 2)]
+        g = Hypergraph(n, frozenset(e for e in pairs if rng.random() < density))
+        if not chordal_graph_recognize(g).is_chordal:
+            continue
+        for d in (2, 3):
+            assert hypergraph_sequence_from_graph(g, d) == _reference_graph_recipe(g, d)
+        assert realization_search(g, 2).witness == _reference_graph_recipe(g, 2)
+    found = []
+
+    def recorded(*args):
+        result = search_order(*args)
+        found.append(result[0])
+        return result
+
+    monkeypatch.setattr(chordal, "search_order", recorded)
+    for seq in itertools.islice(enumerate_sequences(3, 6, 3), 0, None, 37):
+        found.clear()
+        rep = realization_search(build_chordal(seq), 3)
+        assert rep.witness == _reference_chunk_recipe(found[-1], 3)
 
 
 def test_realization_budget_reports_inconclusive():

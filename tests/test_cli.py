@@ -6,6 +6,7 @@ import contextlib
 import io
 import itertools
 import json
+import math
 import os
 import subprocess
 import sys
@@ -18,6 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperbetti import BettiTable, betti, cycle_betti_closed_form, line_betti_closed_form
+from hyperbetti import make_star_overlap
 from hyperbetti.bitsets import mask_of
 from hyperbetti.cli import main
 from hyperbetti.complexes import SimplicialComplex
@@ -319,19 +321,77 @@ def test_betti_refuses_the_clique_route_of_k10_10(capsys, tmp_path):
     )
 
 
-def _betti_refusal(tmp_path, path, *flags):
-    """Run ``hyperbetti betti`` as a program; it must exit 3 with nothing on
-    stdout and no traceback.  Returns its one error line."""
+def _refusal(tmp_path, *argv):
+    """Run ``hyperbetti`` as a program; it must print nothing on stdout and
+    no traceback.  Returns its exit code, its one error line and the
+    milliseconds it reports on its ``[time]`` line."""
     env = dict(os.environ, PYTHONPATH=SRC, HYPERBETTI_CACHE_DIR=str(tmp_path / "cache"))
     done = subprocess.run(
-        [sys.executable, "-m", "hyperbetti", "betti", str(path), *flags, "--no-cache"],
+        [sys.executable, "-m", "hyperbetti", *argv],
         capture_output=True, text=True, env=env, timeout=20,
     )
-    assert done.returncode == 3
     assert done.stdout == ""
     assert "Traceback" not in done.stderr
-    [line] = [line for line in done.stderr.splitlines() if line.startswith("error:")]
+    lines = done.stderr.splitlines()
+    [line] = [line for line in lines if line.startswith("error:")]
+    [ms] = [int(line.split()[-2]) for line in lines if line.startswith("[time]")]
+    return done.returncode, line, ms
+
+
+def _betti_refusal(tmp_path, path, *flags):
+    """Run ``hyperbetti betti`` as a program; it must exit 3.  Returns its
+    one error line."""
+    code, line, _ = _refusal(tmp_path, "betti", str(path), *flags, "--no-cache")
+    assert code == 3
     return line
+
+
+# 22 disjoint pairs: 2^22 minimal transversals, each pair's complement a facet
+_PAIRS = [[2 * i, 2 * i + 1] for i in range(22)]
+
+
+@pytest.mark.parametrize(
+    "argv, obj, code, message",
+    [
+        (
+            ["chordal", "--build", "10,10,10,10,10,10,21:20", "--d", "2"], None, 2,
+            "error: no valid glue of size 20 exists",
+        ),
+        (
+            ["betti", "--method", "taylor", "--no-cache"],
+            make_star_overlap(26, 2, 1).to_json_obj(), 3,
+            "error: the subset count over 26 generators has more than 4194304 "
+            "subfamilies (the face budget)",
+        ),
+        (
+            ["betti", "--complex", "clique", "--method", "taylor", "--no-cache"],
+            {"n": 63, "edges": [list(range(31))]}, 3,
+            f"error: the subset count over {math.comb(63, 31) - 1} generators has more "
+            "than 4194304 subfamilies (the face budget)",
+        ),
+        (
+            ["shell", "--complex", "independence", "--d", "1"], {"n": 44, "edges": _PAIRS}, 3,
+            "error: the dualization yields more than 12 sets",
+        ),
+        (
+            ["dual"],
+            {"n": 44, "facets": [[v for v in range(44) if v not in p] for p in _PAIRS]}, 3,
+            "error: the dualization yields more than 262144 sets",
+        ),
+    ],
+    ids=["chordal-glue", "betti-taylor", "betti-clique-taylor", "shell-independence", "dual"],
+)
+def test_unbounded_work_is_refused_before_it_starts(tmp_path, argv, obj, code, message):
+    """Each input asks for work with no useful bound: a glue search over
+    C(60, 20) tuples, a subset count over 2^26 or more subfamilies, or a
+    dualization with 2^22 sets.  Each is refused within a second."""
+    if obj is not None:
+        path = tmp_path / "in.json"
+        path.write_text(json.dumps(obj))
+        argv = [*argv, str(path)]
+    returncode, line, ms = _refusal(tmp_path, *argv)
+    assert (returncode, line) == (code, message)
+    assert ms < 1000
 
 
 def test_betti_answers_a_paper_line_at_a_raised_vertex_budget(capsys, tmp_path):
@@ -514,11 +574,13 @@ def test_shell_checks_an_explicit_order(capsys, tmp_path):
         (("betti", "--no-cache", "--max-vertices", "-1"),
          "error: --max-vertices must be nonnegative"),
         (("chordal", "--node-budget", "-5"), "error: --node-budget must be nonnegative"),
+        (("chordal", "--build", "3,3:-1", "--d", "2"), "error: no valid glue of size -1 exists"),
     ],
 )
 def test_meaningless_search_parameters_are_usage_errors(capsys, tmp_path, argv, message):
-    """A shelling of codimension below one, or a negative budget, is a
-    usage error with one error line, whether or not an order is given."""
+    """A shelling of codimension below one, a negative budget or a negative
+    glue size is a usage error with one error line, whether or not an
+    order is given."""
     path = tmp_path / "h.json"
     path.write_text('{"n":5,"edges":[[0,1,2],[2,3,4]]}')
     code, out, err = run(capsys, argv[0], str(path), *argv[1:])

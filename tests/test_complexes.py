@@ -10,6 +10,7 @@ from hyperbetti import (
     Hypergraph,
     ParameterError,
     SimplicialComplex,
+    SizeBudgetError,
     alexander_dual,
     clique_complex,
     independence_complex,
@@ -155,6 +156,30 @@ def test_minimal_transversals_edge_cases():
 def test_minimal_transversals_match_brute_force(n, data):
     family = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
     assert minimal_transversals(family) == _brute_minimal_transversals(n, family)
+
+
+def test_a_capped_dualization_counts_only_finished_prefixes():
+    """{1,2} and {0,3} have four minimal transversals; with {1,3} added
+    the family has three, which a cap of three admits."""
+    family = [0b0110, 0b1001, 0b1010]
+    assert minimal_transversals(family, 3) == _brute_minimal_transversals(4, family)
+    with pytest.raises(SizeBudgetError, match="more than 2 sets"):
+        minimal_transversals(family, 2)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(1, 8), st.data())
+def test_a_capped_dualization_refuses_exactly_past_its_cap(n, data):
+    """A nonempty family is refused exactly when it has more minimal
+    transversals than the cap, and answered in full otherwise."""
+    family = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=1, max_size=8))
+    cap = data.draw(st.integers(0, 20))
+    full = _brute_minimal_transversals(n, family)
+    if len(full) > cap:
+        with pytest.raises(SizeBudgetError, match=f"more than {cap} sets"):
+            minimal_transversals(family, cap)
+    else:
+        assert minimal_transversals(family, cap) == full
 
 
 def _as_sets(faces: dict[int, list[int]]) -> dict[int, set[int]]:
