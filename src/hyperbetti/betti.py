@@ -81,7 +81,7 @@ from math import comb, factorial
 from operator import or_
 from typing import Collection, Iterable, Iterator, Sequence
 
-from .bitsets import exactly_once, k_submasks, min_antichain, subfamily_unions
+from .bitsets import colon, exactly_once, k_submasks, subfamily_unions
 from .complexes import FACE_BUDGET, SimplicialComplex, grow_faces, minimal_nonfaces
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import QQ, FieldSpec, dims_above, dims_from_faces, ranks_by_size
@@ -549,7 +549,7 @@ def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]
     x = free & -free
     e = next(g for g in key if g & x)
     rest = [g for g in key if g != e]
-    return e.bit_count(), _shape_of(rest), _shape_of(min_antichain(g & ~e for g in rest))
+    return e.bit_count(), _shape_of(rest), _shape_of(colon(rest, e))
 
 
 def _split_plan(

@@ -71,6 +71,12 @@ def subfamily_unions(masks: Sequence[int]) -> list[int]:
     return unions
 
 
+def colon(masks: Iterable[int], m: int) -> frozenset[int]:
+    """The colon (masks : m) of squarefree monomials: the minimal sets
+    among g - m.  A mask inside m gives 0, the unit; no masks give none."""
+    return min_antichain(g & ~m for g in masks)
+
+
 def max_antichain(masks: Iterable[int]) -> frozenset[int]:
     """Inclusion-maximal elements of a family of masks.
 

@@ -12,8 +12,8 @@ edge arrangements slip into the class).
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
-from itertools import combinations
+from dataclasses import dataclass, field
+from itertools import chain, combinations
 from math import comb
 from typing import Iterable
 
@@ -64,10 +64,18 @@ class AttachmentStep:
 
 @dataclass(frozen=True)
 class AttachmentSequence:
-    """A build recipe: the uniformity d plus the ordered gluing steps."""
+    """A build recipe: the uniformity d plus the ordered gluing steps.
+
+    Its pieces are computed when it is made, each step checked as it is
+    reached: its glue vertices exist, the glue lies inside one earlier
+    piece, the build keeps within MAX_VERTICES vertices, and its pieces of
+    at least d vertices list at most MAX_LISTED_EDGES d-subsets in all.
+    So every recipe is valid.  New vertices get the next free labels, in
+    order, so the same recipe always yields the same pieces."""
 
     d: int
     steps: tuple[AttachmentStep, ...]
+    _pieces: tuple[int, ...] = field(init=False, repr=False, compare=False)
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "steps", tuple(self.steps))
@@ -77,6 +85,38 @@ class AttachmentSequence:
             raise ParameterError("need at least one step")
         if self.steps[0].glue:
             raise ParameterError("the first step cannot glue onto anything")
+        n = listed = 0
+        pieces: list[int] = []
+        for pos, step in enumerate(self.steps):
+            gmask = 0
+            for v in step.glue:
+                if not 0 <= v < n:
+                    raise ParameterError(
+                        f"step {pos}: glue vertex {v} does not exist yet"
+                    )
+                gmask |= 1 << v
+            if gmask:
+                for c in pieces:
+                    if contains(c, gmask):
+                        break
+                else:
+                    raise ParameterError(
+                        f"step {pos}: glue does not lie inside any complete piece"
+                    )
+            fresh = step.size - len(step.glue)
+            if n + fresh > MAX_VERTICES:
+                raise ParameterError(
+                    f"step {pos}: the recipe needs more than {MAX_VERTICES} vertices"
+                )
+            if step.size >= self.d:
+                listed += comb(step.size, self.d)
+                if listed > MAX_LISTED_EDGES:
+                    raise SizeBudgetError(
+                        f"step {pos}: the recipe lists more than {MAX_LISTED_EDGES} edges"
+                    )
+            pieces.append(gmask | ((1 << fresh) - 1) << n)
+            n += fresh
+        object.__setattr__(self, "_pieces", tuple(pieces))
 
     def to_json_obj(self) -> dict:
         return {
@@ -116,67 +156,24 @@ class AttachmentSequence:
         """The recipe that glues these pieces, given as vertex masks, in
         this order: a piece's vertices new to the build take the next free
         labels in increasing order, and its glue is its part inside the
-        earlier pieces, which must lie in a single one of them."""
+        earlier pieces, which the recipe's own check requires to lie in a
+        single one of them."""
         label: dict[int, int] = {}
-        earlier: list[int] = []
         seen = 0
         steps = []
         for piece in pieces:
-            glue = piece & seen
-            if glue and not any(contains(c, glue) for c in earlier):
-                raise PreconditionError(
-                    "the pieces lost the running-intersection property"
-                )
-            glue_labels = tuple(sorted(label[v] for v in bits_of(glue)))
+            glue_labels = tuple(sorted(label[v] for v in bits_of(piece & seen)))
             for v in bits_of(piece & ~seen):
                 label[v] = len(label)
             steps.append(AttachmentStep(piece.bit_count(), glue_labels))
-            earlier.append(piece)
             seen |= piece
         return cls(d, tuple(steps))
 
     def pieces(self) -> tuple[int, ...]:
-        """The pieces as vertex masks, in step order.
-
-        New vertices get the next free labels, in order, so the same recipe
-        always yields the same pieces.  Every step adds a vertex, so the
-        last piece holds the highest label: its bit length is the vertex
-        count.  Each step is checked when it is reached: its glue vertices
-        exist, the glue lies inside one earlier piece, the build keeps
-        within MAX_VERTICES vertices, and its pieces of at least d vertices
-        list at most MAX_LISTED_EDGES d-subsets in all."""
-        n = listed = 0
-        pieces: list[int] = []
-        for pos, step in enumerate(self.steps):
-            gmask = 0
-            for v in step.glue:
-                if not 0 <= v < n:
-                    raise ParameterError(
-                        f"step {pos}: glue vertex {v} does not exist yet"
-                    )
-                gmask |= 1 << v
-            if gmask:
-                for c in pieces:
-                    if contains(c, gmask):
-                        break
-                else:
-                    raise ParameterError(
-                        f"step {pos}: glue does not lie inside any complete piece"
-                    )
-            fresh = step.size - len(step.glue)
-            if n + fresh > MAX_VERTICES:
-                raise ParameterError(
-                    f"step {pos}: the recipe needs more than {MAX_VERTICES} vertices"
-                )
-            if step.size >= self.d:
-                listed += comb(step.size, self.d)
-                if listed > MAX_LISTED_EDGES:
-                    raise SizeBudgetError(
-                        f"step {pos}: the recipe lists more than {MAX_LISTED_EDGES} edges"
-                    )
-            pieces.append(gmask | ((1 << fresh) - 1) << n)
-            n += fresh
-        return tuple(pieces)
+        """The pieces as vertex masks, in step order.  Every step adds a
+        vertex, so the last piece holds the highest label: its bit length
+        is the vertex count."""
+        return self._pieces
 
 
 def build_chordal_with_chunks(
@@ -230,29 +227,21 @@ def enumerate_sequences(d: int, max_vertices: int, max_steps: int):
     one sequence per build and build only the sequences they keep.
     """
 
-    def extend(steps: list[AttachmentStep], n: int, chunks: list[int]):
+    def extend(steps: list[AttachmentStep]):
         seq = AttachmentSequence(d, tuple(steps))
         yield seq
         if len(steps) >= max_steps:
             return
-        glue_masks: set[int] = {0}
-        for c in chunks:
-            for size in range(1, c.bit_count() + 1):
-                glue_masks.update(k_submasks(c, size))
-        for gmask in sorted(glue_masks):
+        pieces = seq.pieces()
+        room = max_vertices - pieces[-1].bit_length()
+        for gmask in sorted({g for c in pieces for g in submasks(c)}):
             j = gmask.bit_count()
-            for size in range(j + 1, max_vertices + 1):
-                fresh = size - j
-                if n + fresh > max_vertices:
-                    break
-                step = AttachmentStep(size, tuple(bits_of(gmask)))
-                chunk = gmask | (((1 << fresh) - 1) << n)
-                yield from extend(steps + [step], n + fresh, chunks + [chunk])
+            glue = tuple(bits_of(gmask))
+            for size in range(j + 1, j + room + 1):
+                yield from extend(steps + [AttachmentStep(size, glue)])
 
     for first in range(1, max_vertices + 1):
-        yield from extend(
-            [AttachmentStep(first)], first, [(1 << first) - 1]
-        )
+        yield from extend([AttachmentStep(first)])
 
 
 # -- graph shadows -----------------------------------------------------
@@ -272,8 +261,12 @@ def hypergraph_sequence_from_graph(g: Hypergraph, d: int) -> AttachmentSequence:
     rep = chordal_graph_recognize(g)
     if not rep.is_chordal:
         raise PreconditionError("input graph is not chordal")
-    order = rep.elimination_order
-    assert order is not None
+    return _recipe_from_order(g, rep.elimination_order, d)
+
+
+def _recipe_from_order(g: Hypergraph, order: tuple[int, ...], d: int) -> AttachmentSequence:
+    """The recipe of a chordal graph from a perfect elimination order of
+    its vertices: its maximal cliques in reverse elimination order."""
     # label the vertices latest-eliminated first, so that the recipe gives
     # each clique's new vertices their labels in that order
     rank = {v: len(order) - 1 - k for k, v in enumerate(order)}
@@ -498,6 +491,19 @@ class RealizationReport:
     states_explored: int
 
 
+def _overlap_covered(m: int, others: Iterable[int]) -> bool:
+    """Whether every vertex of m lies in an overlap of two or more
+    vertices with one of the others."""
+    covered = 0
+    for other in others:
+        part = m & other
+        if part.bit_count() >= 2:
+            covered |= part
+            if covered == m:
+                return True
+    return False
+
+
 # Most vertices the build-recipe search takes.
 REALIZATION_MAX_VERTICES = 13
 
@@ -543,7 +549,7 @@ def realization_search(
         if not rep.is_chordal:
             return RealizationReport(2, "not_chordal", None, 0)
         return RealizationReport(
-            2, "chordal", hypergraph_sequence_from_graph(h, 2), 0
+            2, "chordal", _recipe_from_order(h, rep.elimination_order, 2), 0
         )
     if n > REALIZATION_MAX_VERTICES:
         raise SizeBudgetError(
@@ -570,30 +576,14 @@ def realization_search(
             continue
         smalls.add(m)
     while True:
-        doomed = []
-        for m in smalls:
-            for v in bits_of(m):
-                bit = 1 << v
-                if not any(
-                    other & bit and (other & m).bit_count() >= 2 for other in bigs
-                ) and not any(
-                    other != m and other & bit and (other & m).bit_count() >= 2
-                    for other in smalls
-                ):
-                    doomed.append(m)
-                    break
+        doomed = [
+            m for m in smalls
+            if not _overlap_covered(m, chain(bigs, (o for o in smalls if o != m)))
+        ]
         if not doomed:
             break
         smalls.difference_update(doomed)
-    hunt_smalls = []
-    for m in smalls:
-        covered = 0
-        for b in bigs:
-            part = m & b
-            if part.bit_count() >= 2:
-                covered |= part
-        if covered == m:
-            hunt_smalls.append(m)
+    hunt_smalls = [m for m in smalls if _overlap_covered(m, bigs)]
 
     def order(masks) -> list[int]:
         return sorted(masks, key=lambda m: (-m.bit_count(), m))

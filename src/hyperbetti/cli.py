@@ -397,7 +397,7 @@ def _build_parser() -> argparse.ArgumentParser:
 
     verify = sub.add_parser("verify", help="run a registered check over a parameter grid")
     verify.add_argument("--theorem", required=True, help="check id (see README for the list)")
-    verify.add_argument("--grid", default="", help='e.g. "n=3..6,alpha=1..2" or a preset name')
+    verify.add_argument("--grid", default="", help='e.g. "n=3..6,alpha=1..2"')
     verify.add_argument(
         "--timings", action="store_true", help="include per-instance timings in the JSON"
     )

@@ -187,6 +187,10 @@ def clique_complex(h: Hypergraph, d: int) -> SimplicialComplex:
     m = h.vertices.bit_count()
     if m < d:
         return SimplicialComplex(h.n_vertices, frozenset({h.vertices}), h.vertices)
+    if comb(m, d) - len(h.edges) > MAX_LISTED_EDGES:
+        raise SizeBudgetError(
+            f"the clique complex has more than {MAX_LISTED_EDGES} non-edge {d}-sets to list"
+        )
     # no complex on m vertices has more than 2^m faces, so the growth finishes
     cliques = grow_faces(h.vertices, non_edges(h, d), d, 1 << m)
     # the (d-1)-sets inside some edge: each edge with one vertex dropped

@@ -8,9 +8,11 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass
+from functools import reduce
+from operator import or_
 from typing import Iterable, Iterator, Sequence
 
-from .bitsets import bits_of, mask_of, max_antichain, min_antichain
+from .bitsets import bits_of, colon, mask_of, max_antichain, min_antichain
 from .complexes import SimplicialComplex, minimal_nonfaces, minimal_transversals
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .hypergraph import (
@@ -137,9 +139,7 @@ def colon_by_generator(prefix: MonomialIdeal, m: int) -> MonomialIdeal:
     An empty prefix gives the zero ideal; a prefix member dividing x^m gives
     the unit ideal.
     """
-    if prefix.is_zero:
-        return MonomialIdeal(prefix.n_vertices, ())
-    keep = min_antichain(g & ~m for g in prefix.generators)
+    keep = colon(prefix.generators, m)
     return MonomialIdeal(prefix.n_vertices, tuple(sorted(keep, key=bits_of)))
 
 
@@ -185,20 +185,20 @@ def _colon_step_flaw(ideal: MonomialIdeal, used: Sequence[int], s: int, d: int):
     with m_s; that step is refused so the dual facet ordering is refused at the
     matching point (its intersection with the earlier facets would be empty).
     """
-    prefix = MonomialIdeal(ideal.n_vertices, tuple(ideal.generators[i] for i in used))
-    m = ideal.generators[s]
-    colon = colon_by_generator(prefix, m)
-    for b in colon.generators:
+    gens = ideal.generators
+    m = gens[s]
+    step = tuple(sorted(colon((gens[i] for i in used), m), key=bits_of))
+    for b in step:
         if b.bit_count() != d:
-            return colon.generators, b, f"colon generator of degree {b.bit_count()}, expected {d}"
+            return step, b, f"colon generator of degree {b.bit_count()}, expected {d}"
         if (b | m) == ideal.ring_mask:
             return (
-                colon.generators,
+                step,
                 b,
                 "every earlier generator covers all variables outside this one; "
                 "the dual facet meets the earlier facets emptily",
             )
-    return colon.generators, None, ""
+    return step, None, ""
 
 
 def verify_d_quotients(
@@ -212,9 +212,6 @@ def verify_d_quotients(
     order = _check_ordering(len(ideal.generators), ordering)
     steps: list[tuple[int, ...]] = []
     for pos in range(len(order)):
-        if pos == 0:
-            steps.append(())
-            continue
         gens, bad, reason = _colon_step_flaw(ideal, order[:pos], order[pos], d)
         if bad is not None:
             return QuotientRefusal(pos, bad, reason)
@@ -283,7 +280,7 @@ def search_d_quotients(
 
     def children(used, placed, _state):
         for s in branch:
-            if s in placed or used and _colon_step_flaw(ideal, used, s, d)[1] is not None:
+            if s in placed or _colon_step_flaw(ideal, used, s, d)[1] is not None:
                 continue
             yield s, None
 
@@ -457,11 +454,10 @@ def rsequence_colon_profile(
     sizes = []
     for pos in range(1, len(cert.ordering)):
         gens = cert.colon_generators[pos]
-        for a in range(len(gens)):
-            for b in range(a + 1, len(gens)):
-                if gens[a] & gens[b]:
-                    raise PreconditionError(
-                        f"colon generators at step {pos} share variables; not a regular sequence"
-                    )
+        # the supports are disjoint exactly when no variable is counted twice
+        if sum(map(int.bit_count, gens)) != reduce(or_, gens, 0).bit_count():
+            raise PreconditionError(
+                f"colon generators at step {pos} share variables; not a regular sequence"
+            )
         sizes.append(len(gens))
     return tuple(sizes)

@@ -38,9 +38,9 @@ invariants of the ideal and checks every 97th repeat of a class against
 a recomputation.
 
 Grid strings are comma-separated ``key=value`` or ``key=lo..hi`` pairs,
-e.g. ``"n=3..6,alpha=1..2"``; a bare word (``"small-world"``) selects a
-named preset.  A key the check does not read is refused.  Every check has
-usable defaults, so the grid argument is optional throughout.
+e.g. ``"n=3..6,alpha=1..2"``.  A key the check does not read is refused.
+Every check has usable defaults, so the grid argument is optional
+throughout.
 """
 
 from __future__ import annotations
@@ -205,12 +205,9 @@ class SkipInstance(Exception):
 
 
 def parse_grid(text: str | None) -> dict:
-    """Parse ``key=value`` / ``key=lo..hi`` pairs, or a named preset."""
+    """Parse ``key=value`` / ``key=lo..hi`` pairs."""
     if not text:
         return {}
-    text = text.strip()
-    if "=" not in text:
-        return {"preset": text}
     grid: dict = {}
     for part in text.split(","):
         part = part.strip()
@@ -1047,14 +1044,7 @@ def check_dquot_dshell(grid: Mapping) -> Iterable[Case]:
     """Colon-degree orderings exist precisely when the complement-support
     complex is shellable at the matching codimension — both sides searched
     independently for every ideal in range."""
-    preset = grid.get("preset")
-    if preset == "small-world":
-        nmax, gmax = 6, 5
-    elif preset is None:
-        nmax, gmax = 5, 4
-    else:
-        raise ParameterError(f"unknown preset {preset!r}")
-    for prefix, ideal in _ideal_pool(grid, nmax, gmax):
+    for prefix, ideal in _ideal_pool(grid, 5, 4):
         for d in _span(grid, "dq", 1, 3):
             def body(ideal=ideal, d=d):
                 q = search_d_quotients(ideal, d)
@@ -1312,7 +1302,7 @@ REGISTRY: dict[str, Check] = {
     "homconn": Check(_connectivity(_zero_route_flaw), _CONN_KEYS),
     "cm-froberg": Check(check_cm_froberg, ("vcap", "seed", "count")),
     "knd-complement": Check(_against_oracle(_knd_tables), ("n", "d")),
-    "dquot-dshell": Check(check_dquot_dshell, ("preset",) + _IDEAL_KEYS),
+    "dquot-dshell": Check(check_dquot_dshell, _IDEAL_KEYS),
     "betti-splitting": Check(check_betti_splitting, _IDEAL_KEYS),
     "rsequence": Check(_against_oracle(_rsequence_tables), _IDEAL_KEYS + ("count",)),
     "lin-quot": Check(check_lin_quot, _SEQUENCE_KEYS + ("degree", "gens")),

@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from hyperbetti.bitsets import (
+    colon,
     contains,
     exactly_once,
     max_antichain,
@@ -42,3 +43,14 @@ def test_set_counts_match_a_per_bit_reference(masks):
             if S >> k & 1:
                 expected |= m
         assert union == expected
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.lists(st.integers(0, 255), max_size=12), st.integers(0, 255))
+def test_colon_matches_a_per_bit_reference(masks, m):
+    """Each quotient g - m drops, bit by bit, the bits of m; the colon
+    keeps the quotients that hold no other quotient."""
+    quotients = {sum(1 << b for b in range(8) if g >> b & 1 and not m >> b & 1) for g in masks}
+    assert colon(masks, m) == {
+        q for q in quotients if not any(o != q and o & ~q == 0 for o in quotients)
+    }

@@ -61,6 +61,57 @@ def test_glue_must_be_proper():
         AttachmentStep(2, (0, 1))
 
 
+def test_a_recipe_is_checked_when_it_is_made():
+    """A glue vertex not built yet, or a glue across two pieces, is
+    refused by the constructor, with the step it failed at."""
+    with pytest.raises(ParameterError, match="step 1: glue vertex 3 does not exist yet"):
+        AttachmentSequence(3, (AttachmentStep(3), AttachmentStep(2, (3,))))
+    with pytest.raises(ParameterError, match="step 2: glue does not lie inside any complete piece"):
+        AttachmentSequence(
+            2, (AttachmentStep(2), AttachmentStep(2, (1,)), AttachmentStep(3, (0, 2)))
+        )
+    # the same pieces as masks: {0, 2} lies in neither earlier piece
+    with pytest.raises(ParameterError, match="step 2: glue does not lie inside any complete piece"):
+        AttachmentSequence.from_pieces(2, (0b0011, 0b0110, 0b1101))
+
+
+def _reference_enumerate(d, max_vertices, max_steps):
+    """Every attachment sequence within the bounds, depth-first, with the
+    pieces tracked beside the steps."""
+
+    def extend(steps, n, chunks):
+        yield AttachmentSequence(d, tuple(steps)), tuple(chunks)
+        if len(steps) >= max_steps:
+            return
+        glue_masks = {0}
+        for c in chunks:
+            for size in range(1, c.bit_count() + 1):
+                glue_masks.update(mask_of(g) for g in itertools.combinations(bits_of(c), size))
+        for gmask in sorted(glue_masks):
+            j = gmask.bit_count()
+            for size in range(j + 1, max_vertices + 1):
+                fresh = size - j
+                if n + fresh > max_vertices:
+                    break
+                step = AttachmentStep(size, tuple(bits_of(gmask)))
+                chunk = gmask | (((1 << fresh) - 1) << n)
+                yield from extend(steps + [step], n + fresh, chunks + [chunk])
+
+    for first in range(1, max_vertices + 1):
+        yield from extend([AttachmentStep(first)], first, [(1 << first) - 1])
+
+
+@pytest.mark.parametrize("d", [2, 3, 4])
+def test_enumerated_sequences_match_the_piece_tracking_enumerator(d):
+    """The sequences come in the same order, with the pieces the
+    enumerator tracked, at every bound up to 7 vertices and 3 steps."""
+    for max_vertices in range(1, 8):
+        for max_steps in range(1, 4):
+            assert [
+                (seq, seq.pieces()) for seq in enumerate_sequences(d, max_vertices, max_steps)
+            ] == list(_reference_enumerate(d, max_vertices, max_steps))
+
+
 def test_build_two_overlapping_triples():
     seq = AttachmentSequence(3, (AttachmentStep(4, ()), AttachmentStep(3, (0, 1))))
     h, chunks = build_chordal_with_chunks(seq)
@@ -398,6 +449,67 @@ def test_recipes_from_pieces_equal_the_vertex_by_vertex_relabelling(monkeypatch)
         found.clear()
         rep = realization_search(build_chordal(seq), 3)
         assert rep.witness == _reference_chunk_recipe(found[-1], 3)
+
+
+def test_the_graph_search_recognizes_the_graph_once(monkeypatch):
+    """For d = 2 the recognizer runs once, and its elimination order gives
+    the witness that ``hypergraph_sequence_from_graph`` gives."""
+    recognize = chordal.chordal_graph_recognize
+    # two triangles on the edge {1, 2}, with a pendant vertex 4 on 3
+    edges = ([0, 1], [0, 2], [1, 2], [1, 3], [2, 3], [3, 4])
+    g = Hypergraph(5, frozenset(mask_of(e) for e in edges))
+    witness = hypergraph_sequence_from_graph(g, 2)
+    calls = []
+
+    def counted(h):
+        calls.append(h)
+        return recognize(h)
+
+    monkeypatch.setattr(chordal, "chordal_graph_recognize", counted)
+    assert realization_search(g, 2) == chordal.RealizationReport(2, "chordal", witness, 0)
+    assert calls == [g]
+    calls.clear()
+    assert realization_search(_cycle_graph(4), 2).outcome == "not_chordal"
+    assert len(calls) == 1
+
+
+def _reference_doomed(m, bigs, smalls):
+    """The trim rule vertex by vertex: some vertex of m lies in no overlap
+    of two or more vertices with a big piece or another small one."""
+    for v in bits_of(m):
+        bit = 1 << v
+        if not any(
+            other & bit and (other & m).bit_count() >= 2 for other in bigs
+        ) and not any(
+            other != m and other & bit and (other & m).bit_count() >= 2 for other in smalls
+        ):
+            return True
+    return False
+
+
+def _reference_hunted(m, bigs):
+    """The hunt rule: the overlaps of two or more vertices with big pieces
+    cover m."""
+    covered = 0
+    for b in bigs:
+        part = m & b
+        if part.bit_count() >= 2:
+            covered |= part
+    return covered == m
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    st.integers(3, 255).filter(lambda m: m.bit_count() >= 2),
+    st.lists(st.integers(1, 255), max_size=8),
+    st.lists(st.integers(3, 255).filter(lambda m: m.bit_count() >= 2), max_size=8),
+)
+def test_the_overlap_rule_is_the_trim_and_the_hunt_rule(m, bigs, smalls):
+    """The realization search's one coverage rule decides both its trim
+    of the small pieces and its hunt pool as the two loops it replaced."""
+    others = itertools.chain(bigs, (o for o in smalls if o != m))
+    assert chordal._overlap_covered(m, others) == (not _reference_doomed(m, bigs, smalls))
+    assert chordal._overlap_covered(m, bigs) == _reference_hunted(m, bigs)
 
 
 def test_realization_budget_reports_inconclusive():

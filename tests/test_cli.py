@@ -374,17 +374,25 @@ _PAIRS = [[2 * i, 2 * i + 1] for i in range(22)]
             "error: the dualization yields more than 12 sets",
         ),
         (
+            ["shell", "--complex", "clique", "--d", "1"], {"n": 63, "edges": [list(range(31))]}, 3,
+            "error: the clique complex has more than 262144 non-edge 31-sets to list",
+        ),
+        (
             ["dual"],
             {"n": 44, "facets": [[v for v in range(44) if v not in p] for p in _PAIRS]}, 3,
             "error: the dualization yields more than 262144 sets",
         ),
     ],
-    ids=["chordal-glue", "betti-taylor", "betti-clique-taylor", "shell-independence", "dual"],
+    ids=[
+        "chordal-glue", "betti-taylor", "betti-clique-taylor", "shell-independence",
+        "shell-clique", "dual",
+    ],
 )
 def test_unbounded_work_is_refused_before_it_starts(tmp_path, argv, obj, code, message):
     """Each input asks for work with no useful bound: a glue search over
-    C(60, 20) tuples, a subset count over 2^26 or more subfamilies, or a
-    dualization with 2^22 sets.  Each is refused within a second."""
+    C(60, 20) tuples, a subset count over 2^26 or more subfamilies, a
+    dualization with 2^22 sets, or a clique complex with C(63, 31) - 1
+    non-edges to list.  Each is refused within a second."""
     if obj is not None:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(obj))
@@ -554,6 +562,16 @@ def test_shell_reports_absence(capsys, tmp_path):
     code, _, err = run(capsys, "shell", str(path), "--d", "1")
     assert code == 1
     assert "no 1-shelling" in err
+
+
+def test_shell_certifies_an_explicit_order(capsys, tmp_path):
+    """Indices into the sorted facet list that give a shelling print its
+    certificate and exit 0."""
+    path = tmp_path / "h.json"
+    path.write_text('{"n":4,"edges":[[0,1,2],[1,2,3]]}')
+    code, out, _ = run(capsys, "shell", str(path), "--d", "1", "--order", "1,0")
+    assert code == 0
+    assert out == '{"d":1,"ordering":[[1,2,3],[0,1,2]],"removed_sets":[[],[[0]]]}\n'
 
 
 def test_shell_checks_an_explicit_order(capsys, tmp_path):

@@ -23,7 +23,8 @@ from hyperbetti import (
     verify_d_quotients,
     verify_d_shelling,
 )
-from hyperbetti.bitsets import mask_of
+from hyperbetti import ideal as ideal_module
+from hyperbetti.bitsets import bits_of, mask_of, min_antichain
 from hyperbetti.complexes import SimplicialComplex, independence_complex
 from hyperbetti.ideal import (
     QuotientCertificate,
@@ -225,6 +226,79 @@ def test_ordering_searches_match_every_permutation(case):
     if shelling is not None:
         assert isinstance(verify_d_shelling(dual, shelling, d), ShellingCertificate)
 
+
+
+def _reference_colon_step_flaw(ideal, used, s, d):
+    """The colon step built from ideals: the prefix as a MonomialIdeal,
+    and its colon by generator s as a second one."""
+    prefix = MonomialIdeal(ideal.n_vertices, tuple(ideal.generators[i] for i in used))
+    m = ideal.generators[s]
+    keep = min_antichain(g & ~m for g in prefix.generators)
+    colon = MonomialIdeal(prefix.n_vertices, tuple(sorted(keep, key=bits_of)))
+    for b in colon.generators:
+        if b.bit_count() != d:
+            return colon.generators, b, f"colon generator of degree {b.bit_count()}, expected {d}"
+        if (b | m) == ideal.ring_mask:
+            return (
+                colon.generators,
+                b,
+                "every earlier generator covers all variables outside this one; "
+                "the dual facet meets the earlier facets emptily",
+            )
+    return colon.generators, None, ""
+
+
+def _reference_verify(ideal, order, d):
+    """The quotient check with the reference colon step; the first step
+    has no colon."""
+    steps = [()]
+    for pos in range(1, len(order)):
+        gens, bad, reason = _reference_colon_step_flaw(ideal, order[:pos], order[pos], d)
+        if bad is not None:
+            return QuotientRefusal(pos, bad, reason)
+        steps.append(gens)
+    return QuotientCertificate(d, tuple(order), tuple(steps))
+
+
+@st.composite
+def _quotient_cases(draw):
+    """A minimally generated ideal on up to 6 variables, its generators in
+    any order and of one degree or of mixed degrees, with an ordering of
+    them and a quotient degree d from 1 to 3."""
+    n = draw(st.integers(1, 6))
+    k = draw(st.integers(1, n))
+    one_degree = [mask_of(c) for c in combinations(range(n), k)]
+    supports = draw(
+        st.lists(st.sampled_from(one_degree), min_size=1, max_size=6)
+        | st.lists(st.integers(1, (1 << n) - 1), min_size=1, max_size=6)
+    )
+    gens = draw(st.permutations(sorted(min_antichain(supports))))
+    order = draw(st.permutations(range(len(gens))))
+    return MonomialIdeal(n, tuple(gens)), tuple(order), draw(st.integers(1, 3))
+
+
+@settings(max_examples=300, deadline=None)
+@given(_quotient_cases())
+def test_quotient_search_and_check_match_the_ideal_built_colon(case):
+    """With the colon read from the generator masks, the search returns
+    the same ordering after the same number of nodes, and the check
+    returns the same certificate or refusal, as with the colon built from
+    MonomialIdeals step by step."""
+    ideal, order, d = case
+    searches = []
+
+    def recorded(*args):
+        searches.append(search_order(*args))
+        return searches[-1]
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(ideal_module, "search_order", recorded)
+        found = search_d_quotients(ideal, d)
+        mp.setattr(ideal_module, "_colon_step_flaw", _reference_colon_step_flaw)
+        assert search_d_quotients(ideal, d) == found
+    assert searches[0] == searches[1]
+    for ordering in (order, found) if found is not None else (order,):
+        assert verify_d_quotients(ideal, ordering, d) == _reference_verify(ideal, ordering, d)
 
 
 def _recursive_search(start, children, done, node_budget=None):

@@ -22,8 +22,9 @@ def test_registry_lists_twenty_six_checks():
 def test_parse_grid_forms():
     assert parse_grid(None) == {}
     assert parse_grid("") == {}
-    assert parse_grid("smoke") == {"preset": "smoke"}
     assert parse_grid("n=3..5, d=3") == {"n": (3, 5), "d": (3, 3)}
+    with pytest.raises(ParameterError, match="grid entry 'smoke' is not key=value"):
+        parse_grid("smoke")
 
 
 def test_parse_grid_rejects_junk():
@@ -42,7 +43,7 @@ def test_unknown_grid_keys_are_refused():
     """A key the check does not read stops the run before any instance."""
     with pytest.raises(ParameterError, match="'nn', 'alhpa'; its keys are d, alpha, n"):
         run_check("P", "nn=3,alhpa=9")
-    with pytest.raises(ParameterError, match="'preset'"):
+    with pytest.raises(ParameterError, match="grid entry 'smoke' is not key=value"):
         run_check("P", "smoke")
 
 
@@ -96,6 +97,18 @@ def test_mismatch_flips_ok():
     assert rep.ok
 
 
+def test_a_table_mismatch_names_each_differing_cell_and_both_tables():
+    """Cells are compared on the quotient convention, in (i, j) order, and
+    the details quote both tables as given."""
+    expected = BettiTable("quotient", 3, {(0, 0): 1, (1, 2): 2, (2, 3): 1})
+    actual = BettiTable("quotient", 3, {(0, 0): 1, (1, 2): 3}).as_ideal()
+    assert verify._table_diff(expected, actual) == (
+        "(i=1,j=2): expected 2 got 3; (i=2,j=3): expected 1 got 0"
+        f" || expected table {expected.to_json()} || actual table {actual.to_json()}"
+    )
+    assert verify._table_diff(expected, expected.as_ideal()) is None
+
+
 @pytest.mark.parametrize("theorem", ["betti", "u"])
 def test_free_vertex_checks_take_a_range_of_n(theorem):
     """``n`` is a range for the free-vertex pool as for every family
@@ -135,7 +148,7 @@ def test_an_instance_over_budget_is_an_error_not_an_abort():
 
 
 def test_errors_raised_while_building_cases_end_the_run():
-    with pytest.raises(ParameterError, match="unknown preset 'nope'"):
+    with pytest.raises(ParameterError, match="grid entry 'nope' is not key=value"):
         run_check("dquot-dshell", "nope")
     with pytest.raises(ParameterError, match="grid key 'i' takes a single value"):
         run_check("l", "i=2..3")
