@@ -239,7 +239,7 @@ def _complex_from_input(
     if complex_kind == "independence":
         return independence_complex(h, cap)
     if complex_kind == "clique":
-        return clique_complex(h, _uniformity(h, d_flag))
+        return clique_complex(h, _uniformity(h, d_flag), cap)
     return SimplicialComplex.from_faces(h.n_vertices, h.edges, h.vertices)
 
 

@@ -1,9 +1,11 @@
 """Simplicial complexes as facet lists over bitmask ground sets.
 
-The two constructions used throughout are the independence complex of a
-hypergraph (faces = sets containing no edge) and, for d-uniform input,
-the clique-style complex whose faces are the sets all of whose
-d-subsets are edges.  Everything is exact and pure Python.
+Each complex built here is given by its minimal nonfaces, and
+``nonface_complex`` dualizes them into facets: the independence complex
+of a hypergraph (the edges), the clique-style complex of d-uniform input,
+whose faces are the sets all of whose d-subsets are edges (the non-edge
+d-sets), and the Alexander dual (the facet complements).  Everything is
+exact and pure Python.
 
 Conventions: a complex with no faces at all is *void* (``facets`` is
 empty); the complex whose only face is the empty set has ``facets ==
@@ -20,7 +22,7 @@ from math import comb
 from .bitsets import bits_of, contains, k_submasks, mask_of, max_antichain, min_antichain, submasks
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .hypergraph import MAX_LISTED_EDGES, Hypergraph, canonical_json, json_int
-from .hypergraph import json_vertex_set, json_vertex_sets, non_edges
+from .hypergraph import check_vertex_count, json_vertex_set, json_vertex_sets, non_edges
 
 
 @dataclass(frozen=True)
@@ -30,8 +32,7 @@ class SimplicialComplex:
     vertices: int = -1  # ground-set mask; -1 means all ambient vertices
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_vertices <= 63:
-            raise ParameterError("vertex count must be between 0 and 63")
+        check_vertex_count(self.n_vertices)
         full = (1 << self.n_vertices) - 1
         if self.vertices == -1:
             object.__setattr__(self, "vertices", full)
@@ -165,39 +166,40 @@ def minimal_nonfaces(c: SimplicialComplex) -> frozenset[int]:
     return minimal_transversals(c.vertices & ~f for f in c.facets)
 
 
+def nonface_complex(
+    n: int, nonfaces, vertices: int = -1, cap: int = MAX_LISTED_EDGES
+) -> SimplicialComplex:
+    """The complex on the ground set whose minimal nonfaces are these
+    masks: a set is a face when its complement meets them all, so the
+    facets are the complements of their minimal transversals.  Refused
+    past cap facets."""
+    check_vertex_count(n)
+    ground = vertices & ((1 << n) - 1)
+    facets = frozenset(ground & ~t for t in minimal_transversals(nonfaces, cap))
+    return SimplicialComplex(n, facets, vertices)
+
+
 def independence_complex(h: Hypergraph, cap: int = MAX_LISTED_EDGES) -> SimplicialComplex:
     """Faces are the sets containing no edge of h; refused past cap facets."""
-    facets = frozenset(
-        h.vertices & ~t for t in minimal_transversals(h.edges, cap)
-    )
-    return SimplicialComplex(h.n_vertices, facets, h.vertices)
+    return nonface_complex(h.n_vertices, h.edges, h.vertices, cap)
 
 
-def clique_complex(h: Hypergraph, d: int) -> SimplicialComplex:
-    """Faces are the vertex sets all of whose d-subsets are edges.
+def clique_complex(h: Hypergraph, d: int, cap: int = MAX_LISTED_EDGES) -> SimplicialComplex:
+    """Faces are the vertex sets all of whose d-subsets are edges; refused
+    past cap facets.
 
     Sets with fewer than d vertices are faces unconditionally, so the
-    minimal nonfaces are the non-edge d-sets, and the facets are the
-    maximal grown faces together with any (d-1)-set lying in no edge.
+    minimal nonfaces are the non-edge d-sets.
     """
     if d < 2:
         raise ParameterError("edge size d must be at least 2")
     if not h.is_uniform(d):
         raise PreconditionError(f"clique-style complex needs {d}-uniform input")
-    m = h.vertices.bit_count()
-    if m < d:
-        return SimplicialComplex(h.n_vertices, frozenset({h.vertices}), h.vertices)
-    if comb(m, d) - len(h.edges) > MAX_LISTED_EDGES:
+    if comb(h.vertices.bit_count(), d) - len(h.edges) > MAX_LISTED_EDGES:
         raise SizeBudgetError(
             f"the clique complex has more than {MAX_LISTED_EDGES} non-edge {d}-sets to list"
         )
-    # no complex on m vertices has more than 2^m faces, so the growth finishes
-    cliques = grow_faces(h.vertices, non_edges(h, d), d, 1 << m)
-    # the (d-1)-sets inside some edge: each edge with one vertex dropped
-    in_edges = {e ^ (1 << v) for e in h.edges for v in bits_of(e)}
-    small = [s for s in k_submasks(h.vertices, d - 1) if s not in in_edges]
-    grown = [f for faces in cliques.values() for f in faces]
-    return SimplicialComplex(h.n_vertices, max_antichain(grown + small), h.vertices)
+    return nonface_complex(h.n_vertices, non_edges(h, d), h.vertices, cap)
 
 
 # -- operations -------------------------------------------------------
@@ -225,11 +227,10 @@ def link(c: SimplicialComplex, face: int) -> SimplicialComplex:
 def alexander_dual(c: SimplicialComplex) -> SimplicialComplex:
     """Complex whose faces are complements of the nonfaces of c.
 
-    Its facets are the ground-set complements of the minimal nonfaces.
+    Its minimal nonfaces are the ground-set complements of the facets of c.
     The double dual returns the original complex.
     """
-    facets = frozenset(c.vertices & ~m for m in minimal_nonfaces(c))
-    return SimplicialComplex(c.n_vertices, facets, c.vertices)
+    return nonface_complex(c.n_vertices, (c.vertices & ~f for f in c.facets), c.vertices)
 
 
 # Most faces one enumeration may list.

@@ -216,8 +216,7 @@ def make_complete(n: int, d: int) -> Hypergraph:
     """All d-subsets of n vertices; with n < d just n isolated vertices."""
     if d < 2:
         raise ParameterError("edge size d must be at least 2")
-    if n < 0:
-        raise ParameterError("vertex count must be nonnegative")
+    check_vertex_count(n)
     _check_listing(n, d)
     edges = frozenset(mask_of(c) for c in combinations(range(n), d))
     return Hypergraph(n, edges)
@@ -287,6 +286,7 @@ def make_multipartite(parts: tuple[int, ...] | list[int], d: int) -> Hypergraph:
     if not parts or any(p < 1 for p in parts):
         raise ParameterError("each part needs at least one vertex")
     n = sum(parts)
+    check_vertex_count(n)
     _check_listing(n, d)
     part_masks = []
     start = 0

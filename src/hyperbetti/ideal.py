@@ -13,12 +13,12 @@ from operator import or_
 from typing import Iterable, Iterator, Sequence
 
 from .bitsets import bits_of, colon, mask_of, max_antichain, min_antichain
-from .complexes import SimplicialComplex, minimal_nonfaces, minimal_transversals
+from .complexes import SimplicialComplex, minimal_nonfaces, nonface_complex
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .hypergraph import (
-    MAX_VERTICES,
     Hypergraph,
     canonical_json,
+    check_vertex_count,
     json_field,
     json_int,
     json_vertex_set,
@@ -38,8 +38,7 @@ class MonomialIdeal:
     generators: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not 0 <= self.n_vertices <= MAX_VERTICES:
-            raise ParameterError(f"n_vertices out of range: {self.n_vertices}")
+        check_vertex_count(self.n_vertices)
         gens = tuple(int(g) for g in self.generators)
         object.__setattr__(self, "generators", gens)
         ring = self.ring_mask
@@ -129,8 +128,7 @@ def stanley_reisner_ideal(c: SimplicialComplex) -> MonomialIdeal:
 
 def sr_complex(ideal: MonomialIdeal) -> SimplicialComplex:
     """The complex whose nonfaces are exactly the supports in the ideal."""
-    facets = frozenset(ideal.ring_mask & ~t for t in minimal_transversals(ideal.generators))
-    return SimplicialComplex(ideal.n_vertices, facets)
+    return nonface_complex(ideal.n_vertices, ideal.generators)
 
 
 def colon_by_generator(prefix: MonomialIdeal, m: int) -> MonomialIdeal:

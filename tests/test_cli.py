@@ -19,7 +19,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperbetti import BettiTable, betti, cycle_betti_closed_form, line_betti_closed_form
-from hyperbetti import make_star_overlap
+from hyperbetti import make_complete, make_multipartite, make_star_overlap
 from hyperbetti.bitsets import mask_of
 from hyperbetti.cli import main
 from hyperbetti.complexes import SimplicialComplex
@@ -119,14 +119,28 @@ def test_gen_listing_too_many_edges_is_refused(capsys, argv):
     ]
 
 
-@pytest.mark.parametrize("family, vertices", [("line", 60000001), ("cycle", 60000000),
-                                              ("star", 60000001)])
-def test_gen_overlap_family_past_the_vertex_limit_is_refused(capsys, family, vertices):
-    """30,000,000 edges of size 3 need more than 63 vertices: refused as
-    a usage error before any edge is listed."""
+_OVERLAP = ("--n", "30000000", "--d", "3", "--alpha", "1")
+
+
+@pytest.mark.parametrize(
+    "argv, vertices",
+    [
+        pytest.param(("line", *_OVERLAP), 60000001, id="line-60000001"),
+        pytest.param(("cycle", *_OVERLAP), 60000000, id="cycle-60000000"),
+        pytest.param(("star", *_OVERLAP), 60000001, id="star-60000001"),
+        pytest.param(("complete", "--n", "1000", "--d", "2"), 1000, id="complete-1000"),
+        pytest.param(("complete", "--n", "100", "--d", "2"), 100, id="complete-100"),
+        pytest.param(("multipartite", "--parts", "900,100", "--d", "2"), 1000,
+                     id="multipartite-1000"),
+    ],
+)
+def test_gen_overlap_family_past_the_vertex_limit_is_refused(capsys, argv, vertices):
+    """30,000,000 edges of size 3 in a row, a cycle or a star, and the
+    complete and complete multipartite graphs on 100 or 1000 vertices,
+    need more than 63 vertices: refused as a usage error before any edge
+    is listed, whatever the listing budget would say."""
     start = time.perf_counter()
-    code, out, err = run(capsys, "gen", "--family", family, "--n", "30000000", "--d", "3",
-                         "--alpha", "1")
+    code, out, err = run(capsys, "gen", "--family", *argv)
     assert time.perf_counter() - start < 1
     assert code == 2
     assert out == ""
@@ -321,21 +335,28 @@ def test_betti_refuses_the_clique_route_of_k10_10(capsys, tmp_path):
     )
 
 
-def _refusal(tmp_path, *argv):
-    """Run ``hyperbetti`` as a program; it must print nothing on stdout and
-    no traceback.  Returns its exit code, its one error line and the
+def _program(tmp_path, *argv):
+    """Run ``hyperbetti`` as a program; it must print no traceback.
+    Returns its exit code, its stdout, its stderr lines and the
     milliseconds it reports on its ``[time]`` line."""
     env = dict(os.environ, PYTHONPATH=SRC, HYPERBETTI_CACHE_DIR=str(tmp_path / "cache"))
     done = subprocess.run(
         [sys.executable, "-m", "hyperbetti", *argv],
         capture_output=True, text=True, env=env, timeout=20,
     )
-    assert done.stdout == ""
     assert "Traceback" not in done.stderr
     lines = done.stderr.splitlines()
-    [line] = [line for line in lines if line.startswith("error:")]
     [ms] = [int(line.split()[-2]) for line in lines if line.startswith("[time]")]
-    return done.returncode, line, ms
+    return done.returncode, done.stdout, lines, ms
+
+
+def _refusal(tmp_path, *argv):
+    """Run ``hyperbetti`` as a program; it must print nothing on stdout.
+    Returns its exit code, its one error line and its milliseconds."""
+    code, out, lines, ms = _program(tmp_path, *argv)
+    assert out == ""
+    [line] = [line for line in lines if line.startswith("error:")]
+    return code, line, ms
 
 
 def _betti_refusal(tmp_path, path, *flags):
@@ -378,6 +399,11 @@ _PAIRS = [[2 * i, 2 * i + 1] for i in range(22)]
             "error: the clique complex has more than 262144 non-edge 31-sets to list",
         ),
         (
+            ["shell", "--complex", "clique", "--d", "1"],
+            make_multipartite([3] * 12, 2).to_json_obj(), 3,
+            "error: the dualization yields more than 12 sets",
+        ),
+        (
             ["dual"],
             {"n": 44, "facets": [[v for v in range(44) if v not in p] for p in _PAIRS]}, 3,
             "error: the dualization yields more than 262144 sets",
@@ -385,14 +411,14 @@ _PAIRS = [[2 * i, 2 * i + 1] for i in range(22)]
     ],
     ids=[
         "chordal-glue", "betti-taylor", "betti-clique-taylor", "shell-independence",
-        "shell-clique", "dual",
+        "shell-clique", "shell-clique-multipartite", "dual",
     ],
 )
 def test_unbounded_work_is_refused_before_it_starts(tmp_path, argv, obj, code, message):
     """Each input asks for work with no useful bound: a glue search over
     C(60, 20) tuples, a subset count over 2^26 or more subfamilies, a
-    dualization with 2^22 sets, or a clique complex with C(63, 31) - 1
-    non-edges to list.  Each is refused within a second."""
+    dualization with 2^22 or 3^12 sets, or a clique complex with
+    C(63, 31) - 1 non-edges to list.  Each is refused within a second."""
     if obj is not None:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(obj))
@@ -400,6 +426,39 @@ def test_unbounded_work_is_refused_before_it_starts(tmp_path, argv, obj, code, m
     returncode, line, ms = _refusal(tmp_path, *argv)
     assert (returncode, line) == (code, message)
     assert ms < 1000
+
+
+def test_the_clique_complex_of_a_complete_hypergraph_is_built_at_once(tmp_path):
+    """The clique complex of the complete 3-uniform hypergraph on 30
+    vertices is one simplex: its one facet is found, and shelled, within
+    a second."""
+    path = tmp_path / "k30.json"
+    path.write_text(make_complete(30, 3).to_json())
+    code, out, _, ms = _program(tmp_path, "shell", "--complex", "clique", "--d", "1", str(path))
+    assert code == 0
+    assert json.loads(out) == {"d": 1, "ordering": [list(range(30))], "removed_sets": [[]]}
+    assert ms < 1000
+
+
+@pytest.mark.parametrize(
+    "argv, obj",
+    [
+        (["dual"], {"n": 64, "facets": [[0, 1]], "void": False}),
+        (["export"], {"n": 64, "generators": [[0, 1]]}),
+    ],
+    ids=["complex", "ideal"],
+)
+def test_complexes_and_ideals_share_the_vertex_count_rule(capsys, tmp_path, argv, obj):
+    """A complex or an ideal on 64 vertices is refused with the one
+    vertex-count line hypergraphs use."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    code, out, err = run(capsys, *argv, str(path))
+    assert code == 2
+    assert out == ""
+    assert [line for line in err.splitlines() if line.startswith("error:")] == [
+        "error: vertex count must be between 0 and 63, got 64"
+    ]
 
 
 def test_betti_answers_a_paper_line_at_a_raised_vertex_budget(capsys, tmp_path):

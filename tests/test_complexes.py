@@ -19,11 +19,20 @@ from hyperbetti import (
     minimal_nonfaces,
     restrict,
 )
-from hyperbetti.bitsets import bits_of, contains, k_submasks, mask_of, max_antichain, submasks
+from hyperbetti.bitsets import (
+    bits_of,
+    contains,
+    k_submasks,
+    mask_of,
+    max_antichain,
+    min_antichain,
+    submasks,
+)
 from hyperbetti.complexes import (
     enumerate_faces,
     grow_faces,
     minimal_transversals,
+    nonface_complex,
     pad_facets,
 )
 
@@ -237,3 +246,54 @@ def test_clique_complex_matches_the_definition(d, n, data):
         assert clique_complex(h, d).facets == {h.vertices}
     else:
         assert clique_complex(h, d).facets == _brute_clique_facets(h, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 4), st.integers(0, 8), st.data())
+def test_a_capped_clique_complex_refuses_exactly_past_its_cap(d, n, data):
+    """The clique complex is refused exactly when it has more facets than
+    the cap, and built in full otherwise; the ground set may be partial.
+    The cap is at least one: with no non-edge there is nothing to fold,
+    and the one facet is never refused."""
+    ground = data.draw(st.integers(0, (1 << n) - 1), label="ground set")
+    subsets = list(k_submasks(ground, d))
+    edges = data.draw(st.lists(st.sampled_from(subsets), max_size=12)) if subsets else []
+    cap = data.draw(st.integers(1, 12), label="cap")
+    h = Hypergraph(n, frozenset(edges), ground)
+    full = {ground} if ground.bit_count() < d else _brute_clique_facets(h, d)
+    if len(full) > cap:
+        with pytest.raises(SizeBudgetError, match=f"more than {cap} sets"):
+            clique_complex(h, d, cap)
+    else:
+        assert clique_complex(h, d, cap).facets == full
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 8), st.data())
+def test_the_nonface_complex_has_exactly_the_given_minimal_nonfaces(n, data):
+    """For an antichain N inside a ground set V, the complex built from N
+    has N as its minimal nonfaces, and its facets are the maximal subsets
+    of V containing no member of N."""
+    ground = data.draw(st.integers(0, (1 << n) - 1), label="ground set")
+    inside = list(submasks(ground))
+    nonfaces = min_antichain(data.draw(st.lists(st.sampled_from(inside), max_size=6)))
+    c = nonface_complex(n, nonfaces, ground)
+    assert c.vertices == ground
+    assert minimal_nonfaces(c) == nonfaces
+    faces = [s for s in inside if not any(m & ~s == 0 for m in nonfaces)]
+    assert c.facets == max_antichain(faces)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 7), st.data())
+def test_alexander_dual_complements_the_minimal_nonfaces(n, data):
+    """The dual's facets are the ground-set complements of the minimal
+    nonfaces, on any ground set and for the void and empty complexes
+    too, and dualizing twice gives the complex back."""
+    ground = data.draw(st.integers(0, (1 << n) - 1), label="ground set")
+    drawn = data.draw(st.lists(st.sampled_from(list(submasks(ground))), max_size=5))
+    c = SimplicialComplex(n, max_antichain(drawn), ground)
+    reference = frozenset(ground & ~m for m in minimal_nonfaces(c))
+    dual = alexander_dual(c)
+    assert (dual.vertices, dual.facets) == (ground, reference)
+    assert alexander_dual(dual) == c

@@ -1,6 +1,6 @@
 """The package's source structure: imports sit at module level and form no
-cycle, no module imports another's private name, and every private helper
-has a caller."""
+cycle, no module imports another's private name, every private helper
+has a caller, and the facets-to-nonfaces dualization has one owner."""
 
 from __future__ import annotations
 
@@ -91,3 +91,19 @@ def test_every_private_function_is_referenced_outside_its_own_def():
     assert defined
     uncalled = [where for name, where in defined if name not in referenced]
     assert not uncalled, uncalled
+
+
+def test_only_complexes_names_the_dualization():
+    """``minimal_transversals`` turns facets into nonfaces and back; every
+    other module goes through ``complexes`` (``nonface_complex``,
+    ``minimal_nonfaces``), so no other module names it."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in MODULES
+        if path.stem != "complexes"
+        for node in ast.walk(_tree(path))
+        if "minimal_transversals" in (
+            getattr(node, "id", None), getattr(node, "attr", None), getattr(node, "name", None)
+        )
+    ]
+    assert not found, found
