@@ -9,22 +9,22 @@ table for a structured family, checked against that oracle in tests.
 
 The sum reads only the ground set and the minimal nonfaces, which are
 the minimal generators of I: ``edge_restriction_sum`` passes the edges,
-``clique_ideal_betti`` the non-edge d-sets, ``ideal_betti`` the
-generators, and ``hochster_betti`` dualizes the facets of its complex.
-No route builds a facet list.  ``complexes.grow_faces`` lists faces
-level by level from the nonfaces, up to a cap, wherever a route needs
-them.
+``ideal_betti`` the generators, and ``hochster_betti`` dualizes the
+facets of its complex.  No route builds a facet list.
+``complexes.grow_faces`` lists faces level by level from the nonfaces,
+up to a cap, wherever a route needs them.
 
-``edge_ideal_betti`` takes the splitting route, with the sum only at its
+``edge_ideal_betti`` (on the edges) and ``clique_ideal_betti`` (on the
+non-edge d-sets) take the splitting route, with the sum only at its
 leaves.  A vertex x in exactly one generator e makes I = (e) + K a Betti
 splitting (Francisco, Ha and Van Tuyl, Proc. AMS 2009, Cor. 2.7), where
 K holds the other generators; its correction term is K : e, shifted by
 |e|.  K and K : e have fewer generators, so the route recurses at the
 lowest free vertex, down to single generators and to leaves with no
-free vertex, which the sum answers; an edge set with no free vertex is a
-tree of one leaf.  The tree is built, its distinct nodes counted against
-the plan budget and every leaf's sum planned before any rank runs; over
-the budget, or when a leaf refuses, the route refuses.
+free vertex, which the sum answers.  The tree is built and every leaf's
+sum planned before any rank runs: the tree's nodes and its leaves' plan
+visits share one plan budget, and the vertex budget bounds each leaf's
+support.  Over either, or when a leaf refuses, the route refuses.
 
 Subsets that induce a cone contribute nothing, so the sum runs over the
 support U, the union of the minimal nonfaces, and has two plans:
@@ -289,9 +289,9 @@ class _RestrictionOracle:
 
     # -- subset iteration ---------------------------------------------
 
-    def union_closure(self) -> list[int] | None:
+    def union_closure(self, budget: int) -> list[int] | None:
         """All unions of minimal-nonface subfamilies, or None once the plan
-        visits more than the plan budget.
+        visits more than the budget.
 
         Induced subcomplexes on any other vertex set are cones, so the
         restriction sum may run over this family alone.  The plan visits
@@ -302,7 +302,7 @@ class _RestrictionOracle:
         closure: set[int] = {0}
         for M in self.mnf:
             closure |= {c | M for c in closure}
-            if len(self.mnf) * len(closure) > PLAN_BUDGET:
+            if len(self.mnf) * len(closure) > budget:
                 return None
         return sorted(closure)
 
@@ -353,12 +353,12 @@ def _dims_nerve(vmask: int, m: int, relevant: Sequence[int], fld: FieldSpec) -> 
 
 
 def _count_by_big_faces(
-    ground: int, big_faces: Sequence[int]
-) -> dict[tuple[int, ...], list[int]] | None:
+    ground: int, big_faces: Sequence[int], budget: int
+) -> tuple[int, dict[tuple[int, ...], list[int]]] | None:
     """The subsets V of the ground set grouped by the big faces inside V:
-    for each tuple S of them (in the given order) that occurs, the number
-    of such V of each size, as a list indexed by size; None once the
-    search has more leaves than the plan budget.
+    the search's leaves, and for each tuple S of them (in the given order)
+    that occurs, the number of such V of each size, as a list indexed by
+    size; None once the search has more leaves than the budget.
 
     A depth-first search decides the vertices that some surviving face
     meets, lowest bit first: excluding a vertex drops every face through
@@ -384,7 +384,7 @@ def _count_by_big_faces(
                 return False
             k += 1
         leaves += 1
-        if leaves > PLAN_BUDGET:
+        if leaves > budget:
             return False
         sizes = counts.get(alive)
         if sizes is None:
@@ -393,7 +393,7 @@ def _count_by_big_faces(
             sizes[k + j] += c
         return True
 
-    return counts if visit(ground, 0, tuple(big_faces)) else None
+    return (leaves, counts) if visit(ground, 0, tuple(big_faces)) else None
 
 
 def _skeleton_sweep(
@@ -460,11 +460,11 @@ def _check_vertex_budget(ground: int, vertex_budget: int) -> None:
 
 
 def _restriction_terms(
-    nonfaces: Collection[int], fld: FieldSpec
-) -> Iterable[tuple[int, dict[int, int], int]]:
+    nonfaces: Collection[int], fld: FieldSpec, budget: int
+) -> tuple[int, Iterable[tuple[int, dict[int, int], int]]]:
     """The plan of the restriction sum of R/I, where I is generated by these
-    minimal nonfaces, built now; its terms, as (size, dims, number of
-    subsets), are answered as they are read.
+    minimal nonfaces, built now: its visits, and its terms, as (size, dims,
+    number of subsets), answered as they are read.
 
     The sum runs over the support U, the union of the minimal nonfaces:
     a subset holding any other vertex induces a cone.  Its nonzero terms
@@ -473,7 +473,7 @@ def _restriction_terms(
     budget, the faces of size >= s (the smallest nonface size) are grown
     up to BIG_FACE_CAP; if they fit, the skeleton sweep counts the subsets
     of U grouped by those faces, and if they do not, a closure not yet
-    tried is.  Each plan stops once its count passes PLAN_BUDGET: the
+    tried is.  Each plan stops once its visits pass the budget: the
     closure's (set, nonface) pairs, which bound both its build and the
     scan that splits each set, or the leaves of the sweep's search.  A
     plan stopped there with no plan to give way to is refused, naming the
@@ -482,25 +482,25 @@ def _restriction_terms(
     support = reduce(or_, nonfaces, 0)
     oracle = _RestrictionOracle(nonfaces, fld)
     few = len(oracle.mnf) <= CLOSURE_MAX_NONFACES
-    closure = oracle.union_closure() if few else None
+    closure = oracle.union_closure(budget) if few else None
     s = min((M.bit_count() for M in oracle.mnf), default=0)
     big = None if closure is not None else grow_faces(support, oracle.mnf, s, BIG_FACE_CAP)
     if big is None and not few:
-        closure = oracle.union_closure()
+        closure = oracle.union_closure(budget)
     if closure is not None:
-        return ((v.bit_count(), oracle.dims_for(v), 1) for v in closure)
+        terms = ((v.bit_count(), oracle.dims_for(v), 1) for v in closure)
+        return len(oracle.mnf) * len(closure), terms
     if big is None:
         raise SizeBudgetError(
-            f"the union-closure plan visits more than {PLAN_BUDGET} (set, nonface) "
+            f"the union-closure plan visits more than {budget} (set, nonface) "
             "pairs (the plan budget), and there is no skeleton strategy"
         )
-    families = _count_by_big_faces(support, sorted(f for fs in big.values() for f in fs))
-    if families is None:
+    swept = _count_by_big_faces(support, sorted(f for fs in big.values() for f in fs), budget)
+    if swept is None:
         raise SizeBudgetError(
-            f"the skeleton-sweep plan visits more than {PLAN_BUDGET} search "
-            "leaves (the plan budget)"
+            f"the skeleton-sweep plan visits more than {budget} search leaves (the plan budget)"
         )
-    return _skeleton_sweep(families, s, fld)
+    return swept[0], _skeleton_sweep(swept[1], s, fld)
 
 
 def _tally(terms: Iterable[tuple[int, dict[int, int], int]]) -> dict[tuple[int, int], int]:
@@ -519,7 +519,8 @@ def _restriction_sum(ground: int, nonfaces: Collection[int], fld: FieldSpec) -> 
     nonfaces of a complex on the ground set: the plan of
     ``_restriction_terms``, then its tally.  The caller checks the vertex
     budget."""
-    return BettiTable("quotient", ground.bit_count(), _tally(_restriction_terms(nonfaces, fld)))
+    terms = _restriction_terms(nonfaces, fld, PLAN_BUDGET)[1]
+    return BettiTable("quotient", ground.bit_count(), _tally(terms))
 
 
 # -- the splitting route ----------------------------------------------
@@ -553,44 +554,61 @@ def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def _split_plan(
-    key: tuple[int, ...], fld: FieldSpec
+    key: tuple[int, ...], fld: FieldSpec, vertex_budget: int
 ) -> tuple[dict[tuple[int, ...], tuple], dict[tuple[int, ...], Iterable]]:
     """The split tree below these generators, built before any rank runs:
     every distinct node not answered yet over this field, as its splitting
     or, at a leaf with no free vertex, the planned terms of its restriction
-    sum.  Raises SizeBudgetError once the tree has more nodes than the plan
-    budget, or when a leaf's sum has no plan within it."""
+    sum.  The nodes and the leaves' plan visits share the plan budget, each
+    leaf's plan getting what is left.  Raises SizeBudgetError when a leaf's
+    support is over the vertex budget, or once they pass the plan budget."""
     splits: dict[tuple[int, ...], tuple] = {}
     leaves: dict[tuple[int, ...], Iterable] = {}
+    spent = 0
     todo = [key]
     while todo:
         key = todo.pop()
         if not key or key in splits or key in leaves or (key, fld) in _split_tables:
             continue
-        if len(splits) + len(leaves) == PLAN_BUDGET:
-            raise SizeBudgetError(
-                f"the split tree has more than {PLAN_BUDGET} nodes (the plan budget)"
-            )
+        spent += 1
         node = _split(key)
-        if node is None:
-            leaves[key] = _restriction_terms(key, fld)
-        else:
+        if node is not None:
             splits[key] = node
             todo += node[1:]
+        else:
+            _check_vertex_budget(reduce(or_, key), vertex_budget)
+            try:
+                visits, leaves[key] = _restriction_terms(key, fld, PLAN_BUDGET - spent)
+            except SizeBudgetError:  # no plan within what is left
+                visits = PLAN_BUDGET
+            spent += visits
+        if spent > PLAN_BUDGET:
+            raise SizeBudgetError(
+                f"the split tree and its leaf plans visit more than {PLAN_BUDGET} (the plan budget)"
+            )
     return splits, leaves
 
 
-def _split_entries(key: tuple[int, ...], fld: FieldSpec) -> dict[tuple[int, int], int]:
-    """Ideal-convention Betti entries of the ideal with these generators,
-    from its split tree.  I = (e) + K is a Betti splitting when a vertex
-    of e lies in no other generator (Francisco, Ha and Van Tuyl, Proc. AMS
-    2009, Cor. 2.7), and (e) meets K in e times K : e, so
+def _split_betti(
+    ground: int, gens: Collection[int], fld: FieldSpec, vertex_budget: int
+) -> BettiTable:
+    """Betti table of R/I, where I is generated by these minimal nonfaces
+    of a complex on the ground set, from its split tree.  I = (e) + K is a
+    Betti splitting when a vertex of e lies in no other generator
+    (Francisco, Ha and Van Tuyl, Proc. AMS 2009, Cor. 2.7), and (e) meets
+    K in e times K : e, so
 
         beta_{i,j}(I) = [i = 0, j = |e|] + beta_{i,j}(K) + beta_{i-1,j-|e|}(K : e).
 
-    The leaves are answered first, by their restriction sums; then every
-    split in order of its generator count, after its two parts."""
-    splits, leaves = _split_plan(key, fld)
+    A root with no free vertex is the tree's only leaf: its restriction sum
+    runs on the generators as given, and is not kept.  Otherwise the leaves
+    are answered first, by their restriction sums; then every split in
+    order of its generator count, after its two parts."""
+    if not exactly_once(gens):
+        _check_vertex_budget(reduce(or_, gens, 0), vertex_budget)
+        return _restriction_sum(ground, gens, fld)
+    key = _shape_of(gens)
+    splits, leaves = _split_plan(key, fld, vertex_budget)
     for leaf, terms in leaves.items():
         _split_tables[leaf, fld] = tuple(((i - 1, j), b) for (i, j), b in _tally(terms).items() if i)
     for node in sorted(splits, key=len):
@@ -601,7 +619,7 @@ def _split_entries(key: tuple[int, ...], fld: FieldSpec) -> dict[tuple[int, int]
         for (i, j), b in _split_tables.get((colon, fld), ()):
             entries[i + 1, j + size] = entries.get((i + 1, j + size), 0) + b
         _split_tables[node, fld] = tuple(entries.items())
-    return dict(_split_tables.get((key, fld), ()))
+    return BettiTable("ideal", ground.bit_count(), dict(_split_tables[key, fld])).as_quotient()
 
 
 def hochster_betti(
@@ -621,11 +639,9 @@ def edge_ideal_betti(
     restriction sum at the leaves.
 
     An edge set with no free vertex is a tree of one leaf.  The route
-    refuses with SizeBudgetError when the split tree, or any leaf's plan,
-    is over the plan budget, or when a leaf refuses."""
-    _check_vertex_budget(h.vertices, vertex_budget)
-    entries = _split_entries(_shape_of(h.edges), fld)
-    return BettiTable("ideal", h.vertices.bit_count(), entries).as_quotient()
+    refuses with SizeBudgetError when a leaf's sum is over the vertex
+    budget, or when the tree and its leaves' plans are over the plan budget."""
+    return _split_betti(h.vertices, h.edges, fld, vertex_budget)
 
 
 def edge_restriction_sum(
@@ -641,13 +657,13 @@ def clique_ideal_betti(
     h: Hypergraph, d: int, fld: FieldSpec = QQ, *, vertex_budget: int = VERTEX_BUDGET
 ) -> BettiTable:
     """Betti table of R/I for the face ideal of the clique-style complex
-    of a d-uniform hypergraph; minimal nonfaces are the non-edge d-sets."""
+    of a d-uniform hypergraph, by the split tree on its minimal nonfaces,
+    the non-edge d-sets, as ``edge_ideal_betti`` on the edges."""
     if d < 2:
         raise ParameterError("edge size d must be at least 2")
     if not h.is_uniform(d):
         raise PreconditionError(f"clique-style complex needs {d}-uniform input")
-    _check_vertex_budget(h.vertices, vertex_budget)
-    return _restriction_sum(h.vertices, non_edges(h, d), fld)
+    return _split_betti(h.vertices, non_edges(h, d), fld, vertex_budget)
 
 
 def ideal_betti(ideal: MonomialIdeal, fld: FieldSpec = QQ) -> BettiTable:
@@ -669,22 +685,16 @@ def taylor_betti_free_vertex(h: Hypergraph) -> BettiTable:
     subfamilies, before any is listed."""
     if not every_edge_has_free_vertex(h):
         raise PreconditionError("needs a private vertex in every edge")
-    check_taylor_budget(len(h.edges))
+    if len(h.edges) >= FACE_BUDGET.bit_length():  # 2^k is over the budget
+        raise SizeBudgetError(
+            f"the subset count over {len(h.edges)} generators has more than "
+            f"{FACE_BUDGET} subfamilies (the face budget)"
+        )
     entries: dict[tuple[int, int], int] = {}
     for S, union in enumerate(subfamily_unions(sorted(h.edges))):
         key = (S.bit_count(), union.bit_count())
         entries[key] = entries.get(key, 0) + 1
     return BettiTable("quotient", h.num_vertices, entries)
-
-
-def check_taylor_budget(edge_count: int) -> None:
-    """Refuse a subset count over more than FACE_BUDGET subfamilies: 2^k
-    exceeds the budget exactly when k reaches its bit length."""
-    if edge_count >= FACE_BUDGET.bit_length():
-        raise SizeBudgetError(
-            f"the subset count over {edge_count} generators has more than "
-            f"{FACE_BUDGET} subfamilies (the face budget)"
-        )
 
 
 def _check_overlap_family(n: int, d: int, alpha: int, min_n: int) -> None:

@@ -21,13 +21,11 @@ import functools
 import json
 import sys
 import time
-from math import comb
 
 from . import cache
 from .betti import (
     VERTEX_BUDGET,
     BettiTable,
-    check_taylor_budget,
     clique_ideal_betti,
     cycle_betti_closed_form,
     cycle_betti_degenerate,
@@ -35,7 +33,6 @@ from .betti import (
     line_betti_closed_form,
     line_betti_degenerate,
     star_betti_closed_form,
-    taylor_betti_free_vertex,
 )
 from .bitsets import mask_of
 from .chordal import (
@@ -49,7 +46,7 @@ from .complexes import SimplicialComplex, alexander_dual, clique_complex, indepe
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import parse_field
 from .hypergraph import OVERLAP_FAMILIES, FamilySpec, Hypergraph, canonical_hash, canonical_json
-from .hypergraph import MAX_LISTED_EDGES, make_complete, make_multipartite, non_edges
+from .hypergraph import MAX_LISTED_EDGES, make_complete, make_multipartite
 from .ideal import MonomialIdeal, ShellingRefusal, edge_ideal, search_d_shelling, verify_d_shelling
 from .verify import run_check
 
@@ -174,16 +171,7 @@ def _betti_table(args: argparse.Namespace, h: Hypergraph, fam: FamilySpec | None
     if args.method == "closed-form":
         return _closed_form_table(h, fam, args.complex)
     if args.complex == "clique":
-        d = _uniformity(h, args.d)
-        if args.method == "taylor":
-            count = comb(h.vertices.bit_count(), d) - len(h.edges)
-            if count > MAX_LISTED_EDGES:  # too many to list, and far past the subset budget
-                check_taylor_budget(count)
-            complement = Hypergraph(h.n_vertices, frozenset(non_edges(h, d)), h.vertices)
-            return taylor_betti_free_vertex(complement)
-        return clique_ideal_betti(h, d, fld, vertex_budget=args.max_vertices)
-    if args.method == "taylor":
-        return taylor_betti_free_vertex(h)
+        return clique_ideal_betti(h, _uniformity(h, args.d), fld, vertex_budget=args.max_vertices)
     return edge_ideal_betti(h, fld, vertex_budget=args.max_vertices)
 
 
@@ -382,15 +370,13 @@ def _build_parser() -> argparse.ArgumentParser:
         help="which complex carries the ideal (default: independence, i.e. the edge ideal)",
     )
     betti.add_argument("--field", default="gf2", help="q, gf2, gf3, or gfP:<p> (default gf2)")
-    betti.add_argument(
-        "--method", choices=["hochster", "taylor", "closed-form"], default="hochster"
-    )
+    betti.add_argument("--method", choices=["hochster", "closed-form"], default="hochster")
     betti.add_argument("--format", choices=["json", "csv"], default="json")
     betti.add_argument("--convention", choices=["quotient", "ideal"], default="quotient")
     betti.add_argument("--d", type=int, help="uniformity for the clique route (default: inferred)")
     betti.add_argument(
         "--max-vertices", type=int, default=VERTEX_BUDGET,
-        help="vertex budget for the restriction sum (default %(default)s)",
+        help="vertex budget for each restriction sum (default %(default)s)",
     )
     betti.add_argument("--no-cache", action="store_true", help="bypass the result cache")
     betti.set_defaults(handler=cmd_betti)

@@ -122,7 +122,7 @@ def minimal_transversals(masks, cap: int = MAX_LISTED_EDGES) -> frozenset[int]:
     trimmed above k, becomes a minimal transversal of the whole family
     that meets 0..k in it, so the family has at least as many.  Once that
     fold holds more than cap of them, it stops and refuses with
-    SizeBudgetError.
+    SizeBudgetError, as an empty family does below cap 1.
     """
     trans: list[int] = [0]
     ordered = sorted(set(masks))
@@ -152,7 +152,9 @@ def minimal_transversals(masks, cap: int = MAX_LISTED_EDGES) -> frozenset[int]:
                     grown.append(cand)
         trans = grown
         if ends_group and len(trans) > cap:
-            raise SizeBudgetError(f"the dualization yields more than {cap} sets")
+            break
+    if len(trans) > cap:
+        raise SizeBudgetError(f"the dualization yields more than {cap} sets")
     return frozenset(trans)
 
 
@@ -195,10 +197,6 @@ def clique_complex(h: Hypergraph, d: int, cap: int = MAX_LISTED_EDGES) -> Simpli
         raise ParameterError("edge size d must be at least 2")
     if not h.is_uniform(d):
         raise PreconditionError(f"clique-style complex needs {d}-uniform input")
-    if comb(h.vertices.bit_count(), d) - len(h.edges) > MAX_LISTED_EDGES:
-        raise SizeBudgetError(
-            f"the clique complex has more than {MAX_LISTED_EDGES} non-edge {d}-sets to list"
-        )
     return nonface_complex(h.n_vertices, non_edges(h, d), h.vertices, cap)
 
 

@@ -22,11 +22,11 @@ from .bitsets import bits_of, contains, exactly_once, k_submasks, mask_of, min_a
 from .errors import ParameterError, SizeBudgetError
 
 MAX_VERTICES = 63
-# Family makers and build recipes listing more d-subsets than this
-# (repeats counted) are refused before any is listed, and a dualization
-# yielding more sets is refused as it passes it: more than any antichain
-# on 20 vertices holds (C(20, 10) = 184,756), the default vertex budget
-# of the Betti routes.
+# Family makers, build recipes and non-edge listings with more d-subsets
+# than this (repeats counted) are refused before any is listed, and a
+# dualization yielding more sets is refused as it passes it: more than
+# any antichain on 20 vertices holds (C(20, 10) = 184,756), the default
+# vertex budget of each restriction sum.
 MAX_LISTED_EDGES = 1 << 18
 
 
@@ -324,9 +324,13 @@ def _check_overlap_params(n: int, d: int, alpha: int, min_edges: int) -> None:
 
 def non_edges(h: Hypergraph, d: int) -> list[int]:
     """The d-subsets of the present vertices that are not edges, in
-    vertex order.  For d-uniform h these are the minimal nonfaces of the
-    clique-style complex (a d-set is a face exactly when it is an edge,
-    and every smaller set is a face)."""
+    vertex order; refused before any is listed when C(|V|, d) minus the
+    edges, their number for d-uniform h, is more than MAX_LISTED_EDGES.
+    For d-uniform h these are the minimal nonfaces of the clique-style
+    complex (a d-set is a face exactly when it is an edge, and every
+    smaller set is a face)."""
+    if comb(h.vertices.bit_count(), d) - len(h.edges) > MAX_LISTED_EDGES:
+        raise SizeBudgetError(f"there are more than {MAX_LISTED_EDGES} non-edge {d}-sets to list")
     return [m for m in k_submasks(h.vertices, d) if m not in h.edges]
 
 

@@ -471,14 +471,14 @@ def check_free_split(grid: Mapping) -> Iterable[Case]:
         for fld in FIELD_TRIPLE:
             yield f"{label} field={fld.label}", lambda h=h, f=fld: _table_diff(
                 edge_restriction_sum(h, f, vertex_budget=MAX_VERTICES),
-                edge_ideal_betti(h, f, vertex_budget=MAX_VERTICES),
+                edge_ideal_betti(h, f),
             )
     for family, n, closed in _FAR_SPLITS:
         h = OVERLAP_FAMILIES[family](n, 3, 1)
         for fld in FIELD_TRIPLE:
             yield f"{family} n={n} d=3 alpha=1 closed form field={fld.label}", (
                 lambda h=h, f=fld, expected=closed(n, 3, 1): _table_diff(
-                    expected, edge_ideal_betti(h, f, vertex_budget=MAX_VERTICES)
+                    expected, edge_ideal_betti(h, f)
                 )
             )
 

@@ -2,7 +2,9 @@
 
 from __future__ import annotations
 
+import random
 import re
+import time
 from collections import Counter
 from itertools import combinations
 from math import comb
@@ -50,6 +52,7 @@ from hyperbetti import betti
 from hyperbetti.betti import (
     BIG_FACE_CAP,
     CLOSURE_MAX_NONFACES,
+    VERTEX_BUDGET,
     _count_by_big_faces,
     _dims_direct,
     _dims_nerve,
@@ -132,8 +135,10 @@ def test_characteristic_can_change_the_table():
 
 
 def test_vertex_budget_is_enforced():
-    with pytest.raises(SizeBudgetError):
-        edge_ideal_betti(make_line(3, 3, 1), QQ, vertex_budget=5)
+    """cycle(5,2,1) has no free vertex, so its one restriction sum runs
+    over all five vertices."""
+    with pytest.raises(SizeBudgetError, match="restriction sum over 5 vertices"):
+        edge_ideal_betti(make_cycle(5, 2, 1), QQ, vertex_budget=4)
 
 
 def test_a_nerve_past_the_face_budget_is_refused():
@@ -179,6 +184,15 @@ def test_connectivity_of_near_complete():
 
 def test_connectivity_none_for_complete():
     assert connectivity(make_complete(4, 3), QQ, 3) is None
+
+
+def test_connectivity_refuses_too_many_non_edges_to_list():
+    """The edgeless hypergraph on 40 vertices has C(40, 10), about 8.5e8,
+    non-edge 10-sets: they are refused before any is listed."""
+    started = time.perf_counter()
+    with pytest.raises(SizeBudgetError, match="more than 262144 non-edge 10-sets to list"):
+        connectivity(Hypergraph(40, frozenset()), GF2, 10)
+    assert time.perf_counter() - started < 1.0
 
 
 def test_conn_depth_equivalence_on_a_line():
@@ -398,7 +412,7 @@ def test_big_face_counts_match_a_brute_force_tally(ground, faces):
         (v.bit_count(), tuple(f for f in big if f & ~v == 0)) for v in submasks(ground)
     )
     counts = Counter(
-        {(m, S): c for S, sizes in _count_by_big_faces(ground, big).items()
+        {(m, S): c for S, sizes in _count_by_big_faces(ground, big, 1 << 9)[1].items()
          for m, c in enumerate(sizes) if c}
     )
     assert counts == expected
@@ -448,25 +462,27 @@ def test_the_clique_route_reaches_line_11_3_1(fld):
     assert not any(difference.values())
 
 
-@pytest.mark.parametrize("a, b", [(2, 3), (4, 5), (4, 7), (3, 8)])
+@pytest.mark.parametrize("a, b", [(3, 3), (4, 5), (4, 7), (3, 8)])
 def test_the_clique_route_of_a_complete_bipartite_graph(a, b):
     """The non-edges of K(a,b) are the pairs inside each part: two disjoint
     cliques, so the table is the product of the tables of all pairs on a
-    and on b vertices.  The first two take the union closure, the last
-    two (more than 26 non-edges) the skeleton sweep."""
+    and on b vertices.  With three or more vertices in each part no vertex
+    is free, so the split tree is one leaf, the whole restriction sum.
+    The first two take the union closure, the last two (more than 26
+    non-edges) the skeleton sweep."""
     h = make_multipartite([a, b], 2)
     sweeps = b >= 7  # K(4,7) and K(3,8)
     plans: Counter[str] = Counter()
     union_closure = _RestrictionOracle.union_closure
     count_by_big_faces = betti._count_by_big_faces
 
-    def counted_closure(self):
+    def counted_closure(self, budget):
         plans["closure"] += 1
-        return union_closure(self)
+        return union_closure(self, budget)
 
-    def counted_search(ground, big_faces):
+    def counted_search(ground, big_faces, budget):
         plans["sweep"] += 1
-        return count_by_big_faces(ground, big_faces)
+        return count_by_big_faces(ground, big_faces, budget)
 
     with mock.patch.object(_RestrictionOracle, "union_closure", counted_closure), \
             mock.patch.object(betti, "_count_by_big_faces", counted_search):
@@ -491,10 +507,8 @@ def test_the_closure_is_refused_exactly_past_the_plan_budget(family):
             unions.add(union)
     oracle = _RestrictionOracle(nonfaces, GF2)
     pairs = len(nonfaces) * len(unions)
-    with mock.patch.object(betti, "PLAN_BUDGET", pairs):
-        assert oracle.union_closure() == sorted(unions)
-    with mock.patch.object(betti, "PLAN_BUDGET", pairs - 1):
-        assert oracle.union_closure() is None
+    assert oracle.union_closure(pairs) == sorted(unions)
+    assert oracle.union_closure(pairs - 1) is None
 
 
 @settings(max_examples=40, deadline=None)
@@ -509,11 +523,9 @@ def test_the_search_is_refused_exactly_past_the_plan_budget(sizes, gap):
         shift += size + gap
         leaves *= size + 1
     ground = (1 << shift) - 1
-    with mock.patch.object(betti, "PLAN_BUDGET", leaves):
-        counts = _count_by_big_faces(ground, faces)
-        assert counts is not None and sum(map(sum, counts.values())) == 1 << shift
-    with mock.patch.object(betti, "PLAN_BUDGET", leaves - 1):
-        assert _count_by_big_faces(ground, faces) is None
+    visited, counts = _count_by_big_faces(ground, faces, leaves)
+    assert visited == leaves and sum(map(sum, counts.values())) == 1 << shift
+    assert _count_by_big_faces(ground, faces, leaves - 1) is None
 
 
 _BLOCK = st.tuples(st.integers(0, 1), st.lists(st.integers(1, 15), min_size=1, max_size=4))
@@ -537,7 +549,7 @@ def test_the_join_split_equals_the_unsplit_routes(blocks):
         shift += max(family).bit_length()
     for fld in (GF2, GF3, QQ):
         oracle = _RestrictionOracle(nonfaces, fld)
-        for vmask in oracle.union_closure():
+        for vmask in oracle.union_closure(betti.PLAN_BUDGET):
             relevant = [M for M in oracle.mnf if contains(vmask, M)]
             if not relevant:
                 continue
@@ -701,9 +713,9 @@ def test_the_split_tree_is_planned_before_any_rank(monkeypatch):
     log = []
     terms, ranks_by_size = betti._restriction_terms, betti.ranks_by_size
 
-    def planned(nonfaces, fld):
+    def planned(*args):
         log.append("plan")
-        return terms(nonfaces, fld)
+        return terms(*args)
 
     def ranked(faces_by_size, fld):
         log.append("rank")
@@ -719,19 +731,98 @@ def test_the_split_tree_is_planned_before_any_rank(monkeypatch):
 
 
 def test_the_split_tree_is_refused_exactly_past_the_plan_budget(monkeypatch):
-    """The tree's distinct nodes are counted against the plan budget.  Past
-    it the route refuses, and the tree's own refusal is the route's."""
+    """The tree's distinct nodes and its leaves' plan visits share one plan
+    budget, each leaf's plan getting what is left of it, so a leaf may take
+    a cheaper plan under a lower budget.  Lowered one at a time, the budget
+    still plans the tree down to a least budget, where the nodes and
+    visits add up to exactly that budget; one below it the tree is
+    refused, and the tree's own refusal is the route's."""
     key = betti._shape_of(_TWO_LEAVES.edges)
     monkeypatch.setattr(betti, "_split_tables", {})
-    splits, leaves = betti._split_plan(key, GF2)
-    nodes = len(splits) + len(leaves)
-    with mock.patch.object(betti, "PLAN_BUDGET", nodes):
-        betti._split_plan(key, GF2)
-    with mock.patch.object(betti, "PLAN_BUDGET", nodes - 1):
-        with pytest.raises(SizeBudgetError, match="split tree has more than") as tree:
-            betti._split_plan(key, GF2)
+    terms, visits = betti._restriction_terms, []
+
+    def planned(*args):
+        plan = terms(*args)
+        visits.append(plan[0])
+        return plan
+
+    def spent_at(budget):
+        visits.clear()
+        with mock.patch.object(betti, "PLAN_BUDGET", budget):
+            splits, leaves = betti._split_plan(key, GF2, VERTEX_BUDGET)
+        assert len(leaves) == len(visits) == 2
+        return len(splits) + len(leaves) + sum(visits)
+
+    monkeypatch.setattr(betti, "_restriction_terms", planned)
+    least = spent_at(betti.PLAN_BUDGET)
+    while True:
+        try:
+            spent_at(least - 1)
+        except SizeBudgetError:
+            break
+        least -= 1
+    assert spent_at(least) == least
+    with mock.patch.object(betti, "PLAN_BUDGET", least - 1):
+        with pytest.raises(SizeBudgetError, match="split tree and its leaf plans") as tree:
+            betti._split_plan(key, GF2, VERTEX_BUDGET)
         with pytest.raises(SizeBudgetError, match=re.escape(str(tree.value))):
             edge_ideal_betti(_TWO_LEAVES, GF2)
+
+
+def test_the_vertex_budget_bounds_each_leaf_not_the_input():
+    """A pendant edge {4, 5} on the 5-cycle frees vertex 5: the split
+    tree answers the six vertices at a vertex budget of 5, since no leaf's
+    sum runs over more, and refuses at 4, where the 5-cycle's leaf is over
+    it."""
+    h = Hypergraph(6, make_cycle(5, 2, 1).edges | {0b110000})
+    with mock.patch.object(betti, "_split_tables", {}):
+        assert edge_ideal_betti(h, GF2, vertex_budget=5) == edge_restriction_sum(h, GF2)
+    with mock.patch.object(betti, "_split_tables", {}):
+        with pytest.raises(SizeBudgetError, match="restriction sum over 5 vertices"):
+            edge_ideal_betti(h, GF2, vertex_budget=4)
+
+
+def _private_vertex_family(rng: random.Random, d: int | None, count: int) -> list[int]:
+    """``count`` sets over a shared core of 2 to 8 vertices, each with one to
+    three vertices of its own: of size d, or of sizes 2 to 5 when d is
+    None."""
+    core = rng.randrange(2, 9)
+    top, family = core, []
+    for _ in range(count):
+        size = d or rng.randrange(2, 6)
+        own = rng.randrange(max(1, size - core), min(size, 3) + 1)
+        shared = sum(1 << v for v in rng.sample(range(core), size - own))
+        family.append(shared | ((1 << own) - 1) << top)
+        top += own
+    return family
+
+
+def test_the_split_tree_equals_the_subset_count_on_private_vertex_edges():
+    """Edge sets in which every edge keeps a private vertex, many past the
+    default vertex budget: at the default flags the split tree answers
+    each, with the subset count's table."""
+    rng = random.Random(27)
+    pool = [_private_vertex_family(rng, None, rng.randrange(1, 13)) for _ in range(60)]
+    hypergraphs = [Hypergraph(max(f).bit_length(), frozenset(f)) for f in pool]
+    assert sum(h.num_vertices > VERTEX_BUDGET for h in hypergraphs) >= 15
+    for h in hypergraphs:
+        expected = taylor_betti_free_vertex(h)
+        assert edge_ideal_betti(h, GF2) == expected
+        assert edge_ideal_betti(h, QQ) == expected
+
+
+def test_the_clique_route_equals_the_subset_count_of_private_vertex_non_edges():
+    """d-uniform hypergraphs whose non-edges keep private vertices, on up to
+    33 vertices: the clique route's split tree answers each at the default
+    flags, with the subset count of the non-edges."""
+    rng = random.Random(2027)
+    for _ in range(40):
+        d = rng.choice((2, 3))
+        missing = _private_vertex_family(rng, d, rng.randrange(1, 11))
+        n = max(missing).bit_length() + rng.randrange(4)
+        edges = frozenset(k_submasks((1 << n) - 1, d)) - set(missing)
+        expected = taylor_betti_free_vertex(Hypergraph(n, frozenset(missing)))
+        assert clique_ideal_betti(Hypergraph(n, edges), d, GF2) == expected
 
 
 def test_each_component_shape_is_answered_once(monkeypatch):

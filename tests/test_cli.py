@@ -6,7 +6,6 @@ import contextlib
 import io
 import itertools
 import json
-import math
 import os
 import subprocess
 import sys
@@ -19,6 +18,7 @@ from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
 from hyperbetti import BettiTable, betti, cycle_betti_closed_form, line_betti_closed_form
+from hyperbetti import star_betti_closed_form
 from hyperbetti import make_complete, make_multipartite, make_star_overlap
 from hyperbetti.bitsets import mask_of
 from hyperbetti.cli import main
@@ -277,20 +277,40 @@ def test_betti_closed_form_other_families_are_usage_errors(capsys, tmp_path):
 
 
 def test_betti_vertex_budget_exit(capsys, tmp_path):
+    """cycle(5,2,1) has no free vertex, so its one restriction sum runs
+    over all five vertices, past a vertex budget of four."""
     path = _gen_to_file(
-        capsys, tmp_path, "gen", "--family", "line", "--n", "3", "--d", "3", "--alpha", "1"
+        capsys, tmp_path, "gen", "--family", "cycle", "--n", "5", "--d", "2", "--alpha", "1"
     )
     code, _, err = run(capsys, "betti", path, "--max-vertices", "4", "--no-cache")
     assert code == 3
     assert "budget" in err
 
 
+def test_betti_has_no_subset_count_method(capsys, tmp_path):
+    """The subset count over all 2^E subfamilies is not a CLI method: the
+    split tree answers every input it answered.  Asking for it is a usage
+    error."""
+    path = _gen_to_file(
+        capsys, tmp_path, "gen", "--family", "line", "--n", "3", "--d", "3", "--alpha", "1"
+    )
+    for route in ("independence", "clique"):
+        code, out, err = run(
+            capsys, "betti", path, "--complex", route, "--method", "taylor", "--no-cache"
+        )
+        assert (code, out) == (2, "")
+        assert "invalid choice: 'taylor'" in err
+
+
 @pytest.mark.parametrize("route", ["independence", "clique"])
 def test_betti_refuses_over_budget_before_building_a_complex(capsys, tmp_path, monkeypatch, route):
-    """line(10,4,1) has 31 vertices: both routes refuse at once at the
-    default budget, before any complex or transversal is built."""
+    """cycle(21,2,1) has 21 vertices and no free vertex, nor does its
+    clique route's set of non-edges: on both routes the split tree is one
+    leaf, whose restriction sum runs over all 21 vertices.  Both refuse at
+    once at the default budget, before any complex or transversal is
+    built."""
     path = _gen_to_file(
-        capsys, tmp_path, "gen", "--family", "line", "--n", "10", "--d", "4", "--alpha", "1"
+        capsys, tmp_path, "gen", "--family", "cycle", "--n", "21", "--d", "2", "--alpha", "1"
     )
 
     def built(*_args, **_kwargs):
@@ -306,7 +326,7 @@ def test_betti_refuses_over_budget_before_building_a_complex(capsys, tmp_path, m
     assert code == 3
     assert out == ""
     assert err.splitlines()[0] == (
-        "error: restriction sum over 31 vertices exceeds the vertex budget 20"
+        "error: restriction sum over 21 vertices exceeds the vertex budget 20"
     )
 
 
@@ -369,6 +389,17 @@ def _betti_refusal(tmp_path, path, *flags):
 
 # 22 disjoint pairs: 2^22 minimal transversals, each pair's complement a facet
 _PAIRS = [[2 * i, 2 * i + 1] for i in range(22)]
+# 25 edges on 25 vertices whose split tree passes the plan budget
+_BOTTLENECK = {
+    "n": 25,
+    "edges": [
+        [0, 3, 16, 19, 24], [0, 5, 9, 12, 21], [0, 14, 15, 16, 19], [1, 4, 9, 21],
+        [1, 7, 10, 17, 19], [2, 5, 14, 16], [2, 7, 15, 17, 19], [2, 10, 17, 19, 22],
+        [2, 11, 12], [2, 11, 15, 17], [3, 4], [4, 10], [5, 7, 21, 22], [5, 16, 17, 20, 24],
+        [6, 9, 10, 11, 13], [7, 16], [7, 23], [8, 15], [8, 18], [9, 16, 19, 22, 23],
+        [10, 23], [13, 19], [14, 15, 22], [21, 22, 24], [23, 24],
+    ],
+}
 
 
 @pytest.mark.parametrize(
@@ -379,16 +410,16 @@ _PAIRS = [[2 * i, 2 * i + 1] for i in range(22)]
             "error: no valid glue of size 20 exists",
         ),
         (
-            ["betti", "--method", "taylor", "--no-cache"],
-            make_star_overlap(26, 2, 1).to_json_obj(), 3,
-            "error: the subset count over 26 generators has more than 4194304 "
-            "subfamilies (the face budget)",
+            ["betti", "--complex", "clique", "--no-cache"], {"n": 63, "edges": [list(range(31))]},
+            3, "error: there are more than 262144 non-edge 31-sets to list",
         ),
         (
-            ["betti", "--complex", "clique", "--method", "taylor", "--no-cache"],
-            {"n": 63, "edges": [list(range(31))]}, 3,
-            f"error: the subset count over {math.comb(63, 31) - 1} generators has more "
-            "than 4194304 subfamilies (the face budget)",
+            ["betti", "--no-cache"], _BOTTLENECK, 3,
+            "error: the split tree and its leaf plans visit more than 262144 (the plan budget)",
+        ),
+        (
+            ["betti", "--max-vertices", "63", "--no-cache"], _BOTTLENECK, 3,
+            "error: the split tree and its leaf plans visit more than 262144 (the plan budget)",
         ),
         (
             ["shell", "--complex", "independence", "--d", "1"], {"n": 44, "edges": _PAIRS}, 3,
@@ -396,7 +427,7 @@ _PAIRS = [[2 * i, 2 * i + 1] for i in range(22)]
         ),
         (
             ["shell", "--complex", "clique", "--d", "1"], {"n": 63, "edges": [list(range(31))]}, 3,
-            "error: the clique complex has more than 262144 non-edge 31-sets to list",
+            "error: there are more than 262144 non-edge 31-sets to list",
         ),
         (
             ["shell", "--complex", "clique", "--d", "1"],
@@ -410,15 +441,16 @@ _PAIRS = [[2 * i, 2 * i + 1] for i in range(22)]
         ),
     ],
     ids=[
-        "chordal-glue", "betti-taylor", "betti-clique-taylor", "shell-independence",
-        "shell-clique", "shell-clique-multipartite", "dual",
+        "chordal-glue", "betti-clique", "betti-bottleneck", "betti-bottleneck-63",
+        "shell-independence", "shell-clique", "shell-clique-multipartite", "dual",
     ],
 )
 def test_unbounded_work_is_refused_before_it_starts(tmp_path, argv, obj, code, message):
     """Each input asks for work with no useful bound: a glue search over
-    C(60, 20) tuples, a subset count over 2^26 or more subfamilies, a
-    dualization with 2^22 or 3^12 sets, or a clique complex with
-    C(63, 31) - 1 non-edges to list.  Each is refused within a second."""
+    C(60, 20) tuples, a split tree past the plan budget (which ran for
+    minutes when only the vertex budget bounded it), a dualization with
+    2^22 or 3^12 sets, or C(63, 31) - 1 non-edges to list.  Each is
+    refused within a second."""
     if obj is not None:
         path = tmp_path / "in.json"
         path.write_text(json.dumps(obj))
@@ -426,6 +458,34 @@ def test_unbounded_work_is_refused_before_it_starts(tmp_path, argv, obj, code, m
     returncode, line, ms = _refusal(tmp_path, *argv)
     assert (returncode, line) == (code, message)
     assert ms < 1000
+
+
+def test_betti_answers_a_wide_star_at_the_default_flags(tmp_path):
+    """star(26,2,1) has 27 vertices, past the default vertex budget, and
+    2^26 edge subfamilies, past the face budget of a subset count; its
+    split tree has no leaf over the vertex budget and answers within a
+    second, with the closed form's table."""
+    path = tmp_path / "star.json"
+    path.write_text(make_star_overlap(26, 2, 1).to_json())
+    code, out, _, ms = _program(tmp_path, "betti", str(path), "--no-cache")
+    assert code == 0
+    assert BettiTable.from_json(out) == star_betti_closed_form(26, 2, 1)
+    assert ms < 1000
+
+
+@pytest.mark.parametrize(
+    "complex_kind, obj",
+    [("clique", make_complete(16, 3).to_json_obj()), ("independence", {"n": 5, "edges": []})],
+)
+def test_a_facet_cap_of_zero_refuses_the_one_facet(tmp_path, complex_kind, obj):
+    """The clique complex of a complete hypergraph and the independence
+    complex of an edgeless one have no minimal nonface: the dualization
+    yields the one facet, the ground set, and a cap of 0 refuses it as it
+    refuses any other family."""
+    path = tmp_path / "in.json"
+    path.write_text(json.dumps(obj))
+    argv = ("shell", "--complex", complex_kind, "--d", "1", "--max-facets", "0", str(path))
+    assert _refusal(tmp_path, *argv)[:2] == (3, "error: the dualization yields more than 0 sets")
 
 
 def test_the_clique_complex_of_a_complete_hypergraph_is_built_at_once(tmp_path):
@@ -951,7 +1011,6 @@ _OBJECT = st.one_of(
 )
 _COMMANDS = [
     ["betti", "--no-cache"],
-    ["betti", "--no-cache", "--method", "taylor"],
     ["betti", "--no-cache", "--method", "closed-form"],
     ["dual"],
     ["export"],
