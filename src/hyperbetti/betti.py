@@ -24,20 +24,22 @@ lowest free vertex, down to single generators and to leaves with no
 free vertex, which the sum answers.  The tree is built and every leaf's
 sum planned before any rank runs: the tree's nodes and its leaves' plan
 visits share one plan budget, and the vertex budget bounds each leaf's
-support.  Over either, or when a leaf refuses, the route refuses.
+support.  Over either, or when a leaf refuses, the route refuses.  An
+answered node is kept for the process with the widest leaf support
+below it, and is reused only within the vertex budget.
 
 Subsets that induce a cone contribute nothing, so the sum runs over the
 support U, the union of the minimal nonfaces, and has two plans:
 
 * union closure - the unions of the minimal nonfaces hold every subset
-  with nonzero homology, and each is answered one by one.  This is the
-  plan when there are few nonfaces.
+  with nonzero homology, and each is split into its components one by
+  one.  This is the plan when there are few nonfaces.
 * skeleton sweep - when every set smaller than s (the minimal nonface
   size) is a face, the homology on V depends only on |V| and the faces
   of size >= s inside V.  When those faces are few enough to grow, the
   sweep does not visit the 2^|U| subsets one by one: it counts them per
-  such pair, and answers each pair once.  It is tried when there are
-  many nonfaces, and when the closure is over budget.
+  such pair.  It is tried when there are many nonfaces, and when the
+  closure is over budget.
 
 One plan budget bounds both by a count taken before any rank runs: for
 the closure, its sets times its nonfaces, since each set is scanned
@@ -46,17 +48,29 @@ leaves of its search.  A closure past it gives way to the sweep when
 the faces fit; a sweep past it, or a closure past it when they do not,
 is refused.
 
-Every subset answered one by one, in the closure or by the connectivity
-and Cohen-Macaulay scans, takes one route:
+A plan reads no field, and a tally answers it once per field.  The
+closure's sets are split into their nonface components and counted by
+size and component shapes, and the tally joins the shapes' answers once
+per group; the sweep's subsets are counted by size and by the family of
+big faces inside them, relabelled, and the tally ranks each family once
+per field for the process.  Plans are kept for the process, keyed by
+the relabelled nonfaces, with their visits and the budget they were
+planned under.  A kept plan is reused only under a budget no larger
+than that one, and only when its visits fit in it: plans are chosen by
+comparing visits with the budget, so there a fresh plan is the same
+one.  A refused plan is not kept.
+
+Every subset of the closure, and every subset the connectivity and
+Cohen-Macaulay scans answer one by one, takes one route:
 
 * cone filter - V adds nothing when it holds no nonface (a simplex) or
   when a vertex of V lies in none of the nonfaces inside V (a cone);
-* join split and shape memo - the minimal nonfaces inside V fall into
-  components, two nonfaces being joined when they share a vertex.  The
-  components' supports partition V, and the subcomplex on V is the join
-  of the subcomplexes on those supports, so by the Kunneth formula for
-  joins its homology is the product of theirs, H~_{p+q+1}(A*B) = sum of
-  H~_p(A) (x) H~_q(B).  Each component is relabelled onto the vertices
+* join split and shape memo - with no field yet, the minimal nonfaces
+  inside V fall into components, two nonfaces being joined when they
+  share a vertex.  The components' supports partition V, and the
+  subcomplex on V is the join of the subcomplexes on those supports, so
+  by the Kunneth formula for joins its homology is the product of
+  theirs, H~_{p+q+1}(A*B) = sum of H~_p(A) (x) H~_q(B).  Each component is relabelled onto the vertices
   0..m-1 in order, a simplicial isomorphism, and its sorted relabelled
   nonfaces with the field are the key of one memo for the process:
   every shape is answered once per field, whichever sum or scan meets it;
@@ -79,13 +93,19 @@ from functools import cache, reduce
 from itertools import combinations
 from math import comb, factorial
 from operator import or_
-from typing import Collection, Iterable, Iterator, Sequence
+from typing import Collection, Iterable, Sequence
 
 from .bitsets import colon, exactly_once, k_submasks, subfamily_unions
 from .complexes import FACE_BUDGET, SimplicialComplex, grow_faces, minimal_nonfaces
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import QQ, FieldSpec, dims_above, dims_from_faces, ranks_by_size
-from .hypergraph import Hypergraph, canonical_json, every_edge_has_free_vertex, non_edges
+from .hypergraph import (
+    Hypergraph,
+    canonical_json,
+    every_edge_has_free_vertex,
+    non_edge_support,
+    non_edges,
+)
 from .ideal import MonomialIdeal
 
 
@@ -229,11 +249,12 @@ PLAN_BUDGET = 1 << 18
 class _RestrictionOracle:
     """Engine answering 'reduced homology of the induced subcomplex on V'
     for many V.  It reads the minimal nonfaces of one complex and answers
-    every V by one route: the cone filter, the split into nonface
-    components, and ``_shape_dims``, which answers each component's shape
-    once per process."""
+    every V by one route: the cone filter and the split into nonface
+    components, which need no field, then ``_shape_dims``, which answers
+    each component's shape once per process and field.  The field is
+    needed only by ``dims_for``."""
 
-    def __init__(self, nonfaces: Iterable[int], fld: FieldSpec) -> None:
+    def __init__(self, nonfaces: Iterable[int], fld: FieldSpec | None = None) -> None:
         self.mnf = sorted(set(nonfaces))
         if 0 in self.mnf:
             raise PreconditionError("restriction homology needs a nonvoid complex")
@@ -241,20 +262,17 @@ class _RestrictionOracle:
 
     # -- public -------------------------------------------------------
 
-    def dims_for(self, vmask: int) -> dict[int, int]:
-        """Nonzero reduced homology dims of the induced subcomplex.
+    def shapes_for(self, vmask: int) -> list[tuple[int, ...]] | None:
+        """The shapes of the nonface components inside V, or None when V
+        is a simplex or a cone; none for the empty set.
 
         One pass over the minimal nonfaces keeps those inside V, their
         union and their components, two nonfaces joining when they share
         a vertex.  V is a simplex when it holds no nonface, and a cone when
         the nonfaces miss a vertex of it.  Otherwise the subcomplex is the
-        join of the subcomplexes on the components' supports: each
-        component's shape is answered by its (degree, dim) pairs, and the
-        join multiplies their homologies into a new dict, which the caller
-        owns.
+        join of the subcomplexes on the components' supports, and each
+        component is given by its ``_relabelled`` nonfaces.
         """
-        if not vmask:
-            return {-1: 1}
         out = ~vmask
         inside = []
         covered = 0
@@ -278,14 +296,15 @@ class _RestrictionOracle:
                 supports = apart
             covered |= M
         if covered != vmask:
-            return {}  # a simplex if V holds no nonface, else a cone on any uncovered vertex
-        dims = {-1: 1}  # the empty complex, the unit of the join
-        for P in supports:
-            part = _shape_dims(_relabelled(P, [M for M in inside if M & P]), self.fld)
-            if not part:
-                return {}  # an acyclic factor makes the join acyclic
-            dims = _join_dims(dims, part)
-        return dims
+            return None  # a simplex if V holds no nonface, else a cone on any uncovered vertex
+        return [_relabelled(P, [M for M in inside if M & P]) for P in supports]
+
+    def dims_for(self, vmask: int) -> dict[int, int]:
+        """Nonzero reduced homology dims of the induced subcomplex: the
+        join of its ``shapes_for`` components, in a new dict, which the
+        caller owns; {} for a simplex or a cone."""
+        shapes = self.shapes_for(vmask)
+        return {} if shapes is None else _joined(shapes, self.fld)
 
     # -- subset iteration ---------------------------------------------
 
@@ -396,29 +415,6 @@ def _count_by_big_faces(
     return (leaves, counts) if visit(ground, 0, tuple(big_faces)) else None
 
 
-def _skeleton_sweep(
-    families: dict[tuple[int, ...], list[int]], s: int, fld: FieldSpec
-) -> Iterator[tuple[int, dict[int, int], int]]:
-    """The skeleton sweep's terms, as (size, dims, number of subsets), from
-    the subsets counted by ``_count_by_big_faces``.
-
-    Every set smaller than s is a face, so a subset V of m >= s vertices
-    is answered from m and the faces of size >= s inside V alone: each
-    family of them is ranked once and weighted by the number of subsets
-    of each size that share it.
-    """
-    # the empty set has dims {-1: 1}; any other V smaller than s is a simplex
-    yield 0, {-1: 1}, 1
-    for S, sizes in families.items():
-        by_size: dict[int, list[int]] = {}
-        for f in S:
-            by_size.setdefault(f.bit_count(), []).append(f)
-        ranks = ranks_by_size(by_size, fld)
-        for m in range(s, len(sizes)):
-            if sizes[m]:
-                yield m, dims_above(m, s, *ranks), sizes[m]
-
-
 def _relabelled(support: int, masks: Iterable[int]) -> tuple[int, ...]:
     """The masks, subsets of the support, with the support's vertices
     relabelled 0..m-1 in increasing order, sorted.
@@ -451,6 +447,19 @@ def _join_dims(a: dict[int, int], b: Iterable[tuple[int, int]]) -> dict[int, int
     return out
 
 
+def _joined(shapes: Iterable[tuple[int, ...]], fld: FieldSpec) -> dict[int, int]:
+    """Reduced homology of the join of the components of these shapes, in
+    a new dict: {-1: 1}, the empty complex, for none, and {} as soon as a
+    component is acyclic."""
+    dims = {-1: 1}
+    for key in shapes:
+        part = _shape_dims(key, fld)
+        if not part:
+            return {}
+        dims = _join_dims(dims, part)
+    return dims
+
+
 def _check_vertex_budget(ground: int, vertex_budget: int) -> None:
     n = ground.bit_count()
     if n > vertex_budget:
@@ -459,28 +468,54 @@ def _check_vertex_budget(ground: int, vertex_budget: int) -> None:
         )
 
 
-def _restriction_terms(
-    nonfaces: Collection[int], fld: FieldSpec, budget: int
-) -> tuple[int, Iterable[tuple[int, dict[int, int], int]]]:
-    """The plan of the restriction sum of R/I, where I is generated by these
-    minimal nonfaces, built now: its visits, and its terms, as (size, dims,
-    number of subsets), answered as they are read.
+# A plan of the restriction sum, as read by ``_tally``, in flat tuples, since
+# plans are kept for the process: the smallest nonface size s; the join
+# groups, as runs of (subset size, sorted component shapes, number of
+# subsets); and the sweep families, as runs of (relabelled big faces, their
+# subset sizes and numbers of subsets, in pairs, only the nonzero ones).
+_Plan = tuple[int, tuple, tuple]
+
+# The plan of every restriction sum planned so far, keyed by its
+# ``_relabelled`` nonfaces, for the process: (the budget it was planned
+# under, its visits, the plan).
+_plans: dict[tuple[int, ...], tuple[int, int, _Plan]] = {}
+# One shared object for each component shape, join of shapes and sweep
+# family that the kept plans hold.
+_plan_keys: dict[tuple, tuple] = {}
+
+
+def _restriction_terms(key: tuple[int, ...], budget: int) -> tuple[int, _Plan]:
+    """The plan of the restriction sum of R/I, where I is generated by the
+    minimal nonfaces of this ``_shape_of`` key, and its visits.  The plan
+    reads no field: its terms are grouped by what their homology depends
+    on, and ``_tally`` answers each group once per field.
 
     The sum runs over the support U, the union of the minimal nonfaces:
     a subset holding any other vertex induces a cone.  Its nonzero terms
     lie in the union closure of the nonfaces, which is the plan when there
-    are few nonfaces.  Otherwise, and when the closure passes the plan
-    budget, the faces of size >= s (the smallest nonface size) are grown
-    up to BIG_FACE_CAP; if they fit, the skeleton sweep counts the subsets
-    of U grouped by those faces, and if they do not, a closure not yet
-    tried is.  Each plan stops once its visits pass the budget: the
-    closure's (set, nonface) pairs, which bound both its build and the
+    are few nonfaces; each set of it is split into its components, and
+    the sets are counted by their size and component shapes.  Otherwise,
+    and when the closure passes the plan budget, the faces of size >= s
+    (the smallest nonface size) are grown up to BIG_FACE_CAP; if they fit,
+    the skeleton sweep counts the subsets of U of each size by the family
+    of those faces inside them, relabelled, and if they do not, a closure
+    not yet tried is.  Each plan stops once its visits pass the budget:
+    the closure's (set, nonface) pairs, which bound both its build and the
     scan that splits each set, or the leaves of the sweep's search.  A
     plan stopped there with no plan to give way to is refused, naming the
     plan, before any rank runs.
+
+    A plan is kept for the process with the budget it was planned under,
+    and is reused under a budget no larger than that one, when its visits
+    fit in it: a plan is chosen by comparing visits with the budget, so
+    under any such budget a fresh plan is the same one.  A refused plan
+    is not kept.
     """
-    support = reduce(or_, nonfaces, 0)
-    oracle = _RestrictionOracle(nonfaces, fld)
+    kept = _plans.get(key)
+    if kept is not None and kept[1] <= budget <= kept[0]:
+        return kept[1], kept[2]
+    oracle = _RestrictionOracle(key)
+    support = reduce(or_, key, 0)
     few = len(oracle.mnf) <= CLOSURE_MAX_NONFACES
     closure = oracle.union_closure(budget) if few else None
     s = min((M.bit_count() for M in oracle.mnf), default=0)
@@ -488,51 +523,112 @@ def _restriction_terms(
     if big is None and not few:
         closure = oracle.union_closure(budget)
     if closure is not None:
-        terms = ((v.bit_count(), oracle.dims_for(v), 1) for v in closure)
-        return len(oracle.mnf) * len(closure), terms
-    if big is None:
+        groups: dict[tuple[int, tuple[tuple[int, ...], ...]], int] = {}
+        for v in closure:
+            shapes = oracle.shapes_for(v)
+            if shapes is not None:
+                shapes.sort()
+                group = v.bit_count(), tuple(shapes)
+                groups[group] = groups.get(group, 0) + 1
+        joins: list = []
+        for (j, shapes), n in groups.items():
+            shared = tuple(_plan_keys.setdefault(k, k) for k in shapes)
+            joins += (j, _plan_keys.setdefault(shared, shared), n)
+        visits = len(oracle.mnf) * len(closure)
+        plan: _Plan = (s, tuple(joins), ())
+    elif big is None:
         raise SizeBudgetError(
             f"the union-closure plan visits more than {budget} (set, nonface) "
             "pairs (the plan budget), and there is no skeleton strategy"
         )
-    swept = _count_by_big_faces(support, sorted(f for fs in big.values() for f in fs), budget)
-    if swept is None:
-        raise SizeBudgetError(
-            f"the skeleton-sweep plan visits more than {budget} search leaves (the plan budget)"
-        )
-    return swept[0], _skeleton_sweep(swept[1], s, fld)
+    else:
+        swept = _count_by_big_faces(support, sorted(f for fs in big.values() for f in fs), budget)
+        if swept is None:
+            raise SizeBudgetError(
+                f"the skeleton-sweep plan visits more than {budget} search leaves (the plan budget)"
+            )
+        visits, by_family = swept
+        families: dict[tuple[int, ...], list[int]] = {}
+        for S, sizes in by_family.items():
+            family = _shape_of(S)
+            total = families.setdefault(_plan_keys.setdefault(family, family), [0] * len(sizes))
+            for m in range(s, len(sizes)):
+                total[m] += sizes[m]
+        # the empty set has dims {-1: 1}; any other V smaller than s is a simplex
+        plan = (s, (0, (), 1), tuple(
+            x for family, sizes in families.items()
+            for x in (family, tuple(y for m, n in enumerate(sizes) if n for y in (m, n)))
+        ))
+    _plans[key] = (budget, visits, plan)
+    return visits, plan
 
 
-def _tally(terms: Iterable[tuple[int, dict[int, int], int]]) -> dict[tuple[int, int], int]:
-    """The quotient-convention entries of a restriction sum's terms: a
-    subset of size j with homology in degree t adds to (j - 1 - t, j)."""
+def _tally(plan: _Plan, fld: FieldSpec) -> dict[tuple[int, int], int]:
+    """The quotient-convention entries of a planned restriction sum over the
+    field: a subset of size j with homology in degree t adds to
+    (j - 1 - t, j).
+
+    Each join group is answered by joining the ``_shape_dims`` of its
+    components, and each sweep family of big faces is ranked once: every
+    set smaller than s is a face, so a subset of m >= s vertices is
+    answered from m and those ranks alone.
+    """
+    s, joins, sweeps = plan
     entries: dict[tuple[int, int], int] = {}
-    for j, dims, count in terms:
+
+    def add(j: int, dims: dict[int, int], count: int) -> None:
         for degree, dim in dims.items():
             key = (j - 1 - degree, j)
             entries[key] = entries.get(key, 0) + dim * count
+
+    for j, shapes, count in zip(joins[::3], joins[1::3], joins[2::3]):
+        add(j, _joined(shapes, fld), count)
+    for family, pairs in zip(sweeps[::2], sweeps[1::2]):
+        ranked = _family_ranks(family, fld)
+        sizes = ranked[::3]
+        counts, ranks = dict(zip(sizes, ranked[1::3])), dict(zip(sizes, ranked[2::3]))
+        for m, count in zip(pairs[::2], pairs[1::2]):
+            add(m, dims_above(m, s, counts, ranks), count)
     return entries
+
+
+@cache
+def _family_ranks(family: tuple[int, ...], fld: FieldSpec) -> tuple[int, ...]:
+    """The face count and boundary rank at each size of a sweep family of
+    big faces, ``_relabelled``, as flat (size, count, rank) triples:
+    computed once per process and field."""
+    by_size: dict[int, list[int]] = {}
+    for f in family:
+        by_size.setdefault(f.bit_count(), []).append(f)
+    counts, ranks = ranks_by_size(by_size, fld)
+    return tuple(x for t in sorted(counts) for x in (t, counts[t], ranks[t]))
 
 
 def _restriction_sum(ground: int, nonfaces: Collection[int], fld: FieldSpec) -> BettiTable:
     """Graded Betti numbers of R/I, where I is generated by these minimal
     nonfaces of a complex on the ground set: the plan of
-    ``_restriction_terms``, then its tally.  The caller checks the vertex
-    budget."""
-    terms = _restriction_terms(nonfaces, fld, PLAN_BUDGET)[1]
-    return BettiTable("quotient", ground.bit_count(), _tally(terms))
+    ``_restriction_terms``, then its tally over the field.  The caller
+    checks the vertex budget."""
+    plan = _restriction_terms(_shape_of(nonfaces), PLAN_BUDGET)[1]
+    return BettiTable("quotient", ground.bit_count(), _tally(plan, fld))
 
 
 # -- the splitting route ----------------------------------------------
 
-# Ideal-convention entries of every ideal the splitting route answered,
-# keyed by its ``_relabelled`` generators and the field, for the process.
-_split_tables: dict[tuple[tuple[int, ...], FieldSpec], tuple[tuple[tuple[int, int], int], ...]] = {}
+# Every ideal the splitting route answered, keyed by its ``_relabelled``
+# generators and the field, for the process: the most vertices a leaf of
+# its tree runs its sum over, and its ideal-convention entries.
+_split_tables: dict[
+    tuple[tuple[int, ...], FieldSpec], tuple[int, tuple[tuple[tuple[int, int], int], ...]]
+] = {}
 
 
 def _shape_of(gens: Collection[int]) -> tuple[int, ...]:
-    """The generators relabelled onto 0..m-1 over their support; () for none."""
-    return _relabelled(reduce(or_, gens), gens) if gens else ()
+    """The generators relabelled onto 0..m-1 over their support; () for none,
+    and the generators as given when their support is empty (only the
+    unit ideal, which the restriction oracle refuses)."""
+    support = reduce(or_, gens, 0)
+    return _relabelled(support, gens) if support else tuple(gens)
 
 
 def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
@@ -555,20 +651,27 @@ def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]
 
 def _split_plan(
     key: tuple[int, ...], fld: FieldSpec, vertex_budget: int
-) -> tuple[dict[tuple[int, ...], tuple], dict[tuple[int, ...], Iterable]]:
+) -> tuple[dict[tuple[int, ...], tuple], dict[tuple[int, ...], _Plan]]:
     """The split tree below these generators, built before any rank runs:
     every distinct node not answered yet over this field, as its splitting
-    or, at a leaf with no free vertex, the planned terms of its restriction
-    sum.  The nodes and the leaves' plan visits share the plan budget, each
+    or, at a leaf with no free vertex, the plan of its restriction sum.
+    The nodes and the leaves' plan visits share the plan budget, each
     leaf's plan getting what is left.  Raises SizeBudgetError when a leaf's
-    support is over the vertex budget, or once they pass the plan budget."""
+    support is over the vertex budget, or once they pass the plan budget.
+
+    A node answered before is skipped only when no leaf below it runs over
+    more vertices than the budget; otherwise it is planned again, so it is
+    refused as it would be in a fresh process."""
     splits: dict[tuple[int, ...], tuple] = {}
-    leaves: dict[tuple[int, ...], Iterable] = {}
+    leaves: dict[tuple[int, ...], _Plan] = {}
     spent = 0
     todo = [key]
     while todo:
         key = todo.pop()
-        if not key or key in splits or key in leaves or (key, fld) in _split_tables:
+        if not key or key in splits or key in leaves:
+            continue
+        answered = _split_tables.get((key, fld))
+        if answered is not None and answered[0] <= vertex_budget:
             continue
         spent += 1
         node = _split(key)
@@ -578,7 +681,7 @@ def _split_plan(
         else:
             _check_vertex_budget(reduce(or_, key), vertex_budget)
             try:
-                visits, leaves[key] = _restriction_terms(key, fld, PLAN_BUDGET - spent)
+                visits, leaves[key] = _restriction_terms(key, PLAN_BUDGET - spent)
             except SizeBudgetError:  # no plan within what is left
                 visits = PLAN_BUDGET
             spent += visits
@@ -601,7 +704,7 @@ def _split_betti(
         beta_{i,j}(I) = [i = 0, j = |e|] + beta_{i,j}(K) + beta_{i-1,j-|e|}(K : e).
 
     A root with no free vertex is the tree's only leaf: its restriction sum
-    runs on the generators as given, and is not kept.  Otherwise the leaves
+    runs on the generators as given, and its table is not kept.  Otherwise the leaves
     are answered first, by their restriction sums; then every split in
     order of its generator count, after its two parts."""
     if not exactly_once(gens):
@@ -609,17 +712,20 @@ def _split_betti(
         return _restriction_sum(ground, gens, fld)
     key = _shape_of(gens)
     splits, leaves = _split_plan(key, fld, vertex_budget)
-    for leaf, terms in leaves.items():
-        _split_tables[leaf, fld] = tuple(((i - 1, j), b) for (i, j), b in _tally(terms).items() if i)
+    for leaf, plan in leaves.items():
+        entries = tuple(((i - 1, j), b) for (i, j), b in _tally(plan, fld).items() if i)
+        _split_tables[leaf, fld] = (reduce(or_, leaf).bit_count(), entries)
     for node in sorted(splits, key=len):
         size, rest, colon = splits[node]
+        widest_rest, rest_entries = _split_tables.get((rest, fld), (0, ()))
+        widest_colon, colon_entries = _split_tables.get((colon, fld), (0, ()))
         entries = {(0, size): 1}
-        for (i, j), b in _split_tables.get((rest, fld), ()):
+        for (i, j), b in rest_entries:
             entries[i, j] = entries.get((i, j), 0) + b
-        for (i, j), b in _split_tables.get((colon, fld), ()):
+        for (i, j), b in colon_entries:
             entries[i + 1, j + size] = entries.get((i + 1, j + size), 0) + b
-        _split_tables[node, fld] = tuple(entries.items())
-    return BettiTable("ideal", ground.bit_count(), dict(_split_tables[key, fld])).as_quotient()
+        _split_tables[node, fld] = (max(widest_rest, widest_colon), tuple(entries.items()))
+    return BettiTable("ideal", ground.bit_count(), dict(_split_tables[key, fld][1])).as_quotient()
 
 
 def hochster_betti(
@@ -658,11 +764,17 @@ def clique_ideal_betti(
 ) -> BettiTable:
     """Betti table of R/I for the face ideal of the clique-style complex
     of a d-uniform hypergraph, by the split tree on its minimal nonfaces,
-    the non-edge d-sets, as ``edge_ideal_betti`` on the edges."""
+    the non-edge d-sets, as ``edge_ideal_betti`` on the edges.  When no
+    vertex lies in exactly one non-edge, the root is the tree's only leaf,
+    and its support is checked against the vertex budget before the
+    non-edges are listed."""
     if d < 2:
         raise ParameterError("edge size d must be at least 2")
     if not h.is_uniform(d):
         raise PreconditionError(f"clique-style complex needs {d}-uniform input")
+    support, free = non_edge_support(h, d)
+    if not free:
+        _check_vertex_budget(support, vertex_budget)
     return _split_betti(h.vertices, non_edges(h, d), fld, vertex_budget)
 
 

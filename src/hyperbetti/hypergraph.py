@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+from collections import Counter
 from dataclasses import dataclass
 from itertools import combinations
 from math import comb
@@ -329,9 +330,32 @@ def non_edges(h: Hypergraph, d: int) -> list[int]:
     For d-uniform h these are the minimal nonfaces of the clique-style
     complex (a d-set is a face exactly when it is an edge, and every
     smaller set is a face)."""
+    _check_non_edge_listing(h, d)
+    return [m for m in k_submasks(h.vertices, d) if m not in h.edges]
+
+
+def non_edge_support(h: Hypergraph, d: int) -> tuple[int, int]:
+    """The vertices of d-uniform h that lie in some non-edge d-set, and
+    those that lie in exactly one, read from the degrees without listing
+    the non-edges: a vertex lies in C(|V| - 1, d - 1) d-sets, and all but
+    its degree of them are non-edges.  Refused as ``non_edges`` is."""
+    _check_non_edge_listing(h, d)
+    n = h.vertices.bit_count()
+    through = comb(n - 1, d - 1) if n else 0
+    degrees = Counter(v for e in h.edges for v in bits_of(e))
+    support = free = 0
+    for v in bits_of(h.vertices):
+        missing = through - degrees[v]
+        if missing:
+            support |= 1 << v
+        if missing == 1:
+            free |= 1 << v
+    return support, free
+
+
+def _check_non_edge_listing(h: Hypergraph, d: int) -> None:
     if comb(h.vertices.bit_count(), d) - len(h.edges) > MAX_LISTED_EDGES:
         raise SizeBudgetError(f"there are more than {MAX_LISTED_EDGES} non-edge {d}-sets to list")
-    return [m for m in k_submasks(h.vertices, d) if m not in h.edges]
 
 
 def every_edge_has_free_vertex(h: Hypergraph) -> bool:

@@ -73,6 +73,16 @@ LINE_4_2_1 = {(0, 0): 1, (1, 2): 4, (2, 3): 3, (2, 4): 1, (3, 5): 1}
 KND_5_3 = {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
 
 
+def _clear_memos() -> None:
+    """Empty every memo the restriction sums and the split tree keep for
+    the process, so that a test counting plans or ranks starts cold."""
+    betti._shape_dims.cache_clear()
+    betti._family_ranks.cache_clear()
+    betti._plans.clear()
+    betti._plan_keys.clear()
+    betti._split_tables.clear()
+
+
 def test_line_restriction_sum_matches_frozen_table():
     assert edge_ideal_betti(make_line(3, 3, 1), QQ).entries == LINE_3_3_1
 
@@ -437,6 +447,7 @@ def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch):
 
     monkeypatch.setattr(_RestrictionOracle, "dims_for", counted_dims_for)
     monkeypatch.setattr(betti, "ranks_by_size", counted_ranks)
+    _clear_memos()
     table = clique_ideal_betti(make_line(5, 4, 1), 4, GF2)
     assert table.n == 16 and table.beta(0, 0) == 1
     assert not dims_calls
@@ -469,8 +480,10 @@ def test_the_clique_route_of_a_complete_bipartite_graph(a, b):
     and on b vertices.  With three or more vertices in each part no vertex
     is free, so the split tree is one leaf, the whole restriction sum.
     The first two take the union closure, the last two (more than 26
-    non-edges) the skeleton sweep."""
+    non-edges) the skeleton sweep; from an empty memo, one plan serves
+    all three fields."""
     h = make_multipartite([a, b], 2)
+    _clear_memos()
     sweeps = b >= 7  # K(4,7) and K(3,8)
     plans: Counter[str] = Counter()
     union_closure = _RestrictionOracle.union_closure
@@ -489,7 +502,7 @@ def test_the_clique_route_of_a_complete_bipartite_graph(a, b):
         for fld in (GF2, GF3, QQ):
             expected = _product_table(knd_complement_betti(a, 2), knd_complement_betti(b, 2))
             assert clique_ideal_betti(h, 2, fld).entries == expected
-    assert plans == Counter({"sweep" if sweeps else "closure": 3})
+    assert plans == Counter({"sweep" if sweeps else "closure": 1})
 
 
 @settings(max_examples=40, deadline=None)
@@ -573,7 +586,7 @@ def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, de
     line at its free vertices down to single edges, and ranks nothing."""
     h = family(10, 2, 1)
     assert grow_faces(h.vertices, h.edges, 2, BIG_FACE_CAP) is not None
-    betti._shape_dims.cache_clear()
+    _clear_memos()
     calls = []
     ranks_by_size = betti.ranks_by_size
 
@@ -586,8 +599,7 @@ def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, de
     assert 0 < len(calls) <= most
     if family is make_line:
         calls.clear()
-        betti._shape_dims.cache_clear()
-        monkeypatch.setattr(betti, "_split_tables", {})
+        _clear_memos()
         assert edge_ideal_betti(h, GF2) == degenerate(10, 1)
         assert not calls
 
@@ -723,8 +735,7 @@ def test_the_split_tree_is_planned_before_any_rank(monkeypatch):
 
     monkeypatch.setattr(betti, "_restriction_terms", planned)
     monkeypatch.setattr(betti, "ranks_by_size", ranked)
-    monkeypatch.setattr(betti, "_split_tables", {})
-    betti._shape_dims.cache_clear()
+    _clear_memos()
     assert edge_ideal_betti(_TWO_LEAVES, GF2) == edge_restriction_sum(_TWO_LEAVES, GF2)
     leaf_plans = log[: log.index("rank")]
     assert leaf_plans == ["plan", "plan"]
@@ -780,6 +791,128 @@ def test_the_vertex_budget_bounds_each_leaf_not_the_input():
     with mock.patch.object(betti, "_split_tables", {}):
         with pytest.raises(SizeBudgetError, match="restriction sum over 5 vertices"):
             edge_ideal_betti(h, GF2, vertex_budget=4)
+
+
+def test_a_node_answered_before_is_held_to_the_vertex_budget():
+    """A node of the split tree keeps the widest leaf below it, and is
+    reused only within that vertex budget: in one process, in either
+    order, the 5-cycle plus a pendant edge is answered at a budget of 5
+    and refused at 4 with the message of a fresh process."""
+    h = Hypergraph(6, make_cycle(5, 2, 1).edges | {0b110000})
+    expected = edge_restriction_sum(h, GF2)
+    refusal = "restriction sum over 5 vertices exceeds the vertex budget 4"
+    for budgets in ((5, 4, 5), (4, 5, 4)):
+        _clear_memos()
+        for vertex_budget in budgets:
+            if vertex_budget == 5:
+                assert edge_ideal_betti(h, GF2, vertex_budget=5) == expected
+            else:
+                with pytest.raises(SizeBudgetError, match=f"^{refusal}$"):
+                    edge_ideal_betti(h, GF2, vertex_budget=4)
+
+
+def test_the_clique_route_refuses_a_wide_root_before_listing(monkeypatch):
+    """Every vertex of the edgeless hypergraph on 50 vertices lies in
+    C(49, 3) non-edge 4-sets, so no vertex is free and the root is the
+    only leaf: it is refused by its 50-vertex support before a non-edge
+    is listed.  Past the listing cap (63 vertices) the listing rule still
+    refuses first, and an input with a free vertex still lists."""
+    listed = []
+
+    def counted(h, d):
+        listed.append(d)
+        return non_edges(h, d)
+
+    monkeypatch.setattr(betti, "non_edges", counted)
+    with pytest.raises(SizeBudgetError, match="^restriction sum over 50 vertices exceeds "
+                                              "the vertex budget 20$"):
+        clique_ideal_betti(Hypergraph(50, frozenset()), 4, GF2)
+    assert not listed
+    with pytest.raises(SizeBudgetError, match="more than 262144 non-edge 4-sets to list"):
+        clique_ideal_betti(Hypergraph(63, frozenset()), 4, GF2, vertex_budget=63)
+    missing = {0b0111, 0b1110}  # vertices 0 and 3 are free
+    h = Hypergraph(4, frozenset(k_submasks(0b1111, 3)) - missing)
+    assert clique_ideal_betti(h, 3, GF2) == taylor_betti_free_vertex(Hypergraph(4, missing))
+    assert listed == [3]
+
+
+_FIELD_ORDERS = st.permutations([GF2, GF3, QQ])
+
+
+def _memo_family(data) -> Hypergraph:
+    """A hypergraph whose restriction sum takes either plan: up to 8 sets
+    of 2 to 4 of 9 vertices (the union closure), or the non-edge d-sets of
+    a random d-uniform hypergraph on 6 or 7 vertices, often more than 26
+    (the skeleton sweep)."""
+    if data.draw(st.booleans(), label="non-edges"):
+        n, d = data.draw(st.integers(6, 7), label="n"), data.draw(st.integers(2, 3), label="d")
+        subsets = list(k_submasks((1 << n) - 1, d))
+        edges = data.draw(st.lists(st.sampled_from(subsets), unique=True), label="edges")
+        return Hypergraph(n, frozenset(set(subsets) - set(edges)))
+    sets = data.draw(st.lists(st.sampled_from(_NINE), min_size=1, max_size=8), label="sets")
+    return Hypergraph(9, min_antichain(sets))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_warm_memo_gives_the_tables_of_a_cold_one(data):
+    """Each field's table from empty memos equals the table answered after
+    other fields and other routes have filled them, in any field order,
+    on both the whole restriction sum and the split tree."""
+    h = _memo_family(data)
+    cold = {}
+    for fld in (GF2, GF3, QQ):
+        _clear_memos()
+        cold[fld, "sum"] = edge_restriction_sum(h, fld)
+        _clear_memos()
+        cold[fld, "tree"] = edge_ideal_betti(h, fld)
+    _clear_memos()
+    for fld in data.draw(_FIELD_ORDERS, label="first") + data.draw(_FIELD_ORDERS, label="then"):
+        for route in data.draw(st.permutations(["sum", "tree"]), label="routes"):
+            table = (edge_restriction_sum if route == "sum" else edge_ideal_betti)(h, fld)
+            assert table == cold[fld, route]
+
+
+def _plan_outcome(call):
+    try:
+        return call()
+    except SizeBudgetError as exc:
+        return str(exc)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_a_warm_memo_plans_and_refuses_as_a_cold_one(data):
+    """Under a lowered plan budget, a restriction sum's plan, a split tree
+    and its table, found with the plan memo filled at other budgets, visit
+    and refuse exactly as from empty memos: a kept plan, first the one
+    planned at the full budget, is reused only at a budget no larger than
+    its own that its visits fit.  (Nodes the tree answered before are
+    skipped unpriced, so each tree starts with none.)"""
+    h = _memo_family(data)
+    key = betti._shape_of(h.edges)
+    full = _plan_outcome(lambda: betti._restriction_terms(key, betti.PLAN_BUDGET))
+    top = full[0] if isinstance(full, tuple) else betti.PLAN_BUDGET
+    budgets = data.draw(st.lists(st.integers(1, top + 1), min_size=1, max_size=4), label="budgets")
+    for budget in budgets:
+        betti._split_tables.clear()
+        with mock.patch.object(betti, "PLAN_BUDGET", budget):
+            warm = [
+                _plan_outcome(lambda: betti._restriction_terms(key, budget)),
+                _plan_outcome(lambda: betti._split_plan(key, GF2, VERTEX_BUDGET)),
+                _plan_outcome(lambda: edge_ideal_betti(h, GF2)),
+            ]
+            kept = dict(betti._plans)
+            cold = []
+            for call in (
+                lambda: betti._restriction_terms(key, budget),
+                lambda: betti._split_plan(key, GF2, VERTEX_BUDGET),
+                lambda: edge_ideal_betti(h, GF2),
+            ):
+                _clear_memos()
+                cold.append(_plan_outcome(call))
+        assert warm == cold
+        betti._plans.update(kept)
 
 
 def _private_vertex_family(rng: random.Random, d: int | None, count: int) -> list[int]:

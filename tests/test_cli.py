@@ -550,6 +550,7 @@ def test_betti_splits_the_paper_families_past_the_restriction_sum(
         capsys, tmp_path, "gen", "--family", family, "--n", str(n), "--d", "3", "--alpha", "1"
     )
     monkeypatch.setattr(betti, "_split_tables", {})
+    monkeypatch.setattr(betti, "_plans", {})
     betti._shape_dims.cache_clear()
     started = time.perf_counter()
     code, out, _ = run(capsys, "betti", path, "--max-vertices", "63", "--no-cache")
