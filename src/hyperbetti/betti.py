@@ -24,9 +24,9 @@ lowest free vertex, down to single generators and to leaves with no
 free vertex, which the sum answers.  The tree is built and every leaf's
 sum planned before any rank runs: the tree's nodes and its leaves' plan
 visits share one plan budget, and the vertex budget bounds each leaf's
-support.  Over either, or when a leaf refuses, the route refuses.  An
-answered node is kept for the process with the widest leaf support
-below it, and is reused only within the vertex budget.
+support.  Over either, or when a leaf refuses, the route refuses.  The
+tree keeps nothing between calls: each call walks and prices its whole
+tree, so its answer or refusal depends only on its input and budgets.
 
 Subsets that induce a cone contribute nothing, so the sum runs over the
 support U, the union of the minimal nonfaces, and has two plans:
@@ -314,7 +314,7 @@ class _RestrictionOracle:
 
         Induced subcomplexes on any other vertex set are cones, so the
         restriction sum may run over this family alone.  The plan visits
-        each (set, nonface) pair: ``dims_for`` scans every nonface for each
+        each (set, nonface) pair: ``shapes_for`` scans every nonface for each
         set, and each step of the build scans the sets so far.  The
         closure only grows, so the count is checked after each step.
         """
@@ -615,13 +615,6 @@ def _restriction_sum(ground: int, nonfaces: Collection[int], fld: FieldSpec) -> 
 
 # -- the splitting route ----------------------------------------------
 
-# Every ideal the splitting route answered, keyed by its ``_relabelled``
-# generators and the field, for the process: the most vertices a leaf of
-# its tree runs its sum over, and its ideal-convention entries.
-_split_tables: dict[
-    tuple[tuple[int, ...], FieldSpec], tuple[int, tuple[tuple[tuple[int, int], int], ...]]
-] = {}
-
 
 def _shape_of(gens: Collection[int]) -> tuple[int, ...]:
     """The generators relabelled onto 0..m-1 over their support; () for none,
@@ -650,18 +643,15 @@ def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]
 
 
 def _split_plan(
-    key: tuple[int, ...], fld: FieldSpec, vertex_budget: int
+    key: tuple[int, ...], vertex_budget: int
 ) -> tuple[dict[tuple[int, ...], tuple], dict[tuple[int, ...], _Plan]]:
     """The split tree below these generators, built before any rank runs:
-    every distinct node not answered yet over this field, as its splitting
-    or, at a leaf with no free vertex, the plan of its restriction sum.
-    The nodes and the leaves' plan visits share the plan budget, each
-    leaf's plan getting what is left.  Raises SizeBudgetError when a leaf's
-    support is over the vertex budget, or once they pass the plan budget.
-
-    A node answered before is skipped only when no leaf below it runs over
-    more vertices than the budget; otherwise it is planned again, so it is
-    refused as it would be in a fresh process."""
+    every distinct node, as its splitting or, at a leaf with no free
+    vertex, the plan of its restriction sum.  The nodes and the leaves'
+    plan visits share the plan budget, each leaf's plan getting what is
+    left.  Raises SizeBudgetError when a leaf's support is over the vertex
+    budget, or once they pass the plan budget.  The tree reads no field,
+    and ``_plans`` gives each leaf the plan a fresh one would be."""
     splits: dict[tuple[int, ...], tuple] = {}
     leaves: dict[tuple[int, ...], _Plan] = {}
     spent = 0
@@ -669,9 +659,6 @@ def _split_plan(
     while todo:
         key = todo.pop()
         if not key or key in splits or key in leaves:
-            continue
-        answered = _split_tables.get((key, fld))
-        if answered is not None and answered[0] <= vertex_budget:
             continue
         spent += 1
         node = _split(key)
@@ -704,28 +691,26 @@ def _split_betti(
         beta_{i,j}(I) = [i = 0, j = |e|] + beta_{i,j}(K) + beta_{i-1,j-|e|}(K : e).
 
     A root with no free vertex is the tree's only leaf: its restriction sum
-    runs on the generators as given, and its table is not kept.  Otherwise the leaves
-    are answered first, by their restriction sums; then every split in
-    order of its generator count, after its two parts."""
+    runs on the generators as given.  Otherwise the ideal-convention tables
+    of the tree's nodes are kept for this call only: the leaves' first, by
+    their restriction sums, then every split's in order of its generator
+    count, from its two parts."""
     if not exactly_once(gens):
         _check_vertex_budget(reduce(or_, gens, 0), vertex_budget)
         return _restriction_sum(ground, gens, fld)
     key = _shape_of(gens)
-    splits, leaves = _split_plan(key, fld, vertex_budget)
+    splits, leaves = _split_plan(key, vertex_budget)
+    tables: dict[tuple[int, ...], dict[tuple[int, int], int]] = {(): {}}
     for leaf, plan in leaves.items():
-        entries = tuple(((i - 1, j), b) for (i, j), b in _tally(plan, fld).items() if i)
-        _split_tables[leaf, fld] = (reduce(or_, leaf).bit_count(), entries)
+        tables[leaf] = {(i - 1, j): b for (i, j), b in _tally(plan, fld).items() if i}
     for node in sorted(splits, key=len):
         size, rest, colon = splits[node]
-        widest_rest, rest_entries = _split_tables.get((rest, fld), (0, ()))
-        widest_colon, colon_entries = _split_tables.get((colon, fld), (0, ()))
-        entries = {(0, size): 1}
-        for (i, j), b in rest_entries:
-            entries[i, j] = entries.get((i, j), 0) + b
-        for (i, j), b in colon_entries:
+        entries = dict(tables[rest])
+        entries[0, size] = entries.get((0, size), 0) + 1
+        for (i, j), b in tables[colon].items():
             entries[i + 1, j + size] = entries.get((i + 1, j + size), 0) + b
-        _split_tables[node, fld] = (max(widest_rest, widest_colon), tuple(entries.items()))
-    return BettiTable("ideal", ground.bit_count(), dict(_split_tables[key, fld][1])).as_quotient()
+        tables[node] = entries
+    return BettiTable("ideal", ground.bit_count(), tables[key]).as_quotient()
 
 
 def hochster_betti(

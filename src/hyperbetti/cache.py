@@ -60,9 +60,11 @@ def cache_key(content_digest: str, operation: str, flags: dict) -> str:
 
 
 def load(key: str) -> str | None:
+    """The entry's text, or None when it cannot be read or is not UTF-8:
+    a miss, so the next store replaces it."""
     try:
         return (cache_dir() / key).read_text("utf-8")
-    except OSError:
+    except (OSError, UnicodeDecodeError):
         return None
 
 

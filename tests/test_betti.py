@@ -11,7 +11,7 @@ from math import comb
 from unittest import mock
 
 import pytest
-from hypothesis import assume, example, given, settings
+from hypothesis import HealthCheck, assume, example, given, settings
 from hypothesis import strategies as st
 
 from hyperbetti import (
@@ -71,16 +71,6 @@ CYCLE_4_3_1 = {(0, 0): 1, (1, 3): 4, (2, 5): 4, (2, 6): 2, (3, 7): 4, (4, 8): 1}
 STAR_3_3_2 = {(0, 0): 1, (1, 3): 3, (2, 4): 3, (3, 5): 1}
 LINE_4_2_1 = {(0, 0): 1, (1, 2): 4, (2, 3): 3, (2, 4): 1, (3, 5): 1}
 KND_5_3 = {(0, 0): 1, (1, 3): 10, (2, 4): 15, (3, 5): 6}
-
-
-def _clear_memos() -> None:
-    """Empty every memo the restriction sums and the split tree keep for
-    the process, so that a test counting plans or ranks starts cold."""
-    betti._shape_dims.cache_clear()
-    betti._family_ranks.cache_clear()
-    betti._plans.clear()
-    betti._plan_keys.clear()
-    betti._split_tables.clear()
 
 
 def test_line_restriction_sum_matches_frozen_table():
@@ -429,7 +419,7 @@ def test_big_face_counts_match_a_brute_force_tally(ground, faces):
     assert sum(counts.values()) == 1 << ground.bit_count()
 
 
-def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch):
+def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch, cold_memos):
     """line(5,4,1) on the clique route is a 16-vertex skeleton sweep: it
     must group its 2^16 subsets, and rank each family of big faces once."""
     dims_calls = []
@@ -447,7 +437,6 @@ def test_the_skeleton_sweep_answers_no_subset_one_by_one(monkeypatch):
 
     monkeypatch.setattr(_RestrictionOracle, "dims_for", counted_dims_for)
     monkeypatch.setattr(betti, "ranks_by_size", counted_ranks)
-    _clear_memos()
     table = clique_ideal_betti(make_line(5, 4, 1), 4, GF2)
     assert table.n == 16 and table.beta(0, 0) == 1
     assert not dims_calls
@@ -474,7 +463,7 @@ def test_the_clique_route_reaches_line_11_3_1(fld):
 
 
 @pytest.mark.parametrize("a, b", [(3, 3), (4, 5), (4, 7), (3, 8)])
-def test_the_clique_route_of_a_complete_bipartite_graph(a, b):
+def test_the_clique_route_of_a_complete_bipartite_graph(cold_memos, a, b):
     """The non-edges of K(a,b) are the pairs inside each part: two disjoint
     cliques, so the table is the product of the tables of all pairs on a
     and on b vertices.  With three or more vertices in each part no vertex
@@ -483,7 +472,6 @@ def test_the_clique_route_of_a_complete_bipartite_graph(a, b):
     non-edges) the skeleton sweep; from an empty memo, one plan serves
     all three fields."""
     h = make_multipartite([a, b], 2)
-    _clear_memos()
     sweeps = b >= 7  # K(4,7) and K(3,8)
     plans: Counter[str] = Counter()
     union_closure = _RestrictionOracle.union_closure
@@ -577,7 +565,9 @@ def test_the_join_split_equals_the_unsplit_routes(blocks):
     [(make_line, line_betti_degenerate, 10), (make_cycle, cycle_betti_degenerate, 44)],
     ids=["line-10-2-1", "cycle-10-2-1"],
 )
-def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, degenerate, most):
+def test_skeleton_oracles_rank_each_component_shape_once(
+    monkeypatch, cold_memos, family, degenerate, most
+):
     """The restriction sums of line(10,2,1) and cycle(10,2,1) have few
     enough big faces for a skeleton, and take the union closure, whose
     members mostly split into runs: each run shape is ranked once by its
@@ -586,7 +576,6 @@ def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, de
     line at its free vertices down to single edges, and ranks nothing."""
     h = family(10, 2, 1)
     assert grow_faces(h.vertices, h.edges, 2, BIG_FACE_CAP) is not None
-    _clear_memos()
     calls = []
     ranks_by_size = betti.ranks_by_size
 
@@ -599,7 +588,7 @@ def test_skeleton_oracles_rank_each_component_shape_once(monkeypatch, family, de
     assert 0 < len(calls) <= most
     if family is make_line:
         calls.clear()
-        _clear_memos()
+        cold_memos()
         assert edge_ideal_betti(h, GF2) == degenerate(10, 1)
         assert not calls
 
@@ -623,7 +612,7 @@ def test_the_cone_filter_answers_before_any_route(monkeypatch):
         assert oracle.dims_for(vmask) == {} == reduced_homology_dims(restrict(c, vmask), GF2)
 
 
-def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch):
+def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch, cold_memos):
     """K(12) minus the edge {0, 1} has the single nonface {0, 1}, so the
     one disconnected induced subgraph is on {0, 1}: every other subset the
     scan visits lacks 0 or 1 (no nonface inside) or holds another vertex
@@ -632,7 +621,6 @@ def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch):
     seen: Counter[str] = Counter()
     dims_for = _RestrictionOracle.dims_for
     shape_dims = betti._shape_dims
-    shape_dims.cache_clear()
 
     def counted_dims_for(self, vmask):
         seen["no nonface" if vmask & 0b11 != 0b11 else "cone" if vmask != 0b11 else "pair"] += 1
@@ -649,7 +637,7 @@ def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch):
     assert seen["no nonface"] and seen["cone"]
 
 
-def test_only_the_sweep_plan_grows_the_big_faces(monkeypatch):
+def test_only_the_sweep_plan_grows_the_big_faces(monkeypatch, cold_memos):
     """The faces up to BIG_FACE_CAP are the sweep's plan, not part of the
     oracle: building an oracle, the connectivity scan and a closure sum
     whose subsets split into components grow faces only for the direct
@@ -662,7 +650,6 @@ def test_only_the_sweep_plan_grows_the_big_faces(monkeypatch):
         return grow(ground, nonfaces, start, cap)
 
     monkeypatch.setattr(betti, "grow_faces", counted)
-    betti._shape_dims.cache_clear()
     h = make_line(10, 2, 1)
     _RestrictionOracle(h.edges, GF2)
     assert connectivity(make_cycle(6, 2, 1), GF2) == 2
@@ -706,12 +693,11 @@ _NINE = [m for m in range(1 << 9) if 2 <= m.bit_count() <= 4]
 @example([0b101, 0b1010, 0b1100, 0b10010, 0b1000001, 0b1000100, 0b1001000])  # two leaves
 @example([0b000000011, 0b000000110, 0b000001100, 0b000011000, 0b000010001])  # C5: no split
 def test_the_splitting_route_equals_the_restriction_sum(sets):
-    """The free-vertex splitting route of the edge ideal, from an empty
-    memo, gives the restriction sum's table over every field."""
+    """The free-vertex splitting route of the edge ideal gives the
+    restriction sum's table over every field."""
     h = Hypergraph(9, min_antichain(sets))
     for fld in (GF2, GF3, QQ):
-        with mock.patch.object(betti, "_split_tables", {}):
-            assert edge_ideal_betti(h, fld) == edge_restriction_sum(h, fld)
+        assert edge_ideal_betti(h, fld) == edge_restriction_sum(h, fld)
 
 
 # Vertex 4 is free; the split tree of these seven edges has two leaves.
@@ -719,7 +705,7 @@ _TWO_LEAVES = Hypergraph(7, frozenset(map(mask_of, ([0, 2], [1, 3], [2, 3], [1, 
                                                       [2, 6], [3, 6]))))
 
 
-def test_the_split_tree_is_planned_before_any_rank(monkeypatch):
+def test_the_split_tree_is_planned_before_any_rank(monkeypatch, cold_memos):
     """Every leaf's restriction sum is planned before the first rank runs,
     and the splits themselves rank nothing."""
     log = []
@@ -735,7 +721,6 @@ def test_the_split_tree_is_planned_before_any_rank(monkeypatch):
 
     monkeypatch.setattr(betti, "_restriction_terms", planned)
     monkeypatch.setattr(betti, "ranks_by_size", ranked)
-    _clear_memos()
     assert edge_ideal_betti(_TWO_LEAVES, GF2) == edge_restriction_sum(_TWO_LEAVES, GF2)
     leaf_plans = log[: log.index("rank")]
     assert leaf_plans == ["plan", "plan"]
@@ -749,7 +734,6 @@ def test_the_split_tree_is_refused_exactly_past_the_plan_budget(monkeypatch):
     visits add up to exactly that budget; one below it the tree is
     refused, and the tree's own refusal is the route's."""
     key = betti._shape_of(_TWO_LEAVES.edges)
-    monkeypatch.setattr(betti, "_split_tables", {})
     terms, visits = betti._restriction_terms, []
 
     def planned(*args):
@@ -760,7 +744,7 @@ def test_the_split_tree_is_refused_exactly_past_the_plan_budget(monkeypatch):
     def spent_at(budget):
         visits.clear()
         with mock.patch.object(betti, "PLAN_BUDGET", budget):
-            splits, leaves = betti._split_plan(key, GF2, VERTEX_BUDGET)
+            splits, leaves = betti._split_plan(key, VERTEX_BUDGET)
         assert len(leaves) == len(visits) == 2
         return len(splits) + len(leaves) + sum(visits)
 
@@ -775,7 +759,7 @@ def test_the_split_tree_is_refused_exactly_past_the_plan_budget(monkeypatch):
     assert spent_at(least) == least
     with mock.patch.object(betti, "PLAN_BUDGET", least - 1):
         with pytest.raises(SizeBudgetError, match="split tree and its leaf plans") as tree:
-            betti._split_plan(key, GF2, VERTEX_BUDGET)
+            betti._split_plan(key, VERTEX_BUDGET)
         with pytest.raises(SizeBudgetError, match=re.escape(str(tree.value))):
             edge_ideal_betti(_TWO_LEAVES, GF2)
 
@@ -786,29 +770,59 @@ def test_the_vertex_budget_bounds_each_leaf_not_the_input():
     sum runs over more, and refuses at 4, where the 5-cycle's leaf is over
     it."""
     h = Hypergraph(6, make_cycle(5, 2, 1).edges | {0b110000})
-    with mock.patch.object(betti, "_split_tables", {}):
-        assert edge_ideal_betti(h, GF2, vertex_budget=5) == edge_restriction_sum(h, GF2)
-    with mock.patch.object(betti, "_split_tables", {}):
-        with pytest.raises(SizeBudgetError, match="restriction sum over 5 vertices"):
-            edge_ideal_betti(h, GF2, vertex_budget=4)
+    assert edge_ideal_betti(h, GF2, vertex_budget=5) == edge_restriction_sum(h, GF2)
+    with pytest.raises(SizeBudgetError, match="restriction sum over 5 vertices"):
+        edge_ideal_betti(h, GF2, vertex_budget=4)
 
 
-def test_a_node_answered_before_is_held_to_the_vertex_budget():
-    """A node of the split tree keeps the widest leaf below it, and is
-    reused only within that vertex budget: in one process, in either
-    order, the 5-cycle plus a pendant edge is answered at a budget of 5
-    and refused at 4 with the message of a fresh process."""
+def test_a_node_answered_before_is_held_to_the_vertex_budget(cold_memos):
+    """The split tree keeps no node between calls, so each call holds its
+    whole tree to the vertex budget: in one process, in either order, the
+    5-cycle plus a pendant edge is answered at a budget of 5 and refused
+    at 4 with the message of a fresh process."""
     h = Hypergraph(6, make_cycle(5, 2, 1).edges | {0b110000})
     expected = edge_restriction_sum(h, GF2)
     refusal = "restriction sum over 5 vertices exceeds the vertex budget 4"
     for budgets in ((5, 4, 5), (4, 5, 4)):
-        _clear_memos()
+        cold_memos()
         for vertex_budget in budgets:
             if vertex_budget == 5:
                 assert edge_ideal_betti(h, GF2, vertex_budget=5) == expected
             else:
                 with pytest.raises(SizeBudgetError, match=f"^{refusal}$"):
                     edge_ideal_betti(h, GF2, vertex_budget=4)
+
+
+def test_a_tree_answered_before_is_held_to_the_plan_budget(cold_memos):
+    """The split tree keeps no node between calls, so each call prices its
+    whole tree: answered at the default plan budget, the two-leaf tree is
+    refused under a plan budget of 20 in the same process, with the
+    message it gets from empty memos."""
+    refusal = re.escape("the split tree and its leaf plans visit more than 20 (the plan budget)")
+    with mock.patch.object(betti, "PLAN_BUDGET", 20):
+        with pytest.raises(SizeBudgetError, match=f"^{refusal}$"):
+            edge_ideal_betti(_TWO_LEAVES, GF2)
+    cold_memos()
+    assert edge_ideal_betti(_TWO_LEAVES, GF2) == edge_restriction_sum(_TWO_LEAVES, GF2)
+    with mock.patch.object(betti, "PLAN_BUDGET", 20):
+        with pytest.raises(SizeBudgetError, match=f"^{refusal}$"):
+            edge_ideal_betti(_TWO_LEAVES, GF2)
+
+
+def test_the_cold_memo_fixture_empties_every_memo_of_betti(cold_memos):
+    """Each module-level dict of ``betti`` and each of its functions with a
+    ``cache_clear`` is a memo for the process: a split tree and a sweep
+    fill every one of them, and the fixture empties them all."""
+    edge_ideal_betti(_TWO_LEAVES, GF2)
+    clique_ideal_betti(make_multipartite([4, 7], 2), 2, GF2)  # a sweep
+    found = {name: value for name, value in vars(betti).items() if not name.startswith("__")}
+    dicts = {name: value for name, value in found.items() if isinstance(value, dict)}
+    caches = {name: value for name, value in found.items() if hasattr(value, "cache_clear")}
+    assert {"_plans", "_plan_keys"} <= dicts.keys()
+    assert {"_shape_dims", "_family_ranks"} <= caches.keys()
+    assert all(dicts.values()) and all(c.cache_info().currsize for c in caches.values())
+    cold_memos()
+    assert not any(dicts.values()) and not any(c.cache_info().currsize for c in caches.values())
 
 
 def test_the_clique_route_refuses_a_wide_root_before_listing(monkeypatch):
@@ -853,20 +867,21 @@ def _memo_family(data) -> Hypergraph:
     return Hypergraph(9, min_antichain(sets))
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_a_warm_memo_gives_the_tables_of_a_cold_one(data):
+def test_a_warm_memo_gives_the_tables_of_a_cold_one(cold_memos, data):
     """Each field's table from empty memos equals the table answered after
     other fields and other routes have filled them, in any field order,
     on both the whole restriction sum and the split tree."""
     h = _memo_family(data)
     cold = {}
     for fld in (GF2, GF3, QQ):
-        _clear_memos()
+        cold_memos()
         cold[fld, "sum"] = edge_restriction_sum(h, fld)
-        _clear_memos()
+        cold_memos()
         cold[fld, "tree"] = edge_ideal_betti(h, fld)
-    _clear_memos()
+    cold_memos()
     for fld in data.draw(_FIELD_ORDERS, label="first") + data.draw(_FIELD_ORDERS, label="then"):
         for route in data.draw(st.permutations(["sum", "tree"]), label="routes"):
             table = (edge_restriction_sum if route == "sum" else edge_ideal_betti)(h, fld)
@@ -880,36 +895,35 @@ def _plan_outcome(call):
         return str(exc)
 
 
-@settings(max_examples=60, deadline=None)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(st.data())
-def test_a_warm_memo_plans_and_refuses_as_a_cold_one(data):
+def test_a_warm_memo_plans_and_refuses_as_a_cold_one(cold_memos, data):
     """Under a lowered plan budget, a restriction sum's plan, a split tree
-    and its table, found with the plan memo filled at other budgets, visit
-    and refuse exactly as from empty memos: a kept plan, first the one
-    planned at the full budget, is reused only at a budget no larger than
-    its own that its visits fit.  (Nodes the tree answered before are
-    skipped unpriced, so each tree starts with none.)"""
+    and its table, found with the memos filled at other budgets, visit and
+    refuse exactly as from empty memos: a kept plan, first the one planned
+    at the full budget, is reused only at a budget no larger than its own
+    that its visits fit, and the tree keeps no node between calls."""
     h = _memo_family(data)
     key = betti._shape_of(h.edges)
     full = _plan_outcome(lambda: betti._restriction_terms(key, betti.PLAN_BUDGET))
     top = full[0] if isinstance(full, tuple) else betti.PLAN_BUDGET
     budgets = data.draw(st.lists(st.integers(1, top + 1), min_size=1, max_size=4), label="budgets")
     for budget in budgets:
-        betti._split_tables.clear()
         with mock.patch.object(betti, "PLAN_BUDGET", budget):
             warm = [
                 _plan_outcome(lambda: betti._restriction_terms(key, budget)),
-                _plan_outcome(lambda: betti._split_plan(key, GF2, VERTEX_BUDGET)),
+                _plan_outcome(lambda: betti._split_plan(key, VERTEX_BUDGET)),
                 _plan_outcome(lambda: edge_ideal_betti(h, GF2)),
             ]
             kept = dict(betti._plans)
             cold = []
             for call in (
                 lambda: betti._restriction_terms(key, budget),
-                lambda: betti._split_plan(key, GF2, VERTEX_BUDGET),
+                lambda: betti._split_plan(key, VERTEX_BUDGET),
                 lambda: edge_ideal_betti(h, GF2),
             ):
-                _clear_memos()
+                cold_memos()
                 cold.append(_plan_outcome(call))
         assert warm == cold
         betti._plans.update(kept)
@@ -958,12 +972,11 @@ def test_the_clique_route_equals_the_subset_count_of_private_vertex_non_edges():
         assert clique_ideal_betti(Hypergraph(n, edges), d, GF2) == expected
 
 
-def test_each_component_shape_is_answered_once(monkeypatch):
+def test_each_component_shape_is_answered_once(monkeypatch, cold_memos):
     """On the edge route every subset of a star is one star-shaped
     component and every subset of a line splits into runs, so the direct
     route runs once per shape, 10 star sizes and 12 run lengths, and the
     nerve only where the direct route gave up."""
-    betti._shape_dims.cache_clear()
     calls: Counter[str] = Counter()
 
     def counted_direct(vmask, relevant, cap, fld):
@@ -984,11 +997,10 @@ def test_each_component_shape_is_answered_once(monkeypatch):
     assert calls["direct"] <= 12 and calls["nerve"] <= calls["direct"]
 
 
-def test_a_longer_line_grows_only_its_new_run_length(monkeypatch):
+def test_a_longer_line_grows_only_its_new_run_length(monkeypatch, cold_memos):
     """Component shapes outlive the sum that met them: once line(12,3,1)
     is answered, every subset of line(13,3,1) splits into runs of lengths
     already answered but the one run of all 13 edges."""
-    betti._shape_dims.cache_clear()
     edge_ideal_betti(make_line(12, 3, 1), GF2, vertex_budget=40)
     calls = []
 

@@ -17,7 +17,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from hyperbetti import BettiTable, betti, cycle_betti_closed_form, line_betti_closed_form
+from hyperbetti import BettiTable, cycle_betti_closed_form, line_betti_closed_form
 from hyperbetti import star_betti_closed_form
 from hyperbetti import make_complete, make_multipartite, make_star_overlap
 from hyperbetti.bitsets import mask_of
@@ -246,6 +246,24 @@ def test_betti_cache_misses_entries_of_other_code(capsys, tmp_path, monkeypatch)
     assert "[cache] hit" not in err
     _, _, err = run(capsys, "betti", path)
     assert "[cache] hit" in err
+
+
+def test_betti_treats_an_undecodable_cache_entry_as_a_miss(capsys, tmp_path):
+    """An entry that is not UTF-8 is a miss: the table is computed again,
+    with no traceback, and the store replaces the entry."""
+    path = _gen_to_file(
+        capsys, tmp_path, "gen", "--family", "line", "--n", "3", "--d", "3", "--alpha", "1"
+    )
+    code, expected, _ = run(capsys, "betti", path)
+    assert code == 0
+    (entry,) = (tmp_path / "cache").iterdir()
+    entry.write_bytes(b"\xff\xfe")
+    code, out, err = run(capsys, "betti", path)
+    assert code == 0 and out == expected
+    assert "[cache] hit" not in err and "Traceback" not in err
+    assert BettiTable.from_json(out) == line_betti_closed_form(3, 3, 1)
+    code, out, err = run(capsys, "betti", path)
+    assert code == 0 and out == expected and "[cache] hit" in err
 
 
 def test_betti_closed_form_needs_family_tag(capsys, tmp_path):
@@ -539,8 +557,9 @@ def test_betti_answers_a_paper_line_at_a_raised_vertex_budget(capsys, tmp_path):
     [("line", 31, line_betti_closed_form), ("cycle", 30, cycle_betti_closed_form)],
     ids=["line-31-3-1", "cycle-30-3-1"],
 )
+@pytest.mark.usefixtures("cold_memos")
 def test_betti_splits_the_paper_families_past_the_restriction_sum(
-    capsys, tmp_path, monkeypatch, family, n, closed_form
+    capsys, tmp_path, family, n, closed_form
 ):
     """line(31,3,1) has 63 vertices and cycle(30,3,1) 60, far past the
     restriction sum's plans; the edge route splits them at free vertices
@@ -549,9 +568,6 @@ def test_betti_splits_the_paper_families_past_the_restriction_sum(
     path = _gen_to_file(
         capsys, tmp_path, "gen", "--family", family, "--n", str(n), "--d", "3", "--alpha", "1"
     )
-    monkeypatch.setattr(betti, "_split_tables", {})
-    monkeypatch.setattr(betti, "_plans", {})
-    betti._shape_dims.cache_clear()
     started = time.perf_counter()
     code, out, _ = run(capsys, "betti", path, "--max-vertices", "63", "--no-cache")
     assert time.perf_counter() - started < 1.0
