@@ -3,8 +3,10 @@
 A cached entry stores the exact output text of one command run, keyed by
 the digest of the input object together with the operation name, the
 complete flag assignment and a digest of the package's own source files.
-Hits therefore replay byte-identical payloads, and only ever payloads
-that the running code itself would produce.
+The entry's first line is the SHA-256 of that text, and an entry whose
+text no longer matches it is a miss.  Hits therefore replay
+byte-identical payloads, and only ever payloads that the running code
+itself would produce.
 Files live under a single directory: the ``HYPERBETTI_CACHE_DIR``
 environment variable overrides the default per-user location.  Every
 cache failure is silent — the cache only ever saves time, never changes
@@ -59,13 +61,20 @@ def cache_key(content_digest: str, operation: str, flags: dict) -> str:
     return hashlib.sha256(blob.encode("utf-8")).hexdigest()
 
 
+def _payload_digest(payload: str) -> str:
+    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+
+
 def load(key: str) -> str | None:
-    """The entry's text, or None when it cannot be read or is not UTF-8:
-    a miss, so the next store replaces it."""
+    """The entry's payload, or None when the entry cannot be read, is not
+    UTF-8 or does not match the digest stored with it: a miss, so the
+    next store replaces it."""
     try:
-        return (cache_dir() / key).read_text("utf-8")
+        text = (cache_dir() / key).read_text("utf-8")
     except (OSError, UnicodeDecodeError):
         return None
+    digest, _, payload = text.partition("\n")
+    return payload if digest == _payload_digest(payload) else None
 
 
 def store(key: str, payload: str) -> None:
@@ -75,7 +84,7 @@ def store(key: str, payload: str) -> None:
         directory.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(dir=directory, suffix=".tmp")
         with os.fdopen(fd, "w", encoding="utf-8") as handle:
-            handle.write(payload)
+            handle.write(_payload_digest(payload) + "\n" + payload)
         os.replace(tmp_name, directory / key)
     except OSError:
         if tmp_name is not None:

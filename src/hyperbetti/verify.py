@@ -31,8 +31,9 @@ resolution and an ordering search (``_two_gluing_computed``).
 Work is shared only within one run of a check.  The sequence checks
 deduplicate their pools by the hypergraph each attachment sequence
 builds, read from its pieces without listing an edge (``_build_key``),
-and build only the sequences they keep, handing the built hypergraph
-and pieces to their cases.  ``graph-corollary``
+stride the distinct sequences down to their count, and build only the
+sequences they keep, handing the built hypergraph and pieces to their
+cases.  ``graph-corollary``
 keeps a memo keyed by isomorphism class (``_graph_orbits``) for the
 invariants of the ideal and checks every 97th repeat of a class against
 a recomputation.
@@ -750,18 +751,28 @@ def _build_key(seq: AttachmentSequence) -> int:
     return (key << 64 | seq.d) << 64 | n
 
 
-def _distinct_builds(pool: Iterable[tuple[str, AttachmentSequence]]) -> list[Build]:
-    """The build of the first sequence of the pool for each labelled output
-    hypergraph, told apart by ``_build_key``: only the sequences kept are
-    built."""
+def _distinct_builds(pool: Iterable[tuple[str, AttachmentSequence]], cap: int) -> list[Build]:
+    """The first sequence of the pool for each labelled output hypergraph,
+    told apart by ``_build_key``, strided down to cap (``_stride``) and
+    only then built: a sequence the stride drops is never built.  Each
+    kept sequence is dropped as it is built, so the sequences and their
+    builds are never all held at once."""
     seen: set[int] = set()
-    out = []
+    distinct = []
     for label, seq in pool:
         key = _build_key(seq)
         if key not in seen:
             seen.add(key)
-            out.append((label, seq.d, *build_chordal_with_chunks(seq)))
-    return out
+            distinct.append((label, seq))
+    del seen
+    kept = _stride(distinct, cap)
+    del distinct
+    kept.reverse()
+    builds = []
+    while kept:
+        label, seq = kept.pop()
+        builds.append((label, seq.d, *build_chordal_with_chunks(seq)))
+    return builds
 
 
 def _sequence_pool(
@@ -769,13 +780,15 @@ def _sequence_pool(
 ) -> list[Build]:
     """Deduplicated builds: every attachment sequence of each uniformity d
     in ``ds`` within the bounds, one representative per labeled output
-    hypergraph."""
-    pool = _distinct_builds(
-        (f"d={d} steps={_steps_label(seq.steps)}", seq)
-        for d in ds
-        for seq in enumerate_sequences(d, _val(grid, "n", vmax), _val(grid, "steps", steps))
+    hypergraph, strided down to the grid's count or cap."""
+    return _distinct_builds(
+        (
+            (f"d={d} steps={_steps_label(seq.steps)}", seq)
+            for d in ds
+            for seq in enumerate_sequences(d, _val(grid, "n", vmax), _val(grid, "steps", steps))
+        ),
+        _val(grid, "count", cap),
     )
-    return _stride(pool, _val(grid, "count", cap))
 
 
 def check_hypergraph(grid: Mapping) -> Iterable[Case]:
@@ -913,7 +926,7 @@ def _td_sequences(grid: Mapping) -> list[Build]:
                     grow(steps + (AttachmentStep(base + 1, glue),))
 
             grow((AttachmentStep(base + 1),))
-    return _stride(_distinct_builds(pool), _val(grid, "count", 80))
+    return _distinct_builds(pool, _val(grid, "count", 80))
 
 
 def check_td_shellable(grid: Mapping) -> Iterable[Case]:

@@ -248,22 +248,34 @@ def test_betti_cache_misses_entries_of_other_code(capsys, tmp_path, monkeypatch)
     assert "[cache] hit" in err
 
 
-def test_betti_treats_an_undecodable_cache_entry_as_a_miss(capsys, tmp_path):
-    """An entry that is not UTF-8 is a miss: the table is computed again,
-    with no traceback, and the store replaces the entry."""
+def _damaged_entry_is_a_miss(capsys, tmp_path, damage: bytes) -> None:
+    """Overwrite line(3,3,1)'s cache entry with ``damage``: the next call
+    computes the table again, with no traceback, and its store replaces
+    the entry, so the call after is a hit."""
     path = _gen_to_file(
         capsys, tmp_path, "gen", "--family", "line", "--n", "3", "--d", "3", "--alpha", "1"
     )
     code, expected, _ = run(capsys, "betti", path)
     assert code == 0
     (entry,) = (tmp_path / "cache").iterdir()
-    entry.write_bytes(b"\xff\xfe")
+    entry.write_bytes(damage)
     code, out, err = run(capsys, "betti", path)
     assert code == 0 and out == expected
     assert "[cache] hit" not in err and "Traceback" not in err
     assert BettiTable.from_json(out) == line_betti_closed_form(3, 3, 1)
     code, out, err = run(capsys, "betti", path)
     assert code == 0 and out == expected and "[cache] hit" in err
+
+
+def test_betti_treats_an_undecodable_cache_entry_as_a_miss(capsys, tmp_path):
+    """An entry that is not UTF-8 is a miss."""
+    _damaged_entry_is_a_miss(capsys, tmp_path, b"\xff\xfe")
+
+
+def test_betti_treats_a_damaged_cache_entry_as_a_miss(capsys, tmp_path):
+    """An entry whose text no longer matches the digest stored with it is
+    a miss."""
+    _damaged_entry_is_a_miss(capsys, tmp_path, b"not a table")
 
 
 def test_betti_closed_form_needs_family_tag(capsys, tmp_path):

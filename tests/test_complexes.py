@@ -28,13 +28,16 @@ from hyperbetti.bitsets import (
     min_antichain,
     submasks,
 )
+from hyperbetti import complexes
 from hyperbetti.complexes import (
+    TABLE_WIDTH,
     enumerate_faces,
     grow_faces,
     minimal_transversals,
     nonface_complex,
     pad_facets,
 )
+from hyperbetti.hypergraph import MAX_LISTED_EDGES
 
 
 def _has_face(c, face):
@@ -154,26 +157,61 @@ def _brute_minimal_transversals(n: int, family: list[int]) -> set[int]:
     return {t for t in meets if not any(t & ~(1 << v) in meets for v in bits_of(t))}
 
 
+def _table(masks, cap=MAX_LISTED_EDGES):
+    family = set(masks)
+    return complexes._table_transversals(family, max(family, default=0).bit_length(), cap)
+
+
+def _fold(masks, cap=MAX_LISTED_EDGES):
+    return complexes._fold_transversals(set(masks), cap)
+
+
+# The dualization's entry point, and each of its two paths called directly.
+EVERY_PATH = (minimal_transversals, _table, _fold)
+
+
 def test_minimal_transversals_edge_cases():
-    assert minimal_transversals([]) == {0}
-    assert minimal_transversals([0b011, 0]) == frozenset()
-    assert minimal_transversals([0b011, 0b011]) == {0b001, 0b010}
+    """On every path, the empty family has one transversal, the empty set,
+    refused only at cap 0; a family with the empty mask has none, even at
+    cap 0."""
+    for dualize in EVERY_PATH:
+        assert dualize([]) == {0}
+        assert dualize([0]) == dualize([0b011, 0]) == frozenset()
+        assert dualize([0], 0) == dualize([0b011, 0], 0) == frozenset()
+        assert dualize([0b011, 0b011]) == {0b001, 0b010}
+        for family in ([], [0b1]):
+            with pytest.raises(SizeBudgetError, match="more than 0 sets"):
+                dualize(family, 0)
 
 
 @settings(max_examples=200, deadline=None)
 @given(st.integers(0, 8), st.data())
 def test_minimal_transversals_match_brute_force(n, data):
     family = data.draw(st.lists(st.integers(0, (1 << n) - 1), max_size=8))
-    assert minimal_transversals(family) == _brute_minimal_transversals(n, family)
+    full = _brute_minimal_transversals(n, family)
+    for dualize in EVERY_PATH:
+        assert dualize(family) == full
+
+
+def _refuses_exactly_past(cap: int, family: list[int], full: set[int]) -> None:
+    """Every path refuses the family exactly when it has more than cap
+    minimal transversals, and lists them in full otherwise."""
+    for dualize in EVERY_PATH:
+        if len(full) > cap:
+            with pytest.raises(SizeBudgetError, match=f"more than {cap} sets"):
+                dualize(family, cap)
+        else:
+            assert dualize(family, cap) == full
 
 
 def test_a_capped_dualization_counts_only_finished_prefixes():
     """{1,2} and {0,3} have four minimal transversals; with {1,3} added
-    the family has three, which a cap of three admits."""
+    the family has three, which a cap of three admits.  The fold stops at
+    the end of a prefix of masks only, so it answers here."""
     family = [0b0110, 0b1001, 0b1010]
-    assert minimal_transversals(family, 3) == _brute_minimal_transversals(4, family)
+    assert _fold(family, 3) == _brute_minimal_transversals(4, family)
     with pytest.raises(SizeBudgetError, match="more than 2 sets"):
-        minimal_transversals(family, 2)
+        _fold(family, 2)
 
 
 @settings(max_examples=200, deadline=None)
@@ -183,12 +221,35 @@ def test_a_capped_dualization_refuses_exactly_past_its_cap(n, data):
     transversals than the cap, and answered in full otherwise."""
     family = data.draw(st.lists(st.integers(0, (1 << n) - 1), min_size=0, max_size=8))
     cap = data.draw(st.integers(0, 20))
-    full = _brute_minimal_transversals(n, family)
-    if len(full) > cap:
-        with pytest.raises(SizeBudgetError, match=f"more than {cap} sets"):
-            minimal_transversals(family, cap)
-    else:
-        assert minimal_transversals(family, cap) == full
+    _refuses_exactly_past(cap, family, _brute_minimal_transversals(n, family))
+
+
+@settings(max_examples=40, deadline=None)
+@given(st.sampled_from([TABLE_WIDTH, TABLE_WIDTH + 1]), st.data())
+def test_both_paths_agree_at_the_table_width(width, data):
+    """Families whose support reaches the widest table, or one vertex past
+    it, meet the same exact cap on every path."""
+    family = data.draw(st.lists(st.integers(0, (1 << width) - 1), min_size=1, max_size=6))
+    family[0] |= 1 << (width - 1)
+    cap = data.draw(st.integers(0, 40))
+    _refuses_exactly_past(cap, family, _brute_minimal_transversals(width, family))
+
+
+@pytest.mark.parametrize(
+    "width, path",
+    [(TABLE_WIDTH, "_table_transversals"), (TABLE_WIDTH + 1, "_fold_transversals")],
+)
+def test_the_support_width_picks_the_path(monkeypatch, width, path):
+    """Supports up to TABLE_WIDTH bits are tabulated, wider ones folded."""
+    called = []
+    for name in ("_table_transversals", "_fold_transversals"):
+        real = getattr(complexes, name)
+        monkeypatch.setattr(
+            complexes, name, lambda *args, real=real, name=name: called.append(name) or real(*args)
+        )
+    family = [0b11, 1 << (width - 1) | 1]
+    assert minimal_transversals(family) == _brute_minimal_transversals(width, family)
+    assert called == [path]
 
 
 def _as_sets(faces: dict[int, list[int]]) -> dict[int, set[int]]:

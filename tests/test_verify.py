@@ -351,31 +351,41 @@ def test_the_build_key_keeps_what_building_keeps(monkeypatch, theorem, kept):
     """On each default sequence pool, deduplicating by the key read from
     the steps keeps the same sequences, in the same order, as building
     every sequence and keeping the first of each (vertex count, edge
-    set), and builds only the sequences it keeps."""
-    pools, labels, builds = [], [], []
-    distinct_builds, build = verify._distinct_builds, verify.build_chordal_with_chunks
+    set).  The stride then picks among them, and only the sequences it
+    keeps are built, in its order."""
+    pools, calls, strides, built = [], [], [], []
+    distinct_builds, stride = verify._distinct_builds, verify._stride
+    build = verify.build_chordal_with_chunks
 
-    def recorded(pool):
+    def recorded(pool, cap):
         pools.append(list(pool))
-        builds.clear()
-        out = distinct_builds(pools[-1])
-        labels.append([label for label, *_ in out])
-        assert len(builds) == len(out)
+        strides.clear()
+        built.clear()
+        out = distinct_builds(pools[-1], cap)
+        calls.append((list(strides), list(built), out))
         return out
 
+    def strided(items, cap):
+        kept = stride(items, cap)
+        strides.append((list(items), list(kept)))
+        return kept
+
     def counted(seq):
-        builds.append(seq)
+        built.append(seq)
         return build(seq)
 
     monkeypatch.setattr(verify, "_distinct_builds", recorded)
+    monkeypatch.setattr(verify, "_stride", strided)
     monkeypatch.setattr(verify, "build_chordal_with_chunks", counted)
     next(iter(REGISTRY[theorem].cases({})))
-    [pool], [kept_labels] = pools, labels
+    [pool], [([(distinct, chosen)], made, out)] = pools, calls
     seen, by_build = set(), []
     for label, seq in pool:
         h = build_chordal(seq)
         if (h.n_vertices, h.edges) not in seen:
             seen.add((h.n_vertices, h.edges))
             by_build.append(label)
-    assert kept_labels == by_build
+    assert [label for label, _ in distinct] == by_build
     assert kept is None or len(by_build) == kept
+    assert len(made) == len(chosen) and all(m is seq for m, (_, seq) in zip(made, chosen))
+    assert [label for label, *_ in out] == [label for label, _ in chosen]
