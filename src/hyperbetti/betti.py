@@ -60,8 +60,9 @@ than that one, and only when its visits fit in it: plans are chosen by
 comparing visits with the budget, so there a fresh plan is the same
 one.  A refused plan is not kept.
 
-Every subset of the closure, and every subset the connectivity and
-Cohen-Macaulay scans answer one by one, takes one route:
+``connectivity`` and ``is_cohen_macaulay`` read the split tree's table.
+Every subset of the closure, and every subset ``restriction_witness``,
+the reference scan, answers one by one, takes one route:
 
 * cone filter - V adds nothing when it holds no nonface (a simplex) or
   when a vertex of V lies in none of the nonfaces inside V (a cone);
@@ -186,6 +187,13 @@ class BettiTable:
             (i for i, j in self.as_quotient().entries if i >= 1 and j == i + gen_degree - 1),
             default=0,
         )
+
+    def connectivity(self, gen_degree: int) -> int | None:
+        """n - d + 1 minus the length of the linear strand of generators of
+        degree d = ``gen_degree``, or None for an empty one: the connectivity,
+        as step i of the strand sums dim H~_{d-2} over the (i + d - 1)-sets."""
+        strand = self.linear_strand(gen_degree)
+        return self.n - gen_degree + 1 - strand if strand else None
 
     def is_linear(self, gen_degree: int) -> bool:
         """Every entry past step 0 of the quotient's resolution lies on the
@@ -1033,7 +1041,7 @@ def rsequence_betti_table(
     return BettiTable("quotient", n_vars, entries)
 
 
-# -- connectivity -----------------------------------------------------
+# -- connectivity and Cohen-Macaulay ---------------------------------
 
 
 def connectivity(
@@ -1043,35 +1051,38 @@ def connectivity(
 ) -> int | None:
     """Fewest vertices whose removal leaves top-dimension-below-d homology
     in the clique-style complex; None when no removal ever does (the
-    complete hypergraph).  Scans removal sets smallest-first.
-    """
+    complete hypergraph).  Read off the clique-route table's linear strand
+    (``BettiTable.connectivity``), refused as the split tree refuses."""
     if d is None:
         d = h.uniform_degree
         if d is None:
             raise PreconditionError("connectivity needs a uniform hypergraph")
     elif not h.is_uniform(d):
         raise PreconditionError(f"connectivity needs {d}-uniform input")
-    nonfaces = non_edges(h, d)
-    if not nonfaces:
-        return None
-    oracle = _RestrictionOracle(nonfaces, fld)
-    verts = h.vertices
-    n = verts.bit_count()
-    for w in range(0, n - d + 1):
-        for wmask in k_submasks(verts, w):
-            if oracle.dims_for(verts ^ wmask).get(d - 2):
-                return w
-    return None
-
-
-# -- Cohen-Macaulay checks --------------------------------------------
+    return clique_ideal_betti(h, d, fld).connectivity(d)
 
 
 def is_cohen_macaulay(c: SimplicialComplex, fld: FieldSpec = QQ) -> bool:
-    """Depth of the face ring equals dimension (via the restriction sum)."""
+    """Depth of the face ring equals dimension, read off the split tree's
+    table on the minimal nonfaces."""
     if c.is_void:
         raise PreconditionError("void complex has no face ring")
-    return hochster_betti(c, fld).depth == (c.dim if c.dim is not None else -1) + 1
+    return _split_betti(c.vertices, minimal_nonfaces(c), fld, VERTEX_BUDGET).depth == c.dim + 1
+
+
+def restriction_witness(
+    ground: int, nonfaces: Collection[int], bands: Iterable[tuple[int, int]], fld: FieldSpec
+) -> tuple[int, int] | None:
+    """The first (degree, V), over the (degree, size) bands in the order
+    given and the size-subsets V of the ground set in ``k_submasks`` order,
+    with H~_degree of the subcomplex on V nonzero; None if there is none.
+    The reference scan: each V is answered one by one, with no budget."""
+    oracle = _RestrictionOracle(nonfaces, fld)
+    for degree, size in bands:
+        for vmask in k_submasks(ground, size):
+            if oracle.dims_for(vmask).get(degree):
+                return degree, vmask
+    return None
 
 
 def froberg_cm_witness(
@@ -1090,17 +1101,9 @@ def froberg_cm_witness(
     """
     if c.is_void:
         raise PreconditionError("void complex has no face ring")
-    n = c.vertices.bit_count()
-    e = (c.dim if c.dim is not None else -1) + 1
-    oracle = _RestrictionOracle(minimal_nonfaces(c), fld)
-    for i in range(-1, e - 1):
-        size = n - e + i + 2
-        if not 0 < size <= n:
-            continue
-        for vmask in k_submasks(c.vertices, size):
-            if oracle.dims_for(vmask).get(i):
-                return (i, vmask)
-    return None
+    n, e = c.vertices.bit_count(), c.dim + 1
+    bands = [(i, n - e + i + 2) for i in range(-1, e - 1)]
+    return restriction_witness(c.vertices, minimal_nonfaces(c), bands, fld)
 
 
 def froberg_cm_check(c: SimplicialComplex, fld: FieldSpec = QQ) -> bool:

@@ -44,7 +44,7 @@ __all__ = [
 # -- attachment sequences ---------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttachmentStep:
     """One gluing: a complete piece on ``size`` vertices, identified with
     the existing hypergraph along the labelled ``glue`` vertices."""
@@ -62,7 +62,7 @@ class AttachmentStep:
             raise ParameterError("glue must be a proper subset of the piece")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class AttachmentSequence:
     """A build recipe: the uniformity d plus the ordered gluing steps.
 

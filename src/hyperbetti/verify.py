@@ -16,7 +16,7 @@ PreconditionError or SizeBudgetError is an error, not an abort.
 Checks that share a generator differ only in what they pass to it: a
 family row names the maker, the regime of (d, alpha) pairs, the smallest
 n, the expected table and the comparison; a connectivity row names the
-comparison of the direct connectivity with the shape of the Betti table;
+comparison of the removal scan's connectivity with the Betti table;
 a counting row names the two counting functions.  The family and
 free-vertex rows hold their formulas against ``edge_restriction_sum``,
 the restriction sum itself, and ``free-split`` holds the splitting route
@@ -57,7 +57,6 @@ from typing import Callable, Iterable, Mapping
 from .betti import (
     BettiTable,
     clique_ideal_betti,
-    connectivity,
     count_cycle_subconfigs,
     count_line_subconfigs,
     cycle_betti_closed_form,
@@ -73,6 +72,7 @@ from .betti import (
     knd_complement_betti,
     line_betti_closed_form,
     line_betti_degenerate,
+    restriction_witness,
     rsequence_betti_table,
     star_betti_closed_form,
     taylor_betti_free_vertex,
@@ -602,12 +602,20 @@ def _conn_fields(trial_label: str, index: int) -> tuple[FieldSpec, ...]:
     return FIELD_TRIPLE
 
 
+def _removal_scan(h: Hypergraph, fld: FieldSpec, d: int) -> int | None:
+    """The connectivity by the reference scan: the fewest removed vertices
+    that leave H~_{d-2} on the rest, the largest rests first."""
+    n = h.num_vertices
+    bands = [(d - 2, n - w) for w in range(n - d + 1)]
+    found = restriction_witness(h.vertices, non_edges(h, d), bands, fld)
+    return None if found is None else n - found[1].bit_count()
+
+
 def _connectivity(compare: Callable[..., str | None]) -> Cases:
     """The cases shared by the connectivity checks.  On every pool
-    instance but a complete one, the connectivity found by a removal scan
-    and the one the clique-route table implies, n - d + 1 minus the length
-    of its linear strand (None for an empty strand), go to ``compare``
-    with the table and d; a flaw carries the table's shape."""
+    instance but a complete one, the connectivity the removal scan finds
+    goes to ``compare`` with the clique-route table, the one table the
+    case builds, and d; a flaw carries the table's shape."""
 
     def cases(grid: Mapping):
         for index, (label, h, d) in enumerate(_conn_pool(grid)):
@@ -618,19 +626,13 @@ def _connectivity(compare: Callable[..., str | None]) -> Cases:
                             "complete hypergraph: connectivity is infinite, "
                             "theorem does not apply"
                         )
-                    try:
-                        table = clique_ideal_betti(h, d, fld)
-                        con = connectivity(h, fld, d)
-                    except PreconditionError as exc:
-                        raise SkipInstance(str(exc)) from exc
-                    strand = table.linear_strand(d)
-                    implied = None if strand == 0 else h.num_vertices - d + 1 - strand
-                    flaw = compare(con, implied, table, d)
+                    table = clique_ideal_betti(h, d, fld)
+                    flaw = compare(_removal_scan(h, fld, d), table, d)
                     if flaw is None:
                         return None
                     return (
                         f"{flaw} (pd={table.projective_dimension} "
-                        f"depth={table.depth} strand={strand})"
+                        f"depth={table.depth} strand={table.linear_strand(d)})"
                     )
 
                 yield f"{label} field={fld.label}", body
@@ -638,17 +640,14 @@ def _connectivity(compare: Callable[..., str | None]) -> Cases:
     return cases
 
 
-def _strand_route_flaw(
-    con: int | None, implied: int | None, table: BettiTable, d: int
-) -> str | None:
+def _strand_route_flaw(con: int | None, table: BettiTable, d: int) -> str | None:
+    implied = table.connectivity(d)
     if con == implied:
         return None
     return f"direct connectivity {con} != strand route {implied}"
 
 
-def _zero_route_flaw(
-    con: int | None, implied: int | None, table: BettiTable, d: int
-) -> str | None:
+def _zero_route_flaw(con: int | None, table: BettiTable, d: int) -> str | None:
     """Zero connectivity against depth d - 1 with the linear strand as long
     as the resolution."""
     zero = table.depth == d - 1 and table.linear_strand(d) == table.projective_dimension
@@ -661,15 +660,14 @@ def _cm_pool(grid: Mapping) -> list[tuple[str, SimplicialComplex]]:
     pool: list[tuple[str, SimplicialComplex]] = []
     cap = _val(grid, "vcap", 10)
     for d in (2, 3):
-        for alpha in (1,):
-            for n in range(1, 5):
-                h = make_line(n, d, alpha)
-                if h.num_vertices <= cap:
-                    pool.append((f"clique line n={n} d={d}", clique_complex(h, d)))
-            for n in range(3, 5):
-                h = make_cycle(n, d, alpha)
-                if h.num_vertices <= cap:
-                    pool.append((f"clique cycle n={n} d={d}", clique_complex(h, d)))
+        for n in range(1, 5):
+            h = make_line(n, d, 1)
+            if h.num_vertices <= cap:
+                pool.append((f"clique line n={n} d={d}", clique_complex(h, d)))
+        for n in range(3, 5):
+            h = make_cycle(n, d, 1)
+            if h.num_vertices <= cap:
+                pool.append((f"clique cycle n={n} d={d}", clique_complex(h, d)))
     pool.append(("empty-face complex n=3", SimplicialComplex.from_faces(3, [0])))
     pool.append(("full simplex n=4", SimplicialComplex.from_faces(4, [0b1111])))
     pool.append(
@@ -706,10 +704,9 @@ def check_cm_froberg(grid: Mapping) -> Iterable[Case]:
                 depth_route = is_cohen_macaulay(c, fld)
                 if crit == depth_route:
                     return None
-                e = (c.dim if c.dim is not None else -1) + 1
                 return (
                     f"vanishing criterion says {crit}, Betti-table depth "
-                    f"{hochster_betti(c, fld).depth} vs dimension {e} says {depth_route}"
+                    f"{hochster_betti(c, fld).depth} vs dimension {c.dim + 1} says {depth_route}"
                 )
 
             yield f"{label} field={fld.label}", body

@@ -31,6 +31,7 @@ from hyperbetti import (
     cycle_betti_degenerate,
     edge_ideal_betti,
     edge_restriction_sum,
+    froberg_cm_check,
     hochster_betti,
     ideal_betti,
     independence_complex,
@@ -58,6 +59,7 @@ from hyperbetti.betti import (
     _dims_nerve,
     _RestrictionOracle,
 )
+from hyperbetti.verify import _removal_scan
 from hyperbetti.bitsets import contains, k_submasks, mask_of, min_antichain, submasks
 from hyperbetti.complexes import FACE_BUDGET, grow_faces, restrict
 from hyperbetti.hypergraph import non_edges
@@ -200,7 +202,7 @@ def test_conn_depth_equivalence_on_a_line():
     and depth is d - 1 with a linear strand as long as the resolution."""
     h = make_line(3, 3, 1)
     table = clique_ideal_betti(h, 3, QQ)
-    con = connectivity(h, QQ, 3)
+    con = _removal_scan(h, QQ, 3)
     assert con == h.num_vertices - 3 + 1 - table.linear_strand(3) == 0
     assert table.depth == 3 - 1
     assert table.linear_strand(3) == table.projective_dimension
@@ -214,6 +216,58 @@ def test_cohen_macaulay_examples():
     assert is_cohen_macaulay(sphere, QQ)
     broken = SimplicialComplex.from_faces(4, [[0, 1], [2, 3]])
     assert not is_cohen_macaulay(broken, QQ)
+
+
+def _uniform_hypergraph(data, d: int) -> Hypergraph:
+    """A random d-uniform hypergraph on d to 9 vertices."""
+    n = data.draw(st.integers(d, 9), label="n")
+    sets = [mask_of(c) for c in combinations(range(n), d)]
+    return Hypergraph(n, frozenset(data.draw(st.lists(st.sampled_from(sets), unique=True))))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3), st.sampled_from((GF2, GF3, QQ)), st.data())
+def test_connectivity_equals_the_reference_removal_scan(d, fld, data):
+    """The connectivity read off the clique-route table's linear strand
+    equals the one the reference scan finds by trying removal sets."""
+    h = _uniform_hypergraph(data, d)
+    assert connectivity(h, fld, d) == _removal_scan(h, fld, d)
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.integers(2, 3), st.booleans(), st.sampled_from((GF2, GF3, QQ)), st.data())
+def test_cohen_macaulay_by_the_table_equals_the_band_scan(d, clique, fld, data):
+    """The depth of the split tree's table on the minimal nonfaces decides
+    Cohen-Macaulayness as the Froberg band scan does, on random
+    independence and clique complexes."""
+    h = _uniform_hypergraph(data, d)
+    c = clique_complex(h, d) if clique else independence_complex(h)
+    assert is_cohen_macaulay(c, fld) == froberg_cm_check(c, fld)
+
+
+def test_connectivity_of_k24_minus_a_triple_is_read_off_the_strand():
+    """K_24^(3) minus {0, 1, 2} has one non-edge, so the split tree answers
+    at once, where a removal scan visits about 2^24 subsets."""
+    h = Hypergraph(24, make_complete(24, 3).edges - {0b111})
+    started = time.perf_counter()
+    assert connectivity(h, GF2) == 21
+    assert time.perf_counter() - started < 1.0
+
+
+def test_cohen_macaulay_is_answered_past_twenty_vertices():
+    """The independence complex of an 11-edge matching, on 22 vertices, is
+    the boundary of the 11-dimensional cross-polytope, a sphere, so it is
+    Cohen-Macaulay.  That of line(10,3,1), on 21 vertices, is exactly when
+    the closed form's depth is its dimension plus one.  The whole
+    restriction sum refuses both at the vertex budget."""
+    matching = independence_complex(Hypergraph(22, frozenset(0b11 << 2 * i for i in range(11))))
+    assert is_cohen_macaulay(matching, GF2)
+    line = independence_complex(make_line(10, 3, 1))
+    assert line.vertices.bit_count() == 21
+    assert is_cohen_macaulay(line, GF2) == (line_betti_closed_form(10, 3, 1).depth == line.dim + 1)
+    for c in (matching, line):
+        with pytest.raises(SizeBudgetError, match="exceeds the vertex budget 20"):
+            hochster_betti(c, GF2)
 
 
 def test_resolution_stats_depth():
@@ -615,8 +669,8 @@ def test_the_cone_filter_answers_before_any_route(monkeypatch):
 def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch, cold_memos):
     """K(12) minus the edge {0, 1} has the single nonface {0, 1}, so the
     one disconnected induced subgraph is on {0, 1}: every other subset the
-    scan visits lacks 0 or 1 (no nonface inside) or holds another vertex
-    (a cone), and the cone filter answers it without a route."""
+    reference removal scan visits lacks 0 or 1 (no nonface inside) or holds
+    another vertex (a cone), and the cone filter answers it without a route."""
     h = Hypergraph(12, make_complete(12, 2).edges - {0b11})
     seen: Counter[str] = Counter()
     dims_for = _RestrictionOracle.dims_for
@@ -632,16 +686,16 @@ def test_connectivity_reaches_the_cone_filter_without_a_skeleton(monkeypatch, co
 
     monkeypatch.setattr(_RestrictionOracle, "dims_for", counted_dims_for)
     monkeypatch.setattr(betti, "_shape_dims", counted_shape)
-    assert connectivity(h, GF2) == 10
+    assert _removal_scan(h, GF2, 2) == 10
     assert seen["pair"] == seen["route"] == 1
     assert seen["no nonface"] and seen["cone"]
 
 
 def test_only_the_sweep_plan_grows_the_big_faces(monkeypatch, cold_memos):
     """The faces up to BIG_FACE_CAP are the sweep's plan, not part of the
-    oracle: building an oracle, the connectivity scan and a closure sum
-    whose subsets split into components grow faces only for the direct
-    route of each component shape, capped at its nerve size."""
+    oracle: building an oracle, the reference connectivity scan and a
+    closure sum whose subsets split into components grow faces only for
+    the direct route of each component shape, capped at its nerve size."""
     caps = []
     grow = betti.grow_faces
 
@@ -652,7 +706,7 @@ def test_only_the_sweep_plan_grows_the_big_faces(monkeypatch, cold_memos):
     monkeypatch.setattr(betti, "grow_faces", counted)
     h = make_line(10, 2, 1)
     _RestrictionOracle(h.edges, GF2)
-    assert connectivity(make_cycle(6, 2, 1), GF2) == 2
+    assert _removal_scan(make_cycle(6, 2, 1), GF2, 2) == 2
     assert edge_ideal_betti(h, GF2) == line_betti_degenerate(10, 1)
     assert caps and BIG_FACE_CAP not in caps
 

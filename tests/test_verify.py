@@ -8,7 +8,7 @@ from typing import Mapping
 
 import pytest
 
-from hyperbetti import THEOREM_IDS, MonomialIdeal, ParameterError, run_check, verify
+from hyperbetti import THEOREM_IDS, MonomialIdeal, ParameterError, betti, run_check, verify
 from hyperbetti.betti import BettiTable
 from hyperbetti.chordal import build_chordal
 from hyperbetti.verify import REGISTRY, parse_grid
@@ -330,8 +330,8 @@ def test_connectivity_checks_report_a_wrong_connectivity(monkeypatch, theorem, d
     """A removal scan that answers wrongly makes the line a mismatch naming
     the comparison and the table's shape; a complete hypergraph is still
     skipped."""
-    scan = verify.connectivity
-    monkeypatch.setattr(verify, "connectivity", lambda h, fld, d: wrong(scan(h, fld, d)))
+    scan = verify._removal_scan
+    monkeypatch.setattr(verify, "_removal_scan", lambda h, fld, d: wrong(scan(h, fld, d)))
     rep = run_check(theorem, f"d={d}..{d},alpha=1..1,n=3..3,count=0")
     first = rep.results[0]
     assert (first.instance, first.status, first.details) == (
@@ -340,6 +340,25 @@ def test_connectivity_checks_report_a_wrong_connectivity(monkeypatch, theorem, d
     assert {r.details for r in rep.results if r.status == "skipped"} <= {
         "complete hypergraph: connectivity is infinite, theorem does not apply"
     }
+
+
+@pytest.mark.parametrize("theorem", ["conn-depth", "homconn"])
+def test_each_connectivity_instance_builds_one_clique_table(monkeypatch, theorem):
+    """The strand route reads the one clique table its case builds, and the
+    removal scan builds none: no table comes through ``betti.connectivity``."""
+    calls = []
+    table = betti.clique_ideal_betti
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return table(*args, **kwargs)
+
+    monkeypatch.setattr(verify, "clique_ideal_betti", counted)
+    monkeypatch.setattr(betti, "clique_ideal_betti", counted)
+    rep = run_check(theorem, "d=2..3,alpha=1..1,n=3..4,count=5")
+    computed = [r for r in rep.results if r.status != "skipped"]
+    assert computed and {r.status for r in computed} == {"match"}
+    assert len(calls) == len(computed)
 
 
 @pytest.mark.parametrize(
