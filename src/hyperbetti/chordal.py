@@ -28,6 +28,7 @@ __all__ = [
     "AttachmentSequence",
     "build_chordal",
     "build_chordal_with_chunks",
+    "build_from_pieces",
     "auto_glue",
     "sequence_for_line",
     "enumerate_sequences",
@@ -176,15 +177,21 @@ class AttachmentSequence:
         return self._pieces
 
 
+def build_from_pieces(d: int, pieces: tuple[int, ...]) -> Hypergraph:
+    """The hypergraph a recipe of uniformity d with these pieces builds:
+    the d-subsets of every piece are its edges, and the last piece's bit
+    length is its vertex count.  Pieces smaller than d contribute no edges
+    and just deposit isolated vertices (which later steps may glue onto)."""
+    edges = {e for p in pieces if p.bit_count() >= d for e in k_submasks(p, d)}
+    return Hypergraph(pieces[-1].bit_length(), frozenset(edges))
+
+
 def build_chordal_with_chunks(
     seq: AttachmentSequence,
 ) -> tuple[Hypergraph, tuple[int, ...]]:
-    """Run the recipe, returning the hypergraph and its pieces as masks.
-    Pieces smaller than d contribute no edges and just deposit isolated
-    vertices (which later steps may glue onto)."""
+    """Run the recipe, returning the hypergraph and its pieces as masks."""
     pieces = seq.pieces()
-    edges = {e for p in pieces if p.bit_count() >= seq.d for e in k_submasks(p, seq.d)}
-    return Hypergraph(pieces[-1].bit_length(), frozenset(edges)), pieces
+    return build_from_pieces(seq.d, pieces), pieces
 
 
 def build_chordal(seq: AttachmentSequence) -> Hypergraph:
@@ -224,7 +231,8 @@ def enumerate_sequences(d: int, max_vertices: int, max_steps: int):
     labelled hypergraph (for d = 2, 9 vertices and 3 steps, 58,961
     sequences build 52,913 distinct hypergraphs); ``verify._build_key``
     tells the builds apart from the steps alone, so the check pools keep
-    one sequence per build and build only the sequences they keep.
+    one sequence per build and build each one they keep when its case
+    runs.
     """
 
     def extend(steps: list[AttachmentStep]):

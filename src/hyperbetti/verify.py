@@ -31,12 +31,15 @@ resolution and an ordering search (``_two_gluing_computed``).
 Work is shared only within one run of a check.  The sequence checks
 deduplicate their pools by the hypergraph each attachment sequence
 builds, read from its pieces without listing an edge (``_build_key``),
-stride the distinct sequences down to their count, and build only the
-sequences they keep, handing the built hypergraph and pieces to their
-cases.  ``graph-corollary``
-keeps a memo keyed by isomorphism class (``_graph_orbits``) for the
-invariants of the ideal and checks every 97th repeat of a class against
-a recomputation.
+stride the distinct sequences down to their count, and keep each as its
+label, d and pieces.  A kept sequence is built only when its case is
+drawn, so at most one build of a pool is alive at a time.
+``graph-corollary`` keeps a memo keyed by isomorphism class
+(``_graph_orbits``) for the invariants of the ideal and checks every
+97th repeat of a class against a recomputation.
+
+The ``count`` keys cap the strided and the random part of a pool:
+``count=0`` keeps none of it, and a negative count is refused.
 
 Grid strings are comma-separated ``key=value`` or ``key=lo..hi`` pairs,
 e.g. ``"n=3..6,alpha=1..2"``.  A key the check does not read is refused.
@@ -52,7 +55,7 @@ from dataclasses import dataclass
 from functools import cache, partial
 from itertools import combinations, permutations
 from math import comb
-from typing import Callable, Iterable, Mapping
+from typing import Callable, Iterable, Iterator, Mapping
 
 from .betti import (
     BettiTable,
@@ -82,6 +85,7 @@ from .chordal import (
     AttachmentSequence,
     AttachmentStep,
     build_chordal_with_chunks,
+    build_from_pieces,
     chordal_graph_recognize,
     complement_diameter,
     enumerate_sequences,
@@ -89,6 +93,7 @@ from .chordal import (
     two_gluing_hypergraph,
 )
 from .complexes import (
+    FACE_BUDGET,
     SimplicialComplex,
     clique_complex,
     independence_complex,
@@ -127,7 +132,7 @@ FIELD_TRIPLE = (GF2, GF3, QQ)
 # -- report types ------------------------------------------------------
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class InstanceResult:
     """One grid point: what was checked and how it went."""
 
@@ -250,10 +255,21 @@ def _val(grid: Mapping, key: str, default: int) -> int:
     return default
 
 
+def _count(grid: Mapping, key: str, default: int) -> int:
+    """A grid count: how many instances a pool keeps or draws."""
+    count = _val(grid, key, default)
+    if count < 0:
+        raise ParameterError(f"grid key {key!r} is a count and cannot be negative, got {count}")
+    return count
+
+
 def _stride(items: list, cap: int) -> list:
-    """Deterministic evenly spaced subsample when the pool overruns a cap."""
-    if cap <= 0 or len(items) <= cap:
+    """Deterministic evenly spaced subsample when the pool overruns a cap;
+    a cap of 0 keeps nothing."""
+    if len(items) <= cap:
         return items
+    if cap == 0:
+        return []
     step = len(items) / cap
     return [items[int(k * step)] for k in range(cap)]
 
@@ -358,7 +374,7 @@ def _free_vertex_pool(grid: Mapping) -> list[tuple[str, Hypergraph]]:
     for alpha in _span(grid, "alpha", 1, 2):
         pool.append((f"line n=2 d={2 * alpha} alpha={alpha}", make_line(2, 2 * alpha, alpha)))
     rng = random.Random(_val(grid, "seed", 11))
-    for trial in range(_val(grid, "count", 8)):
+    for trial in range(_count(grid, "count", 8)):
         d = rng.randrange(2, 5)
         base = rng.randrange(max(2, d - 1), 5)
         n_edges = rng.randrange(1, 5)
@@ -444,7 +460,7 @@ def _split_pool(grid: Mapping) -> list[tuple[str, Hypergraph]]:
                         continue
                     pool.append((f"{family} n={n} d={d} alpha={alpha}", h))
     rng = random.Random(_val(grid, "seed", 0))
-    for trial in range(_val(grid, "count", 300)):
+    for trial in range(_count(grid, "count", 300)):
         n = rng.randrange(3, 12)
         sets = [
             mask_of(rng.sample(range(n), min(n, rng.randrange(2, 5))))
@@ -585,7 +601,7 @@ def _conn_pool(grid: Mapping) -> list[tuple[str, Hypergraph, int]]:
                     if h.num_vertices <= cap:
                         pool.append((f"star n={n} d={d} alpha={alpha}", h, d))
     rng = random.Random(_val(grid, "seed", 7))
-    for trial in range(_val(grid, "count", 200)):
+    for trial in range(_count(grid, "count", 200)):
         n = rng.randrange(4, 9)
         all_triples = [mask_of(c) for c in combinations(range(n), 3)]
         n_edges = rng.randrange(1, min(len(all_triples), 3 * n) + 1)
@@ -683,7 +699,7 @@ def _cm_pool(grid: Mapping) -> list[tuple[str, SimplicialComplex]]:
         )
     )
     rng = random.Random(_val(grid, "seed", 13))
-    for trial in range(_val(grid, "count", 24)):
+    for trial in range(_count(grid, "count", 24)):
         n = rng.randrange(4, 8)
         all_triples = [mask_of(c) for c in combinations(range(n), 3)]
         n_edges = rng.randrange(1, len(all_triples) + 1)
@@ -719,6 +735,8 @@ def _steps_label(steps: Iterable[AttachmentStep]) -> str:
     return ";".join(f"{s.size}+{sorted(s.glue)}" if s.glue else str(s.size) for s in steps)
 
 
+# A kept sequence: its label, its uniformity d and its pieces as masks.
+Recipe = tuple[str, int, tuple[int, ...]]
 # A built sequence: its label, its uniformity d, the hypergraph and the
 # pieces as masks.
 Build = tuple[str, int, Hypergraph, tuple[int, ...]]
@@ -748,33 +766,30 @@ def _build_key(seq: AttachmentSequence) -> int:
     return (key << 64 | seq.d) << 64 | n
 
 
-def _distinct_builds(pool: Iterable[tuple[str, AttachmentSequence]], cap: int) -> list[Build]:
+def _distinct_builds(
+    pool: Iterable[tuple[str, AttachmentSequence]], cap: int
+) -> Iterator[Build]:
     """The first sequence of the pool for each labelled output hypergraph,
-    told apart by ``_build_key``, strided down to cap (``_stride``) and
-    only then built: a sequence the stride drops is never built.  Each
-    kept sequence is dropped as it is built, so the sequences and their
-    builds are never all held at once."""
+    told apart by ``_build_key`` and kept as its label, d and pieces,
+    strided down to cap (``_stride``), then built one at a time as each
+    build is drawn: a sequence the stride drops is never built, and no
+    build is held once the next one is drawn.  The whole pool is walked
+    before the first build."""
     seen: set[int] = set()
-    distinct = []
+    distinct: list[Recipe] = []
     for label, seq in pool:
         key = _build_key(seq)
         if key not in seen:
             seen.add(key)
-            distinct.append((label, seq))
+            distinct.append((label, seq.d, seq.pieces()))
     del seen
-    kept = _stride(distinct, cap)
-    del distinct
-    kept.reverse()
-    builds = []
-    while kept:
-        label, seq = kept.pop()
-        builds.append((label, seq.d, *build_chordal_with_chunks(seq)))
-    return builds
+    for label, d, pieces in _stride(distinct, cap):
+        yield label, d, build_from_pieces(d, pieces), pieces
 
 
 def _sequence_pool(
     grid: Mapping, ds: Iterable[int], vmax: int, steps: int, cap: int
-) -> list[Build]:
+) -> Iterator[Build]:
     """Deduplicated builds: every attachment sequence of each uniformity d
     in ``ds`` within the bounds, one representative per labeled output
     hypergraph, strided down to the grid's count or cap."""
@@ -784,7 +799,7 @@ def _sequence_pool(
             for d in ds
             for seq in enumerate_sequences(d, _val(grid, "n", vmax), _val(grid, "steps", steps))
         ),
-        _val(grid, "count", cap),
+        _count(grid, "count", cap),
     )
 
 
@@ -842,11 +857,22 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
     the class has an answer, and must agree with the memo.  A complete
     graph, whose nonadjacency ideal is zero, is skipped by its edge count.
     The ideal itself is built only where it is read: on a memo miss, on an
-    audit and for the ordering quoted in a mismatch."""
+    audit and for the ordering quoted in a mismatch.
+
+    A grid whose largest n has more than the face budget of labelled
+    graphs is refused before any graph is listed."""
+    ns = _span(grid, "n", 1, 6)
+    top = ns[-1]
+    pair_count = comb(max(top, 0), 2)
+    if pair_count >= FACE_BUDGET.bit_length():  # 2^pair_count is over the budget
+        raise SizeBudgetError(
+            f"graph-corollary at n={top} would list 2^{pair_count} labelled graphs, "
+            f"over the face budget {FACE_BUDGET}"
+        )
     tables: dict[tuple[int, int], BettiTable] = {}
     quotients: dict[tuple[int, int], bool] = {}
     repeats = 0
-    for n in _span(grid, "n", 1, 6):
+    for n in ns:
         pairs = [mask_of(p) for p in combinations(range(n), 2)]
         least = _graph_orbits(n, pairs)
         for code in range(1 << len(pairs)):
@@ -903,7 +929,7 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
             yield f"graph n={n} edges={_edges_label(g)}", body
 
 
-def _td_sequences(grid: Mapping) -> list[Build]:
+def _td_sequences(grid: Mapping) -> Iterator[Build]:
     """Sequences whose pieces all have one more vertex than their glue:
     a first complete piece, then one fresh vertex per step."""
     pool: list[tuple[str, AttachmentSequence]] = []
@@ -923,7 +949,7 @@ def _td_sequences(grid: Mapping) -> list[Build]:
                     grow(steps + (AttachmentStep(base + 1, glue),))
 
             grow((AttachmentStep(base + 1),))
-    return _distinct_builds(pool, _val(grid, "count", 80))
+    return _distinct_builds(pool, _count(grid, "count", 80))
 
 
 def check_td_shellable(grid: Mapping) -> Iterable[Case]:
@@ -982,12 +1008,15 @@ def check_two_gluing(grid: Mapping) -> Iterable[Case]:
                     yield f"m={m} i={i} j={j} d={d}", body
 
 
-def check_diameter(grid: Mapping) -> Iterable[Case]:
-    """Complements of built chordal graphs are within three steps of
-    every vertex whenever they are connected."""
-    graphs = [(label, g) for label, _, g, _ in _sequence_pool(grid, (2,), 9, 3, 1200)]
-    rng = random.Random(_val(grid, "seed", 5))
-    for trial in range(_val(grid, "count2", 200)):
+def _diameter_graphs(grid: Mapping) -> Iterator[tuple[str, Hypergraph]]:
+    """The built graphs of the d = 2 sequence pool, then seeded random
+    builds of up to five steps on at most 9 vertices, each built when it
+    is drawn.  The seed and the trial count are read before any build."""
+    seed, trials = _val(grid, "seed", 5), _count(grid, "count2", 200)
+    for label, _, g, _ in _sequence_pool(grid, (2,), 9, 3, 1200):
+        yield label, g
+    rng = random.Random(seed)
+    for trial in range(trials):
         steps = [AttachmentStep(rng.randrange(1, 5))]
         for _ in range(rng.randrange(1, 5)):
             pieces = AttachmentSequence(2, tuple(steps)).pieces()
@@ -998,8 +1027,13 @@ def check_diameter(grid: Mapping) -> Iterable[Case]:
             if pieces[-1].bit_length() + size - j <= 9:
                 steps.append(AttachmentStep(size, glue))
         g, _ = build_chordal_with_chunks(AttachmentSequence(2, tuple(steps)))
-        graphs.append((f"random trial={trial}", g))
-    for label, g in graphs:
+        yield f"random trial={trial}", g
+
+
+def check_diameter(grid: Mapping) -> Iterable[Case]:
+    """Complements of built chordal graphs are within three steps of
+    every vertex whenever they are connected."""
+    for label, g in _diameter_graphs(grid):
         def body(g=g):
             diam = complement_diameter(g)
             if diam is None:
@@ -1139,6 +1173,7 @@ def _rsequence_tables(grid: Mapping):
     """When every colon ideal is generated by a regular sequence, the full
     graded table follows from the colon sizes alone — compared against
     the oracle over all three fields."""
+    cap = _count(grid, "count", 160)
     pool: list[tuple[str, MonomialIdeal, int, tuple[int, ...]]] = []
     showcase = MonomialIdeal(
         9, (0b000000111, 0b000011100, 0b001100100, 0b110000100)
@@ -1179,7 +1214,7 @@ def _rsequence_tables(grid: Mapping):
                 continue
             pool.append((f"{prefix} gens={_gens_label(ideal)}", ideal, d, profile))
             placed = True
-    for label, ideal, d, profile in _stride(pool, _val(grid, "count", 160)):
+    for label, ideal, d, profile in _stride(pool, cap):
         dprime = ideal.generator_degree
         expected = partial(rsequence_betti_table, profile, d, dprime, ideal.n_vertices)
         yield f"{label} d={d} profile={list(profile)}", partial(ideal_betti, ideal), expected
@@ -1195,7 +1230,7 @@ def check_lin_quot(grid: Mapping) -> Iterable[Case]:
     pool.extend(
         (f"{p} gens={_gens_label(i)}", i) for p, i in _ideal_pool(grid, 5, 4)
     )
-    pool = _stride(pool, _val(grid, "count", 500))
+    pool = _stride(pool, _count(grid, "count", 500))
     for label, ideal in pool:
         def body(ideal=ideal):
             ordering = _linear_quotients(ideal)

@@ -672,6 +672,19 @@ def test_verify_refuses_an_empty_grid_range(capsys):
     assert "theorem=" not in err and "Traceback" not in err
 
 
+def test_verify_refuses_graph_corollary_past_the_face_budget(capsys):
+    """2^28 labelled graphs on 8 vertices are refused with exit 3 and one
+    error line, before any graph is listed."""
+    code, out, err = run(capsys, "verify", "--theorem", "graph-corollary", "--grid", "n=8")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "error: graph-corollary at n=8 would list 2^28 labelled graphs, "
+        "over the face budget 4194304"
+    )
+    assert "theorem=" not in err and "Traceback" not in err
+
+
 def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "zzz")
     assert code == 2

@@ -3,12 +3,22 @@
 from __future__ import annotations
 
 import json
+import weakref
 from itertools import combinations, permutations
 from typing import Mapping
 
 import pytest
 
-from hyperbetti import THEOREM_IDS, MonomialIdeal, ParameterError, betti, run_check, verify
+from hyperbetti import (
+    THEOREM_IDS,
+    Hypergraph,
+    MonomialIdeal,
+    ParameterError,
+    SizeBudgetError,
+    betti,
+    run_check,
+    verify,
+)
 from hyperbetti.betti import BettiTable
 from hyperbetti.chordal import build_chordal
 from hyperbetti.verify import REGISTRY, parse_grid
@@ -371,31 +381,32 @@ def test_the_build_key_keeps_what_building_keeps(monkeypatch, theorem, kept):
     the steps keeps the same sequences, in the same order, as building
     every sequence and keeping the first of each (vertex count, edge
     set).  The stride then picks among them, and only the sequences it
-    keeps are built, in its order."""
+    keeps are built, in its order: the builds are drained from the
+    generator to see them."""
     pools, calls, strides, built = [], [], [], []
     distinct_builds, stride = verify._distinct_builds, verify._stride
-    build = verify.build_chordal_with_chunks
+    build = verify.build_from_pieces
 
     def recorded(pool, cap):
         pools.append(list(pool))
         strides.clear()
         built.clear()
-        out = distinct_builds(pools[-1], cap)
+        out = list(distinct_builds(pools[-1], cap))
         calls.append((list(strides), list(built), out))
-        return out
+        return iter(out)
 
     def strided(items, cap):
         kept = stride(items, cap)
         strides.append((list(items), list(kept)))
         return kept
 
-    def counted(seq):
-        built.append(seq)
-        return build(seq)
+    def counted(d, pieces):
+        built.append((d, pieces))
+        return build(d, pieces)
 
     monkeypatch.setattr(verify, "_distinct_builds", recorded)
     monkeypatch.setattr(verify, "_stride", strided)
-    monkeypatch.setattr(verify, "build_chordal_with_chunks", counted)
+    monkeypatch.setattr(verify, "build_from_pieces", counted)
     next(iter(REGISTRY[theorem].cases({})))
     [pool], [([(distinct, chosen)], made, out)] = pools, calls
     seen, by_build = set(), []
@@ -404,7 +415,55 @@ def test_the_build_key_keeps_what_building_keeps(monkeypatch, theorem, kept):
         if (h.n_vertices, h.edges) not in seen:
             seen.add((h.n_vertices, h.edges))
             by_build.append(label)
-    assert [label for label, _ in distinct] == by_build
+    assert [label for label, *_ in distinct] == by_build
     assert kept is None or len(by_build) == kept
-    assert len(made) == len(chosen) and all(m is seq for m, (_, seq) in zip(made, chosen))
-    assert [label for label, *_ in out] == [label for label, _ in chosen]
+    assert made == [(d, pieces) for _, d, pieces in chosen]
+    assert [label for label, *_ in out] == [label for label, *_ in chosen]
+
+
+def test_a_sequence_pool_holds_one_build_at_a_time():
+    """Once the next case is drawn and the first is dropped, nothing holds
+    the first case's hypergraph any more."""
+    cases = iter(REGISTRY["AdRd"].cases({}))
+    _label, body = next(cases)
+    first = weakref.ref(body.__defaults__[0])
+    assert isinstance(first(), Hypergraph)
+    next(cases)
+    del body
+    assert first() is None
+
+
+def test_instance_results_have_no_instance_dict():
+    assert not hasattr(verify.InstanceResult("x", "match"), "__dict__")
+
+
+@pytest.mark.parametrize(
+    "theorem, grid",
+    [("AdRd", ""), ("hypergraph", ""), ("Td-shellable", ""), ("diameter", "count2=0"),
+     ("lin-quot", ""), ("rsequence", "")],
+)
+def test_a_zero_count_keeps_no_strided_instance(theorem, grid):
+    """``count=0`` strides a pool down to nothing, as it draws no random
+    trial; a negative count is refused."""
+    rep = run_check(theorem, ",".join(filter(None, ["count=0", grid])))
+    assert rep.results == ()
+    for key in ("count", "count2") if theorem == "diameter" else ("count",):
+        with pytest.raises(ParameterError, match=f"grid key '{key}' is a count and cannot be "
+                           "negative, got -1"):
+            run_check(theorem, f"{key}=-1")
+
+
+@pytest.mark.parametrize("theorem", ["betti", "free-split", "conn-depth", "cm-froberg"])
+def test_a_negative_trial_count_is_refused(theorem):
+    with pytest.raises(ParameterError, match="grid key 'count' is a count and cannot be"):
+        run_check(theorem, "count=-1")
+
+
+def test_graph_corollary_admits_n_7_and_refuses_n_8(monkeypatch):
+    """A grid reaching 2^C(8,2) labelled graphs is refused before any is
+    listed; n = 7, with 2^21, is within the face budget (its classes are
+    not computed here)."""
+    with pytest.raises(SizeBudgetError, match="at n=8 would list"):
+        run_check("graph-corollary", "n=7..8")
+    monkeypatch.setattr(verify, "_graph_orbits", lambda n, pairs: [0] * (1 << len(pairs)))
+    assert next(iter(REGISTRY["graph-corollary"].cases({"n": (7, 7)})))[0] == "graph n=7 edges="
