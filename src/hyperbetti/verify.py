@@ -53,7 +53,7 @@ import random
 import time
 from dataclasses import dataclass
 from functools import cache, partial
-from itertools import combinations, permutations
+from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping
 
@@ -80,7 +80,7 @@ from .betti import (
     star_betti_closed_form,
     taylor_betti_free_vertex,
 )
-from .bitsets import bits_of, mask_of, min_antichain
+from .bitsets import bits_of, mask_of, min_antichain, subfamily_unions
 from .chordal import (
     AttachmentSequence,
     AttachmentStep,
@@ -103,6 +103,7 @@ from .complexes import (
 from .errors import ParameterError, PreconditionError, SizeBudgetError
 from .homology import GF2, GF3, QQ, FieldSpec
 from .hypergraph import (
+    MAX_LISTED_EDGES,
     MAX_VERTICES,
     OVERLAP_FAMILIES,
     Hypergraph,
@@ -774,10 +775,16 @@ def _distinct_builds(
     strided down to cap (``_stride``), then built one at a time as each
     build is drawn: a sequence the stride drops is never built, and no
     build is held once the next one is drawn.  The whole pool is walked
-    before the first build."""
+    before the first build, and a pool of more than MAX_LISTED_EDGES
+    sequences is refused as the walk passes that count."""
     seen: set[int] = set()
     distinct: list[Recipe] = []
-    for label, seq in pool:
+    for walked, (label, seq) in enumerate(pool, 1):
+        if walked > MAX_LISTED_EDGES:
+            raise SizeBudgetError(
+                f"the sequence pool walks {walked} sequences and more, "
+                f"over the listing budget {MAX_LISTED_EDGES}"
+            )
         key = _build_key(seq)
         if key not in seen:
             seen.add(key)
@@ -821,22 +828,53 @@ def check_hypergraph(grid: Mapping) -> Iterable[Case]:
         yield label, body
 
 
+def _half_unions(masks: list[int], half: int) -> tuple[list[int], list[int]]:
+    """The subfamily unions (``subfamily_unions``) of the masks before
+    position half and of the rest: the union of a subfamily S of all the
+    masks is the low table at S & (2^half - 1) or'ed with the high table
+    at S >> half."""
+    return subfamily_unions(masks[:half]), subfamily_unions(masks[half:])
+
+
+def _half_tables(items: list, half: int, gather: Callable) -> tuple[list, list]:
+    """As ``_half_unions``, for a gather other than a union of ints: each
+    table holds gather applied to the items of every subfamily of its
+    half, listed in position order."""
+    return tuple(
+        [gather([part[k] for k in bits_of(s)]) for s in range(1 << len(part))]
+        for part in (items[:half], items[half:])
+    )
+
+
 def _graph_orbits(n: int, pairs: list[int]) -> list[int]:
     """The least code of each edge code's orbit under the n! relabellings
     of the vertices, bit k of a code standing for the pair ``pairs[k]``.
     Codes are visited in increasing order, so a code no earlier orbit
-    reached is the least of its own, and only that one is permuted."""
+    reached is the least of its own, and its orbit is closed under the
+    n - 1 adjacent transpositions, which generate every relabelling.  A
+    transposition maps a code by two lookups, in tables indexed by the
+    low and the high half of the code (``_half_unions``)."""
+    half = len(pairs) // 2
+    low = (1 << half) - 1
     index = {p: k for k, p in enumerate(pairs)}
-    images = [
-        [index[mask_of(perm[v] for v in bits_of(p))] for p in pairs]
-        for perm in permutations(range(n))
-    ]
+    swaps = []
+    for v in range(n - 1):
+        swap = 3 << v
+        # a pair holding one of v, v + 1 trades it for the other
+        images = [1 << index[p ^ swap if (p & swap).bit_count() == 1 else p] for p in pairs]
+        swaps.append(_half_unions(images, half))
     least = [-1] * (1 << len(pairs))
     for code in range(len(least)):
         if least[code] < 0:
-            bits = [k for k in range(len(pairs)) if code >> k & 1]
-            for image in images:
-                least[sum(1 << image[k] for k in bits)] = code
+            least[code] = code
+            orbit = [code]
+            for member in orbit:
+                lo, hi = member & low, member >> half
+                for lo_images, hi_images in swaps:
+                    image = lo_images[lo] | hi_images[hi]
+                    if least[image] < 0:
+                        least[image] = code
+                        orbit.append(image)
     return least
 
 
@@ -859,6 +897,14 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
     The ideal itself is built only where it is read: on a memo miss, on an
     audit and for the ordering quoted in a mismatch.
 
+    The graphs on n vertices are walked by their edge codes, bit k of a
+    code standing for the pair ``pairs[k]``.  Tables built once per n and
+    indexed by the low and the high half of a code give each graph's
+    edge set, as the frozenset of two joined tuples of pairs (frozensets
+    in the tables would raise the check's peak memory), and its label,
+    as the names of its edges in mask order, read off the code recoded to
+    that order.  The tables are dropped with their n.
+
     A grid whose largest n has more than the face budget of labelled
     graphs is refused before any graph is listed."""
     ns = _span(grid, "n", 1, 6)
@@ -875,9 +921,23 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
     for n in ns:
         pairs = [mask_of(p) for p in combinations(range(n), 2)]
         least = _graph_orbits(n, pairs)
+        half = len(pairs) // 2
+        low = (1 << half) - 1
+        lo_edges, hi_edges = _half_tables(pairs, half, tuple)
+        # a label lists the edges in mask order: recode to it, then read the
+        # names of each half, each name led by its separator
+        ordered = sorted(pairs)
+        ranks = {p: r for r, p in enumerate(ordered)}
+        lo_recode, hi_recode = _half_unions([1 << ranks[p] for p in pairs], half)
+        names = [f"|{_edge_name(p)}" for p in ordered]
+        lo_names, hi_names = _half_tables(names, half, "".join)
+        head = f"graph n={n} edges="
         for code in range(1 << len(pairs)):
-            edges = frozenset([pairs[k] for k in bits_of(code)])
+            lo, hi = code & low, code >> half
+            edges = frozenset(lo_edges[lo] + hi_edges[hi])
             g = Hypergraph(n, edges)
+            recoded = lo_recode[lo] | hi_recode[hi]
+            label = head + (lo_names[recoded & low] + hi_names[recoded >> half])[1:]
             key = (n, least[code])
             audit = False
             if least[code] != code:
@@ -926,30 +986,37 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
                     )
                 return None
 
-            yield f"graph n={n} edges={_edges_label(g)}", body
+            yield label, body
 
 
 def _td_sequences(grid: Mapping) -> Iterator[Build]:
     """Sequences whose pieces all have one more vertex than their glue:
-    a first complete piece, then one fresh vertex per step."""
-    pool: list[tuple[str, AttachmentSequence]] = []
+    a first complete piece, then one fresh vertex per step, walked
+    depth first as ``_distinct_builds`` draws them."""
     vmax = _val(grid, "n", 10)
     extra = _val(grid, "steps", 3)
-    for d in _span(grid, "d", 2, 3):
-        for base in range(d - 1, 5):
-            def grow(steps: tuple[AttachmentStep, ...], d: int = d, base: int = base) -> None:
-                label = f"d={d} glue={base} steps={_steps_label(steps)}"
-                seq = AttachmentSequence(d, steps)
-                pool.append((label, seq))
-                pieces = seq.pieces()
-                if len(steps) > extra or pieces[-1].bit_length() >= vmax:
-                    return
-                glues = {g for c in pieces for g in combinations(bits_of(c), base)}
-                for glue in sorted(glues):
-                    grow(steps + (AttachmentStep(base + 1, glue),))
 
-            grow((AttachmentStep(base + 1),))
-    return _distinct_builds(pool, _count(grid, "count", 80))
+    def grow(
+        d: int, base: int, steps: tuple[AttachmentStep, ...]
+    ) -> Iterator[tuple[str, AttachmentSequence]]:
+        seq = AttachmentSequence(d, steps)
+        yield f"d={d} glue={base} steps={_steps_label(steps)}", seq
+        pieces = seq.pieces()
+        if len(steps) > extra or pieces[-1].bit_length() >= vmax:
+            return
+        glues = {g for c in pieces for g in combinations(bits_of(c), base)}
+        for glue in sorted(glues):
+            yield from grow(d, base, steps + (AttachmentStep(base + 1, glue),))
+
+    return _distinct_builds(
+        (
+            sequence
+            for d in _span(grid, "d", 2, 3)
+            for base in range(d - 1, 5)
+            for sequence in grow(d, base, (AttachmentStep(base + 1),))
+        ),
+        _count(grid, "count", 80),
+    )
 
 
 def check_td_shellable(grid: Mapping) -> Iterable[Case]:

@@ -19,7 +19,7 @@ from hypothesis import strategies as st
 
 from hyperbetti import BettiTable, cycle_betti_closed_form, line_betti_closed_form
 from hyperbetti import star_betti_closed_form
-from hyperbetti import make_complete, make_multipartite, make_star_overlap
+from hyperbetti import make_complete, make_multipartite, make_star_overlap, verify
 from hyperbetti.bitsets import mask_of
 from hyperbetti.cli import main
 from hyperbetti.complexes import SimplicialComplex
@@ -683,6 +683,23 @@ def test_verify_refuses_graph_corollary_past_the_face_budget(capsys):
         "over the face budget 4194304"
     )
     assert "theorem=" not in err and "Traceback" not in err
+
+
+def test_verify_refuses_a_sequence_pool_past_the_listing_budget(capsys, monkeypatch):
+    """diameter at n = 11 walks about 812,000 sequences; the walk is refused
+    with exit 3 and one error line once it passes MAX_LISTED_EDGES, before
+    any sequence is built."""
+    built = []
+    monkeypatch.setattr(verify, "build_from_pieces", lambda d, pieces: built.append(pieces))
+    code, out, err = run(capsys, "verify", "--theorem", "diameter", "--grid", "n=11")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "error: the sequence pool walks 262145 sequences and more, "
+        "over the listing budget 262144"
+    )
+    assert "theorem=" not in err and "Traceback" not in err
+    assert built == []
 
 
 def test_verify_unknown_id(capsys):

@@ -1,6 +1,7 @@
-"""The package's source structure: imports sit at module level and form no
-cycle, no module imports another's private name, every private helper
-has a caller, and the facets-to-nonfaces dualization has one owner."""
+"""The package's source structure: imports sit at module level, form no
+cycle and are all used, no module imports another's private name, every
+private helper has a caller, and the facets-to-nonfaces dualization has
+one owner."""
 
 from __future__ import annotations
 
@@ -52,6 +53,32 @@ def test_the_package_modules_import_each_other_without_a_cycle():
     for module in imports:
         visit(module, ())
     assert "betti" not in imports["ideal"] | imports["chordal"]
+
+
+def test_every_module_level_import_is_used_or_exported():
+    """A name a module imports at module level is read somewhere in the
+    module or listed in its ``__all__``; ``__future__`` features are not
+    names."""
+    found = []
+    for path in MODULES:
+        tree = _tree(path)
+        imported = [
+            alias.asname or alias.name.split(".")[0]
+            for node in tree.body
+            if isinstance(node, ast.Import)
+            or isinstance(node, ast.ImportFrom) and node.module != "__future__"
+            for alias in node.names
+        ]
+        exported = {
+            name
+            for node in tree.body
+            if isinstance(node, ast.Assign)
+            and any(getattr(t, "id", None) == "__all__" for t in node.targets)
+            for name in ast.literal_eval(node.value)
+        }
+        used = {node.id for node in ast.walk(tree) if isinstance(node, ast.Name)}
+        found += [f"{path.name}: {name}" for name in imported if name not in used | exported]
+    assert not found, found
 
 
 def test_no_module_imports_a_private_name_from_another():

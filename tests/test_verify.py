@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import json
 import weakref
-from itertools import combinations, permutations
+from itertools import combinations, islice, permutations
 from typing import Mapping
 
 import pytest
@@ -20,6 +20,7 @@ from hyperbetti import (
     verify,
 )
 from hyperbetti.betti import BettiTable
+from hyperbetti.bitsets import bits_of
 from hyperbetti.chordal import build_chordal
 from hyperbetti.verify import REGISTRY, parse_grid
 
@@ -224,6 +225,50 @@ def test_graph_orbits_give_the_least_relabelled_code(n):
             sum(1 << image[k] for k in range(len(pairs)) if code >> k & 1) for image in relabel
         ]
         assert least[code] == min(images)
+
+
+def test_graph_orbits_at_six_vertices_are_least_and_closed_under_transpositions():
+    """On every code at n = 6, the representative is at most the code, is
+    its own representative, and is shared by the code's image under each
+    adjacent transposition, found by relabelling the pairs."""
+    n = 6
+    pairs = _pair_masks(n)
+    index = {p: k for k, p in enumerate(pairs)}
+    swaps = []
+    for v in range(n - 1):
+        perm = list(range(n))
+        perm[v], perm[v + 1] = v + 1, v
+        swaps.append([index[(1 << perm[a]) | (1 << perm[b])] for a, b in combinations(range(n), 2)])
+    least = verify._graph_orbits(n, pairs)
+    for code in range(1 << len(pairs)):
+        assert least[code] <= code
+        assert least[least[code]] == least[code]
+        bits = [k for k in range(len(pairs)) if code >> k & 1]
+        for swap in swaps:
+            assert least[sum(1 << swap[k] for k in bits)] == least[code]
+
+
+def test_graph_corollary_labels_and_edges_at_seven_vertices(monkeypatch):
+    """No digest covers n = 7: on a strided sample of its 2^21 codes, a
+    case's label lists its graph's edges, and the edges are the pairs of
+    the code's bits.  The orbits and the ``Hypergraph`` of every case are
+    stubbed, since neither is read here and together they take most of a
+    full walk; each sampled edge set is built into a ``Hypergraph``."""
+    monkeypatch.setattr(verify, "_graph_orbits", lambda n, pairs: [0] * (1 << len(pairs)))
+    monkeypatch.setattr(verify, "Hypergraph", lambda n, edges: (n, edges))
+    pairs = _pair_masks(7)
+    cases = REGISTRY["graph-corollary"].cases({"n": (7, 7)})
+    stride = 4099
+    sample = 0
+    for k, (label, body) in enumerate(islice(cases, 0, None, stride)):
+        code = k * stride
+        n, edges = body.__defaults__[0]
+        g = Hypergraph(n, edges)
+        assert n == 7
+        assert g.edges == frozenset(pairs[bit] for bit in bits_of(code))
+        assert label == f"graph n=7 edges={verify._edges_label(g)}"
+        sample += 1
+    assert sample == -(-(1 << 21) // stride)
 
 
 def test_graph_corollary_memo_is_checked_against_a_recomputation(monkeypatch):
