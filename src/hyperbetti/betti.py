@@ -53,12 +53,9 @@ closure's sets are split into their nonface components and counted by
 size and component shapes, and the tally joins the shapes' answers once
 per group; the sweep's subsets are counted by size and by the family of
 big faces inside them, relabelled, and the tally ranks each family once
-per field for the process.  Plans are kept for the process, keyed by
-the relabelled nonfaces, with their visits and the budget they were
-planned under.  A kept plan is reused only under a budget no larger
-than that one, and only when its visits fit in it: plans are chosen by
-comparing visits with the budget, so there a fresh plan is the same
-one.  A refused plan is not kept.
+per field for the process.  A plan is a function of the relabelled
+nonfaces and the budget alone, and is cached on both for the process;
+a refused plan raises, so it is never cached.
 
 ``connectivity`` and ``is_cohen_macaulay`` read the split tree's table.
 Every subset of the closure, and every subset ``restriction_witness``,
@@ -483,15 +480,12 @@ def _check_vertex_budget(ground: int, vertex_budget: int) -> None:
 # subset sizes and numbers of subsets, in pairs, only the nonzero ones).
 _Plan = tuple[int, tuple, tuple]
 
-# The plan of every restriction sum planned so far, keyed by its
-# ``_relabelled`` nonfaces, for the process: (the budget it was planned
-# under, its visits, the plan).
-_plans: dict[tuple[int, ...], tuple[int, int, _Plan]] = {}
 # One shared object for each component shape, join of shapes and sweep
-# family that the kept plans hold.
+# family that the cached plans hold.
 _plan_keys: dict[tuple, tuple] = {}
 
 
+@cache
 def _restriction_terms(key: tuple[int, ...], budget: int) -> tuple[int, _Plan]:
     """The plan of the restriction sum of R/I, where I is generated by the
     minimal nonfaces of this ``_shape_of`` key, and its visits.  The plan
@@ -511,17 +505,9 @@ def _restriction_terms(key: tuple[int, ...], budget: int) -> tuple[int, _Plan]:
     the closure's (set, nonface) pairs, which bound both its build and the
     scan that splits each set, or the leaves of the sweep's search.  A
     plan stopped there with no plan to give way to is refused, naming the
-    plan, before any rank runs.
-
-    A plan is kept for the process with the budget it was planned under,
-    and is reused under a budget no larger than that one, when its visits
-    fit in it: a plan is chosen by comparing visits with the budget, so
-    under any such budget a fresh plan is the same one.  A refused plan
-    is not kept.
+    plan, before any rank runs.  Plans are cached by key and budget for the
+    process; a refusal raises, so it is not cached.
     """
-    kept = _plans.get(key)
-    if kept is not None and kept[1] <= budget <= kept[0]:
-        return kept[1], kept[2]
     oracle = _RestrictionOracle(key)
     support = reduce(or_, key, 0)
     few = len(oracle.mnf) <= CLOSURE_MAX_NONFACES
@@ -567,7 +553,6 @@ def _restriction_terms(key: tuple[int, ...], budget: int) -> tuple[int, _Plan]:
             x for family, sizes in families.items()
             for x in (family, tuple(y for m, n in enumerate(sizes) if n for y in (m, n)))
         ))
-    _plans[key] = (budget, visits, plan)
     return visits, plan
 
 
@@ -658,8 +643,7 @@ def _split_plan(
     vertex, the plan of its restriction sum.  The nodes and the leaves'
     plan visits share the plan budget, each leaf's plan getting what is
     left.  Raises SizeBudgetError when a leaf's support is over the vertex
-    budget, or once they pass the plan budget.  The tree reads no field,
-    and ``_plans`` gives each leaf the plan a fresh one would be."""
+    budget, or once they pass the plan budget.  The tree reads no field."""
     splits: dict[tuple[int, ...], tuple] = {}
     leaves: dict[tuple[int, ...], _Plan] = {}
     spent = 0

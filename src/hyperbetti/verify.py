@@ -20,7 +20,10 @@ comparison of the removal scan's connectivity with the Betti table;
 a counting row names the two counting functions.  The family and
 free-vertex rows hold their formulas against ``edge_restriction_sum``,
 the restriction sum itself, and ``free-split`` holds the splitting route
-of ``edge_ideal_betti`` against that sum.
+of ``edge_ideal_betti`` against that sum.  A check that runs each
+instance over several fields names, per instance, a label, a body that
+takes the field and the fields; ``_per_field`` makes one case of each
+field, labelled with it.
 
 Two routes live only here, inside their checks: ``betti-splitting``
 reads the colon ideals from the certificate of the ordering it found
@@ -39,7 +42,11 @@ drawn, so at most one build of a pool is alive at a time.
 97th repeat of a class against a recomputation.
 
 The ``count`` keys cap the strided and the random part of a pool:
-``count=0`` keeps none of it, and a negative count is refused.
+``count=0`` keeps none of it, and a negative count is refused.  A grid
+is priced before its pool is listed: ``graph-corollary`` by its labelled
+graphs and the counting rows by the subsets their enumerations walk,
+against the face budget, and the ideal pool by its ideals, against the
+listing budget.  The sequence pools count their walk as it goes.
 
 Grid strings are comma-separated ``key=value`` or ``key=lo..hi`` pairs,
 e.g. ``"n=3..6,alpha=1..2"``.  A key the check does not read is refused.
@@ -52,7 +59,7 @@ from __future__ import annotations
 import random
 import time
 from dataclasses import dataclass
-from functools import cache, partial
+from functools import cache, partial, wraps
 from itertools import combinations
 from math import comb
 from typing import Callable, Iterable, Iterator, Mapping
@@ -285,6 +292,9 @@ Case = tuple[str, Body]
 Cases = Callable[[Mapping], Iterable[Case]]
 # The flaw between an expected value and an oracle table, or None.
 Compare = Callable[[object, BettiTable], str | None]
+# One instance of a field sweep: its label, its body over one field, and
+# the fields it runs over.
+Sweep = tuple[str, Callable[[FieldSpec], str | None], Iterable[FieldSpec]]
 
 
 def _instance(label: str, body: Body) -> InstanceResult:
@@ -395,6 +405,20 @@ def _free_vertex_pool(grid: Mapping) -> list[tuple[str, Hypergraph]]:
 # -- closed-form-versus-oracle checks ----------------------------------
 
 
+def _per_field(sweeps: Callable[[Mapping], Iterable[Sweep]]) -> Cases:
+    """The cases of a check that runs each instance over several fields:
+    one case per (label, body, fields) sweep and field, in that order,
+    labelled with the field, whose body is the sweep's body over it."""
+
+    @wraps(sweeps)
+    def cases(grid: Mapping):
+        for label, body, fields in sweeps(grid):
+            for fld in fields:
+                yield f"{label} field={fld.label}", partial(body, fld)
+
+    return cases
+
+
 def _against_oracle(
     tables: Callable[[Mapping], Iterable[tuple]], compare: Compare = _table_diff
 ) -> Cases:
@@ -403,16 +427,10 @@ def _against_oracle(
     which ``compare(expected(), table(field))`` names the flaw or is None.
     Both are built inside the instance, so a case outside a closed form's
     domain can skip itself without aborting the report."""
-
-    def cases(grid: Mapping):
-        for label, table, expected in tables(grid):
-            for fld in FIELD_TRIPLE:
-                yield (
-                    f"{label} field={fld.label}",
-                    lambda t=table, e=expected, f=fld: compare(e(), t(f)),
-                )
-
-    return cases
+    return _per_field(lambda grid: (
+        (label, lambda fld, t=table, e=expected: compare(e(), t(fld)), FIELD_TRIPLE)
+        for label, table, expected in tables(grid)
+    ))
 
 
 def _top_row_diff(expected: dict, actual: BettiTable) -> str | None:
@@ -480,25 +498,24 @@ _FAR_SPLITS = (
 )
 
 
-def check_free_split(grid: Mapping) -> Iterable[Case]:
+@_per_field
+def check_free_split(grid: Mapping) -> Iterable[Sweep]:
     """The free-vertex splitting route of ``edge_ideal_betti`` against the
     restriction sum on the split pool, over every test field; then, past
     the sum's reach, against the closed forms of line(31,3,1) and
     cycle(30,3,1)."""
     for label, h in _split_pool(grid):
-        for fld in FIELD_TRIPLE:
-            yield f"{label} field={fld.label}", lambda h=h, f=fld: _table_diff(
-                edge_restriction_sum(h, f, vertex_budget=MAX_VERTICES),
-                edge_ideal_betti(h, f),
-            )
+        yield label, lambda fld, h=h: _table_diff(
+            edge_restriction_sum(h, fld, vertex_budget=MAX_VERTICES),
+            edge_ideal_betti(h, fld),
+        ), FIELD_TRIPLE
     for family, n, closed in _FAR_SPLITS:
         h = OVERLAP_FAMILIES[family](n, 3, 1)
-        for fld in FIELD_TRIPLE:
-            yield f"{family} n={n} d=3 alpha=1 closed form field={fld.label}", (
-                lambda h=h, f=fld, expected=closed(n, 3, 1): _table_diff(
-                    expected, edge_ideal_betti(h, f)
-                )
+        yield f"{family} n={n} d=3 alpha=1 closed form", (
+            lambda fld, h=h, expected=closed(n, 3, 1): _table_diff(
+                expected, edge_ideal_betti(h, fld)
             )
+        ), FIELD_TRIPLE
 
 
 def _regime_pairs(grid: Mapping, regime: str) -> list[tuple[int, int]]:
@@ -558,11 +575,28 @@ def _knd_tables(grid: Mapping):
 
 def _counting(prefix: str, nmin: int, closed_form: Callable, enumeration: Callable) -> Cases:
     """Run-placement counts: the closed form against full subset
-    enumeration for every partition of 1..i cells and n >= nmin."""
+    enumeration for every partition of 1..i cells and n >= nmin.
+
+    The grid is priced before any case is listed: each partition of i
+    walks C(n, i) subsets for each n, so the enumerations walk the sum of
+    p(i) C(n, i) over 1 <= i <= min(imax, n), summed over n in closed form
+    and counted in order of i, and a grid that walks more than FACE_BUDGET
+    subsets is refused.  The count stops once it passes the budget, which
+    it does by i = b at the latest, b the budget's bit length, when the
+    top n is at least 2b: C(2b, b) >= 2^b."""
 
     def cases(grid: Mapping):
-        imax = _val(grid, "i", 6)
-        for n in _span(grid, "n", nmin, 8):
+        imax, ns = _val(grid, "i", 6), _span(grid, "n", nmin, 8)
+        walk = 0
+        for i in range(1, min(imax, ns[-1]) + 1):
+            partitions = sum(1 for _ in _partitions(i))
+            walk += partitions * (comb(ns[-1] + 1, i + 1) - comb(max(ns[0], 0), i + 1))
+            if walk > FACE_BUDGET:
+                raise SizeBudgetError(
+                    f"the {prefix} enumerations walk {walk} subsets and more, "
+                    f"over the face budget {FACE_BUDGET}"
+                )
+        for n in ns:
             for i in range(1, min(imax, n) + 1):
                 for part in _partitions(i):
                     def body(part=part, n=n):
@@ -587,20 +621,13 @@ def _conn_pool(grid: Mapping) -> list[tuple[str, Hypergraph, int]]:
     pool: list[tuple[str, Hypergraph, int]] = []
     for d in _span(grid, "d", 2, 4):
         for alpha in _span(grid, "alpha", 1, 2):
-            if 2 * alpha <= d:
-                for n in _span(grid, "n", 1, 6):
-                    h = make_line(n, d, alpha)
+            for family, nmin, defined in (
+                ("line", 1, 2 * alpha <= d), ("cycle", 3, 2 * alpha <= d), ("star", 1, alpha < d)
+            ):
+                for n in _span(grid, "n", nmin, 6) if defined else ():
+                    h = OVERLAP_FAMILIES[family](n, d, alpha)
                     if h.num_vertices <= cap:
-                        pool.append((f"line n={n} d={d} alpha={alpha}", h, d))
-                for n in _span(grid, "n", 3, 6):
-                    h = make_cycle(n, d, alpha)
-                    if h.num_vertices <= cap:
-                        pool.append((f"cycle n={n} d={d} alpha={alpha}", h, d))
-            if alpha < d:
-                for n in _span(grid, "n", 1, 6):
-                    h = make_star_overlap(n, d, alpha)
-                    if h.num_vertices <= cap:
-                        pool.append((f"star n={n} d={d} alpha={alpha}", h, d))
+                        pool.append((f"{family} n={n} d={d} alpha={alpha}", h, d))
     rng = random.Random(_val(grid, "seed", 7))
     for trial in range(_count(grid, "count", 200)):
         n = rng.randrange(4, 9)
@@ -634,27 +661,26 @@ def _connectivity(compare: Callable[..., str | None]) -> Cases:
     goes to ``compare`` with the clique-route table, the one table the
     case builds, and d; a flaw carries the table's shape."""
 
-    def cases(grid: Mapping):
+    def sweeps(grid: Mapping):
         for index, (label, h, d) in enumerate(_conn_pool(grid)):
-            for fld in _conn_fields(label, index):
-                def body(h=h, d=d, fld=fld):
-                    if not non_edges(h, d):
-                        raise SkipInstance(
-                            "complete hypergraph: connectivity is infinite, "
-                            "theorem does not apply"
-                        )
-                    table = clique_ideal_betti(h, d, fld)
-                    flaw = compare(_removal_scan(h, fld, d), table, d)
-                    if flaw is None:
-                        return None
-                    return (
-                        f"{flaw} (pd={table.projective_dimension} "
-                        f"depth={table.depth} strand={table.linear_strand(d)})"
+            def body(fld, h=h, d=d):
+                if not non_edges(h, d):
+                    raise SkipInstance(
+                        "complete hypergraph: connectivity is infinite, "
+                        "theorem does not apply"
                     )
+                table = clique_ideal_betti(h, d, fld)
+                flaw = compare(_removal_scan(h, fld, d), table, d)
+                if flaw is None:
+                    return None
+                return (
+                    f"{flaw} (pd={table.projective_dimension} "
+                    f"depth={table.depth} strand={table.linear_strand(d)})"
+                )
 
-                yield f"{label} field={fld.label}", body
+            yield label, body, _conn_fields(label, index)
 
-    return cases
+    return _per_field(sweeps)
 
 
 def _strand_route_flaw(con: int | None, table: BettiTable, d: int) -> str | None:
@@ -677,14 +703,11 @@ def _cm_pool(grid: Mapping) -> list[tuple[str, SimplicialComplex]]:
     pool: list[tuple[str, SimplicialComplex]] = []
     cap = _val(grid, "vcap", 10)
     for d in (2, 3):
-        for n in range(1, 5):
-            h = make_line(n, d, 1)
-            if h.num_vertices <= cap:
-                pool.append((f"clique line n={n} d={d}", clique_complex(h, d)))
-        for n in range(3, 5):
-            h = make_cycle(n, d, 1)
-            if h.num_vertices <= cap:
-                pool.append((f"clique cycle n={n} d={d}", clique_complex(h, d)))
+        for family, nmin in (("line", 1), ("cycle", 3)):
+            for n in range(nmin, 5):
+                h = OVERLAP_FAMILIES[family](n, d, 1)
+                if h.num_vertices <= cap:
+                    pool.append((f"clique {family} n={n} d={d}", clique_complex(h, d)))
     pool.append(("empty-face complex n=3", SimplicialComplex.from_faces(3, [0])))
     pool.append(("full simplex n=4", SimplicialComplex.from_faces(4, [0b1111])))
     pool.append(
@@ -711,22 +734,22 @@ def _cm_pool(grid: Mapping) -> list[tuple[str, SimplicialComplex]]:
     return pool
 
 
-def check_cm_froberg(grid: Mapping) -> Iterable[Case]:
+@_per_field
+def check_cm_froberg(grid: Mapping) -> Iterable[Sweep]:
     """The restriction-vanishing criterion for Cohen-Macaulayness agrees
     with depth read off the full Betti table."""
     for label, c in _cm_pool(grid):
-        for fld in FIELD_TRIPLE:
-            def body(c=c, fld=fld):
-                crit = froberg_cm_check(c, fld)
-                depth_route = is_cohen_macaulay(c, fld)
-                if crit == depth_route:
-                    return None
-                return (
-                    f"vanishing criterion says {crit}, Betti-table depth "
-                    f"{hochster_betti(c, fld).depth} vs dimension {c.dim + 1} says {depth_route}"
-                )
+        def body(fld, c=c):
+            crit = froberg_cm_check(c, fld)
+            depth_route = is_cohen_macaulay(c, fld)
+            if crit == depth_route:
+                return None
+            return (
+                f"vanishing criterion says {crit}, Betti-table depth "
+                f"{hochster_betti(c, fld).depth} vs dimension {c.dim + 1} says {depth_route}"
+            )
 
-            yield f"{label} field={fld.label}", body
+        yield label, body, FIELD_TRIPLE
 
 
 # -- chordal structure checks ------------------------------------------
@@ -1133,21 +1156,35 @@ def check_adrd(grid: Mapping) -> Iterable[Case]:
 
 
 def _ideal_pool(grid: Mapping, nmax: int, gmax: int) -> list[tuple[str, MonomialIdeal]]:
-    """Every equigenerated squarefree ideal in the given ambient range."""
+    """Every equigenerated squarefree ideal in the given ambient range: for
+    each n and each degree from 0 to n, every set of 1 to ``gens`` supports
+    of that degree.  The pool is priced before any ideal is listed, as the
+    sum of C(C(n, degree), count), and a pool of more than
+    MAX_LISTED_EDGES ideals is refused."""
+    gens = _val(grid, "gens", gmax)
+
+    def shapes() -> Iterator[tuple[int, int]]:
+        for n in _span(grid, "n", 2, nmax):
+            for degree in _span(grid, "degree", 2, 3):
+                if 0 <= degree <= n:
+                    yield n, degree
+
+    listed = 0
+    for n, degree in shapes():
+        supports = comb(n, degree)
+        for count in range(1, min(gens, supports) + 1):
+            listed += comb(supports, count)
+            if listed > MAX_LISTED_EDGES:
+                raise SizeBudgetError(
+                    f"the ideal pool holds {listed} ideals and more, "
+                    f"over the listing budget {MAX_LISTED_EDGES}"
+                )
     pool = []
-    for n in _span(grid, "n", 2, nmax):
-        for degree in _span(grid, "degree", 2, 3):
-            if degree > n:
-                continue
-            supports = [mask_of(c) for c in combinations(range(n), degree)]
-            for count in range(1, _val(grid, "gens", gmax) + 1):
-                for chosen in combinations(supports, count):
-                    pool.append(
-                        (
-                            f"n={n}",
-                            MonomialIdeal(n, tuple(sorted(chosen))),
-                        )
-                    )
+    for n, degree in shapes():
+        supports = [mask_of(c) for c in combinations(range(n), degree)]
+        for count in range(1, min(gens, len(supports)) + 1):
+            for chosen in combinations(supports, count):
+                pool.append((f"n={n}", MonomialIdeal(n, tuple(sorted(chosen)))))
     return pool
 
 
@@ -1185,17 +1222,14 @@ def check_betti_splitting(grid: Mapping) -> Iterable[Case]:
     pool = [("showcase", i) for i in showcase] + _ideal_pool(grid, 5, 4)
     for prefix, ideal in pool:
         dprime = ideal.generator_degree
-        if dprime is None:
+        if dprime is None or len(ideal.generators) < 2:
             continue
-        found: tuple[int, tuple[int, ...]] | None = None
         for d in _span(grid, "dq", 1, 3):
             ordering = search_d_quotients(ideal, d)
-            if ordering is not None and len(ideal.generators) > 1:
-                found = (d, ordering)
+            if ordering is not None:
                 break
-        if found is None:
+        else:
             continue
-        d, ordering = found
 
         def body(ideal=ideal, ordering=ordering, d=d, dprime=dprime):
             cert = verify_d_quotients(ideal, ordering, d)
@@ -1268,10 +1302,7 @@ def _rsequence_tables(grid: Mapping):
         dprime = ideal.generator_degree
         if dprime is None or len(ideal.generators) < 2:
             continue
-        placed = False
         for d in _span(grid, "dq", 1, 3):
-            if placed:
-                break
             ordering = search_d_quotients(ideal, d)
             if ordering is None:
                 continue
@@ -1280,7 +1311,7 @@ def _rsequence_tables(grid: Mapping):
             except PreconditionError:
                 continue
             pool.append((f"{prefix} gens={_gens_label(ideal)}", ideal, d, profile))
-            placed = True
+            break
     for label, ideal, d, profile in _stride(pool, cap):
         dprime = ideal.generator_degree
         expected = partial(rsequence_betti_table, profile, d, dprime, ideal.n_vertices)

@@ -866,14 +866,15 @@ def test_a_tree_answered_before_is_held_to_the_plan_budget(cold_memos):
 def test_the_cold_memo_fixture_empties_every_memo_of_betti(cold_memos):
     """Each module-level dict of ``betti`` and each of its functions with a
     ``cache_clear`` is a memo for the process: a split tree and a sweep
-    fill every one of them, and the fixture empties them all."""
+    fill every one of them, and the fixture empties them all.  The plans
+    are a cache; the one dict interns what they hold."""
     edge_ideal_betti(_TWO_LEAVES, GF2)
     clique_ideal_betti(make_multipartite([4, 7], 2), 2, GF2)  # a sweep
     found = {name: value for name, value in vars(betti).items() if not name.startswith("__")}
     dicts = {name: value for name, value in found.items() if isinstance(value, dict)}
     caches = {name: value for name, value in found.items() if hasattr(value, "cache_clear")}
-    assert {"_plans", "_plan_keys"} <= dicts.keys()
-    assert {"_shape_dims", "_family_ranks"} <= caches.keys()
+    assert dicts.keys() == {"_plan_keys"}
+    assert {"_restriction_terms", "_shape_dims", "_family_ranks"} <= caches.keys()
     assert all(dicts.values()) and all(c.cache_info().currsize for c in caches.values())
     cold_memos()
     assert not any(dicts.values()) and not any(c.cache_info().currsize for c in caches.values())
@@ -954,10 +955,9 @@ def _plan_outcome(call):
 @given(st.data())
 def test_a_warm_memo_plans_and_refuses_as_a_cold_one(cold_memos, data):
     """Under a lowered plan budget, a restriction sum's plan, a split tree
-    and its table, found with the memos filled at other budgets, visit and
-    refuse exactly as from empty memos: a kept plan, first the one planned
-    at the full budget, is reused only at a budget no larger than its own
-    that its visits fit, and the tree keeps no node between calls."""
+    and its table, found with the memos filled at other budgets, first the
+    full one, visit and refuse exactly as from empty memos: plans are
+    cached by key and budget, and the tree keeps no node between calls."""
     h = _memo_family(data)
     key = betti._shape_of(h.edges)
     full = _plan_outcome(lambda: betti._restriction_terms(key, betti.PLAN_BUDGET))
@@ -970,7 +970,6 @@ def test_a_warm_memo_plans_and_refuses_as_a_cold_one(cold_memos, data):
                 _plan_outcome(lambda: betti._split_plan(key, VERTEX_BUDGET)),
                 _plan_outcome(lambda: edge_ideal_betti(h, GF2)),
             ]
-            kept = dict(betti._plans)
             cold = []
             for call in (
                 lambda: betti._restriction_terms(key, budget),
@@ -980,7 +979,28 @@ def test_a_warm_memo_plans_and_refuses_as_a_cold_one(cold_memos, data):
                 cold_memos()
                 cold.append(_plan_outcome(call))
         assert warm == cold
-        betti._plans.update(kept)
+
+
+def test_a_plan_is_made_once_per_key_and_budget(monkeypatch, cold_memos):
+    """The same nonfaces under the same budget are planned once; under a
+    lower budget they are planned afresh, even where the plan made under
+    the higher one fits in it."""
+    budgets = []
+    closure = betti._RestrictionOracle.union_closure
+
+    def counted(self, budget):
+        budgets.append(budget)
+        return closure(self, budget)
+
+    monkeypatch.setattr(betti._RestrictionOracle, "union_closure", counted)
+    key = betti._shape_of(make_cycle(5, 2, 1).edges)  # five nonfaces: the closure plans
+    planned = betti._restriction_terms(key, betti.PLAN_BUDGET)
+    assert betti._restriction_terms(key, betti.PLAN_BUDGET) == planned
+    assert budgets == [betti.PLAN_BUDGET]
+    visits = planned[0]
+    assert betti._restriction_terms(key, visits) == planned
+    assert betti._restriction_terms(key, visits) == planned
+    assert budgets == [betti.PLAN_BUDGET, visits]
 
 
 def _private_vertex_family(rng: random.Random, d: int | None, count: int) -> list[int]:

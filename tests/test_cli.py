@@ -702,6 +702,40 @@ def test_verify_refuses_a_sequence_pool_past_the_listing_budget(capsys, monkeypa
     assert built == []
 
 
+@pytest.mark.parametrize(
+    "theorem, grid, walk",
+    [("l", "n=40..40,i=20", "path enumerations walk 5094246"),
+     ("k", "n=30,i=15", "cycle enumerations walk 7679172")],
+)
+def test_verify_refuses_a_counting_grid_past_the_face_budget(capsys, monkeypatch, theorem, grid,
+                                                              walk):
+    """Each partition of i walks C(n, i) subsets, so these grids would walk
+    billions; they are priced and refused with exit 3 and one error line
+    before any case runs."""
+    monkeypatch.setattr(verify, "_instance", lambda *args: pytest.fail("a case ran"))
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--grid", grid)
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[0] == (
+        f"error: the {walk} subsets and more, over the face budget 4194304"
+    )
+    assert "theorem=" not in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("theorem", ["dquot-dshell", "betti-splitting", "rsequence"])
+def test_verify_refuses_an_ideal_pool_past_the_listing_budget(capsys, theorem):
+    """At n = 9 with up to 8 generators of degree 2 or 3 the ideal pool would
+    hold about C(84, 8) ideals; it is priced and refused with exit 3 and
+    one error line before any is listed."""
+    code, out, err = run(capsys, "verify", "--theorem", theorem, "--grid", "n=9..9,gens=8")
+    assert code == 3
+    assert out == ""
+    assert err.splitlines()[0] == (
+        "error: the ideal pool holds 443703 ideals and more, over the listing budget 262144"
+    )
+    assert "theorem=" not in err and "Traceback" not in err
+
+
 def test_verify_unknown_id(capsys):
     code, _, err = run(capsys, "verify", "--theorem", "zzz")
     assert code == 2

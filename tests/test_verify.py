@@ -5,6 +5,7 @@ from __future__ import annotations
 import json
 import weakref
 from itertools import combinations, islice, permutations
+from math import comb
 from typing import Mapping
 
 import pytest
@@ -512,3 +513,71 @@ def test_graph_corollary_admits_n_7_and_refuses_n_8(monkeypatch):
         run_check("graph-corollary", "n=7..8")
     monkeypatch.setattr(verify, "_graph_orbits", lambda n, pairs: [0] * (1 << len(pairs)))
     assert next(iter(REGISTRY["graph-corollary"].cases({"n": (7, 7)})))[0] == "graph n=7 edges="
+
+
+@pytest.mark.parametrize(
+    "theorem, grid", [("l", "n=1..8,i=6"), ("k", "n=3..8,i=6"), ("l", "n=5..9,i=4")]
+)
+def test_a_counting_grid_is_priced_by_the_subsets_it_walks(monkeypatch, theorem, grid):
+    """The enumerations of a counting grid walk C(n, i) subsets per
+    partition of i: a face budget of exactly that many admits the grid,
+    and one less refuses it, naming the walk."""
+    (lo, hi), (imax, _) = parse_grid(grid)["n"], parse_grid(grid)["i"]
+    walk = sum(
+        comb(n, sum(part))
+        for n in range(lo, hi + 1)
+        for i in range(1, min(imax, n) + 1)
+        for part in verify._partitions(i)
+    )
+    monkeypatch.setattr(verify, "FACE_BUDGET", walk)
+    assert run_check(theorem, grid).ok
+    monkeypatch.setattr(verify, "FACE_BUDGET", walk - 1)
+    with pytest.raises(SizeBudgetError, match=f"walk {walk} subsets and more, over the face "
+                                              f"budget {walk - 1}$"):
+        run_check(theorem, grid)
+
+
+@pytest.mark.parametrize("grid", ["", "n=4..6,degree=3,gens=2", "n=3,degree=0..4,gens=9"])
+def test_the_ideal_pool_is_priced_by_the_ideals_it_holds(monkeypatch, grid):
+    """A listing budget of exactly the pool's size admits it, and one less
+    refuses it, naming the size, before any ideal is built."""
+    pool = verify._ideal_pool(parse_grid(grid), 5, 4)
+    monkeypatch.setattr(verify, "MAX_LISTED_EDGES", len(pool))
+    assert verify._ideal_pool(parse_grid(grid), 5, 4) == pool
+    monkeypatch.setattr(verify, "MAX_LISTED_EDGES", len(pool) - 1)
+    monkeypatch.setattr(verify, "MonomialIdeal", lambda *args: pytest.fail("an ideal was built"))
+    with pytest.raises(SizeBudgetError, match=f"holds {len(pool)} ideals and more, over the "
+                                              f"listing budget {len(pool) - 1}$"):
+        verify._ideal_pool(parse_grid(grid), 5, 4)
+
+
+def test_a_negative_degree_adds_no_ideal_to_the_pool():
+    """No ideal has generators of negative degree, as none has generators
+    of degree above n."""
+    assert verify._ideal_pool(parse_grid("degree=-2..2"), 5, 4) == verify._ideal_pool(
+        parse_grid("degree=0..2"), 5, 4
+    )
+
+
+@pytest.mark.parametrize(
+    "theorem, grid",
+    [("P", "n=2..3"), ("free-split", "count=2"), ("conn-depth", "count=12"),
+     ("cm-froberg", "count=2")],
+)
+def test_each_field_case_runs_over_the_field_it_names(monkeypatch, theorem, grid):
+    """Each case of a field sweep hands its body the field its label
+    names: the route the body runs first is stubbed to record its field."""
+    seen = []
+
+    def stub(*args, **kwargs):
+        seen.append(args[-1])
+        raise verify.SkipInstance("stub")
+
+    for name in ("edge_restriction_sum", "edge_ideal_betti", "clique_ideal_betti",
+                 "froberg_cm_check"):
+        monkeypatch.setattr(verify, name, stub)
+    report = run_check(theorem, grid)
+    named = [r.instance.rsplit(" field=", 1)[1] for r in report.results if r.details == "stub"]
+    assert len(named) == len(seen) > 3
+    assert named == [fld.label for fld in seen]
+    assert len(set(named)) == 3
