@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import json
 from dataclasses import dataclass, field
-from itertools import chain, combinations
+from itertools import chain
 from math import comb
 from typing import Iterable
 
@@ -35,6 +35,7 @@ __all__ = [
     "hypergraph_sequence_from_graph",
     "ChordalityReport",
     "chordal_graph_recognize",
+    "recognize_adjacency",
     "two_gluing_hypergraph",
     "two_gluing_classification",
     "complement_diameter",
@@ -315,20 +316,27 @@ class ChordalityReport:
 
 
 def chordal_graph_recognize(g: Hypergraph) -> ChordalityReport:
+    """Whether the graph is chordal: ``recognize_adjacency`` on its
+    present vertices' neighbour masks.  A hypergraph with an edge of
+    another size than two is refused."""
+    return recognize_adjacency(_adjacency(g))
+
+
+def recognize_adjacency(adj: dict[int, int]) -> ChordalityReport:
     """Maximum-cardinality search with the elimination check in the same
-    pass (Tarjan and Yannakakis, 1984).
+    pass (Tarjan and Yannakakis, 1984), on a graph given as each present
+    vertex's neighbour mask, the vertices in increasing order.
 
     The next vertex is the unpicked one with the most picked neighbours,
     the lowest label among equals.  When v is picked, its picked
     neighbours are its later neighbours in the elimination order (the
     reverse of the picking order), and the one picked most recently is
-    the anchor: the order is perfect exactly when, for every v, the
-    anchor is adjacent to the others.  On success the order lists
-    vertices so that each one's later neighbours form a clique.  On
-    failure, an induced cycle of length at least four is located and
-    double-checked before being reported.
+    the anchor: the order is perfect exactly when, for every v with two
+    or more later neighbours, the anchor is adjacent to the others.  On
+    success the order lists vertices so that each one's later neighbours
+    form a clique.  On failure, an induced cycle of length at least four
+    is located and double-checked before being reported.
     """
-    adj = _adjacency(g)
     unseen = list(adj)
     seen = 0
     picked: list[int] = []
@@ -340,7 +348,7 @@ def chordal_graph_recognize(g: Hypergraph) -> ChordalityReport:
                 v, best = u, weight
         unseen.remove(v)
         later = adj[v] & seen
-        if later:
+        if later & (later - 1):
             for anchor in reversed(picked):
                 if later >> anchor & 1:
                     break
@@ -359,33 +367,44 @@ def chordal_graph_recognize(g: Hypergraph) -> ChordalityReport:
 
 def _find_chordless_cycle(adj: dict[int, int]) -> tuple[int, ...] | None:
     """A shortest detour between two non-adjacent neighbours of some
-    vertex, avoiding the rest of its neighbourhood, closes up chordlessly."""
+    vertex, avoiding the rest of its neighbourhood, closes up chordlessly.
+    The pairs a < b are tried in lexicographic order."""
     for v, nb in adj.items():
-        nbs = bits_of(nb)
-        for a, b in combinations(nbs, 2):
-            if adj[a] & (1 << b):
-                continue
-            banned = (nb | (1 << v)) & ~(1 << a) & ~(1 << b)
-            path = _shortest_path(adj, a, b, banned)
-            if path is None:
-                continue
-            cycle = (v, *path)
-            if _is_chordless(adj, cycle):
-                return cycle
+        rest = nb
+        while rest:
+            a_bit = rest & -rest
+            rest ^= a_bit
+            a = a_bit.bit_length() - 1
+            far = rest & ~adj[a]
+            while far:
+                b_bit = far & -far
+                far ^= b_bit
+                banned = (nb | 1 << v) & ~a_bit & ~b_bit
+                path = _shortest_path(adj, a, b_bit.bit_length() - 1, banned)
+                if path is None:
+                    continue
+                cycle = (v, *path)
+                if _is_chordless(adj, cycle):
+                    return cycle
     return None
 
 
 def _shortest_path(
     adj: dict[int, int], src: int, dst: int, banned: int
 ) -> tuple[int, ...] | None:
+    """Breadth first from src, each vertex's new neighbours lowest first."""
     prev: dict[int, int | None] = {src: None}
+    reached = banned | 1 << src
     frontier = [src]
     while frontier:
         nxt: list[int] = []
         for u in frontier:
-            for w in bits_of(adj[u]):
-                if w in prev or banned & (1 << w):
-                    continue
+            fresh = adj[u] & ~reached
+            reached |= fresh
+            while fresh:
+                w_bit = fresh & -fresh
+                fresh ^= w_bit
+                w = w_bit.bit_length() - 1
                 prev[w] = u
                 if w == dst:
                     path = [w]

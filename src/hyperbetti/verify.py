@@ -62,6 +62,7 @@ from dataclasses import dataclass
 from functools import cache, partial, wraps
 from itertools import combinations
 from math import comb
+from operator import or_
 from typing import Callable, Iterable, Iterator, Mapping
 
 from .betti import (
@@ -93,9 +94,9 @@ from .chordal import (
     AttachmentStep,
     build_chordal_with_chunks,
     build_from_pieces,
-    chordal_graph_recognize,
     complement_diameter,
     enumerate_sequences,
+    recognize_adjacency,
     two_gluing_classification,
     two_gluing_hypergraph,
 )
@@ -905,6 +906,16 @@ def _graph_orbits(n: int, pairs: list[int]) -> list[int]:
 _MEMO_AUDIT_STRIDE = 97
 
 
+def _neighbours(n: int, edges: Iterable[int]) -> tuple[int, ...]:
+    """The neighbour mask of each of the n vertices of a graph."""
+    adj = [0] * n
+    for e in edges:
+        lo = e & -e
+        adj[lo.bit_length() - 1] |= e ^ lo
+        adj[e.bit_length() - 1] |= lo
+    return tuple(adj)
+
+
 def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
     """Chordality of a graph is equivalent to linear quotients of its
     nonadjacency ideal — checked over every labeled graph in range.
@@ -913,20 +924,21 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
     the same for isomorphic graphs, so each is computed once per class and
     read from a memo for the rest: the table on the class's first graph,
     the order search on the first graph whose verdict needs it.  The
-    recognizer still runs on each labelled graph.  Every 97th graph that
-    is not the first of its class recomputes the table, and the search if
-    the class has an answer, and must agree with the memo.  A complete
-    graph, whose nonadjacency ideal is zero, is skipped by its edge count.
-    The ideal itself is built only where it is read: on a memo miss, on an
-    audit and for the ordering quoted in a mismatch.
+    recognizer (``recognize_adjacency``) still runs on each labelled
+    graph.  Every 97th graph that is not the first of its class
+    recomputes the table, and the search if the class has an answer, and
+    must agree with the memo.  A complete graph, whose nonadjacency ideal
+    is zero, is skipped by its code.  The graph's ``Hypergraph`` and its
+    ideal are built only where they are read: on a memo miss, on an audit
+    and for the graph or the ordering quoted in a mismatch.
 
     The graphs on n vertices are walked by their edge codes, bit k of a
     code standing for the pair ``pairs[k]``.  Tables built once per n and
     indexed by the low and the high half of a code give each graph's
-    edge set, as the frozenset of two joined tuples of pairs (frozensets
-    in the tables would raise the check's peak memory), and its label,
-    as the names of its edges in mask order, read off the code recoded to
-    that order.  The tables are dropped with their n.
+    edges, as two joined tuples of pairs, its neighbour masks, as the
+    two entries' masks or'ed vertex by vertex, and its label, as the
+    names of its edges in mask order, read off the code recoded to that
+    order.  The tables are dropped with their n.
 
     A grid whose largest n has more than the face budget of labelled
     graphs is refused before any graph is listed."""
@@ -946,7 +958,9 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
         least = _graph_orbits(n, pairs)
         half = len(pairs) // 2
         low = (1 << half) - 1
+        every_pair = (1 << len(pairs)) - 1
         lo_edges, hi_edges = _half_tables(pairs, half, tuple)
+        lo_adj, hi_adj = _half_tables(pairs, half, partial(_neighbours, n))
         # a label lists the edges in mask order: recode to it, then read the
         # names of each half, each name led by its separator
         ordered = sorted(pairs)
@@ -957,8 +971,6 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
         head = f"graph n={n} edges="
         for code in range(1 << len(pairs)):
             lo, hi = code & low, code >> half
-            edges = frozenset(lo_edges[lo] + hi_edges[hi])
-            g = Hypergraph(n, edges)
             recoded = lo_recode[lo] | hi_recode[hi]
             label = head + (lo_names[recoded & low] + hi_names[recoded >> half])[1:]
             key = (n, least[code])
@@ -967,15 +979,29 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
                 repeats += 1
                 audit = repeats % _MEMO_AUDIT_STRIDE == 0
 
-            def body(g=g, key=key, audit=audit, complete=len(edges) == len(pairs)):
+            def body(
+                n=n,
+                edges=lo_edges[lo] + hi_edges[hi],
+                adj=dict(enumerate(map(or_, lo_adj[lo], hi_adj[hi]))),
+                key=key,
+                audit=audit,
+                complete=code == every_pair,
+            ):
                 if complete:
                     raise SkipInstance("complete graph: nonface ideal is zero")
+                g: Hypergraph | None = None
                 built: MonomialIdeal | None = None
+
+                def graph() -> Hypergraph:
+                    nonlocal g
+                    if g is None:
+                        g = Hypergraph(n, frozenset(edges))
+                    return g
 
                 def ideal() -> MonomialIdeal:
                     nonlocal built
                     if built is None:
-                        built = MonomialIdeal(g.n_vertices, tuple(non_edges(g, 2)))
+                        built = MonomialIdeal(n, tuple(non_edges(graph(), 2)))
                     return built
 
                 def class_has_quotients() -> bool:
@@ -991,10 +1017,10 @@ def check_graph_corollary(grid: Mapping) -> Iterable[Case]:
                     and (_linear_quotients(ideal()) is not None) != quotients[key]
                 ):
                     return (
-                        f"memo self-check: graph edges={_edges_label(g)} disagrees "
+                        f"memo self-check: graph edges={_edges_label(graph())} disagrees "
                         f"with the memo of its isomorphism class, least code {key[1]}"
                     )
-                rep = chordal_graph_recognize(g)
+                rep = recognize_adjacency(adj)
                 if rep.is_chordal:
                     if not class_has_quotients():
                         return "recognizer says chordal but no linear quotients exist"
@@ -1155,34 +1181,45 @@ def check_adrd(grid: Mapping) -> Iterable[Case]:
 # -- ideal-side checks -------------------------------------------------
 
 
+def _ideal_shapes(grid: Mapping, nmax: int, gmax: int) -> list[tuple[int, int, int]]:
+    """The shapes of the ideal pool (``_ideal_pool``): each n with each
+    degree from 0 to n, and the most generators its ideals take.  The
+    pool is priced as they are listed, as the sum of C(C(n, degree),
+    count), and a pool of more than MAX_LISTED_EDGES ideals is refused.
+    A span that lists no ideal is not walked: no count is at least 1, or
+    no n reaches the grid's least degree."""
+    gens = _val(grid, "gens", gmax)
+    degrees = _span(grid, "degree", 2, 3)
+    if gens < 1 or degrees[-1] < 0:
+        return []
+    least = max(degrees[0], 0)
+    ns = _span(grid, "n", 2, nmax)
+    shapes = []
+    listed = 0
+    for n in range(max(ns.start, least), ns.stop):
+        for degree in range(least, min(degrees[-1], n) + 1):
+            supports = comb(n, degree)
+            most = min(gens, supports)
+            for count in range(1, most + 1):
+                listed += comb(supports, count)
+                if listed > MAX_LISTED_EDGES:
+                    raise SizeBudgetError(
+                        f"the ideal pool holds {listed} ideals and more, "
+                        f"over the listing budget {MAX_LISTED_EDGES}"
+                    )
+            shapes.append((n, degree, most))
+    return shapes
+
+
 def _ideal_pool(grid: Mapping, nmax: int, gmax: int) -> list[tuple[str, MonomialIdeal]]:
     """Every equigenerated squarefree ideal in the given ambient range: for
     each n and each degree from 0 to n, every set of 1 to ``gens`` supports
-    of that degree.  The pool is priced before any ideal is listed, as the
-    sum of C(C(n, degree), count), and a pool of more than
-    MAX_LISTED_EDGES ideals is refused."""
-    gens = _val(grid, "gens", gmax)
-
-    def shapes() -> Iterator[tuple[int, int]]:
-        for n in _span(grid, "n", 2, nmax):
-            for degree in _span(grid, "degree", 2, 3):
-                if 0 <= degree <= n:
-                    yield n, degree
-
-    listed = 0
-    for n, degree in shapes():
-        supports = comb(n, degree)
-        for count in range(1, min(gens, supports) + 1):
-            listed += comb(supports, count)
-            if listed > MAX_LISTED_EDGES:
-                raise SizeBudgetError(
-                    f"the ideal pool holds {listed} ideals and more, "
-                    f"over the listing budget {MAX_LISTED_EDGES}"
-                )
+    of that degree.  The pool is priced before any ideal is listed
+    (``_ideal_shapes``)."""
     pool = []
-    for n, degree in shapes():
+    for n, degree, most in _ideal_shapes(grid, nmax, gmax):
         supports = [mask_of(c) for c in combinations(range(n), degree)]
-        for count in range(1, min(gens, len(supports)) + 1):
+        for count in range(1, most + 1):
             for chosen in combinations(supports, count):
                 pool.append((f"n={n}", MonomialIdeal(n, tuple(sorted(chosen)))))
     return pool
@@ -1319,7 +1356,10 @@ def _rsequence_tables(grid: Mapping):
 
 
 def check_lin_quot(grid: Mapping) -> Iterable[Case]:
-    """Linear quotients force a linear resolution, over every test field."""
+    """Linear quotients force a linear resolution, over every test field.
+    The ideal pool is priced before the sequence pool is walked, so an
+    ideal grid over the listing budget is refused at once."""
+    _ideal_shapes(grid, 5, 4)
     pool: list[tuple[str, MonomialIdeal]] = []
     for label, d, h, _ in _sequence_pool(grid, _span(grid, "d", 2, 3), 6, 3, 60):
         ideal = MonomialIdeal(h.n_vertices, tuple(non_edges(h, d)))

@@ -722,11 +722,21 @@ def test_verify_refuses_a_counting_grid_past_the_face_budget(capsys, monkeypatch
     assert "theorem=" not in err and "Traceback" not in err
 
 
-@pytest.mark.parametrize("theorem", ["dquot-dshell", "betti-splitting", "rsequence"])
-def test_verify_refuses_an_ideal_pool_past_the_listing_budget(capsys, theorem):
+@pytest.mark.parametrize("theorem", ["dquot-dshell", "betti-splitting", "rsequence", "lin-quot"])
+def test_verify_refuses_an_ideal_pool_past_the_listing_budget(capsys, monkeypatch, theorem):
     """At n = 9 with up to 8 generators of degree 2 or 3 the ideal pool would
     hold about C(84, 8) ideals; it is priced and refused with exit 3 and
-    one error line before any is listed."""
+    one error line before any is listed, and before lin-quot walks its
+    sequence pool."""
+    drawn = []
+    distinct_builds = verify._distinct_builds
+
+    def counted(pool, cap):
+        for build in distinct_builds(pool, cap):
+            drawn.append(build[0])
+            yield build
+
+    monkeypatch.setattr(verify, "_distinct_builds", counted)
     code, out, err = run(capsys, "verify", "--theorem", theorem, "--grid", "n=9..9,gens=8")
     assert code == 3
     assert out == ""
@@ -734,6 +744,7 @@ def test_verify_refuses_an_ideal_pool_past_the_listing_budget(capsys, theorem):
         "error: the ideal pool holds 443703 ideals and more, over the listing budget 262144"
     )
     assert "theorem=" not in err and "Traceback" not in err
+    assert drawn == []
 
 
 def test_verify_unknown_id(capsys):

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import json
 import weakref
 from itertools import combinations, islice, permutations
@@ -17,6 +18,9 @@ from hyperbetti import (
     ParameterError,
     SizeBudgetError,
     betti,
+    chordal,
+    chordal_graph_recognize,
+    recognize_adjacency,
     run_check,
     verify,
 )
@@ -249,27 +253,53 @@ def test_graph_orbits_at_six_vertices_are_least_and_closed_under_transpositions(
             assert least[sum(1 << swap[k] for k in bits)] == least[code]
 
 
+def _carried(body) -> dict:
+    """The values a case's body carries, by parameter name."""
+    return {name: p.default for name, p in inspect.signature(body).parameters.items()}
+
+
 def test_graph_corollary_labels_and_edges_at_seven_vertices(monkeypatch):
     """No digest covers n = 7: on a strided sample of its 2^21 codes, a
-    case's label lists its graph's edges, and the edges are the pairs of
-    the code's bits.  The orbits and the ``Hypergraph`` of every case are
-    stubbed, since neither is read here and together they take most of a
-    full walk; each sampled edge set is built into a ``Hypergraph``."""
+    case's label lists its graph's edges, the edges are the pairs of the
+    code's bits, and the neighbour masks the case carries are the graph's,
+    with the recognizer's report on them.  The orbits are stubbed, since
+    they are not read here and take most of a full walk; each sampled
+    case's edges, read off its body, are built into a ``Hypergraph``."""
     monkeypatch.setattr(verify, "_graph_orbits", lambda n, pairs: [0] * (1 << len(pairs)))
-    monkeypatch.setattr(verify, "Hypergraph", lambda n, edges: (n, edges))
     pairs = _pair_masks(7)
     cases = REGISTRY["graph-corollary"].cases({"n": (7, 7)})
     stride = 4099
     sample = 0
     for k, (label, body) in enumerate(islice(cases, 0, None, stride)):
         code = k * stride
-        n, edges = body.__defaults__[0]
-        g = Hypergraph(n, edges)
+        carried = _carried(body)
+        n = carried["n"]
+        g = Hypergraph(n, frozenset(carried["edges"]))
         assert n == 7
         assert g.edges == frozenset(pairs[bit] for bit in bits_of(code))
         assert label == f"graph n=7 edges={verify._edges_label(g)}"
+        assert carried["adj"] == chordal._adjacency(g)
+        assert recognize_adjacency(carried["adj"]) == chordal_graph_recognize(g)
         sample += 1
     assert sample == -(-(1 << 21) // stride)
+
+
+@pytest.mark.parametrize("n", range(1, 7))
+def test_graph_corollary_reads_each_adjacency_off_its_half_tables(monkeypatch, n):
+    """Every code on at most six vertices (n = 7 is sampled with the
+    labels): the neighbour masks a case carries, or'ed from the two half
+    tables, are those of the code's graph, and the recognizer reports on
+    them what it reports on the graph.  The orbits are stubbed, as they
+    are not read here."""
+    monkeypatch.setattr(verify, "_graph_orbits", lambda n, pairs: [0] * (1 << len(pairs)))
+    pairs = _pair_masks(n)
+    cases = REGISTRY["graph-corollary"].cases({"n": (n, n)})
+    for code, (_label, body) in enumerate(cases):
+        g = Hypergraph(n, frozenset(pairs[bit] for bit in bits_of(code)))
+        adj = _carried(body)["adj"]
+        assert adj == chordal._adjacency(g)
+        assert recognize_adjacency(adj) == chordal_graph_recognize(g)
+    assert code == (1 << len(pairs)) - 1
 
 
 def test_graph_corollary_memo_is_checked_against_a_recomputation(monkeypatch):
@@ -306,6 +336,27 @@ def test_graph_corollary_builds_an_ideal_only_where_one_is_read(monkeypatch):
     rep = run_check("graph-corollary", "n=4..5")
     assert rep.ok and len(rep.results) == 64 + 1024
     assert 0 < len(built) <= classes + repeats // verify._MEMO_AUDIT_STRIDE
+
+
+def test_graph_corollary_builds_a_graph_only_where_an_ideal_is_read(monkeypatch):
+    """The recognizer reads each graph's neighbour masks off the half
+    tables, so a ``Hypergraph`` is built only for an ideal (or for a graph
+    quoted in a mismatch, and this run has none)."""
+    graphs, ideals = [], []
+
+    def counted_graph(*args):
+        graphs.append(args)
+        return Hypergraph(*args)
+
+    def counted_ideal(*args):
+        ideals.append(args)
+        return MonomialIdeal(*args)
+
+    monkeypatch.setattr(verify, "Hypergraph", counted_graph)
+    monkeypatch.setattr(verify, "MonomialIdeal", counted_ideal)
+    rep = run_check("graph-corollary", "n=4..5")
+    assert rep.ok and len(rep.results) == 64 + 1024
+    assert 0 < len(graphs) <= len(ideals)
 
 
 # The first showcase ideal abc, cde, bef, adf on six variables has the
@@ -549,6 +600,29 @@ def test_the_ideal_pool_is_priced_by_the_ideals_it_holds(monkeypatch, grid):
     with pytest.raises(SizeBudgetError, match=f"holds {len(pool)} ideals and more, over the "
                                               f"listing budget {len(pool) - 1}$"):
         verify._ideal_pool(parse_grid(grid), 5, 4)
+
+
+@pytest.mark.parametrize(
+    "grid", ["n=2..100000000,degree=200000000", "n=2..100000,gens=0", "n=2..100000000,degree=-3..-1"]
+)
+def test_an_ideal_grid_that_lists_nothing_is_not_walked(monkeypatch, grid):
+    """No count reaches 1, or no n reaches a degree the grid names: the
+    pool is empty, no (n, degree) pair is priced or listed and no span is
+    walked value by value, so the check reports no instance at once."""
+    spans = []
+    span = verify._span
+
+    def counted(*args):
+        spans.append(args)
+        if len(spans) > 4:  # the n and degree spans of each of two pools
+            pytest.fail("a span was walked value by value")
+        return span(*args)
+
+    monkeypatch.setattr(verify, "_span", counted)
+    monkeypatch.setattr(verify, "comb", lambda *args: pytest.fail("a shape was priced"))
+    monkeypatch.setattr(verify, "combinations", lambda *args: pytest.fail("a shape was listed"))
+    assert verify._ideal_pool(parse_grid(grid), 5, 4) == []
+    assert run_check("dquot-dshell", grid).results == ()
 
 
 def test_a_negative_degree_adds_no_ideal_to_the_pool():
