@@ -55,7 +55,8 @@ per group; the sweep's subsets are counted by size and by the family of
 big faces inside them, relabelled, and the tally ranks each family once
 per field for the process.  A plan is a function of the relabelled
 nonfaces and the budget alone, and is cached on both for the process;
-a refused plan raises, so it is never cached.
+a refused plan raises, so it is never cached.  A tally is a function of
+the plan and the field alone, and is cached on both for the process.
 
 ``connectivity`` and ``is_cohen_macaulay`` read the split tree's table.
 Every subset of the closure, and every subset ``restriction_witness``,
@@ -72,14 +73,21 @@ the reference scan, answers one by one, takes one route:
   0..m-1 in order, a simplicial isomorphism, and its sorted relabelled
   nonfaces with the field are the key of one memo for the process:
   every shape is answered once per field, whichever sum or scan meets it;
-* direct, else the nerve - for a component with k minimal nonfaces, the
-  faces of size >= s (s the smallest of their sizes, so every smaller set
-  is a face) are grown up to the nerve size 2^k, or up to the face
-  budget if 2^k is over it.  The cost is measured, not estimated: if the
-  growth finishes, those faces answer by ``homology.dims_above``;
-  otherwise the nerve of the k nonfaces answers, which has complementary
-  homology and 2^k faces (the crosscut complex of the LCM lattice), and
-  it refuses with SizeBudgetError when 2^k is over the face budget.
+* the splitting - a component of two or more minimal nonfaces, one of
+  them, e, holding a vertex in no other, has the homology of the complex
+  on its vertices outside e whose minimal nonfaces are the colon of the
+  others by e, shifted up by |e| - 1: the top column of the free-vertex
+  Betti splitting.  That complex is a cone, or falls into components,
+  which take this route in turn;
+* direct, else the nerve - for a component with k minimal nonfaces and
+  no such vertex, or with one nonface, the faces of size >= s (s the
+  smallest of their sizes, so every smaller set is a face) are grown up
+  to the nerve size 2^k, or up to the face budget if 2^k is over it.
+  The cost is measured, not estimated: if the growth finishes, those
+  faces answer by ``homology.dims_above``; otherwise the nerve of the k
+  nonfaces answers, which has complementary homology and 2^k faces (the
+  crosscut complex of the LCM lattice), and it refuses with
+  SizeBudgetError when 2^k is over the face budget.
 """
 
 from __future__ import annotations
@@ -334,14 +342,28 @@ class _RestrictionOracle:
 @cache
 def _shape_dims(key: tuple[int, ...], fld: FieldSpec) -> tuple[tuple[int, int], ...]:
     """Homology of one nonface component from its shape, its ``_relabelled``
-    nonfaces covering 0..m-1, as (degree, dim) pairs: computed once per
+    nonfaces covering 0..m-1 = V, as (degree, dim) pairs: computed once per
     process and field and kept as a tuple, so no caller can change it, and
-    every acyclic shape shares the one empty tuple.  The k nonfaces give a
-    nerve of 2^k faces: the faces no smaller than them are grown up to
-    that many (or the face budget), and answer if the growth finishes; the
-    nerve answers otherwise."""
+    every acyclic shape shares the one empty tuple.
+
+    A shape of two or more nonfaces with a vertex in exactly one of them,
+    e (``_free_generator``), is answered by the top column of the
+    free-vertex Betti splitting: H~_p(Delta_V) is H~_{p-|e|+1}(Delta'),
+    Delta' being the complex on V - e whose minimal nonfaces are the
+    colon of the others by e.  Delta' is a cone, and V acyclic, when they
+    miss a vertex of V - e; otherwise its components recurse here.  Any
+    other shape has k nonfaces and a nerve of 2^k faces: the faces no
+    smaller than them are grown up to that many (or the face budget), and
+    answer if the growth finishes; the nerve answers otherwise."""
     m = key[-1].bit_length()  # the top vertex lies in some nonface
     full = (1 << m) - 1
+    e = _free_generator(key) if len(key) > 1 else None
+    if e is not None:
+        shapes = _RestrictionOracle(colon((g for g in key if g != e), e)).shapes_for(full & ~e)
+        shift = e.bit_count() - 1
+        return () if shapes is None else tuple(
+            (p + shift, dim) for p, dim in _joined(shapes, fld).items()
+        )
     dims = _dims_direct(full, key, min(1 << len(key), FACE_BUDGET), fld)
     return tuple((_dims_nerve(full, m, key, fld) if dims is None else dims).items())
 
@@ -556,10 +578,13 @@ def _restriction_terms(key: tuple[int, ...], budget: int) -> tuple[int, _Plan]:
     return visits, plan
 
 
-def _tally(plan: _Plan, fld: FieldSpec) -> dict[tuple[int, int], int]:
+@cache
+def _tally(plan: _Plan, fld: FieldSpec) -> tuple[int, ...]:
     """The quotient-convention entries of a planned restriction sum over the
-    field: a subset of size j with homology in degree t adds to
-    (j - 1 - t, j).
+    field, as flat (i, j, beta) triples (read by ``_triples``): a subset of
+    size j with homology in degree t adds to (j - 1 - t, j).  A tally reads
+    only the plan and the field, so it is computed once per process for
+    each, and kept as a tuple, which no caller can change.
 
     Each join group is answered by joining the ``_shape_dims`` of its
     components, and each sweep family of big faces is ranked once: every
@@ -574,7 +599,7 @@ def _tally(plan: _Plan, fld: FieldSpec) -> dict[tuple[int, int], int]:
             key = (j - 1 - degree, j)
             entries[key] = entries.get(key, 0) + dim * count
 
-    for j, shapes, count in zip(joins[::3], joins[1::3], joins[2::3]):
+    for j, shapes, count in _triples(joins):
         add(j, _joined(shapes, fld), count)
     for family, pairs in zip(sweeps[::2], sweeps[1::2]):
         ranked = _family_ranks(family, fld)
@@ -582,7 +607,12 @@ def _tally(plan: _Plan, fld: FieldSpec) -> dict[tuple[int, int], int]:
         counts, ranks = dict(zip(sizes, ranked[1::3])), dict(zip(sizes, ranked[2::3]))
         for m, count in zip(pairs[::2], pairs[1::2]):
             add(m, dims_above(m, s, counts, ranks), count)
-    return entries
+    return tuple(x for (i, j), b in entries.items() for x in (i, j, b))
+
+
+def _triples(flat: tuple) -> Iterable[tuple]:
+    """The consecutive triples of a flat tuple."""
+    return zip(flat[::3], flat[1::3], flat[2::3])
 
 
 @cache
@@ -603,7 +633,8 @@ def _restriction_sum(ground: int, nonfaces: Collection[int], fld: FieldSpec) -> 
     ``_restriction_terms``, then its tally over the field.  The caller
     checks the vertex budget."""
     plan = _restriction_terms(_shape_of(nonfaces), PLAN_BUDGET)[1]
-    return BettiTable("quotient", ground.bit_count(), _tally(plan, fld))
+    entries = {(i, j): b for i, j, b in _triples(_tally(plan, fld))}
+    return BettiTable("quotient", ground.bit_count(), entries)
 
 
 # -- the splitting route ----------------------------------------------
@@ -617,6 +648,17 @@ def _shape_of(gens: Collection[int]) -> tuple[int, ...]:
     return _relabelled(support, gens) if support else tuple(gens)
 
 
+def _free_generator(gens: Sequence[int]) -> int | None:
+    """The generator holding the lowest vertex that lies in exactly one
+    generator, or None when no vertex does: the e of the free-vertex
+    splitting, for the split tree's nodes and for ``_shape_dims``."""
+    free = exactly_once(gens)
+    if not free:
+        return None
+    x = free & -free
+    return next(g for g in gens if g & x)
+
+
 def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]] | None:
     """The free-vertex splitting of the ideal with these generators, or None
     when no vertex lies in exactly one generator.
@@ -626,11 +668,9 @@ def _split(key: tuple[int, ...]) -> tuple[int, tuple[int, ...], tuple[int, ...]]
     splitting is |e| and the shapes of K and K : e, both with fewer
     generators, and both () when e is the only one.
     """
-    free = exactly_once(key)
-    if not free:
+    e = _free_generator(key)
+    if e is None:
         return None
-    x = free & -free
-    e = next(g for g in key if g & x)
     rest = [g for g in key if g != e]
     return e.bit_count(), _shape_of(rest), _shape_of(colon(rest, e))
 
@@ -694,7 +734,7 @@ def _split_betti(
     splits, leaves = _split_plan(key, vertex_budget)
     tables: dict[tuple[int, ...], dict[tuple[int, int], int]] = {(): {}}
     for leaf, plan in leaves.items():
-        tables[leaf] = {(i - 1, j): b for (i, j), b in _tally(plan, fld).items() if i}
+        tables[leaf] = {(i - 1, j): b for i, j, b in _triples(_tally(plan, fld)) if i}
     for node in sorted(splits, key=len):
         size, rest, colon = splits[node]
         entries = dict(tables[rest])

@@ -1324,8 +1324,9 @@ def _rsequence_tables(grid: Mapping):
             rsequence_colon_profile(showcase, (0, 1, 2, 3), 2),
         )
     )
-    for dprime in _span(grid, "degree", 2, 4):
-        for t in range(3, _val(grid, "gens", 4) + 1):
+    petals = range(3, _val(grid, "gens", 4) + 1)  # a sunflower has three petals or more
+    for dprime in _span(grid, "degree", 2, 4) if petals else ():
+        for t in petals:
             n = 1 + t * (dprime - 1)
             gens = []
             for s in range(t):

@@ -6,8 +6,10 @@ import random
 import re
 import time
 from collections import Counter
+from functools import reduce
 from itertools import combinations
 from math import comb
+from operator import or_
 from unittest import mock
 
 import pytest
@@ -58,9 +60,18 @@ from hyperbetti.betti import (
     _dims_direct,
     _dims_nerve,
     _RestrictionOracle,
+    _shape_dims,
 )
 from hyperbetti.verify import _removal_scan
-from hyperbetti.bitsets import contains, k_submasks, mask_of, min_antichain, submasks
+from hyperbetti.bitsets import (
+    bits_of,
+    contains,
+    exactly_once,
+    k_submasks,
+    mask_of,
+    min_antichain,
+    submasks,
+)
 from hyperbetti.complexes import FACE_BUDGET, grow_faces, restrict
 from hyperbetti.hypergraph import non_edges
 from hyperbetti.ideal import sr_complex
@@ -1103,6 +1114,102 @@ def test_changing_an_answer_changes_no_later_answer():
             answer[degree] += 1
         answer[7] = 1
         assert _RestrictionOracle(h.edges, GF2).dims_for(vmask) == expected
+
+
+@st.composite
+def _antichain_shape(draw, free: bool) -> tuple[int, ...]:
+    """The shape of an antichain of 2 to 8 sets of 2 to 5 of 3 to 11
+    vertices, relabelled onto its support.  With ``free`` false, each
+    vertex left in exactly one set v in S is given the pair {v, w} for a
+    vertex w of the support outside S: v lies in no other set, so the pair
+    removes none and is removed by none, and it frees no vertex."""
+    n = draw(st.integers(3, 11), label="n")
+    sizes = st.sets(st.integers(0, n - 1), min_size=2, max_size=min(5, n)).map(mask_of)
+    family = set(min_antichain(draw(st.lists(sizes, min_size=2, max_size=8), label="sets")))
+    assume(len(family) > 1)
+    if free:
+        assume(exactly_once(family))
+    else:
+        support = reduce(or_, family)
+        while once := exactly_once(family):
+            v = bits_of(once)[0]
+            e = next(g for g in family if g >> v & 1)
+            w = draw(st.sampled_from(bits_of(support & ~e)), label="partner")
+            family.add(1 << v | 1 << w)
+    assume(len(family) <= 12)  # a nerve of at most 4,096 faces
+    return betti._shape_of(family)
+
+
+@pytest.mark.parametrize("free", [True, False], ids=["free-vertex", "no-free-vertex"])
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_a_shape_is_answered_as_its_faces_and_its_nerve_answer_it(free, data):
+    """Every component shape is answered as face growth and the nerve,
+    both run uncapped on the whole shape, answer it, over each field: by
+    the free-vertex splitting when a vertex lies in exactly one nonface,
+    and by its faces otherwise."""
+    key = data.draw(_antichain_shape(free), label="shape")
+    assert bool(exactly_once(key)) is free
+    m = key[-1].bit_length()
+    full = (1 << m) - 1
+    for fld in (GF2, GF3, QQ):
+        expected = _dims_direct(full, key, 1 << m, fld)
+        assert expected is not None
+        assert _dims_nerve(full, m, key, fld) == expected
+        assert dict(_shape_dims(key, fld)) == expected
+
+
+def test_the_splitting_answers_every_proper_arc_of_a_cycle(monkeypatch, cold_memos):
+    """The closure plan of cycle(10,2,1) splits its sets into arcs of 1 to
+    8 edges, each relabelled in vertex order, and the whole cycle.  Each
+    arc of two or more edges has a free vertex and is answered by the
+    splitting, whose shapes are again arcs, single edges and single
+    vertices: over each field only the whole cycle and single nonfaces
+    grow faces, and the nerve never runs."""
+    h = make_cycle(10, 2, 1)
+    cycle = betti._shape_of(h.edges)
+    grown = []
+    grow = betti.grow_faces
+
+    def counted(ground, nonfaces, start, cap):
+        grown.append(tuple(nonfaces))
+        return grow(ground, nonfaces, start, cap)
+
+    def no_nerve(*args):
+        raise AssertionError("the nerve ran")
+
+    monkeypatch.setattr(betti, "grow_faces", counted)
+    monkeypatch.setattr(betti, "_dims_nerve", no_nerve)
+    for fld in (GF2, GF3, QQ):
+        assert edge_restriction_sum(h, fld) == cycle_betti_degenerate(10, 1)
+    joins = betti._restriction_terms(cycle, betti.PLAN_BUDGET)[1][1]
+    arcs = {shape for shapes in joins[1::3] for shape in shapes if len(shape) > 1} - {cycle}
+    assert {len(arc) for arc in arcs} == set(range(2, 9))
+    assert all(exactly_once(arc) and reduce(or_, arc).bit_count() == len(arc) + 1 for arc in arcs)
+    assert grown.count(cycle) == 3
+    assert all(len(nonfaces) == 1 for nonfaces in grown if nonfaces != cycle)
+
+
+@pytest.mark.parametrize("fld", [GF2, GF3, QQ], ids=["gf2", "gf3", "q"])
+def test_changing_a_table_changes_no_later_table(fld):
+    """Tallies are kept for the process, one per plan and field: a caller
+    that changes the entries of a table from the split tree (with two
+    leaves, or one), the ideal route or the complex route gets the
+    unchanged table from the next call on the same input."""
+    ideal = MonomialIdeal(7, tuple(sorted(_TWO_LEAVES.edges)))
+    c = independence_complex(_TWO_LEAVES)
+    for route in (
+        lambda: edge_ideal_betti(_TWO_LEAVES, fld),
+        lambda: edge_ideal_betti(make_cycle(5, 2, 1), fld),
+        lambda: ideal_betti(ideal, fld),
+        lambda: hochster_betti(c, fld),
+    ):
+        table = route()
+        expected = dict(table.entries)
+        for key in table.entries:
+            table.entries[key] += 1
+        table.entries[9, 9] = 1
+        assert route().entries == expected
 
 
 @pytest.mark.parametrize("fld", [GF2, QQ], ids=["gf2", "q"])

@@ -1,7 +1,7 @@
 """The package's source structure: imports sit at module level, form no
 cycle and are all used, no module imports another's private name, every
-private helper has a caller, and the facets-to-nonfaces dualization has
-one owner."""
+private helper has a caller, and the facets-to-nonfaces dualization and
+the free generator of a Betti splitting each have one owner."""
 
 from __future__ import annotations
 
@@ -134,3 +134,44 @@ def test_only_complexes_names_the_dualization():
         )
     ]
     assert not found, found
+
+
+def test_one_helper_chooses_the_free_generator():
+    """The generator e of a free-vertex splitting, the one holding the
+    lowest vertex in exactly one generator, is chosen by
+    ``betti._free_generator`` alone: the split tree's nodes (``_split``) and
+    the component shapes (``_shape_dims``) call it, and no other function
+    of ``betti`` takes the lowest bit of a set of free vertices."""
+    tree = _tree(PACKAGE / "betti.py")
+    functions = {fn.name: fn for fn in ast.walk(tree) if isinstance(fn, ast.FunctionDef)}
+
+    def calls(fn: ast.FunctionDef, name: str) -> bool:
+        return any(
+            isinstance(node, ast.Call) and getattr(node.func, "id", None) == name
+            for node in ast.walk(fn)
+        )
+
+    def lowest_free_bit(fn: ast.FunctionDef) -> bool:
+        free = {"free"} | {
+            target.id
+            for node in ast.walk(fn)
+            if isinstance(node, (ast.Assign, ast.NamedExpr))
+            and isinstance(node.value, ast.Call)
+            and getattr(node.value.func, "id", None) == "exactly_once"
+            for target in getattr(node, "targets", [getattr(node, "target", None)])
+            if isinstance(target, ast.Name)
+        }
+        return any(
+            isinstance(node, ast.BinOp)
+            and isinstance(node.op, ast.BitAnd)
+            and isinstance(node.left, ast.Name)
+            and node.left.id in free
+            and isinstance(node.right, ast.UnaryOp)
+            and isinstance(node.right.op, ast.USub)
+            and getattr(node.right.operand, "id", None) == node.left.id
+            for node in ast.walk(fn)
+        )
+
+    assert calls(functions["_split"], "_free_generator")
+    assert calls(functions["_shape_dims"], "_free_generator")
+    assert [name for name, fn in functions.items() if lowest_free_bit(fn)] == ["_free_generator"]

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import inspect
 import json
+import time
 import weakref
 from itertools import combinations, islice, permutations
 from math import comb
@@ -623,6 +624,17 @@ def test_an_ideal_grid_that_lists_nothing_is_not_walked(monkeypatch, grid):
     monkeypatch.setattr(verify, "combinations", lambda *args: pytest.fail("a shape was listed"))
     assert verify._ideal_pool(parse_grid(grid), 5, 4) == []
     assert run_check("dquot-dshell", grid).results == ()
+
+
+def test_a_sunflower_span_with_fewer_than_three_petals_is_not_walked():
+    """A sunflower has at least three petals, so at gens=2 the rsequence
+    check lists none of any degree: a span of 10^8 degrees reports at
+    once what degrees 2..4 report."""
+    start = time.perf_counter()
+    wide = run_check("rsequence", "degree=2..100000000,gens=2")
+    assert time.perf_counter() - start < 1
+    assert wide.results == run_check("rsequence", "degree=2..4,gens=2").results
+    assert wide.results
 
 
 def test_a_negative_degree_adds_no_ideal_to_the_pool():
